@@ -1,4 +1,4 @@
-"""Shot-propagation kernels for the sampling oracle.
+"""Shot-propagation kernel for the sampling oracle.
 
 Each row of the noise matrix holds one shot's pre-scaled Gaussian draws:
 
@@ -7,37 +7,18 @@ Each row of the noise matrix holds one shot's pre-scaled Gaussian draws:
     col 6..11  cloner-1 ancillas     (N1 x, N1 p, N2 x, N2 p, N3 x, N3 p)
     col 12..17 cloner-2 ancillas     (same layout)
 
-Two interchangeable implementations: a numba-compiled per-shot loop and a
-vectorized numpy path.  The cloner block is compiled from the same function
-the numpy path calls, both paths apply the identical operation order, and
-the test suite pins them to bit-identical outputs.  numba is used when it
-imports and ECLONER_FORCE_NUMPY is unset; benchmarks/benchmark_kernels.py
-compares the two.
+Each machine is written once, as the literal per-shot circuit in
+``propagate_local_numpy`` / ``propagate_global_numpy``: beamsplitters,
+squeezers, homodyne readout and feedforward applied quadrature by
+quadrature.  That circuit is linear in the noise, so ``propagate`` runs the
+18 unit vectors through it once per call, which gives the 18x8 transfer
+matrix ``M``, and returns ``noise @ M`` for all shots at once.
 """
-
-import os
 
 import numpy as np
 
 SQRT2 = np.sqrt(2.0)
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
-
 NOISE_COLUMNS = 18
-_FORCE_NUMPY_VAR = "ECLONER_FORCE_NUMPY"
-
-
-def active_backend():
-    """'numba' or 'numpy', honoring the ECLONER_FORCE_NUMPY env flag."""
-    flag = os.environ.get(_FORCE_NUMPY_VAR, "").strip().lower()
-    if flag in ("1", "true", "yes", "on"):
-        return "numpy"
-    return "numba" if HAVE_NUMBA else "numpy"
 
 
 def _cloner(x, p, n1x, n1p, n2x, n2p, n3x, n3p, gx, gp):
@@ -102,83 +83,16 @@ def propagate_global_numpy(noise, s, gx, gp):
     )
 
 
-if HAVE_NUMBA:
-    _cloner_jit = njit(cache=True)(_cloner)
-
-    @njit(cache=True)
-    def propagate_local_numba(noise, gx, gp):
-        shots = noise.shape[0]
-        out = np.empty((shots, 8))
-        for i in range(shots):
-            c = noise[i]
-            e1x = (c[0] + c[2]) / SQRT2 + c[4]
-            e1p = (c[1] + c[3]) / SQRT2 + c[5]
-            e2x = (c[0] - c[2]) / SQRT2 + c[4]
-            e2p = (c[1] - c[3]) / SQRT2 + c[5]
-            x1a, p1a, x1b, p1b = _cloner_jit(
-                e1x, e1p, c[6], c[7], c[8], c[9], c[10], c[11], gx, gp
-            )
-            x2a, p2a, x2b, p2b = _cloner_jit(
-                e2x, e2p, c[12], c[13], c[14], c[15], c[16], c[17], gx, gp
-            )
-            out[i, 0] = x1a
-            out[i, 1] = p1a
-            out[i, 2] = x2a
-            out[i, 3] = p2a
-            out[i, 4] = x1b
-            out[i, 5] = p1b
-            out[i, 6] = x2b
-            out[i, 7] = p2b
-        return out
-
-    @njit(cache=True)
-    def propagate_global_numba(noise, s, gx, gp):
-        shots = noise.shape[0]
-        out = np.empty((shots, 8))
-        for i in range(shots):
-            c = noise[i]
-            e1x = (c[0] + c[2]) / SQRT2 + c[4]
-            e1p = (c[1] + c[3]) / SQRT2 + c[5]
-            e2x = (c[0] - c[2]) / SQRT2 + c[4]
-            e2p = (c[1] - c[3]) / SQRT2 + c[5]
-            b1x = ((e1x + e2x) / SQRT2) / s
-            b1p = ((e1p + e2p) / SQRT2) * s
-            b2x = ((e1x - e2x) / SQRT2) * s
-            b2p = ((e1p - e2p) / SQRT2) / s
-            u1ax, u1ap, u1bx, u1bp = _cloner_jit(
-                b1x, b1p, c[6], c[7], c[8], c[9], c[10], c[11], gx, gp
-            )
-            u2ax, u2ap, u2bx, u2bp = _cloner_jit(
-                b2x, b2p, c[12], c[13], c[14], c[15], c[16], c[17], gx, gp
-            )
-            s1ax, s1ap = u1ax * s, u1ap / s
-            s1bx, s1bp = u1bx * s, u1bp / s
-            s2ax, s2ap = u2ax / s, u2ap * s
-            s2bx, s2bp = u2bx / s, u2bp * s
-            out[i, 0] = (s1ax + s2ax) / SQRT2
-            out[i, 1] = (s1ap + s2ap) / SQRT2
-            out[i, 2] = (s1ax - s2ax) / SQRT2
-            out[i, 3] = (s1ap - s2ap) / SQRT2
-            out[i, 4] = (s1bx + s2bx) / SQRT2
-            out[i, 5] = (s1bp + s2bp) / SQRT2
-            out[i, 6] = (s1bx - s2bx) / SQRT2
-            out[i, 7] = (s1bp - s2bp) / SQRT2
-        return out
-
-
 def propagate(machine, noise, v_s, gx, gp):
-    """Run all shots through the requested machine on the active backend."""
+    """Run all shots through the requested machine as one linear map."""
     noise = np.ascontiguousarray(noise, dtype=np.float64)
     if noise.ndim != 2 or noise.shape[1] != NOISE_COLUMNS:
         raise ValueError(f"noise must be (shots, {NOISE_COLUMNS}), got {noise.shape}")
-    use_numba = active_backend() == "numba"
+    unit = np.eye(NOISE_COLUMNS)
     if machine == "local":
-        if use_numba:
-            return propagate_local_numba(noise, gx, gp)
-        return propagate_local_numpy(noise, gx, gp)
-    if machine == "global":
-        s = np.sqrt(v_s)
-        if use_numba:
-            return propagate_global_numba(noise, s, gx, gp)
-        return propagate_global_numpy(noise, s, gx, gp)
-    raise ValueError(f"unknown machine {machine!r}")
+        transfer = propagate_local_numpy(unit, gx, gp)
+    elif machine == "global":
+        transfer = propagate_global_numpy(unit, np.sqrt(v_s), gx, gp)
+    else:
+        raise ValueError(f"unknown machine {machine!r}")
+    return noise @ transfer

@@ -102,8 +102,12 @@ def epr_source(v_s):
 
 
 def _gain_pair(gain):
-    gx, gp = (gain, gain) if np.isscalar(gain) else gain
-    gx, gp = float(gx), float(gp)
+    gains = np.asarray(gain, dtype=float)
+    if gains.shape == ():
+        gains = np.array([gains, gains])
+    if gains.shape != (2,):
+        raise ValueError(f"gain must be a scalar or an (x, p) pair, got shape {gains.shape}")
+    gx, gp = float(gains[0]), float(gains[1])
     if not (math.isfinite(gx) and math.isfinite(gp)):
         raise ValueError(f"gain must be finite, got ({gx}, {gp})")
     return gx, gp

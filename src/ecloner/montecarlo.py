@@ -11,6 +11,8 @@ against the analytic covariance engine, which models the same feedforward
 as a deterministic affine map.
 """
 
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,7 +54,8 @@ class SampleRun:
     clone2: tuple
 
     def __post_init__(self):
-        if np.max(np.abs(self.estimated_cov - self.estimated_cov.T)) > 1e-12:
+        asym = np.max(np.abs(self.estimated_cov - self.estimated_cov.T))
+        if not asym <= 1e-12:
             raise ValueError("estimated covariance must be symmetric")
         if self.shots >= 2 and np.any(self.standard_errors <= 0):
             raise ValueError("standard errors must be positive for shots >= 2")
@@ -79,12 +82,14 @@ def sample_circuit(machine, v_s, displacement_variance, shots, seed, gain=UNITY_
     v_s : float
         Squeezing variance of the entangled source, in (0, 1].
     displacement_variance : float
-        Variance of the input state's unknown displacement pair (S+, S-),
-        drawn once per run and shared by both arms (0 disables).
+        Finite, non-negative variance of the input state's unknown
+        displacement pair (S+, S-), drawn once per run and shared by both
+        arms (0 disables).
     shots : int
         Number of trajectories, at least 100.
     seed : int
-        Seed for the generator named in ``RNG_ALGORITHM``.
+        Non-negative integer seed for the generator named in
+        ``RNG_ALGORITHM``.
     gain : float or (float, float)
         Feedforward gain of the internal cloners (defaults to unity gain).
 
@@ -100,11 +105,19 @@ def sample_circuit(machine, v_s, displacement_variance, shots, seed, gain=UNITY_
     if not 0.0 < v_s <= 1.0:
         raise ValueError(f"squeezing variance must lie in (0, 1], got {v_s}")
     displacement_variance = float(displacement_variance)
-    if displacement_variance < 0:
-        raise ValueError(f"displacement variance cannot be negative, got {displacement_variance}")
+    if not (math.isfinite(displacement_variance) and displacement_variance >= 0):
+        raise ValueError(
+            f"displacement_variance must be finite and non-negative, got {displacement_variance}"
+        )
     shots = int(shots)
     if shots < MIN_SHOTS:
         raise ValueError(f"need at least {MIN_SHOTS} shots, got {shots}")
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}") from None
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     gx, gp = _gain_pair(gain)
 
     rng = np.random.default_rng(seed)
@@ -146,7 +159,7 @@ def sample_circuit(machine, v_s, displacement_variance, shots, seed, gain=UNITY_
         v_s=v_s,
         displacement_variance=displacement_variance,
         shots=shots,
-        seed=int(seed),
+        seed=seed,
         rng_algorithm=RNG_ALGORITHM,
         estimated_mean=estimated_mean,
         estimated_cov=cov,

@@ -124,13 +124,16 @@ def test_linear_cloner_accepts_gain_pair():
     out = linear_cloner(vacuum(1), 0, gain=(UNITY_GAIN, 0.0))
     assert out.cov[0, 0] == pytest.approx(2.0, abs=1e-12)
     assert out.cov[1, 1] == pytest.approx(1.0, abs=1e-12)
+    scalar = linear_cloner(vacuum(1), 0, gain=1.4)
+    assert np.array_equal(linear_cloner(vacuum(1), 0, gain=np.array(1.4)).cov, scalar.cov)
 
 
 def test_linear_cloner_rejects_bad_mode_and_gain():
     with pytest.raises(ValueError):
         linear_cloner(vacuum(1), 1)
-    with pytest.raises(ValueError):
-        linear_cloner(vacuum(1), 0, gain=np.inf)
+    for bad in (np.inf, (1.0, 2.0, 3.0), np.ones((2, 2))):
+        with pytest.raises(ValueError, match="gain"):
+            linear_cloner(vacuum(1), 0, gain=bad)
 
 
 def test_local_ecloner_matches_expected_output_at_half():

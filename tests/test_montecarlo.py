@@ -1,4 +1,4 @@
-"""Sampling oracle: determinism, backend equivalence, and moment agreement."""
+"""Sampling oracle: determinism, kernel equivalence, and moment agreement."""
 
 import dataclasses
 
@@ -39,15 +39,23 @@ def test_identical_seed_gives_bit_identical_runs():
     assert a.rng_algorithm == RNG_ALGORITHM
 
 
-def test_numba_and_numpy_backends_agree_bitwise(monkeypatch):
-    if not _kernels.HAVE_NUMBA:
-        pytest.skip("numba not installed")
-    fast = sample_circuit("global", 0.3, 2.0, 5000, seed=5)
-    monkeypatch.setenv("ECLONER_FORCE_NUMPY", "1")
-    assert _kernels.active_backend() == "numpy"
-    slow = sample_circuit("global", 0.3, 2.0, 5000, seed=5)
-    assert np.array_equal(fast.estimated_cov, slow.estimated_cov)
-    assert np.array_equal(fast.estimated_mean, slow.estimated_mean)
+@pytest.mark.parametrize("machine", ["local", "global"])
+@pytest.mark.parametrize("v_s", [1e-3, 0.01, 0.5, 1.0])
+@pytest.mark.parametrize("gain", [np.sqrt(2.0), 0.0, (1.1, 1.7)], ids=["unity", "zero", "pair"])
+def test_linear_map_matches_literal_per_shot_circuit(machine, v_s, gain):
+    gx, gp = (gain, gain) if np.isscalar(gain) else gain
+    rng = np.random.default_rng(61)
+    noise = rng.standard_normal((2000, _kernels.NOISE_COLUMNS))
+    noise[:, 0:4] *= np.sqrt([v_s, 1.0 / v_s, 1.0 / v_s, v_s])
+    noise[:, 4:6] *= 3.0
+    if machine == "local":
+        literal = _kernels.propagate_local_numpy(noise, gx, gp)
+    else:
+        literal = _kernels.propagate_global_numpy(noise, np.sqrt(v_s), gx, gp)
+    mapped = _kernels.propagate(machine, noise, v_s, gx, gp)
+    assert mapped.shape == literal.shape == (2000, 8)
+    # Relative bound: rounding in the literal circuit grows like 1/sqrt(v_s).
+    assert np.max(np.abs(mapped - literal)) <= 1e-13 * np.max(np.abs(literal))
 
 
 @pytest.mark.parametrize("machine", ["local", "global"])
@@ -145,6 +153,12 @@ def test_sample_circuit_input_validation():
         sample_circuit("local", 1.5, 0.0, 1000, seed=1)
     with pytest.raises(ValueError):
         sample_circuit("local", 0.5, -1.0, 1000, seed=1)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="displacement_variance"):
+            sample_circuit("local", 0.5, bad, 1000, seed=1)
+    for bad in (None, 1.5, -1):
+        with pytest.raises(ValueError, match="seed"):
+            sample_circuit("local", 0.5, 0.0, 1000, seed=bad)
 
 
 def test_estimate_criteria_needs_enough_batches():
@@ -165,3 +179,5 @@ def test_sample_run_invariants():
     assert np.all(run.mean_standard_errors > 0)
     assert run.clone1 == (0, 1) and run.clone2 == (2, 3)
     assert run.shots == 1000 and run.seed == 53
+    with pytest.raises(ValueError, match="symmetric"):
+        dataclasses.replace(run, estimated_cov=np.full((8, 8), np.nan))
