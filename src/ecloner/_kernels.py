@@ -10,9 +10,10 @@ Each row of the noise matrix holds one shot's pre-scaled Gaussian draws:
 Each machine is written once, as the literal per-shot circuit in
 ``propagate_local_numpy`` / ``propagate_global_numpy``: beamsplitters,
 squeezers, homodyne readout and feedforward applied quadrature by
-quadrature.  That circuit is linear in the noise, so ``propagate`` runs the
-18 unit vectors through it once per call, which gives the 18x8 transfer
-matrix ``M``, and returns ``noise @ M`` for all shots at once.
+quadrature.  That circuit is linear in the noise, so ``transfer`` runs the
+18 unit vectors through it once, which gives the 18x8 transfer matrix
+``M``, and ``propagate(noise, M)`` returns ``noise @ M`` for a block of
+shots.  A sampling run builds ``M`` once and propagates chunk by chunk.
 """
 
 import numpy as np
@@ -83,16 +84,19 @@ def propagate_global_numpy(noise, s, gx, gp):
     )
 
 
-def propagate(machine, noise, v_s, gx, gp):
-    """Run all shots through the requested machine as one linear map."""
+def transfer(machine, v_s, gx, gp):
+    """The 18x8 map of the requested machine, from the literal circuit."""
+    unit = np.eye(NOISE_COLUMNS)
+    if machine == "local":
+        return propagate_local_numpy(unit, gx, gp)
+    if machine == "global":
+        return propagate_global_numpy(unit, np.sqrt(v_s), gx, gp)
+    raise ValueError(f"unknown machine {machine!r}")
+
+
+def propagate(noise, transfer):
+    """Run a block of shots through a machine's transfer matrix."""
     noise = np.ascontiguousarray(noise, dtype=np.float64)
     if noise.ndim != 2 or noise.shape[1] != NOISE_COLUMNS:
         raise ValueError(f"noise must be (shots, {NOISE_COLUMNS}), got {noise.shape}")
-    unit = np.eye(NOISE_COLUMNS)
-    if machine == "local":
-        transfer = propagate_local_numpy(unit, gx, gp)
-    elif machine == "global":
-        transfer = propagate_global_numpy(unit, np.sqrt(v_s), gx, gp)
-    else:
-        raise ValueError(f"unknown machine {machine!r}")
     return noise @ transfer

@@ -119,6 +119,9 @@ def _validate(parser, args):
         parser.error(f"--v-min must lie in [{V_MIN_FLOOR}, 1), got {args.v_min}")
     if args.mc_shots != 0 and args.mc_shots < 100:
         parser.error(f"--mc-shots must be 0 or at least 100, got {args.mc_shots}")
+    # the seed also derives the per-point oracle seeds when sampling is off
+    if args.seed < 0:
+        parser.error(f"--seed must be a non-negative integer, got {args.seed}")
     if not math.isfinite(args.gain) or args.gain <= 0:
         parser.error(f"--gain must be a positive finite number, got {args.gain}")
 

@@ -148,12 +148,18 @@ def test_gain_flag_changes_the_records():
         ["--mc-shots", "50"],
         ["--gain", "-2"],
         ["--points", "many"],
+        ["--points", "3", "--seed", "-1"],
+        ["--points", "3", "--mc-shots", "100", "--seed", "-1"],
     ],
 )
-def test_invalid_flags_exit_with_code_one(argv):
+def test_invalid_flags_exit_with_code_one(argv, capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(argv)
     assert excinfo.value.code == 1
+    err = capsys.readouterr().err
+    # usage, then an error line naming the offending (last) flag
+    assert err.startswith("usage:")
+    assert argv[-2] in err.splitlines()[-1]
 
 
 def test_unwritable_output_exits_with_code_two(tmp_path):

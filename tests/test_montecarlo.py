@@ -1,6 +1,7 @@
 """Sampling oracle: determinism, kernel equivalence, and moment agreement."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,9 +14,14 @@ from ecloner import (
     local_ecloner,
     sample_circuit,
 )
-from ecloner import _kernels
+from ecloner import _kernels, montecarlo
+from ecloner.circuits import UNITY_GAIN
 
 SHOTS = 100_000
+# A chunk size that divides no batch: with 61_237 shots each of the 20
+# batches holds 3061 or 3062 shots, i.e. three full chunks and a partial one.
+SMALL_CHUNK = 997
+MULTI_CHUNK_SHOTS = 61_237
 
 
 def _analytic_cov(machine, v_s, gain=None):
@@ -29,14 +35,91 @@ def _analytic_cov(machine, v_s, gain=None):
     return clones.state.cov
 
 
-def test_identical_seed_gives_bit_identical_runs():
+def _array_fields(run):
+    return {
+        f.name: getattr(run, f.name)
+        for f in dataclasses.fields(run)
+        if isinstance(getattr(run, f.name), np.ndarray)
+    }
+
+
+def _two_pass_moments(machine, v_s, displacement_variance, shots, seed):
+    """The moments of a run by their definitions, on the whole noise array."""
+    rng = np.random.default_rng(seed)
+    s_plus, s_minus = rng.standard_normal(2) * np.sqrt(displacement_variance)
+    noise = rng.standard_normal((shots, _kernels.NOISE_COLUMNS))
+    noise[:, 0:4] *= np.sqrt([v_s, 1.0 / v_s, 1.0 / v_s, v_s])
+    noise[:, 4] = s_plus
+    noise[:, 5] = s_minus
+    if machine == "local":
+        outputs = _kernels.propagate_local_numpy(noise, UNITY_GAIN, UNITY_GAIN)
+    else:
+        outputs = _kernels.propagate_global_numpy(noise, np.sqrt(v_s), UNITY_GAIN, UNITY_GAIN)
+
+    mean = outputs.mean(axis=0)
+    centered = outputs - mean
+    cov = centered.T @ centered / (shots - 1)
+    sq = centered**2
+    prod_var = np.maximum(sq.T @ sq / shots - (centered.T @ centered / shots) ** 2, 0.0)
+    bounds = np.linspace(0, shots, montecarlo.NUM_BATCHES + 1).astype(int)
+    batch_means, batch_covs = [], []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        batch = outputs[lo:hi]
+        batch_means.append(batch.mean(axis=0))
+        dev = batch - batch_means[-1]
+        bcov = dev.T @ dev / (hi - lo - 1)
+        batch_covs.append(0.5 * (bcov + bcov.T))
+    return {
+        "estimated_mean": mean,
+        "estimated_cov": 0.5 * (cov + cov.T),
+        "standard_errors": np.sqrt(prod_var / shots),
+        "mean_standard_errors": np.sqrt(np.diag(cov) / shots),
+        "batch_means": np.array(batch_means),
+        "batch_covs": np.array(batch_covs),
+    }
+
+
+def test_identical_seed_gives_bit_identical_runs(monkeypatch):
     a = sample_circuit("local", 0.5, 1.0, 1000, seed=77)
     b = sample_circuit("local", 0.5, 1.0, 1000, seed=77)
-    assert np.array_equal(a.estimated_mean, b.estimated_mean)
-    assert np.array_equal(a.estimated_cov, b.estimated_cov)
-    assert np.array_equal(a.standard_errors, b.standard_errors)
-    assert np.array_equal(a.batch_covs, b.batch_covs)
+    for name, value in _array_fields(a).items():
+        assert np.array_equal(value, getattr(b, name)), name
     assert a.rng_algorithm == RNG_ALGORITHM
+    monkeypatch.setattr(montecarlo, "CHUNK_SHOTS", SMALL_CHUNK)
+    a = sample_circuit("global", 0.5, 1.0, MULTI_CHUNK_SHOTS, seed=77)
+    b = sample_circuit("global", 0.5, 1.0, MULTI_CHUNK_SHOTS, seed=77)
+    for name, value in _array_fields(a).items():
+        assert np.array_equal(value, getattr(b, name)), name
+
+
+@pytest.mark.parametrize("machine", ["local", "global"])
+@pytest.mark.parametrize("displacement_variance", [0.0, 1e4])
+def test_streamed_moments_match_two_pass_definition(monkeypatch, machine, displacement_variance):
+    monkeypatch.setattr(montecarlo, "CHUNK_SHOTS", SMALL_CHUNK)
+    run = sample_circuit(machine, 0.3, displacement_variance, MULTI_CHUNK_SHOTS, seed=71)
+    expected = _two_pass_moments(machine, 0.3, displacement_variance, MULTI_CHUNK_SHOTS, 71)
+    fields = _array_fields(run)
+    assert fields.keys() == expected.keys()
+    for name, value in fields.items():
+        want = expected[name]
+        assert value.shape == want.shape and value.dtype == want.dtype, name
+        assert np.max(np.abs(value - want)) <= 1e-12 * np.max(np.abs(want)), name
+
+
+def test_peak_memory_does_not_grow_with_shots():
+    # The first call of a process also pays numpy's one-time set-up.
+    sample_circuit("global", 0.5, 0.0, montecarlo.MIN_SHOTS, seed=3)
+    peaks = []
+    for shots in (400_000, 1_200_000):
+        assert shots >= montecarlo.NUM_BATCHES * montecarlo.CHUNK_SHOTS
+        tracemalloc.start()
+        try:
+            sample_circuit("global", 0.5, 0.0, shots, seed=3)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) <= 16e6
+    assert abs(peaks[1] - peaks[0]) < 1e6
 
 
 @pytest.mark.parametrize("machine", ["local", "global"])
@@ -52,7 +135,7 @@ def test_linear_map_matches_literal_per_shot_circuit(machine, v_s, gain):
         literal = _kernels.propagate_local_numpy(noise, gx, gp)
     else:
         literal = _kernels.propagate_global_numpy(noise, np.sqrt(v_s), gx, gp)
-    mapped = _kernels.propagate(machine, noise, v_s, gx, gp)
+    mapped = _kernels.propagate(noise, _kernels.transfer(machine, v_s, gx, gp))
     assert mapped.shape == literal.shape == (2000, 8)
     # Relative bound: rounding in the literal circuit grows like 1/sqrt(v_s).
     assert np.max(np.abs(mapped - literal)) <= 1e-13 * np.max(np.abs(literal))
