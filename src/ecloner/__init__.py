@@ -16,6 +16,7 @@ from .circuits import (
     global_ecloner,
     linear_cloner,
     local_ecloner,
+    machine_covariances,
 )
 from .criteria import (
     CorrelationMatrix,
@@ -26,7 +27,13 @@ from .criteria import (
     squeezing_db,
 )
 from .exceptions import DegenerateInputError, UncertaintyViolation
-from .fidelity import FidelityResult, global_fidelity, local_fidelity, pure_mixed_fidelity
+from .fidelity import (
+    FidelityResult,
+    fidelity_from_cov,
+    global_fidelity,
+    local_fidelity,
+    pure_mixed_fidelity,
+)
 from .gaussian import (
     GaussianState,
     SymplecticOp,
@@ -75,12 +82,14 @@ __all__ = [
     "epr_paradox",
     "epr_source",
     "estimate_criteria",
+    "fidelity_from_cov",
     "global_ecloner",
     "global_fidelity",
     "inseparability",
     "linear_cloner",
     "local_ecloner",
     "local_fidelity",
+    "machine_covariances",
     "phase_rotation",
     "pure_mixed_fidelity",
     "sample_circuit",

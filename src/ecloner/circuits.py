@@ -11,6 +11,14 @@ The local machine runs one such cloner per arm of a two-mode input.  The
 global machine first disentangles the input on a 50/50 beamsplitter,
 un-squeezes each branch into a coherent state, clones, re-squeezes by the
 same amount, and re-entangles the clones pairwise on 50/50 beamsplitters.
+
+Each circuit is written once, as a chain of plain gate matrices acting on
+the rows of a Heisenberg matrix K: the output quadratures as combinations
+of the input quadratures followed by those of the vacuum ancillas.  With
+T = K[:, :d] and N = K[:, d:] K[:, d:]^T the circuit maps a d-dimensional
+input (mean, cov) to (T mean, T cov T^T + N), and only that final state is
+validated.  A machine is one 8 x 16 K (two input modes, six ancillas); the
+squeezing variance may be an array, which stacks K over a grid.
 """
 
 import math
@@ -20,11 +28,10 @@ import numpy as np
 
 from .gaussian import (
     GaussianState,
-    append_vacuum,
-    apply,
-    beamsplitter,
-    squeeze_gate,
-    vacuum,
+    _beamsplitter_matrix,
+    _check_covariance,
+    _quadratures,
+    _squeeze_matrix,
 )
 
 # Feedforward gain that cancels the first beamsplitter's vacuum noise and
@@ -32,6 +39,14 @@ from .gaussian import (
 UNITY_GAIN = math.sqrt(2.0)
 
 VARIANCE_MATCH_TOL = 1e-12
+
+# (clone1, clone2) mode pairs of each machine's 4-mode output.
+CLONE_PAIRS = {"local": ((0, 3), (2, 1)), "global": ((0, 1), (2, 3))}
+# A machine's Heisenberg matrix runs over 8 modes: the input pair, then the
+# (tap, readout, clone B) ancillas of the arm-1 and the arm-2 cloner.  The
+# four outputs end on modes 0, 1, 4 and 7.
+_MACHINE_MODES = 8
+_OUTPUT_MODES = (0, 1, 4, 7)
 
 
 @dataclass(frozen=True)
@@ -56,16 +71,26 @@ class CloneSet:
             raise ValueError(f"clone set needs a 4-mode state, got {self.state.num_modes}")
         if sorted(clone1 + clone2) != [0, 1, 2, 3]:
             raise ValueError(f"clone pairs {clone1}, {clone2} must partition the 4 modes")
-        if self.machine not in ("local", "global"):
+        if self.machine not in CLONE_PAIRS:
             raise ValueError(f"unknown machine tag {self.machine!r}")
-        for m1, m2 in zip(clone1, clone2):
-            d1 = np.diag(self.state.mode_block(m1))
-            d2 = np.diag(self.state.mode_block(m2))
-            if np.max(np.abs(d1 - d2)) > VARIANCE_MATCH_TOL:
-                raise ValueError("clones are not symmetric: single-mode variances differ")
+        _check_clone_symmetry(self.state.cov, clone1, clone2)
         object.__setattr__(self, "clone1", clone1)
         object.__setattr__(self, "clone2", clone2)
         object.__setattr__(self, "v_s", float(self.v_s))
+
+
+def _check_clone_symmetry(cov, clone1, clone2, where=None):
+    """Matching modes of the two clones must carry equal x and p variances.
+
+    ``cov`` may be a (..., 8, 8) stack; ``where`` names the first offending
+    matrix by its flat stack index, as in ``_check_covariance``.
+    """
+    var = np.diagonal(cov, axis1=-2, axis2=-1)
+    diff = np.abs(var[..., _quadratures(clone1)] - var[..., _quadratures(clone2)])
+    bad = ~(np.max(diff, axis=-1) <= VARIANCE_MATCH_TOL)
+    if np.any(bad):
+        at = f"{where(int(np.flatnonzero(bad)[0]))}: " if where is not None else ""
+        raise ValueError(f"{at}clones are not symmetric: single-mode variances differ")
 
 
 def clone_state(clone_set, which=1):
@@ -73,8 +98,52 @@ def clone_state(clone_set, which=1):
     if which not in (1, 2):
         raise ValueError(f"clone index must be 1 or 2, got {which}")
     pair = clone_set.clone1 if which == 1 else clone_set.clone2
-    q = np.concatenate([(2 * m, 2 * m + 1) for m in pair])
+    q = _quadratures(pair)
     return GaussianState(clone_set.state.mean[q], clone_set.state.cov[np.ix_(q, q)])
+
+
+def _gate(rows, matrix, modes):
+    """Left-multiply the listed modes' rows of a Heisenberg matrix by a gate.
+
+    ``rows`` and ``matrix`` may carry matching leading stack axes.
+    """
+    q = _quadratures(modes)
+    rows[..., q, :] = matrix @ rows[..., q, :]
+
+
+def _transfer(k, d_in):
+    """(T, N) of a Heisenberg matrix whose columns past ``d_in`` are vacuum."""
+    t, ancillas = k[..., :d_in], k[..., d_in:]
+    return t, ancillas @ np.swapaxes(ancillas, -1, -2)
+
+
+def _propagate(t, n, cov):
+    """T cov T^T + N, symmetrized; stacks broadcast over leading axes."""
+    out = t @ cov @ np.swapaxes(t, -1, -2) + n
+    return 0.5 * (out + np.swapaxes(out, -1, -2))
+
+
+def _output_state(k, state):
+    """The validated state a Heisenberg matrix makes of ``state``."""
+    t, n = _transfer(k, 2 * state.num_modes)
+    return GaussianState(t @ state.mean, _propagate(t, n, state.cov))
+
+
+def _squeeze_factor(v_s):
+    """sqrt(v_s) after checking v_s in (0, 1]; arrays are checked entrywise."""
+    v = np.asarray(v_s, dtype=float)
+    if not np.all((v > 0.0) & (v <= 1.0)):
+        raise ValueError(f"squeezing variance must lie in (0, 1], got {v_s}")
+    return np.sqrt(v)
+
+
+def _epr_cov(s):
+    """Covariance of epr_source at squeeze factor s = sqrt(v_s), stacked like s."""
+    k = np.broadcast_to(np.eye(4), np.shape(s) + (4, 4)).copy()
+    _gate(k, _squeeze_matrix(s), (0,))
+    _gate(k, _squeeze_matrix(1.0 / s), (1,))
+    _gate(k, _beamsplitter_matrix(0.5), (0, 1))
+    return _propagate(k, 0.0, np.eye(4))  # both inputs are vacuum
 
 
 def epr_source(v_s):
@@ -87,18 +156,12 @@ def epr_source(v_s):
     pure for every v_s; random displacements are applied separately via
     :func:`ecloner.gaussian.displace`.
 
-    Squeezing beyond roughly 30 dB (v_s below ~1e-3) exhausts the
+    Squeezing beyond roughly 45 dB (v_s below ~3e-5) exhausts the
     double-precision headroom of the spectral validation and is rejected by
     the state constructor rather than here.
     """
     v_s = float(v_s)
-    if not 0.0 < v_s <= 1.0:
-        raise ValueError(f"squeezing variance must lie in (0, 1], got {v_s}")
-    s = math.sqrt(v_s)
-    state = vacuum(2)
-    state = apply(squeeze_gate(s, 0), state)
-    state = apply(squeeze_gate(1.0 / s, 1), state)
-    return apply(beamsplitter(0.5, (0, 1)), state)
+    return GaussianState(np.zeros(4), _epr_cov(float(_squeeze_factor(v_s))))
 
 
 def _gain_pair(gain):
@@ -111,6 +174,26 @@ def _gain_pair(gain):
     if not (math.isfinite(gx) and math.isfinite(gp)):
         raise ValueError(f"gain must be finite, got ({gx}, {gp})")
     return gx, gp
+
+
+def _clone_rows(rows, mode, ancillas, gx, gp):
+    """The linear cloning circuit on the rows of a Heisenberg matrix.
+
+    ``ancillas`` = (n1, n2, n3) are three fresh vacuum modes: a 50/50 split
+    taps ``mode`` onto n1, a second 50/50 with n2 makes the dual-homodyne
+    readout, the readouts are fed forward onto the kept beam with gain
+    (gx, gp), and a last 50/50 split leaves clone A on ``mode`` and clone B
+    on n3.  n1 and n2 are the measured modes.
+    """
+    n1, n2, n3 = ancillas
+    balanced = _beamsplitter_matrix(0.5)
+    # mode -> kept beam (in + N1)/sqrt(2), n1 -> tapped beam (in - N1)/sqrt(2)
+    _gate(rows, balanced, (mode, n1))
+    # dual homodyne: n2 slot's x and n1 slot's p are the two readouts
+    _gate(rows, balanced, (n1, n2))
+    rows[..., 2 * mode, :] += gx * rows[..., 2 * n2, :]
+    rows[..., 2 * mode + 1, :] += gp * rows[..., 2 * n1 + 1, :]
+    _gate(rows, balanced, (mode, n3))
 
 
 def linear_cloner(state, mode, gain=UNITY_GAIN):
@@ -130,28 +213,66 @@ def linear_cloner(state, mode, gain=UNITY_GAIN):
         raise ValueError(f"mode {mode} out of range for {n} modes")
     gx, gp = _gain_pair(gain)
 
-    work = append_vacuum(state, 3)
-    n1, n2, n3 = n, n + 1, n + 2
-    total = n + 3
-
-    # mode -> kept beam (in + N1)/sqrt(2), n1 -> tapped beam (in - N1)/sqrt(2)
-    tap = beamsplitter(0.5, (mode, n1)).expand(total)
-    # dual homodyne: n2 slot's x and n1 slot's p are the two readouts
-    readout = beamsplitter(0.5, (n1, n2)).expand(total)
-    feedforward = np.eye(2 * total)
-    feedforward[2 * mode, 2 * n2] = gx
-    feedforward[2 * mode + 1, 2 * n1 + 1] = gp
-    split = beamsplitter(0.5, (mode, n3)).expand(total)
-
-    circuit = split @ feedforward @ readout @ tap
-    mean = circuit @ work.mean
-    cov = circuit @ work.cov @ circuit.T
-    # The feedforward row is not symplectic, so intermediate moments are only
+    rows = np.eye(2 * (n + 3))
+    _clone_rows(rows, mode, (n, n + 1, n + 2), gx, gp)
+    # The feedforward row is not symplectic, so the moments are only
     # meaningful once the consumed measurement modes are dropped.
-    keep = [i for i in range(total) if i not in (n1, n2)]
-    q = np.concatenate([(2 * i, 2 * i + 1) for i in keep])
-    cov = cov[np.ix_(q, q)]
-    return GaussianState(mean[q], 0.5 * (cov + cov.T))
+    keep = [i for i in range(n + 3) if i not in (n, n + 1)]
+    return _output_state(rows[_quadratures(keep)], state)
+
+
+def _machine_matrix(machine, s, gx, gp):
+    """The 8 x 16 Heisenberg matrix of a machine at squeeze factor s.
+
+    Columns 0-3 are the input quadratures, 4-15 the six vacuum ancillas;
+    rows are the outputs in CloneSet order.  The global machine stacks over
+    an array s; the local one does not depend on s.
+    """
+    shape = np.shape(s) if machine == "global" else ()
+    d = 2 * _MACHINE_MODES
+    rows = np.broadcast_to(np.eye(d), shape + (d, d)).copy()
+    balanced = _beamsplitter_matrix(0.5)
+    if machine == "global":
+        _gate(rows, balanced, (0, 1))  # branches: x-squeezed, p-squeezed
+        _gate(rows, _squeeze_matrix(1.0 / s), (0,))
+        _gate(rows, _squeeze_matrix(s), (1,))
+    _clone_rows(rows, 0, (2, 3, 4), gx, gp)  # (1A, arm 2, 1B) on modes 0, 1, 4
+    _clone_rows(rows, 1, (5, 6, 7), gx, gp)  # (1A, 2A, 1B, 2B) on modes 0, 1, 4, 7
+    if machine == "global":
+        _gate(rows, _squeeze_matrix(s), (0,))
+        _gate(rows, _squeeze_matrix(s), (4,))
+        _gate(rows, _squeeze_matrix(1.0 / s), (1,))
+        _gate(rows, _squeeze_matrix(1.0 / s), (7,))
+        _gate(rows, balanced, (0, 1))
+        _gate(rows, balanced, (4, 7))
+    return rows[..., _quadratures(_OUTPUT_MODES), :]
+
+
+def machine_covariances(machine, v_s, gain=UNITY_GAIN):
+    """Input and output covariances of a machine fed by ``epr_source(v_s)``.
+
+    Returns ``(source, clones)``: the (..., 4, 4) source covariance and the
+    (..., 8, 8) output covariance, modes ordered as the machine's CloneSet.
+    ``v_s`` may be an array, whose shape then leads both results, so a whole
+    grid is one stacked evaluation of the compiled machine.  Only the
+    outputs are validated (finite, symmetric, uncertainty bound, clone
+    symmetry), once for the whole stack; an error names the offending v_s.
+    """
+    if machine not in CLONE_PAIRS:
+        raise ValueError(f"unknown machine {machine!r}")
+    v = np.asarray(v_s, dtype=float)
+    s = _squeeze_factor(v)
+    gx, gp = _gain_pair(gain)
+    source = _epr_cov(s)
+    t, n = _transfer(_machine_matrix(machine, s, gx, gp), 4)
+    clones = _propagate(t, n, source)
+
+    def where(i):
+        return f"v_s = {float(v.flat[i])!r}"
+
+    _check_covariance(clones, where)
+    _check_clone_symmetry(clones, *CLONE_PAIRS[machine], where)
+    return source, clones
 
 
 def _infer_epr_variance(state):
@@ -159,7 +280,7 @@ def _infer_epr_variance(state):
     a = state.cov[0, 0]
     if state.num_modes == 2 and a >= 1.0:
         v_s = a - math.sqrt(max(a * a - 1.0, 0.0))
-        if v_s > 0 and np.allclose(state.cov, epr_source(v_s).cov, atol=1e-9):
+        if v_s > 0 and np.allclose(state.cov, _epr_cov(math.sqrt(v_s)), atol=1e-9):
             return v_s
     return math.nan
 
@@ -175,12 +296,12 @@ def local_ecloner(epr, gain=UNITY_GAIN):
     """
     if epr.num_modes != 2:
         raise ValueError(f"local machine expects a 2-mode input, got {epr.num_modes}")
-    work = linear_cloner(epr, 0, gain)  # (1A, arm2, 1B)
-    work = linear_cloner(work, 1, gain)  # (1A, 2A, 1B, 2B)
+    gx, gp = _gain_pair(gain)
+    clone1, clone2 = CLONE_PAIRS["local"]
     return CloneSet(
-        state=work,
-        clone1=(0, 3),
-        clone2=(2, 1),
+        state=_output_state(_machine_matrix("local", 1.0, gx, gp), epr),
+        clone1=clone1,
+        clone2=clone2,
         machine="local",
         v_s=_infer_epr_variance(epr),
     )
@@ -201,19 +322,13 @@ def global_ecloner(epr, v_s, gain=UNITY_GAIN):
     if epr.num_modes != 2:
         raise ValueError(f"global machine expects a 2-mode input, got {epr.num_modes}")
     v_s = float(v_s)
-    if not 0.0 < v_s <= 1.0:
-        raise ValueError(f"squeezing variance must lie in (0, 1], got {v_s}")
-    s = math.sqrt(v_s)
-
-    work = apply(beamsplitter(0.5, (0, 1)), epr)  # branches: x-squeezed, p-squeezed
-    work = apply(squeeze_gate(1.0 / s, 0), work)
-    work = apply(squeeze_gate(s, 1), work)
-    work = linear_cloner(work, 0, gain)  # (1A, branch2, 1B)
-    work = linear_cloner(work, 1, gain)  # (1A, 2A, 1B, 2B) in branch labels
-    work = apply(squeeze_gate(s, 0), work)
-    work = apply(squeeze_gate(s, 2), work)
-    work = apply(squeeze_gate(1.0 / s, 1), work)
-    work = apply(squeeze_gate(1.0 / s, 3), work)
-    work = apply(beamsplitter(0.5, (0, 1)), work)
-    work = apply(beamsplitter(0.5, (2, 3)), work)
-    return CloneSet(state=work, clone1=(0, 1), clone2=(2, 3), machine="global", v_s=v_s)
+    s = float(_squeeze_factor(v_s))
+    gx, gp = _gain_pair(gain)
+    clone1, clone2 = CLONE_PAIRS["global"]
+    return CloneSet(
+        state=_output_state(_machine_matrix("global", s, gx, gp), epr),
+        clone1=clone1,
+        clone2=clone2,
+        machine="global",
+        v_s=v_s,
+    )

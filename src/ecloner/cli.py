@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import UNITY_GAIN, clone_state, epr_source, global_ecloner, local_ecloner
-from .criteria import correlation_matrix, epr_paradox, inseparability, squeezing_db
-from .fidelity import pure_mixed_fidelity
+from .circuits import CLONE_PAIRS, UNITY_GAIN, machine_covariances
+from .criteria import correlation_matrix_from_cov, epr_paradox, inseparability, squeezing_db
+from .fidelity import fidelity_from_cov
 from .montecarlo import estimate_criteria, sample_circuit
 
 CSV_HEADER = "v_s,squeezing_db,i_local,i_global,eps_local,eps_global,f_local,f_global"
@@ -113,13 +113,14 @@ def build_parser():
 def _validate(parser, args):
     if args.points < 2:
         parser.error(f"--points must be at least 2, got {args.points}")
-    # below ~1e-3 the 1e-9 spectral validation runs out of double-precision
-    # headroom in the squeeze-gate chains
+    # the global machine's criteria are computed from covariance entries of
+    # size 1/v_s, so their relative error grows as 1/v_s^2 (2e-9 at 1e-4);
+    # the spectral validation rejects states below ~3e-5
     if not V_MIN_FLOOR <= args.v_min < 1.0:
         parser.error(f"--v-min must lie in [{V_MIN_FLOOR}, 1), got {args.v_min}")
     if args.mc_shots != 0 and args.mc_shots < 100:
         parser.error(f"--mc-shots must be 0 or at least 100, got {args.mc_shots}")
-    # the seed also derives the per-point oracle seeds when sampling is off
+    # checked with sampling off too, so a flag's validity never depends on another
     if args.seed < 0:
         parser.error(f"--seed must be a non-negative integer, got {args.seed}")
     if not math.isfinite(args.gain) or args.gain <= 0:
@@ -131,39 +132,41 @@ def _mc_seed(master_seed, point_index, machine_index):
     return int(seq.generate_state(1, dtype=np.uint64)[0])
 
 
-def _evaluate_point(v_s, gain, mc_shots=0, mc_seeds=(0, 0)):
-    epr = epr_source(v_s)
-    local = local_ecloner(epr, gain=gain)
-    glob = global_ecloner(epr, v_s, gain=gain)
+def _analytic_records(grid, gain):
+    """One record per grid point; every column comes from one stacked evaluation."""
+    columns = {}
+    for name in ("local", "global"):
+        source, clones = machine_covariances(name, grid, gain)
+        cm = correlation_matrix_from_cov(clones, CLONE_PAIRS[name][0])
+        columns[f"i_{name}"] = inseparability(cm)
+        columns[f"eps_{name}"] = epr_paradox(cm)
+        # the pair's correlation matrix is the clone's reduced covariance
+        columns[f"f_{name}"] = fidelity_from_cov(source, cm.matrix).value
+    return [
+        SweepRecord(
+            v_s=float(v_s),
+            squeezing_db=squeezing_db(v_s),
+            **{key: float(column[idx]) for key, column in columns.items()},
+        )
+        for idx, v_s in enumerate(grid)
+    ]
 
-    cm_local = correlation_matrix(local.state, local.clone1)
-    cm_global = correlation_matrix(glob.state, glob.clone1)
-    record = SweepRecord(
-        v_s=v_s,
-        squeezing_db=squeezing_db(v_s),
-        i_local=inseparability(cm_local),
-        i_global=inseparability(cm_global),
-        eps_local=epr_paradox(cm_local),
-        eps_global=epr_paradox(cm_global),
-        f_local=pure_mixed_fidelity(epr, clone_state(local)).value,
-        f_global=pure_mixed_fidelity(epr, clone_state(glob)).value,
-    )
-    if mc_shots:
-        mc = {}
-        for name, seed in zip(("local", "global"), mc_seeds):
-            run = sample_circuit(name, v_s, 0.0, mc_shots, seed, gain=gain)
-            est = estimate_criteria(run)
-            mc[f"mc_i_{name}"] = est.inseparability
-            mc[f"mc_i_{name}_err"] = est.inseparability_err
-            mc[f"mc_eps_{name}"] = est.epr_paradox
-            mc[f"mc_eps_{name}_err"] = est.epr_paradox_err
-        record.mc = mc
-    return record
+
+def _sample_point(v_s, gain, mc_shots, mc_seeds):
+    mc = {}
+    for name, seed in zip(("local", "global"), mc_seeds):
+        run = sample_circuit(name, v_s, 0.0, mc_shots, seed, gain=gain)
+        est = estimate_criteria(run)
+        mc[f"mc_i_{name}"] = est.inseparability
+        mc[f"mc_i_{name}_err"] = est.inseparability_err
+        mc[f"mc_eps_{name}"] = est.epr_paradox
+        mc[f"mc_eps_{name}_err"] = est.epr_paradox_err
+    return mc
 
 
 def _global_criterion(which, v_s, gain):
-    glob = global_ecloner(epr_source(v_s), v_s, gain=gain)
-    cm = correlation_matrix(glob.state, glob.clone1)
+    _, clones = machine_covariances("global", v_s, gain)
+    cm = correlation_matrix_from_cov(clones, CLONE_PAIRS["global"][0])
     return inseparability(cm) if which == "i" else epr_paradox(cm)
 
 
@@ -239,10 +242,11 @@ def run_sweep(args, stdout=None, stderr=None):
 
     grid = np.geomspace(args.v_min, 1.0, args.points)
     grid[-1] = 1.0
-    records = []
-    for idx, v_s in enumerate(grid):
-        seeds = (_mc_seed(args.seed, idx, 0), _mc_seed(args.seed, idx, 1))
-        records.append(_evaluate_point(float(v_s), args.gain, args.mc_shots, seeds))
+    records = _analytic_records(grid, args.gain)
+    if args.mc_shots:
+        for idx, record in enumerate(records):
+            seeds = (_mc_seed(args.seed, idx, 0), _mc_seed(args.seed, idx, 1))
+            record.mc = _sample_point(record.v_s, args.gain, args.mc_shots, seeds)
     threshold_lines = _threshold_lines(args.gain)
 
     try:

@@ -2,7 +2,9 @@
 
 Both criteria consume the 4x4 second-moment matrix of the pair, never the
 state itself, so analytically propagated and sampled matrices run through
-identical code.
+identical code.  A correlation matrix may also hold a (..., 4, 4) stack;
+the criteria then return arrays of the leading shape, and a single matrix
+runs through the same formulas.
 """
 
 import math
@@ -11,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DegenerateInputError
+from .gaussian import _first_failing, _quadratures, _scalar_or_array
 
 _QUAD = {"+": 0, "-": 1}
 _MODE = {"x": 0, "y": 1}
@@ -21,40 +24,46 @@ class CorrelationMatrix:
     """Mean-subtracted symmetrized second moments of a mode pair.
 
     ``matrix`` is 4x4 in the ordering (x mode x-quad, x mode p-quad,
-    y mode x-quad, y mode p-quad); entry lookup by quadrature labels
-    {+, -} and mode labels {x, y} goes through :meth:`entry`.
+    y mode x-quad, y mode p-quad), or a (..., 4, 4) stack of such; entry
+    lookup by quadrature labels {+, -} and mode labels {x, y} goes through
+    :meth:`entry`.  Every check applies to every matrix of a stack.
     """
 
     matrix: np.ndarray
 
     def __post_init__(self):
         matrix = np.array(self.matrix, dtype=float)
-        if matrix.shape != (4, 4):
+        if matrix.shape[-2:] != (4, 4):
             raise ValueError(f"correlation matrix must be 4x4, got {matrix.shape}")
-        if np.max(np.abs(matrix - matrix.T)) > 1e-10:
+        if not np.all(np.isfinite(matrix)):
+            raise ValueError("correlation matrix has non-finite entries")
+        if not np.all(np.abs(matrix - np.swapaxes(matrix, -1, -2)) <= 1e-10):
             raise ValueError("correlation matrix must be symmetric")
-        if np.any(np.diag(matrix) < 0):
+        if not np.all(np.diagonal(matrix, axis1=-2, axis2=-1) >= 0):
             raise ValueError("diagonal entries are variances and cannot be negative")
         matrix.flags.writeable = False
         object.__setattr__(self, "matrix", matrix)
 
     def entry(self, k, l, m, n):
         """C^{kl}_{mn} with k, l in {+, -} and m, n in {x, y}."""
-        return self.matrix[2 * _MODE[m] + _QUAD[k], 2 * _MODE[n] + _QUAD[l]]
+        return self.matrix[..., 2 * _MODE[m] + _QUAD[k], 2 * _MODE[n] + _QUAD[l]]
 
 
 def correlation_matrix_from_cov(cov, pair):
-    """Build the pair's correlation matrix from a full covariance matrix."""
+    """Build the pair's correlation matrix from a full covariance matrix.
+
+    ``cov`` may be a (..., 2n, 2n) stack, giving a stacked correlation matrix.
+    """
     cov = np.asarray(cov, dtype=float)
     i, j = (int(m) for m in pair)
-    n = cov.shape[0] // 2
+    n = cov.shape[-1] // 2
     if i == j:
         raise ValueError(f"mode pair must be distinct, got ({i}, {j})")
     if not (0 <= i < n and 0 <= j < n):
         raise ValueError(f"pair ({i}, {j}) out of range for {n} modes")
-    rows = [2 * i, 2 * i + 1, 2 * j, 2 * j + 1]
-    block = cov[np.ix_(rows, rows)]
-    return CorrelationMatrix(0.5 * (block + block.T))
+    q = _quadratures((i, j))
+    block = cov[..., q[:, None], q]
+    return CorrelationMatrix(0.5 * (block + np.swapaxes(block, -1, -2)))
 
 
 def correlation_matrix(state, pair):
@@ -80,25 +89,28 @@ def inseparability(cm):
         value = (
             cm.entry(k, k, "x", "x")
             + cm.entry(k, k, "y", "y")
-            - 2.0 * abs(cm.entry(k, k, "x", "y"))
+            - 2.0 * np.abs(cm.entry(k, k, "x", "y"))
         )
-        if value < 0:
+        ok = value >= 0
+        if not np.all(ok):
             # Impossible for a positive-semidefinite second-moment matrix.
-            raise RuntimeError(f"negative correlation combination {value} for quadrature {k}")
+            raise RuntimeError(
+                f"negative correlation combination {_first_failing(value, ok)} for quadrature {k}"
+            )
         c.append(value)
-    return 0.5 * math.sqrt(c[0] * c[1])
+    return _scalar_or_array(0.5 * np.sqrt(c[0] * c[1]))
 
 
 def _conditional_variance_product(cm, target, conditioner):
     product = 1.0
     for k in ("+", "-"):
         v_cond = cm.entry(k, k, conditioner, conditioner)
-        if v_cond <= 0:
+        if not np.all(v_cond > 0):
             raise DegenerateInputError(
                 f"conditioning variance C^{k}{k}_{conditioner}{conditioner} is not positive"
             )
         cross = cm.entry(k, k, target, conditioner)
-        product *= cm.entry(k, k, target, target) - abs(cross) ** 2 / v_cond
+        product = product * (cm.entry(k, k, target, target) - np.abs(cross) ** 2 / v_cond)
     return product
 
 
@@ -115,12 +127,12 @@ def epr_paradox(cm, symmetrized=False):
     """
     eps = _conditional_variance_product(cm, "x", "y")
     if symmetrized:
-        eps = min(eps, _conditional_variance_product(cm, "y", "x"))
-    return eps
+        eps = np.minimum(eps, _conditional_variance_product(cm, "y", "x"))
+    return _scalar_or_array(eps)
 
 
 def squeezing_db(v_s):
     """Squeezing strength in dB: -10*log10(v_s); 3 dB is v_s = 1/2."""
-    if v_s <= 0:
-        raise ValueError(f"squeezing variance must be positive, got {v_s}")
+    if not 0 < v_s < math.inf:
+        raise ValueError(f"squeezing variance must be positive and finite, got {v_s}")
     return -10.0 * math.log10(v_s) + 0.0  # +0.0 turns -0.0 into 0.0

@@ -7,30 +7,35 @@ vacuum-variance-1 convention, with mean difference d over n modes,
 
 reproduces <psi| rho |psi>.  The normalization is pinned by two independent
 checks in the test suite: the coherent-state overlap exp(-|alpha - beta|^2)
-and a brute-force number-basis overlap for single-mode states.
+and a brute-force number-basis overlap for single-mode states.  The formula
+also runs on (..., 2n, 2n) stacks of covariance matrices.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import DegenerateInputError
+from .gaussian import _first_failing, _is_pure, _quadratures, _scalar_or_array
 
 VALUE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class FidelityResult:
-    """Fidelity value in [0, 1] plus determinant diagnostics."""
+    """Fidelity value in [0, 1] plus determinant diagnostics.
+
+    For stacked input every field is an array of the stack's leading shape.
+    """
 
     value: float
     reference_cov_det: float
     joint_det: float
 
     def __post_init__(self):
-        if not 0.0 <= self.value <= 1.0 + VALUE_TOL:
-            raise RuntimeError(f"fidelity {self.value} escaped [0, 1]")
+        inside = (self.value >= 0.0) & (self.value <= 1.0 + VALUE_TOL)
+        if not np.all(inside):
+            raise RuntimeError(f"fidelity {_first_failing(self.value, inside)} escaped [0, 1]")
 
 
 def pure_mixed_fidelity(reference, candidate, mode_map=None):
@@ -50,8 +55,6 @@ def pure_mixed_fidelity(reference, candidate, mode_map=None):
     -------
     FidelityResult
     """
-    if not reference.is_pure():
-        raise ValueError("reference state must be pure")
     n = reference.num_modes
     if candidate.num_modes != n:
         raise ValueError(
@@ -62,20 +65,46 @@ def pure_mixed_fidelity(reference, candidate, mode_map=None):
     order = [int(m) for m in mode_map]
     if sorted(order) != list(range(n)):
         raise ValueError(f"mode_map must be a permutation of 0..{n - 1}, got {order}")
-    q = np.concatenate([(2 * m, 2 * m + 1) for m in order])
+    q = _quadratures(order)
+    return fidelity_from_cov(
+        reference.cov, candidate.cov[np.ix_(q, q)], candidate.mean[q] - reference.mean
+    )
 
-    a = reference.cov
-    b = candidate.cov[np.ix_(q, q)]
-    delta = candidate.mean[q] - reference.mean
+
+def fidelity_from_cov(reference_cov, candidate_cov, delta=None):
+    """Overlap fidelity from covariance matrices, stacked over leading axes.
+
+    ``reference_cov`` (A) must be pure and ``candidate_cov`` (B) shares its
+    size; either may be a (..., 2n, 2n) stack.  ``delta`` is the candidate
+    mean minus the reference mean, zero when None.  Every check of
+    :func:`pure_mixed_fidelity` applies to each matrix of the stack.
+
+    Returns
+    -------
+    FidelityResult
+        Floats for single matrices, arrays of the stack's leading shape
+        otherwise.
+    """
+    a = np.asarray(reference_cov, dtype=float)
+    b = np.asarray(candidate_cov, dtype=float)
+    if not np.all(_is_pure(a)):
+        raise ValueError("reference state must be pure")
+    n = a.shape[-1] // 2
     joint = a + b
     det_joint = np.linalg.det(joint)
-    if det_joint <= 0 or not np.isfinite(det_joint):
-        raise DegenerateInputError(f"A + B is singular (det {det_joint})")
-    value = 2.0**n / math.sqrt(det_joint) * math.exp(-0.5 * delta @ np.linalg.solve(joint, delta))
+    regular = (det_joint > 0) & np.isfinite(det_joint)
+    if not np.all(regular):
+        raise DegenerateInputError(f"A + B is singular (det {_first_failing(det_joint, regular)})")
+    exponent = 0.0
+    if delta is not None:
+        delta = np.asarray(delta, dtype=float)
+        solved = np.linalg.solve(joint, delta[..., None])[..., 0]
+        exponent = -0.5 * np.sum(delta * solved, axis=-1)
+    value = 2.0**n / np.sqrt(det_joint) * np.exp(exponent)
     return FidelityResult(
-        value=float(value),
-        reference_cov_det=float(np.linalg.det(a)),
-        joint_det=float(det_joint),
+        value=_scalar_or_array(value),
+        reference_cov_det=_scalar_or_array(np.linalg.det(a)),
+        joint_det=_scalar_or_array(det_joint),
     )
 
 

@@ -8,8 +8,11 @@ squeezers, phase rotations) act as symplectic matrices S via
     mean -> S @ mean,    cov -> S @ cov @ S.T
 
 Everything here is an immutable value; all operations are pure functions.
+Covariance validation and the symplectic spectrum also accept stacks of
+shape (..., 2n, 2n), so a whole parameter grid is checked in one call.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +41,7 @@ def symplectic_eigenvalues(cov):
     The values are the moduli of the eigenvalues of i*Omega@cov, which come
     in degenerate pairs; one representative per mode is returned.  A matrix
     describes a physical state iff every value is >= 1; it is pure iff every
-    value equals 1.
+    value equals 1.  A stack of shape (..., 2n, 2n) gives (..., n).
 
     For positive-definite input with Cholesky factor L the same spectrum is
     obtained from the Hermitian matrix i L^T Omega L, which the symmetric
@@ -46,24 +49,93 @@ def symplectic_eigenvalues(cov):
     non-normal i*Omega@cov eigenproblem loses many digits.
     """
     cov = np.asarray(cov, dtype=float)
-    n = cov.shape[0] // 2
+    n = cov.shape[-1] // 2
     omega = symplectic_form(n)
     try:
         chol = np.linalg.cholesky(cov)
-        eigs = np.linalg.eigvalsh(1j * chol.T @ omega @ chol)
+        eigs = np.linalg.eigvalsh(1j * np.swapaxes(chol, -1, -2) @ omega @ chol)
     except np.linalg.LinAlgError:
+        if cov.ndim > 2:
+            # one matrix of the stack is not positive definite; keep the
+            # accurate spectrum for the others
+            flat = cov.reshape((-1,) + cov.shape[-2:])
+            eigs = np.array([symplectic_eigenvalues(c) for c in flat])
+            return eigs.reshape(cov.shape[:-2] + (n,))
         # not positive definite; accuracy does not matter for rejects
         eigs = np.linalg.eigvals(1j * omega @ cov)
-    return np.sort(np.abs(eigs))[::2]
+    return np.sort(np.abs(eigs), axis=-1)[..., ::2]
+
+
+def _quadratures(modes):
+    """Row indices (x, p) of the listed modes, in order."""
+    return np.array([q for m in modes for q in (2 * m, 2 * m + 1)], dtype=int)
+
+
+def _require_finite(name, value):
+    """Reject NaN or infinite input, naming it; returns the float array."""
+    value = np.asarray(value, dtype=float)
+    if not np.all(np.isfinite(value)):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
+
+
+def _first_failing(values, ok):
+    """The first entry of ``values`` (flat order) where ``ok`` is False."""
+    return np.ravel(values)[np.flatnonzero(~np.ravel(ok))[0]]
+
+
+def _scalar_or_array(value):
+    """A float for a single matrix's result, the array itself for a stack's."""
+    return float(value) if np.ndim(value) == 0 else value
+
+
+def _is_pure(cov, tol=SPECTRAL_TOL):
+    """Per matrix of a stack: every symplectic eigenvalue equals 1 within tol."""
+    return np.all(np.abs(symplectic_eigenvalues(cov) - 1.0) <= tol, axis=-1)
+
+
+def _check_covariance(cov, where=None):
+    """Validate a covariance matrix or a (..., 2n, 2n) stack of them.
+
+    Every entry must be finite, every matrix symmetric within SYMMETRY_TOL
+    and its symplectic eigenvalues >= 1 within SPECTRAL_TOL.  ``where`` maps
+    the flat stack index of the first offending matrix to a phrase naming it
+    in the error, for example the grid value the matrix was built from.
+    """
+
+    def first(bad):
+        i = int(np.flatnonzero(bad)[0])
+        return i, (f"{where(i)}: " if where is not None else "")
+
+    finite = np.all(np.isfinite(cov), axis=(-2, -1))
+    if not np.all(finite):
+        _, at = first(~finite)
+        raise ValueError(f"{at}covariance matrix has non-finite entries")
+    asym = np.max(np.abs(cov - np.swapaxes(cov, -1, -2)), axis=(-2, -1))
+    bad = ~(asym <= SYMMETRY_TOL)
+    if np.any(bad):
+        i, at = first(bad)
+        raise ValueError(
+            f"{at}covariance matrix is not symmetric (max asymmetry {np.ravel(asym)[i]:.3e})"
+        )
+    nu_min = symplectic_eigenvalues(cov).min(axis=-1)
+    bad = ~(nu_min >= 1.0 - SPECTRAL_TOL)
+    if np.any(bad):
+        i, at = first(bad)
+        raise UncertaintyViolation(
+            f"{at}covariance violates the uncertainty bound: "
+            f"min symplectic eigenvalue {np.ravel(nu_min)[i]}"
+        )
 
 
 @dataclass(frozen=True)
 class GaussianState:
     """An n-mode Gaussian state: mean vector (2n,) and covariance (2n, 2n).
 
-    Construction validates symmetry of the covariance and the uncertainty
-    bound (all symplectic eigenvalues >= 1 within SPECTRAL_TOL).  The arrays
-    are copied and frozen, so states are safe to share between threads.
+    Construction rejects non-finite entries and validates symmetry of the
+    covariance and the uncertainty bound (all symplectic eigenvalues >= 1
+    within SPECTRAL_TOL).  The arrays are copied and frozen, so states are
+    safe to share between threads.
     """
 
     mean: np.ndarray
@@ -76,14 +148,8 @@ class GaussianState:
             raise ValueError(f"mean must be a flat vector of even length, got shape {mean.shape}")
         if cov.shape != (mean.size, mean.size):
             raise ValueError(f"cov shape {cov.shape} does not match mean length {mean.size}")
-        asym = np.max(np.abs(cov - cov.T))
-        if asym > SYMMETRY_TOL:
-            raise ValueError(f"covariance matrix is not symmetric (max asymmetry {asym:.3e})")
-        nu_min = symplectic_eigenvalues(cov).min()
-        if nu_min < 1.0 - SPECTRAL_TOL:
-            raise UncertaintyViolation(
-                f"covariance violates the uncertainty bound: min symplectic eigenvalue {nu_min}"
-            )
+        _require_finite("mean", mean)
+        _check_covariance(cov)
         mean.flags.writeable = False
         cov.flags.writeable = False
         object.__setattr__(self, "mean", mean)
@@ -98,7 +164,7 @@ class GaussianState:
 
     def is_pure(self, tol=SPECTRAL_TOL):
         """True when every symplectic eigenvalue equals 1 within tol."""
-        return bool(np.max(np.abs(self.symplectic_eigenvalues() - 1.0)) <= tol)
+        return bool(_is_pure(self.cov, tol))
 
     def mode_block(self, mode):
         """The 2x2 (x, p) covariance block of a single mode."""
@@ -130,9 +196,10 @@ class SymplecticOp:
             raise ValueError(f"mode indices must be distinct, got {modes}")
         if any(m < 0 for m in modes):
             raise ValueError(f"mode indices must be nonnegative, got {modes}")
+        _require_finite("matrix", matrix)
         omega = symplectic_form(len(modes))
         defect = np.max(np.abs(matrix.T @ omega @ matrix - omega))
-        if defect > SYMPLECTIC_TOL:
+        if not defect <= SYMPLECTIC_TOL:
             raise ValueError(f"matrix is not symplectic (defect {defect:.3e})")
         matrix.flags.writeable = False
         object.__setattr__(self, "matrix", matrix)
@@ -144,7 +211,7 @@ class SymplecticOp:
             raise ValueError(
                 f"op targets mode {max(self.mode_indices)} but state has {num_modes} modes"
             )
-        idx = np.concatenate([(2 * m, 2 * m + 1) for m in self.mode_indices])
+        idx = _quadratures(self.mode_indices)
         full = np.eye(2 * num_modes)
         full[np.ix_(idx, idx)] = self.matrix
         return full
@@ -168,8 +235,8 @@ def squeezed_vacuum(v_plus, v_minus):
     Pure when v_plus * v_minus == 1 (e.g. squeezed vacuum with v_plus < 1),
     mixed when the product exceeds 1.  A product below 1 is unphysical.
     """
-    if v_plus <= 0 or v_minus <= 0:
-        raise ValueError(f"variances must be positive, got ({v_plus}, {v_minus})")
+    if not (0 < v_plus < math.inf and 0 < v_minus < math.inf):
+        raise ValueError(f"variances must be positive and finite, got ({v_plus}, {v_minus})")
     if v_plus * v_minus < 1.0 - SPECTRAL_TOL:
         raise UncertaintyViolation(
             f"variance product {v_plus * v_minus} below the uncertainty bound 1"
@@ -191,10 +258,12 @@ def beamsplitter(transmittance, modes):
     t = float(transmittance)
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"transmittance must lie in [0, 1], got {t}")
-    a, b = np.sqrt(t), np.sqrt(1.0 - t)
-    eye = np.eye(2)
-    matrix = np.block([[a * eye, b * eye], [b * eye, -a * eye]])
-    return SymplecticOp(matrix, tuple(modes))
+    return SymplecticOp(_beamsplitter_matrix(t), tuple(modes))
+
+
+def _beamsplitter_matrix(t):
+    a, b = math.sqrt(t), math.sqrt(1.0 - t)
+    return np.array([[a, 0, b, 0], [0, a, 0, b], [b, 0, -a, 0], [0, b, 0, -a]], dtype=float)
 
 
 def squeeze_gate(s_plus, mode):
@@ -204,13 +273,23 @@ def squeeze_gate(s_plus, mode):
     squeeze_gate(s).
     """
     s = float(s_plus)
-    if s <= 0:
-        raise ValueError(f"squeeze factor must be positive, got {s}")
-    return SymplecticOp(np.diag([s, 1.0 / s]), (mode,))
+    if not 0 < s < math.inf:
+        raise ValueError(f"squeeze factor must be positive and finite, got {s}")
+    return SymplecticOp(_squeeze_matrix(s), (mode,))
+
+
+def _squeeze_matrix(s):
+    """diag(s, 1/s); an array of factors gives a (..., 2, 2) stack."""
+    s = np.asarray(s, dtype=float)
+    matrix = np.zeros(s.shape + (2, 2))
+    matrix[..., 0, 0] = s
+    matrix[..., 1, 1] = 1.0 / s
+    return matrix
 
 
 def phase_rotation(theta, mode):
     """Phase-space rotation by theta on one mode; pi/2 swaps x and p."""
+    theta = float(_require_finite("theta", theta))
     c, s = np.cos(theta), np.sin(theta)
     return SymplecticOp(np.array([[c, s], [-s, c]]), (mode,))
 
@@ -229,6 +308,7 @@ def displace(state, delta):
     delta = np.asarray(delta, dtype=float)
     if delta.shape != state.mean.shape:
         raise ValueError(f"displacement length {delta.size} != {state.mean.size}")
+    _require_finite("displacement", delta)
     return GaussianState(state.mean + delta, state.cov)
 
 
@@ -257,7 +337,7 @@ def discard_modes(state, indices):
         raise ValueError(f"mode indices {indices} out of range for {n} modes")
     if len(indices) == n:
         raise ValueError("cannot discard every mode")
-    rows = np.concatenate([(2 * i, 2 * i + 1) for i in indices])
+    rows = _quadratures(indices)
     return GaussianState(
         np.delete(state.mean, rows),
         np.delete(np.delete(state.cov, rows, axis=0), rows, axis=1),

@@ -30,15 +30,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .circuits import UNITY_GAIN, _gain_pair
+from .circuits import CLONE_PAIRS, UNITY_GAIN, _gain_pair
 from .criteria import correlation_matrix_from_cov, epr_paradox, inseparability
 
 RNG_ALGORITHM = "numpy.random.default_rng (PCG64)"
 NUM_BATCHES = 20
 MIN_SHOTS = 100
 CHUNK_SHOTS = 1 << 14
-
-CLONE_PAIRS = {"local": ((0, 3), (2, 1)), "global": ((0, 1), (2, 3))}
 
 
 @dataclass(frozen=True)

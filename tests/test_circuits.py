@@ -1,5 +1,7 @@
 """Cloning circuits: EPR source, linear cloner, and both machines."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,8 @@ from ecloner import (
     CloneSet,
     GaussianState,
     UNITY_GAIN,
+    apply,
+    beamsplitter,
     clone_state,
     discard_modes,
     displace,
@@ -14,9 +18,11 @@ from ecloner import (
     global_ecloner,
     linear_cloner,
     local_ecloner,
+    squeeze_gate,
     squeezed_vacuum,
     vacuum,
 )
+from ecloner.circuits import _check_clone_symmetry, machine_covariances
 
 GRID = np.geomspace(0.02, 1.0, 50)
 
@@ -265,3 +271,73 @@ def test_discarded_ancillas_leave_physical_clone_states():
     assert out.symplectic_eigenvalues().min() >= 1.0 - 1e-9
     single = discard_modes(out, [1])
     assert single.cov[0, 0] == pytest.approx(1.2, abs=1e-12)
+
+
+def _literal_epr_source(v_s):
+    # the source as a chain of validated gates, one state per step
+    s = math.sqrt(v_s)
+    state = vacuum(2)
+    state = apply(squeeze_gate(s, 0), state)
+    state = apply(squeeze_gate(1.0 / s, 1), state)
+    return apply(beamsplitter(0.5, (0, 1)), state)
+
+
+def _literal_machine(machine, epr, v_s, gain):
+    if machine == "local":
+        work = linear_cloner(epr, 0, gain)  # (1A, arm2, 1B)
+        return linear_cloner(work, 1, gain)  # (1A, 2A, 1B, 2B)
+    s = math.sqrt(v_s)
+    work = apply(beamsplitter(0.5, (0, 1)), epr)
+    work = apply(squeeze_gate(1.0 / s, 0), work)
+    work = apply(squeeze_gate(s, 1), work)
+    work = linear_cloner(work, 0, gain)
+    work = linear_cloner(work, 1, gain)
+    work = apply(squeeze_gate(s, 0), work)
+    work = apply(squeeze_gate(s, 2), work)
+    work = apply(squeeze_gate(1.0 / s, 1), work)
+    work = apply(squeeze_gate(1.0 / s, 3), work)
+    work = apply(beamsplitter(0.5, (0, 1)), work)
+    return apply(beamsplitter(0.5, (2, 3)), work)
+
+
+def _deviation(compiled, literal):
+    """Largest entry difference relative to the largest literal entry."""
+    return np.max(np.abs(compiled - literal)) / np.max(np.abs(literal))
+
+
+@pytest.mark.parametrize("gain", [UNITY_GAIN, 1.0, (1.1, 1.7)], ids=["unity", "one", "pair"])
+@pytest.mark.parametrize("v_s", [1e-3, 0.01, 0.37, 0.5, 1.0])
+@pytest.mark.parametrize("machine", ["local", "global"])
+def test_compiled_machines_match_literal_gate_chain(machine, v_s, gain):
+    delta = np.array([0.7, -1.3, 0.4, 2.1])
+    literal_source = _literal_epr_source(v_s)
+    assert _deviation(epr_source(v_s).cov, literal_source.cov) <= 1e-12
+    epr = displace(epr_source(v_s), delta)
+    if machine == "local":
+        compiled = local_ecloner(epr, gain)
+    else:
+        compiled = global_ecloner(epr, v_s, gain)
+    literal = _literal_machine(machine, displace(literal_source, delta), v_s, gain)
+    assert _deviation(compiled.state.cov, literal.cov) <= 1e-12
+    assert _deviation(compiled.state.mean, literal.mean) <= 1e-12
+    # the stacked grid path evaluates the same compiled map
+    source, clones = machine_covariances(machine, np.array([0.5, v_s]), gain)
+    assert _deviation(source[1], literal_source.cov) <= 1e-12
+    assert _deviation(clones[1], literal.cov) <= 1e-12
+
+
+def test_machine_covariances_reject_bad_input():
+    with pytest.raises(ValueError, match="machine"):
+        machine_covariances("other", 0.5)
+    with pytest.raises(ValueError, match="squeezing variance"):
+        machine_covariances("global", np.array([0.5, 0.0]))
+    with pytest.raises(ValueError, match="squeezing variance"):
+        machine_covariances("local", np.array([np.nan, 0.5]))
+
+
+def test_stacked_clone_symmetry_check_names_the_offending_point():
+    good = local_ecloner(epr_source(0.5)).state.cov
+    bad = good.copy()
+    bad[0, 0] += 1e-6
+    with pytest.raises(ValueError, match="point 2: clones are not symmetric"):
+        _check_clone_symmetry(np.array([good, good, bad]), (0, 3), (2, 1), lambda i: f"point {i}")

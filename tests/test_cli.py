@@ -6,6 +6,7 @@ import json
 import math
 import re
 
+import numpy as np
 import pytest
 
 from ecloner.cli import CSV_HEADER, build_parser, main, run_sweep
@@ -64,12 +65,42 @@ def test_every_record_satisfies_schema_invariants():
 
 
 def test_in_memory_record_invariants_are_tight():
-    from ecloner.cli import _evaluate_point
+    from ecloner.cli import _analytic_records
 
-    for v_s in (0.013, 0.37, 0.81, 1.0):
-        record = _evaluate_point(v_s, math.sqrt(2.0))
+    for record in _analytic_records(np.array([0.013, 0.37, 0.81, 1.0]), math.sqrt(2.0)):
         assert abs(record.squeezing_db - (-10.0 * math.log10(record.v_s))) < 1e-12
         assert abs(record.f_global - 4.0 / 9.0) < 1e-12
+
+
+@pytest.mark.parametrize("gain", [math.sqrt(2.0), 1.0])
+def test_stacked_records_match_the_scalar_api(gain):
+    from ecloner import (
+        clone_state,
+        correlation_matrix,
+        epr_paradox,
+        epr_source,
+        global_ecloner,
+        inseparability,
+        local_ecloner,
+        pure_mixed_fidelity,
+    )
+    from ecloner.cli import _analytic_records
+
+    grid = np.geomspace(0.001, 1.0, 25)
+    for v_s, record in zip(grid, _analytic_records(grid, gain)):
+        epr = epr_source(v_s)
+        for name, clones in (
+            ("local", local_ecloner(epr, gain)),
+            ("global", global_ecloner(epr, v_s, gain)),
+        ):
+            cm = correlation_matrix(clones.state, clones.clone1)
+            expected = {
+                "i": inseparability(cm),
+                "eps": epr_paradox(cm),
+                "f": pure_mixed_fidelity(epr, clone_state(clones)).value,
+            }
+            for key, value in expected.items():
+                assert abs(getattr(record, f"{key}_{name}") - value) <= 1e-12 * abs(value)
 
 
 def test_csv_and_json_parse_to_identical_values(tmp_path):

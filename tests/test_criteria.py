@@ -9,6 +9,7 @@ from ecloner import (
     CorrelationMatrix,
     DegenerateInputError,
     correlation_matrix,
+    correlation_matrix_from_cov,
     displace,
     epr_paradox,
     epr_source,
@@ -191,6 +192,49 @@ def test_inseparability_rejects_impossible_correlations():
     matrix[0, 2] = matrix[2, 0] = 5.0
     with pytest.raises(RuntimeError):
         inseparability(CorrelationMatrix(matrix))
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        np.full((4, 4), np.nan),
+        np.diag([1.0, np.inf, 1.0, 1.0]),
+        np.array([np.eye(4), np.full((4, 4), np.nan)]),
+    ],
+    ids=["nan", "inf", "nan-in-stack"],
+)
+def test_correlation_matrix_rejects_non_finite(matrix):
+    with pytest.raises(ValueError, match="non-finite"):
+        CorrelationMatrix(matrix)
+
+
+@pytest.mark.parametrize("v_s", [np.nan, np.inf, -np.inf])
+def test_squeezing_db_rejects_non_finite(v_s):
+    with pytest.raises(ValueError, match="finite"):
+        squeezing_db(v_s)
+
+
+def test_stacked_criteria_match_scalar_calls():
+    covs = np.array([global_ecloner(epr_source(v), v).state.cov for v in (0.02, 0.3, 0.7)])
+    stacked = correlation_matrix_from_cov(covs, (0, 1))
+    assert stacked.matrix.shape == (3, 4, 4)
+    for idx, cov in enumerate(covs):
+        cm = correlation_matrix_from_cov(cov, (0, 1))
+        assert inseparability(stacked)[idx] == pytest.approx(inseparability(cm), rel=1e-12)
+        assert epr_paradox(stacked)[idx] == pytest.approx(epr_paradox(cm), rel=1e-12)
+        assert epr_paradox(stacked, symmetrized=True)[idx] == pytest.approx(
+            epr_paradox(cm, symmetrized=True), rel=1e-12
+        )
+    assert isinstance(inseparability(cm), float) and isinstance(epr_paradox(cm), float)
+
+
+def test_stacked_criteria_guard_every_matrix():
+    impossible = np.eye(4)
+    impossible[0, 2] = impossible[2, 0] = 5.0
+    with pytest.raises(RuntimeError, match="negative correlation combination -8"):
+        inseparability(CorrelationMatrix(np.array([np.eye(4), impossible])))
+    with pytest.raises(DegenerateInputError):
+        epr_paradox(CorrelationMatrix(np.array([np.eye(4), np.diag([1.0, 1.0, 0.0, 1.0])])))
 
 
 def test_squeezing_db_convention():

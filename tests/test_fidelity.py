@@ -5,6 +5,7 @@ import pytest
 from conftest import apply_all, random_ops
 
 from ecloner import (
+    DegenerateInputError,
     clone_state,
     discard_modes,
     displace,
@@ -18,6 +19,7 @@ from ecloner import (
     squeezed_vacuum,
     vacuum,
 )
+from ecloner.fidelity import fidelity_from_cov
 
 GRID = np.geomspace(0.01, 1.0, 100)
 
@@ -166,3 +168,21 @@ def test_fidelity_is_invariant_under_joint_symplectic_and_displacement():
         moved_cand = displace(apply_all(ops, candidate), shift)
         value = pure_mixed_fidelity(moved_ref, moved_cand).value
         assert value == pytest.approx(baseline, abs=1e-10)
+
+
+def test_stacked_fidelity_matches_scalar_calls_and_guards_every_matrix():
+    grid = (0.1, 0.5, 1.0)
+    references = np.array([epr_source(v).cov for v in grid])
+    clones = [clone_state(local_ecloner(epr_source(v))) for v in grid]
+    result = fidelity_from_cov(references, np.array([c.cov for c in clones]))
+    assert result.value.shape == (3,)
+    for idx, v in enumerate(grid):
+        scalar = pure_mixed_fidelity(epr_source(v), clones[idx])
+        assert result.value[idx] == pytest.approx(scalar.value, rel=1e-12)
+        assert result.joint_det[idx] == pytest.approx(scalar.joint_det, rel=1e-12)
+    impure = references.copy()
+    impure[1] = 2.0 * np.eye(4)
+    with pytest.raises(ValueError, match="pure"):
+        fidelity_from_cov(impure, references)
+    with pytest.raises(DegenerateInputError):
+        fidelity_from_cov(references, np.array([references[0], -references[1], references[2]]))

@@ -21,6 +21,7 @@ from ecloner import (
     symplectic_form,
     vacuum,
 )
+from ecloner.gaussian import _check_covariance
 
 
 def test_vacuum_is_pure_with_unit_variance():
@@ -221,6 +222,73 @@ def test_state_validation_rejects_asymmetric_cov():
 def test_state_validation_rejects_uncertainty_violation():
     with pytest.raises(UncertaintyViolation):
         GaussianState(np.zeros(2), 0.5 * np.eye(2))
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: GaussianState(np.zeros(2), np.full((2, 2), NAN)),
+        lambda: GaussianState(np.zeros(2), np.diag([INF, 1.0])),
+        lambda: GaussianState(np.array([NAN, 0.0]), np.eye(2)),
+        lambda: SymplecticOp(np.full((2, 2), NAN), (0,)),
+        lambda: squeeze_gate(NAN, 0),
+        lambda: squeeze_gate(INF, 0),
+        lambda: phase_rotation(NAN, 0),
+        lambda: squeezed_vacuum(NAN, 2.0),
+        lambda: squeezed_vacuum(2.0, INF),
+        lambda: displace(vacuum(1), (NAN, 0.0)),
+    ],
+    ids=[
+        "cov-nan",
+        "cov-inf",
+        "mean-nan",
+        "op-nan",
+        "squeeze-nan",
+        "squeeze-inf",
+        "rotation-nan",
+        "squeezed-vacuum-nan",
+        "squeezed-vacuum-inf",
+        "displace-nan",
+    ],
+)
+def test_validation_rejects_non_finite_input(build):
+    with pytest.raises(ValueError, match="finite"):
+        build()
+
+
+def test_stacked_validation_names_the_offending_matrix():
+    stack = np.array([np.eye(2), 2.0 * np.eye(2), 0.5 * np.eye(2)])
+    with pytest.raises(UncertaintyViolation, match="point 2: .* 0.5"):
+        _check_covariance(stack, lambda i: f"point {i}")
+    stack[1, 0, 0] = NAN
+    with pytest.raises(ValueError, match="point 1: .*non-finite"):
+        _check_covariance(stack, lambda i: f"point {i}")
+    asym = np.array([np.eye(2)] * 3)
+    asym[2, 0, 1] = 1e-6
+    with pytest.raises(ValueError, match="point 2: .*not symmetric"):
+        _check_covariance(asym, lambda i: f"point {i}")
+    _check_covariance(np.array([np.eye(2), 2.0 * np.eye(2)]))
+
+
+def test_stacked_symplectic_eigenvalues_match_per_matrix_calls():
+    rng = np.random.default_rng(17)
+    covs = []
+    for _ in range(24):
+        thermal = GaussianState(np.zeros(6), np.diag(np.repeat(rng.uniform(1.0, 3.0, 3), 2)))
+        covs.append(apply_all(random_ops(rng, 3, depth=8), thermal).cov)
+    covs = np.array(covs)
+    expected = np.array([symplectic_eigenvalues(c) for c in covs])
+    stacked = symplectic_eigenvalues(covs.reshape(4, 6, 6, 6))
+    assert stacked.shape == (4, 6, 3)
+    assert np.max(np.abs(stacked.reshape(24, 3) - expected)) <= 1e-13 * np.max(expected)
+    # a matrix that is not positive definite falls back on its own
+    indefinite = np.diag([2.0, -0.5, 1.0, 1.0, 1.0, 1.0])
+    mixed = symplectic_eigenvalues(np.array([covs[0], indefinite]))
+    assert np.array_equal(mixed[0], symplectic_eigenvalues(covs[0]))
+    assert np.array_equal(mixed[1], symplectic_eigenvalues(indefinite))
 
 
 def test_symplectic_op_rejects_non_symplectic_matrix():
