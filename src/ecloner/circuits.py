@@ -276,12 +276,21 @@ def machine_covariances(machine, v_s, gain=UNITY_GAIN):
 
 
 def _infer_epr_variance(state):
-    """Recover v_s when the covariance matches an epr_source output."""
-    a = state.cov[0, 0]
-    if state.num_modes == 2 and a >= 1.0:
-        v_s = a - math.sqrt(max(a * a - 1.0, 0.0))
-        if v_s > 0 and np.allclose(state.cov, _epr_cov(math.sqrt(v_s)), atol=1e-9):
-            return v_s
+    """Recover v_s when the covariance matches an epr_source output.
+
+    The source's x quadratures correlate as c = (v_s - 1/v_s)/2 <= 0, so
+    v_s = 1/(hypot(1, c) - c), a sum of non-negative terms that cancels no
+    digits.  The whole covariance must then match the source's to 1e-12 of
+    its largest entry, so a mixed state near a source gets no label.
+    """
+    if state.num_modes == 2:
+        c = min(state.cov[0, 2], 0.0)  # rounding leaves c ~ +1e-17 at v_s = 1
+        v_s = 1.0 / (math.hypot(1.0, c) - c)
+        if v_s > 0:
+            source = _epr_cov(math.sqrt(v_s))
+            tol = 1e-12 * np.max(np.abs(source))
+            if np.allclose(state.cov, source, rtol=0.0, atol=tol):
+                return v_s
     return math.nan
 
 

@@ -20,7 +20,9 @@ fourth moments.  The run's mean, covariance and per-entry standard errors
 follow exactly from the merged sums (the shifted-sum updates of Chan, Golub
 & LeVeque, 1979), with no second pass and no array that grows with the shot
 count: the traced peak of a call stays near 6 MB from a few hundred
-thousand shots up.
+thousand shots up.  The whole run is row 0 of one stack whose other rows
+are its batches, so each moment formula, and each criterion in
+``estimate_criteria``, is evaluated once for the run and its batches.
 """
 
 import math
@@ -84,6 +86,17 @@ class CriteriaEstimate:
     batches: int
 
 
+def _integer_at_least(name, value, low):
+    """``value`` as an exact integer no smaller than ``low``, else a ValueError naming it."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}") from None
+    if value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value}")
+    return value
+
+
 def sample_circuit(machine, v_s, displacement_variance, shots, seed, gain=UNITY_GAIN):
     """Sample the full machine circuit and estimate output moments.
 
@@ -120,15 +133,8 @@ def sample_circuit(machine, v_s, displacement_variance, shots, seed, gain=UNITY_
         raise ValueError(
             f"displacement_variance must be finite and non-negative, got {displacement_variance}"
         )
-    shots = int(shots)
-    if shots < MIN_SHOTS:
-        raise ValueError(f"need at least {MIN_SHOTS} shots, got {shots}")
-    try:
-        seed = operator.index(seed)
-    except TypeError:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}") from None
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    shots = _integer_at_least("shots", shots, MIN_SHOTS)
+    seed = _integer_at_least("seed", seed, 0)
     gx, gp = _gain_pair(gain)
 
     rng = np.random.default_rng(seed)
@@ -163,22 +169,19 @@ def sample_circuit(machine, v_s, displacement_variance, shots, seed, gain=UNITY_
             np.square(w[:, 1:9], out=w[:, 9:])
             gram[b] += w.T @ w
 
-    counts = gram[:, 0, 0]
-    offsets = gram[:, 0, 1:9] / counts[:, None]
-    batch_means = shift + offsets
-    batch_covs = gram[:, 1:9, 1:9] - counts[:, None, None] * (
+    total = gram.sum(axis=0)
+    # Row 0 is the whole run, rows 1..NUM_BATCHES its batches.
+    sums = np.concatenate([total[None], gram])
+    counts = sums[:, 0, 0]
+    offsets = sums[:, 0, 1:9] / counts[:, None]
+    means = shift + offsets
+    # sum_k c_i c_j with c = y - mean = z - offset
+    scatters = sums[:, 1:9, 1:9] - counts[:, None, None] * (
         offsets[:, :, None] * offsets[:, None, :]
     )
-    batch_covs /= (counts - 1.0)[:, None, None]
-    batch_covs = 0.5 * (batch_covs + batch_covs.transpose(0, 2, 1))
-
-    total = gram.sum(axis=0)
-    d = total[0, 1:9] / shots
-    estimated_mean = shift + d
-    # sum_k c_i c_j with c = y - estimated_mean = z - d
-    scatter = total[1:9, 1:9] - shots * np.outer(d, d)
-    cov = scatter / (shots - 1)
-    cov = 0.5 * (cov + cov.T)
+    covs = scatters / (counts - 1.0)[:, None, None]
+    covs = 0.5 * (covs + covs.transpose(0, 2, 1))
+    d, scatter, cov = offsets[0], scatters[0], covs[0]
     # Standard error of each covariance entry from the spread of the
     # per-shot products c_i * c_j; sum_k c_i^2 c_j^2 expanded about the shift.
     z2 = total[0, 9:]
@@ -204,51 +207,45 @@ def sample_circuit(machine, v_s, displacement_variance, shots, seed, gain=UNITY_
         shots=shots,
         seed=seed,
         rng_algorithm=RNG_ALGORITHM,
-        estimated_mean=estimated_mean,
+        estimated_mean=means[0],
         estimated_cov=cov,
         standard_errors=standard_errors,
         mean_standard_errors=mean_standard_errors,
-        batch_means=batch_means,
-        batch_covs=batch_covs,
+        batch_means=means[1:],
+        batch_covs=covs[1:],
         clone1=clone1,
         clone2=clone2,
     )
 
 
-def estimate_criteria(run, clone=1, min_batches=20):
+def estimate_criteria(run, clone=1):
     """Evaluate both entanglement criteria on one clone pair of a run.
 
     Point estimates come from the full-run correlation matrix; error bars
-    are batch-means standard errors over the stored batches (at least
-    ``min_batches`` required).
+    are batch-means standard errors over the ``NUM_BATCHES`` stored batches.
+    The run and its batches are one stacked evaluation, and every guard of
+    the criteria applies to each of their matrices.
     """
-    if len(run.batch_covs) < min_batches:
+    n_batches = len(run.batch_covs)
+    if n_batches < NUM_BATCHES:
         raise ValueError(
-            f"need at least {min_batches} batches for error bars, run has {len(run.batch_covs)}"
+            f"need at least {NUM_BATCHES} batches for error bars, run has {n_batches}"
         )
     if clone not in (1, 2):
         raise ValueError(f"clone index must be 1 or 2, got {clone}")
     pair = run.clone1 if clone == 1 else run.clone2
 
-    cm = correlation_matrix_from_cov(run.estimated_cov, pair)
-    i_hat = inseparability(cm)
-    eps_hat = epr_paradox(cm)
-
-    n_batches = len(run.batch_covs)
-    i_batch = np.empty(n_batches)
-    eps_batch = np.empty(n_batches)
-    for b in range(n_batches):
-        bcm = correlation_matrix_from_cov(run.batch_covs[b], pair)
-        i_batch[b] = inseparability(bcm)
-        eps_batch[b] = epr_paradox(bcm)
-    i_err = i_batch.std(ddof=1) / np.sqrt(n_batches)
-    eps_err = eps_batch.std(ddof=1) / np.sqrt(n_batches)
+    # Element 0 is the whole run, elements 1..n_batches its batches.
+    covs = np.concatenate([run.estimated_cov[None], run.batch_covs])
+    cm = correlation_matrix_from_cov(covs, pair)
+    i_all = inseparability(cm)
+    eps_all = epr_paradox(cm)
 
     return CriteriaEstimate(
-        inseparability=float(i_hat),
-        inseparability_err=float(i_err),
-        epr_paradox=float(eps_hat),
-        epr_paradox_err=float(eps_err),
+        inseparability=float(i_all[0]),
+        inseparability_err=float(i_all[1:].std(ddof=1) / np.sqrt(n_batches)),
+        epr_paradox=float(eps_all[0]),
+        epr_paradox_err=float(eps_all[1:].std(ddof=1) / np.sqrt(n_batches)),
         pair=pair,
         batches=n_batches,
     )

@@ -262,6 +262,18 @@ def test_local_ecloner_v_s_is_nan_for_non_epr_input():
     assert np.isnan(clones.v_s)
 
 
+@pytest.mark.parametrize("v_s", [1e-4, 1e-3, 0.01, 0.5, 0.999, 1.0])
+def test_local_ecloner_recovers_the_source_v_s(v_s):
+    clones = local_ecloner(epr_source(v_s))
+    assert abs(clones.v_s - v_s) <= 1e-12 * v_s
+    assert 0.0 < clones.v_s <= 1.0
+
+
+def test_local_ecloner_v_s_is_nan_for_mixed_state_near_a_source():
+    mixed = GaussianState(np.zeros(4), epr_source(0.01).cov + 1e-4 * np.eye(4))
+    assert np.isnan(local_ecloner(mixed).v_s)
+
+
 def test_discarded_ancillas_leave_physical_clone_states():
     # The feedforward bookkeeping must still hand back valid Gaussian states.
     for v_s in (0.1, 0.6):

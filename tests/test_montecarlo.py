@@ -8,6 +8,7 @@ import pytest
 
 from ecloner import (
     RNG_ALGORITHM,
+    DegenerateInputError,
     epr_source,
     estimate_criteria,
     global_ecloner,
@@ -16,6 +17,7 @@ from ecloner import (
 )
 from ecloner import _kernels, montecarlo
 from ecloner.circuits import UNITY_GAIN
+from ecloner.criteria import correlation_matrix_from_cov, epr_paradox, inseparability
 
 SHOTS = 100_000
 # A chunk size that divides no batch: with 61_237 shots each of the 20
@@ -242,6 +244,10 @@ def test_sample_circuit_input_validation():
     for bad in (None, 1.5, -1):
         with pytest.raises(ValueError, match="seed"):
             sample_circuit("local", 0.5, 0.0, 1000, seed=bad)
+    for bad in (np.inf, np.nan, 150.9, "1000", None):
+        with pytest.raises(ValueError, match="shots"):
+            sample_circuit("local", 0.5, 0.0, bad, seed=1)
+    assert sample_circuit("local", 0.5, 0.0, np.int64(1000), seed=1).shots == 1000
 
 
 def test_estimate_criteria_needs_enough_batches():
@@ -253,6 +259,56 @@ def test_estimate_criteria_needs_enough_batches():
         estimate_criteria(truncated)
     with pytest.raises(ValueError):
         estimate_criteria(run, clone=3)
+
+
+def _per_matrix_criteria(run, pair):
+    """The criteria estimate by one scalar call per matrix."""
+    values = []
+    for cov in (run.estimated_cov, *run.batch_covs):
+        cm = correlation_matrix_from_cov(cov, pair)
+        values.append((inseparability(cm), epr_paradox(cm)))
+    i_all, eps_all = np.array(values).T
+    root_n = np.sqrt(len(run.batch_covs))
+    return {
+        "inseparability": i_all[0],
+        "inseparability_err": i_all[1:].std(ddof=1) / root_n,
+        "epr_paradox": eps_all[0],
+        "epr_paradox_err": eps_all[1:].std(ddof=1) / root_n,
+    }
+
+
+@pytest.mark.parametrize("machine", ["local", "global"])
+@pytest.mark.parametrize("clone", [1, 2])
+@pytest.mark.parametrize("displacement_variance", [0.0, 1e4])
+def test_stacked_criteria_match_per_matrix_reference(machine, clone, displacement_variance):
+    run = sample_circuit(machine, 0.3, displacement_variance, 5000, seed=59)
+    est = estimate_criteria(run, clone=clone)
+    pair = run.clone1 if clone == 1 else run.clone2
+    assert est.pair == pair and est.batches == montecarlo.NUM_BATCHES
+    for name, want in _per_matrix_criteria(run, pair).items():
+        assert abs(getattr(est, name) - want) <= 1e-12 * abs(want), name
+
+
+@pytest.mark.parametrize("batch", [0, montecarlo.NUM_BATCHES - 1])
+def test_stacked_criteria_check_every_batch_matrix(batch):
+    run = sample_circuit("global", 0.5, 0.0, 5000, seed=61)
+    x, y = (2 * m for m in run.clone1)  # x quadratures of the pair's modes
+
+    def with_batch_cov(edit):
+        covs = run.batch_covs.copy()
+        edit(covs[batch])
+        return dataclasses.replace(run, batch_covs=covs)
+
+    def nan_entry(cov):
+        cov[x, y] = cov[y, x] = np.nan
+
+    def zero_conditioning_variance(cov):
+        cov[y, :] = cov[:, y] = 0.0
+
+    with pytest.raises(ValueError, match="non-finite"):
+        estimate_criteria(with_batch_cov(nan_entry))
+    with pytest.raises(DegenerateInputError):
+        estimate_criteria(with_batch_cov(zero_conditioning_variance))
 
 
 def test_sample_run_invariants():
