@@ -1,6 +1,6 @@
 """Shot-propagation kernel for the sampling oracle.
 
-Each row of the noise matrix holds one shot's pre-scaled Gaussian draws:
+Each shot is one row of 18 Gaussian draws; only this module knows their layout:
 
     col 0..3   squeezed inputs       (sqz1 x, sqz1 p, sqz2 x, sqz2 p)
     col 4..5   shared displacement   (S+, S-) applied to both arms
@@ -10,10 +10,11 @@ Each row of the noise matrix holds one shot's pre-scaled Gaussian draws:
 Each machine is written once, as the literal per-shot circuit in
 ``propagate_local_numpy`` / ``propagate_global_numpy``: beamsplitters,
 squeezers, homodyne readout and feedforward applied quadrature by
-quadrature.  That circuit is linear in the noise, so ``transfer`` runs the
-18 unit vectors through it once, which gives the 18x8 transfer matrix
-``M``, and ``propagate(noise, M)`` returns ``noise @ M`` for a block of
-shots.  A sampling run builds ``M`` once and propagates chunk by chunk.
+quadrature.  That circuit is affine in the draws, so ``affine_map`` runs it
+once per sampling run to get the run's map ``(M, offset)``: 18 unit normals
+``u`` give the shot's outputs ``u @ M + offset``.  The displacement is one
+offset per run, not per-shot noise, so it meets zero rows of ``M`` and
+``offset`` is the exact mean of every shot.
 """
 
 import numpy as np
@@ -84,19 +85,22 @@ def propagate_global_numpy(noise, s, gx, gp):
     )
 
 
-def transfer(machine, v_s, gx, gp):
-    """The 18x8 map of the requested machine, from the literal circuit."""
+def affine_map(machine, v_s, gx, gp, displacement):
+    """The run's map ``(M, offset)``: unit normals ``u`` give outputs ``u @ M + offset``.
+
+    One call of the literal circuit, on the 18 unit vectors with rows 0-3
+    scaled by the inputs' standard deviations sqrt(v_s, 1/v_s, 1/v_s, v_s),
+    gives both: its rows 4-5, the response to the displacement columns, map
+    ``displacement = (S+, S-)`` to ``offset`` and are zero in ``M`` (18x8).
+    """
     unit = np.eye(NOISE_COLUMNS)
+    unit[:4] *= np.sqrt([v_s, 1.0 / v_s, 1.0 / v_s, v_s])[:, None]
     if machine == "local":
-        return propagate_local_numpy(unit, gx, gp)
-    if machine == "global":
-        return propagate_global_numpy(unit, np.sqrt(v_s), gx, gp)
-    raise ValueError(f"unknown machine {machine!r}")
-
-
-def propagate(noise, transfer):
-    """Run a block of shots through a machine's transfer matrix."""
-    noise = np.ascontiguousarray(noise, dtype=np.float64)
-    if noise.ndim != 2 or noise.shape[1] != NOISE_COLUMNS:
-        raise ValueError(f"noise must be (shots, {NOISE_COLUMNS}), got {noise.shape}")
-    return noise @ transfer
+        transfer = propagate_local_numpy(unit, gx, gp)
+    elif machine == "global":
+        transfer = propagate_global_numpy(unit, np.sqrt(v_s), gx, gp)
+    else:
+        raise ValueError(f"unknown machine {machine!r}")
+    offset = displacement @ transfer[4:6]
+    transfer[4:6] = 0.0
+    return transfer, offset

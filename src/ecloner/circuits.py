@@ -30,6 +30,7 @@ from .gaussian import (
     GaussianState,
     _beamsplitter_matrix,
     _check_covariance,
+    _check_v_s,
     _quadratures,
     _squeeze_matrix,
 )
@@ -129,14 +130,6 @@ def _output_state(k, state):
     return GaussianState(t @ state.mean, _propagate(t, n, state.cov))
 
 
-def _squeeze_factor(v_s):
-    """sqrt(v_s) after checking v_s in (0, 1]; arrays are checked entrywise."""
-    v = np.asarray(v_s, dtype=float)
-    if not np.all((v > 0.0) & (v <= 1.0)):
-        raise ValueError(f"squeezing variance must lie in (0, 1], got {v_s}")
-    return np.sqrt(v)
-
-
 def _epr_cov(s):
     """Covariance of epr_source at squeeze factor s = sqrt(v_s), stacked like s."""
     k = np.broadcast_to(np.eye(4), np.shape(s) + (4, 4)).copy()
@@ -161,7 +154,7 @@ def epr_source(v_s):
     the state constructor rather than here.
     """
     v_s = float(v_s)
-    return GaussianState(np.zeros(4), _epr_cov(float(_squeeze_factor(v_s))))
+    return GaussianState(np.zeros(4), _epr_cov(float(np.sqrt(_check_v_s(v_s)))))
 
 
 def _gain_pair(gain):
@@ -260,8 +253,8 @@ def machine_covariances(machine, v_s, gain=UNITY_GAIN):
     """
     if machine not in CLONE_PAIRS:
         raise ValueError(f"unknown machine {machine!r}")
-    v = np.asarray(v_s, dtype=float)
-    s = _squeeze_factor(v)
+    v = _check_v_s(v_s)
+    s = np.sqrt(v)
     gx, gp = _gain_pair(gain)
     source = _epr_cov(s)
     t, n = _transfer(_machine_matrix(machine, s, gx, gp), 4)
@@ -331,7 +324,7 @@ def global_ecloner(epr, v_s, gain=UNITY_GAIN):
     if epr.num_modes != 2:
         raise ValueError(f"global machine expects a 2-mode input, got {epr.num_modes}")
     v_s = float(v_s)
-    s = float(_squeeze_factor(v_s))
+    s = float(np.sqrt(_check_v_s(v_s)))
     gx, gp = _gain_pair(gain)
     clone1, clone2 = CLONE_PAIRS["global"]
     return CloneSet(

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DegenerateInputError
-from .gaussian import _first_failing, _is_pure, _quadratures, _scalar_or_array
+from .gaussian import _check_v_s, _first_failing, _is_pure, _quadratures, _scalar_or_array
 
 VALUE_TOL = 1e-12
 
@@ -114,15 +114,11 @@ def local_fidelity(v_s):
     Increases from 0 (infinite squeezing) to 4/9 at v_s = 1, where the
     machine coincides with the global one.
     """
-    v_s = float(v_s)
-    if not 0.0 < v_s <= 1.0:
-        raise ValueError(f"squeezing variance must lie in (0, 1], got {v_s}")
+    v_s = float(_check_v_s(v_s))
     return 4.0 * v_s / ((v_s + 2.0) * (2.0 * v_s + 1.0))
 
 
 def global_fidelity(v_s):
     """Clone fidelity of the whole-state machine: 4/9 for every v_s."""
-    v_s = float(v_s)
-    if not 0.0 < v_s <= 1.0:
-        raise ValueError(f"squeezing variance must lie in (0, 1], got {v_s}")
+    _check_v_s(v_s)
     return 4.0 / 9.0

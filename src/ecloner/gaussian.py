@@ -79,6 +79,14 @@ def _require_finite(name, value):
     return value
 
 
+def _check_v_s(v_s):
+    """Reject a squeezing variance outside (0, 1] (NaN too), entrywise; returns the array."""
+    v = np.asarray(v_s, dtype=float)
+    if not np.all((v > 0.0) & (v <= 1.0)):
+        raise ValueError(f"squeezing variance must lie in (0, 1], got {v_s}")
+    return v
+
+
 def _first_failing(values, ok):
     """The first entry of ``values`` (flat order) where ``ok`` is False."""
     return np.ravel(values)[np.flatnonzero(~np.ravel(ok))[0]]

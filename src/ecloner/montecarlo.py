@@ -4,24 +4,27 @@ Every shot draws independent Gaussian quadrature noises for the two
 squeezed inputs and all cloner ancillas and pushes them through the literal
 circuit: the homodyne readouts are read off as classical numbers and fed
 forward onto the kept beam.  The unknown displacement of the input state is
-one pair (S+, S-) drawn per run, added to both arms of every shot, so it
-shifts the estimated means while leaving covariance estimates untouched.
+one pair (S+, S-) drawn per run and added to both arms of every shot.
 Moment estimates of the four output modes can then be compared entrywise
 against the analytic covariance engine, which models the same feedforward
 as a deterministic affine map.
 
-A run makes one pass over its shots in chunks of at most ``CHUNK_SHOTS``
-rows, drawn into one reused buffer from the run's single generator, so the
-random stream is the one a single ``(shots, 18)`` draw would give.  Chunks
-never straddle one of the ``NUM_BATCHES`` batches.  Each output row ``y``
-is shifted by the first chunk's mean, ``z = y - shift``, and each batch keeps
-only the Gram sums of the row ``(1, z, z*z)``: count, first, second and
-fourth moments.  The run's mean, covariance and per-entry standard errors
-follow exactly from the merged sums (the shifted-sum updates of Chan, Golub
-& LeVeque, 1979), with no second pass and no array that grows with the shot
-count: the traced peak of a call stays near 6 MB from a few hundred
-thousand shots up.  The whole run is row 0 of one stack whose other rows
-are its batches, so each moment formula, and each criterion in
+A run first builds its affine map ``(M, offset)`` once from the literal
+circuit (``_kernels.affine_map``): unit normals ``u`` give the shot's
+outputs ``y = u @ M + offset``, so ``offset`` is the exact mean of every
+shot.  It then makes one pass over its shots in chunks of at most
+``CHUNK_SHOTS`` rows, drawn into one reused buffer from the run's single
+generator, so the random stream is the one a single ``(shots, 18)`` draw
+would give.  Chunks never straddle one of the ``NUM_BATCHES`` batches.
+Each batch keeps only the Gram sums of the row ``(1, z, z*z)`` with
+``z = y - offset = u @ M``: count, first, second and fourth moments.  The
+run's mean, covariance and per-entry standard errors follow exactly from
+the merged sums (the shifted-sum updates of Chan, Golub & LeVeque, 1979),
+with no second pass and no array that grows with the shot count: the
+traced peak of a call stays near 5 MB from a few hundred thousand shots
+up.  ``z`` never sees the displacement, so the covariance estimates are
+exactly independent of it.  The whole run is row 0 of one stack whose
+other rows are its batches, so each moment formula, and each criterion in
 ``estimate_criteria``, is evaluated once for the run and its batches.
 """
 
@@ -34,6 +37,7 @@ import numpy as np
 from . import _kernels
 from .circuits import CLONE_PAIRS, UNITY_GAIN, _gain_pair
 from .criteria import correlation_matrix_from_cov, epr_paradox, inseparability
+from .gaussian import _check_v_s
 
 RNG_ALGORITHM = "numpy.random.default_rng (PCG64)"
 NUM_BATCHES = 20
@@ -70,8 +74,12 @@ class SampleRun:
         asym = np.max(np.abs(self.estimated_cov - self.estimated_cov.T))
         if not asym <= 1e-12:
             raise ValueError("estimated covariance must be symmetric")
-        if self.shots >= 2 and np.any(self.standard_errors <= 0):
-            raise ValueError("standard errors must be positive for shots >= 2")
+        if not np.all(np.isfinite(self.estimated_mean)):
+            raise ValueError("estimated mean must be finite")
+        for name in ("standard_errors", "mean_standard_errors"):
+            value = getattr(self, name)
+            if self.shots >= 2 and not np.all(np.isfinite(value) & (value > 0)):
+                raise ValueError(f"{name} must be finite and positive for shots >= 2")
 
 
 @dataclass(frozen=True)
@@ -125,9 +133,7 @@ def sample_circuit(machine, v_s, displacement_variance, shots, seed, gain=UNITY_
     """
     if machine not in CLONE_PAIRS:
         raise ValueError(f"unknown machine {machine!r}")
-    v_s = float(v_s)
-    if not 0.0 < v_s <= 1.0:
-        raise ValueError(f"squeezing variance must lie in (0, 1], got {v_s}")
+    v_s = float(_check_v_s(v_s))
     displacement_variance = float(displacement_variance)
     if not (math.isfinite(displacement_variance) and displacement_variance >= 0):
         raise ValueError(
@@ -139,33 +145,23 @@ def sample_circuit(machine, v_s, displacement_variance, shots, seed, gain=UNITY_
 
     rng = np.random.default_rng(seed)
     # The state's displacement is a single unknown offset, not per-shot noise.
-    s_plus, s_minus = rng.standard_normal(2) * np.sqrt(displacement_variance)
-    scale = np.sqrt([v_s, 1.0 / v_s, 1.0 / v_s, v_s])
-    transfer = _kernels.transfer(machine, v_s, gx, gp)
+    displacement = rng.standard_normal(2) * np.sqrt(displacement_variance)
+    transfer, offset = _kernels.affine_map(machine, v_s, gx, gp, displacement)
 
     bounds = np.linspace(0, shots, NUM_BATCHES + 1).astype(int)
     # A chunk never exceeds a batch, so small runs need smaller buffers.
     rows = min(CHUNK_SHOTS, int(np.max(np.diff(bounds))))
     noise = np.empty((rows, _kernels.NOISE_COLUMNS))
-    # Per shot the row w = (1, z, z*z); gram[b] sums w^T w over batch b.
+    # Per shot the row w = (1, z, z*z), z = u @ transfer; gram[b] sums w^T w over batch b.
     work = np.empty((rows, 17))
     work[:, 0] = 1.0
     gram = np.zeros((NUM_BATCHES, 17, 17))
-    shift = None
     for b in range(NUM_BATCHES):
         for start in range(bounds[b], bounds[b + 1], rows):
             n = min(rows, bounds[b + 1] - start)
-            chunk = noise[:n]
+            chunk, w = noise[:n], work[:n]
             rng.standard_normal(out=chunk)
-            chunk[:, 0:4] *= scale
-            chunk[:, 4] = s_plus
-            chunk[:, 5] = s_minus
-            outputs = _kernels.propagate(chunk, transfer)
-            if shift is None:
-                shift = outputs.mean(axis=0)
-            w = work[:n]
-            np.subtract(outputs, shift, out=w[:, 1:9])
-            del outputs  # the next chunk's product must not coexist with it
+            np.matmul(chunk, transfer, out=w[:, 1:9])
             np.square(w[:, 1:9], out=w[:, 9:])
             gram[b] += w.T @ w
 
@@ -173,17 +169,17 @@ def sample_circuit(machine, v_s, displacement_variance, shots, seed, gain=UNITY_
     # Row 0 is the whole run, rows 1..NUM_BATCHES its batches.
     sums = np.concatenate([total[None], gram])
     counts = sums[:, 0, 0]
-    offsets = sums[:, 0, 1:9] / counts[:, None]
-    means = shift + offsets
-    # sum_k c_i c_j with c = y - mean = z - offset
+    mean_z = sums[:, 0, 1:9] / counts[:, None]
+    means = offset + mean_z
+    # sum_k c_i c_j with c = y - mean = z - mean_z
     scatters = sums[:, 1:9, 1:9] - counts[:, None, None] * (
-        offsets[:, :, None] * offsets[:, None, :]
+        mean_z[:, :, None] * mean_z[:, None, :]
     )
     covs = scatters / (counts - 1.0)[:, None, None]
     covs = 0.5 * (covs + covs.transpose(0, 2, 1))
-    d, scatter, cov = offsets[0], scatters[0], covs[0]
+    d, scatter, cov = mean_z[0], scatters[0], covs[0]
     # Standard error of each covariance entry from the spread of the
-    # per-shot products c_i * c_j; sum_k c_i^2 c_j^2 expanded about the shift.
+    # per-shot products c_i * c_j; sum_k c_i^2 c_j^2 expanded about the offset.
     z2 = total[0, 9:]
     z2z = total[9:, 1:9] * d
     d2 = d * d

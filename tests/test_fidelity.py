@@ -136,10 +136,9 @@ def test_fidelity_rejects_bad_inputs():
 
 def test_closed_form_domain_checks():
     for fn in (local_fidelity, global_fidelity):
-        with pytest.raises(ValueError):
-            fn(0.0)
-        with pytest.raises(ValueError):
-            fn(1.2)
+        for bad in (0.0, 1.2, 1.5, np.nan):
+            with pytest.raises(ValueError, match="squeezing variance"):
+                fn(bad)
 
 
 def test_fidelity_stays_in_unit_interval_on_randomized_pairs():

@@ -129,15 +129,18 @@ def test_peak_memory_does_not_grow_with_shots():
 @pytest.mark.parametrize("gain", [np.sqrt(2.0), 0.0, (1.1, 1.7)], ids=["unity", "zero", "pair"])
 def test_linear_map_matches_literal_per_shot_circuit(machine, v_s, gain):
     gx, gp = (gain, gain) if np.isscalar(gain) else gain
-    rng = np.random.default_rng(61)
-    noise = rng.standard_normal((2000, _kernels.NOISE_COLUMNS))
+    displacement = np.array([3.0, -1.7])
+    unit = np.random.default_rng(61).standard_normal((2000, _kernels.NOISE_COLUMNS))
+    noise = unit.copy()
     noise[:, 0:4] *= np.sqrt([v_s, 1.0 / v_s, 1.0 / v_s, v_s])
-    noise[:, 4:6] *= 3.0
+    noise[:, 4:6] = displacement
     if machine == "local":
         literal = _kernels.propagate_local_numpy(noise, gx, gp)
     else:
         literal = _kernels.propagate_global_numpy(noise, np.sqrt(v_s), gx, gp)
-    mapped = _kernels.propagate(noise, _kernels.transfer(machine, v_s, gx, gp))
+    transfer, offset = _kernels.affine_map(machine, v_s, gx, gp, displacement)
+    mapped = unit @ transfer + offset
+    assert transfer.shape == (_kernels.NOISE_COLUMNS, 8) and offset.shape == (8,)
     assert mapped.shape == literal.shape == (2000, 8)
     # Relative bound: rounding in the literal circuit grows like 1/sqrt(v_s).
     assert np.max(np.abs(mapped - literal)) <= 1e-13 * np.max(np.abs(literal))
@@ -153,9 +156,14 @@ def test_sampled_covariance_matches_analytic_engine(machine, v_s):
 
 
 def test_sampled_covariance_is_displacement_independent():
+    # The shots' outputs are u @ M + offset and only the offset sees the
+    # displacement, so the second moments are bit-identical at any size of it.
     plain = sample_circuit("global", 0.5, 0.0, 20_000, seed=9)
-    shifted = sample_circuit("global", 0.5, 10.0, 20_000, seed=9)
-    assert np.allclose(plain.estimated_cov, shifted.estimated_cov, atol=1e-10)
+    for displacement_variance in (10.0, 1e4, 1e200):
+        shifted = sample_circuit("global", 0.5, displacement_variance, 20_000, seed=9)
+        for name in ("estimated_cov", "standard_errors", "mean_standard_errors", "batch_covs"):
+            assert np.array_equal(getattr(plain, name), getattr(shifted, name)), name
+        assert np.all(np.isfinite(shifted.estimated_mean))
 
 
 def test_estimated_means_follow_the_drawn_displacement():
@@ -234,8 +242,9 @@ def test_sample_circuit_input_validation():
         sample_circuit("local", 0.5, 0.0, 99, seed=1)
     with pytest.raises(ValueError):
         sample_circuit("sideways", 0.5, 0.0, 1000, seed=1)
-    with pytest.raises(ValueError):
-        sample_circuit("local", 1.5, 0.0, 1000, seed=1)
+    for bad in (0.0, 1.5, np.nan):
+        with pytest.raises(ValueError, match="squeezing variance"):
+            sample_circuit("local", bad, 0.0, 1000, seed=1)
     with pytest.raises(ValueError):
         sample_circuit("local", 0.5, -1.0, 1000, seed=1)
     for bad in (np.nan, np.inf):
@@ -320,3 +329,10 @@ def test_sample_run_invariants():
     assert run.shots == 1000 and run.seed == 53
     with pytest.raises(ValueError, match="symmetric"):
         dataclasses.replace(run, estimated_cov=np.full((8, 8), np.nan))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="estimated mean"):
+            dataclasses.replace(run, estimated_mean=np.full(8, bad))
+    for name, shape in (("standard_errors", (8, 8)), ("mean_standard_errors", (8,))):
+        for bad in (np.nan, np.inf, 0.0, -1.0):
+            with pytest.raises(ValueError, match=name):
+                dataclasses.replace(run, **{name: np.full(shape, bad)})
