@@ -1,6 +1,7 @@
 """Shot-propagation kernel for the sampling oracle.
 
-Each shot is one row of 18 Gaussian draws; only this module knows their layout:
+The literal circuit of one shot has 18 Gaussian inputs, one column each of
+a row; only this module knows their layout:
 
     col 0..3   squeezed inputs       (sqz1 x, sqz1 p, sqz2 x, sqz2 p)
     col 4..5   shared displacement   (S+, S-) applied to both arms
@@ -10,11 +11,13 @@ Each shot is one row of 18 Gaussian draws; only this module knows their layout:
 Each machine is written once, as the literal per-shot circuit in
 ``propagate_local_numpy`` / ``propagate_global_numpy``: beamsplitters,
 squeezers, homodyne readout and feedforward applied quadrature by
-quadrature.  That circuit is affine in the draws, so ``affine_map`` runs it
-once per sampling run to get the run's map ``(M, offset)``: 18 unit normals
-``u`` give the shot's outputs ``u @ M + offset``.  The displacement is one
-offset per run, not per-shot noise, so it meets zero rows of ``M`` and
-``offset`` is the exact mean of every shot.
+quadrature.  That circuit is affine in its inputs, so ``affine_map`` runs
+it once per sampling run to get the run's map ``(M, offset)``: 18 unit
+normals ``u`` in the columns above give the shot's outputs
+``u @ M + offset``.  The displacement is one offset per run, not per-shot
+noise, so it meets zero rows of ``M`` and ``offset`` is the exact mean of
+every shot.  The sampler never draws these 18 columns: it takes the law
+N(offset, M^T M) of the outputs from ``M`` and draws 8 normals per shot.
 """
 
 import numpy as np

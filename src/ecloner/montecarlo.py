@@ -1,8 +1,8 @@
 """Stochastic validation of the cloning circuits.
 
-Every shot draws independent Gaussian quadrature noises for the two
-squeezed inputs and all cloner ancillas and pushes them through the literal
-circuit: the homodyne readouts are read off as classical numbers and fed
+Every shot is one trajectory of the literal circuit: independent Gaussian
+quadrature noises of the two squeezed inputs and all cloner ancillas pass
+through it, the homodyne readouts are read off as classical numbers and fed
 forward onto the kept beam.  The unknown displacement of the input state is
 one pair (S+, S-) drawn per run and added to both arms of every shot.
 Moment estimates of the four output modes can then be compared entrywise
@@ -10,21 +10,27 @@ against the analytic covariance engine, which models the same feedforward
 as a deterministic affine map.
 
 A run first builds its affine map ``(M, offset)`` once from the literal
-circuit (``_kernels.affine_map``): unit normals ``u`` give the shot's
-outputs ``y = u @ M + offset``, so ``offset`` is the exact mean of every
-shot.  It then makes one pass over its shots in chunks of at most
-``CHUNK_SHOTS`` rows, drawn into one reused buffer from the run's single
-generator, so the random stream is the one a single ``(shots, 18)`` draw
-would give.  Chunks never straddle one of the ``NUM_BATCHES`` batches.
-Each batch keeps only the Gram sums of the row ``(1, z, z*z)`` with
-``z = y - offset = u @ M``: count, first, second and fourth moments.  The
-run's mean, covariance and per-entry standard errors follow exactly from
-the merged sums (the shifted-sum updates of Chan, Golub & LeVeque, 1979),
-with no second pass and no array that grows with the shot count: the
-traced peak of a call stays near 5 MB from a few hundred thousand shots
-up.  ``z`` never sees the displacement, so the covariance estimates are
-exactly independent of it.  The whole run is row 0 of one stack whose
-other rows are its batches, so each moment formula, and each criterion in
+circuit (``_kernels.affine_map``): a row ``u`` of unit normals, one per
+input of the literal circuit, gives the shot's outputs
+``y = u @ M + offset``, so ``offset`` is the exact mean of every shot and
+the outputs follow the Gaussian law N(offset, M^T M).  With the reduced QR
+``M = Q R`` (``Q^T Q = I``), ``u @ Q`` is itself 8 unit normals, so a shot
+draws only 8 normals ``e`` and takes ``y = e @ R + offset``: the same law,
+even where ``M`` is rank-deficient.  The random stream is the 2
+displacement normals, then 8 normals per shot in shot order.  The run
+makes one pass over its shots in chunks of at most ``CHUNK_SHOTS`` rows,
+drawn into one reused buffer from the run's single generator, so the
+stream is the one a single ``(shots, 8)`` draw would give.  Chunks never
+straddle one of the ``NUM_BATCHES`` batches.  Each batch keeps only the
+Gram sums of the row ``(1, z, z*z)`` with ``z = y - offset = e @ R``:
+count, first, second and fourth moments.  The run's mean, covariance
+and per-entry standard errors follow exactly from the merged sums (the
+shifted-sum updates of Chan, Golub & LeVeque, 1979), with no second pass
+and no array that grows with the shot count: the traced peak of a call
+stays near 5 MB from a few hundred thousand shots up.  ``z`` never sees
+the displacement, so the covariance estimates are exactly independent of
+it.  The whole run is row 0 of one stack whose other rows are its
+batches, so each moment formula, and each criterion in
 ``estimate_criteria``, is evaluated once for the run and its batches.
 """
 
@@ -147,12 +153,16 @@ def sample_circuit(machine, v_s, displacement_variance, shots, seed, gain=UNITY_
     # The state's displacement is a single unknown offset, not per-shot noise.
     displacement = rng.standard_normal(2) * np.sqrt(displacement_variance)
     transfer, offset = _kernels.affine_map(machine, v_s, gx, gp, displacement)
+    # transfer = Q @ factor with orthonormal Q, and u @ Q ~ N(0, I_8) for
+    # u ~ N(0, I_18): 8 unit normals e give outputs e @ factor + offset
+    # with the exact law of the 18-column circuit.
+    factor = np.linalg.qr(transfer, mode="r")
 
     bounds = np.linspace(0, shots, NUM_BATCHES + 1).astype(int)
     # A chunk never exceeds a batch, so small runs need smaller buffers.
     rows = min(CHUNK_SHOTS, int(np.max(np.diff(bounds))))
-    noise = np.empty((rows, _kernels.NOISE_COLUMNS))
-    # Per shot the row w = (1, z, z*z), z = u @ transfer; gram[b] sums w^T w over batch b.
+    noise = np.empty((rows, 8))
+    # Per shot the row w = (1, z, z*z), z = e @ factor; gram[b] sums w^T w over batch b.
     work = np.empty((rows, 17))
     work[:, 0] = 1.0
     gram = np.zeros((NUM_BATCHES, 17, 17))
@@ -161,7 +171,7 @@ def sample_circuit(machine, v_s, displacement_variance, shots, seed, gain=UNITY_
             n = min(rows, bounds[b + 1] - start)
             chunk, w = noise[:n], work[:n]
             rng.standard_normal(out=chunk)
-            np.matmul(chunk, transfer, out=w[:, 1:9])
+            np.matmul(chunk, factor, out=w[:, 1:9])
             np.square(w[:, 1:9], out=w[:, 9:])
             gram[b] += w.T @ w
 

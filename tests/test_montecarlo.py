@@ -46,10 +46,19 @@ def _array_fields(run):
 
 
 def _two_pass_moments(machine, v_s, displacement_variance, shots, seed):
-    """The moments of a run by their definitions, on the whole noise array."""
+    """The moments of a run by their definitions, on the whole noise array.
+
+    The run's stream is 8 normals ``e`` per shot; ``e @ Q.T``, with ``Q``
+    the orthonormal factor of the run's map ``M = Q R``, lifts them to the
+    18 inputs of the literal circuit, where ``e @ Q.T @ M = e @ R``.
+    """
     rng = np.random.default_rng(seed)
     s_plus, s_minus = rng.standard_normal(2) * np.sqrt(displacement_variance)
-    noise = rng.standard_normal((shots, _kernels.NOISE_COLUMNS))
+    drawn = rng.standard_normal((shots, 8))
+    transfer, _ = _kernels.affine_map(
+        machine, v_s, UNITY_GAIN, UNITY_GAIN, np.array([s_plus, s_minus])
+    )
+    noise = drawn @ np.linalg.qr(transfer)[0].T
     noise[:, 0:4] *= np.sqrt([v_s, 1.0 / v_s, 1.0 / v_s, v_s])
     noise[:, 4] = s_plus
     noise[:, 5] = s_minus
@@ -144,6 +153,11 @@ def test_linear_map_matches_literal_per_shot_circuit(machine, v_s, gain):
     assert mapped.shape == literal.shape == (2000, 8)
     # Relative bound: rounding in the literal circuit grows like 1/sqrt(v_s).
     assert np.max(np.abs(mapped - literal)) <= 1e-13 * np.max(np.abs(literal))
+    # The sampler draws through this factor: same output covariance M^T M.
+    factor = np.linalg.qr(transfer, mode="r")
+    exact = transfer.T @ transfer
+    assert factor.shape == (8, 8)
+    assert np.max(np.abs(factor.T @ factor - exact)) <= 1e-13 * np.max(np.abs(exact))
 
 
 @pytest.mark.parametrize("machine", ["local", "global"])
@@ -155,8 +169,29 @@ def test_sampled_covariance_matches_analytic_engine(machine, v_s):
     assert np.all(np.abs(run.estimated_cov - expected) <= 5.0 * run.standard_errors)
 
 
+@pytest.mark.parametrize("machine", ["local", "global"])
+def test_standard_errors_calibrated_against_exact_oracle_moments(machine):
+    # Each run's outputs have the exact covariance M^T M of its own map, so
+    # (estimate - M^T M) / standard error should be N(0, 1) over seeds.
+    # Bounds are ~5 sigma of that law for 200 seeds.
+    v_s, seeds = 0.3, 200
+    transfer, _ = _kernels.affine_map(machine, v_s, UNITY_GAIN, UNITY_GAIN, np.zeros(2))
+    exact = transfer.T @ transfer
+    upper = np.triu_indices(8)
+    z = np.array(
+        [
+            ((run.estimated_cov - exact) / run.standard_errors)[upper]
+            for run in (sample_circuit(machine, v_s, 0.0, 5000, seed=s) for s in range(seeds))
+        ]
+    )
+    assert z.shape == (seeds, 36)
+    assert np.max(np.abs(z.mean(axis=0))) <= 0.35
+    sd = z.std(axis=0, ddof=1)
+    assert np.all((sd >= 0.75) & (sd <= 1.25))
+
+
 def test_sampled_covariance_is_displacement_independent():
-    # The shots' outputs are u @ M + offset and only the offset sees the
+    # The shots' outputs are e @ R + offset and only the offset sees the
     # displacement, so the second moments are bit-identical at any size of it.
     plain = sample_circuit("global", 0.5, 0.0, 20_000, seed=9)
     for displacement_variance in (10.0, 1e4, 1e200):
