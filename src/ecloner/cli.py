@@ -9,16 +9,17 @@ Optionally cross-checks the criteria with the sampling oracle.
 import argparse
 import json
 import math
+import os
 import sys
 from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import montecarlo
 from .circuits import CLONE_PAIRS, UNITY_GAIN, machine_covariances
 from .criteria import correlation_matrix_from_cov, epr_paradox, inseparability, squeezing_db
 from .fidelity import fidelity_from_cov
-from .montecarlo import estimate_criteria, sample_circuit
 
 CSV_HEADER = "v_s,squeezing_db,i_local,i_global,eps_local,eps_global,f_local,f_global"
 MC_COLUMNS = (
@@ -152,16 +153,52 @@ def _analytic_records(grid, gain):
     ]
 
 
-def _sample_point(v_s, gain, mc_shots, mc_seeds):
-    mc = {}
-    for name, seed in zip(("local", "global"), mc_seeds):
-        run = sample_circuit(name, v_s, 0.0, mc_shots, seed, gain=gain)
-        est = estimate_criteria(run)
-        mc[f"mc_i_{name}"] = est.inseparability
-        mc[f"mc_i_{name}_err"] = est.inseparability_err
-        mc[f"mc_eps_{name}"] = est.epr_paradox
-        mc[f"mc_eps_{name}_err"] = est.epr_paradox_err
-    return mc
+def _usable_cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _sample_records(records, gain, mc_shots, master_seed):
+    """Fill every record's mc fields from one oracle run per (point, machine).
+
+    Each run has its own seed and generator, so its result does not depend
+    on which worker takes it or when.  Threads pay off only once every batch
+    of a run holds a full chunk: below that, Python code holding the
+    interpreter lock dominates each run.
+    """
+    jobs = [
+        (machine, record.v_s, _mc_seed(master_seed, idx, m))
+        for idx, record in enumerate(records)
+        for m, machine in enumerate(("local", "global"))
+    ]
+
+    def run(job):
+        machine, v_s, seed = job
+        sample = montecarlo.sample_circuit(machine, v_s, 0.0, mc_shots, seed, gain=gain)
+        est = montecarlo.estimate_criteria(sample)
+        return {
+            f"mc_i_{machine}": est.inseparability,
+            f"mc_i_{machine}_err": est.inseparability_err,
+            f"mc_eps_{machine}": est.epr_paradox,
+            f"mc_eps_{machine}_err": est.epr_paradox_err,
+        }
+
+    workers = min(_usable_cpus(), len(jobs))
+    if workers > 1 and mc_shots >= montecarlo.NUM_BATCHES * montecarlo.CHUNK_SHOTS:
+        from concurrent.futures import ThreadPoolExecutor
+
+        pool = ThreadPoolExecutor(workers)
+        try:
+            # map yields in job order, so the first failing job raises, as serially
+            results = list(pool.map(run, jobs))
+        finally:
+            pool.shutdown(cancel_futures=True)
+    else:
+        results = [run(job) for job in jobs]
+    for record, local, global_ in zip(records, results[0::2], results[1::2]):
+        record.mc = {**local, **global_}
 
 
 def _global_criterion(which, v_s, gain):
@@ -240,21 +277,19 @@ def run_sweep(args, stdout=None, stderr=None):
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
 
-    grid = np.geomspace(args.v_min, 1.0, args.points)
-    grid[-1] = 1.0
-    records = _analytic_records(grid, args.gain)
-    if args.mc_shots:
-        for idx, record in enumerate(records):
-            seeds = (_mc_seed(args.seed, idx, 0), _mc_seed(args.seed, idx, 1))
-            record.mc = _sample_point(record.v_s, args.gain, args.mc_shots, seeds)
-    threshold_lines = _threshold_lines(args.gain)
-
+    # Opened before any evaluation, so a bad path fails at once.
     try:
         sink = open(args.output, "w") if args.output else nullcontext(stdout)
     except OSError as exc:
         print(f"ecloner: cannot write {args.output}: {exc}", file=stderr)
         return 2
     with sink as stream:
+        grid = np.geomspace(args.v_min, 1.0, args.points)
+        grid[-1] = 1.0
+        records = _analytic_records(grid, args.gain)
+        if args.mc_shots:
+            _sample_records(records, args.gain, args.mc_shots, args.seed)
+        threshold_lines = _threshold_lines(args.gain)
         if args.format == "csv":
             _write_csv(stream, records, threshold_lines)
         else:

@@ -27,11 +27,13 @@ count, first, second and fourth moments.  The run's mean, covariance
 and per-entry standard errors follow exactly from the merged sums (the
 shifted-sum updates of Chan, Golub & LeVeque, 1979), with no second pass
 and no array that grows with the shot count: the traced peak of a call
-stays near 5 MB from a few hundred thousand shots up.  ``z`` never sees
+stays near 1 MB from a few hundred thousand shots up.  ``z`` never sees
 the displacement, so the covariance estimates are exactly independent of
 it.  The whole run is row 0 of one stack whose other rows are its
 batches, so each moment formula, and each criterion in
 ``estimate_criteria``, is evaluated once for the run and its batches.
+A call shares no state with another, so independent runs may go on
+concurrent threads and give the same bits as in turn.
 """
 
 import math
@@ -48,7 +50,10 @@ from .gaussian import _check_v_s
 RNG_ALGORITHM = "numpy.random.default_rng (PCG64)"
 NUM_BATCHES = 20
 MIN_SHOTS = 100
-CHUNK_SHOTS = 1 << 14
+# A chunk's e @ R product (4096 * 8 * 8 = 262144 multiply-adds) stays at
+# OpenBLAS's single-thread limit (4 * 65536), so runs sampled on concurrent
+# threads do not contend for one BLAS thread pool.
+CHUNK_SHOTS = 1 << 12
 
 
 @dataclass(frozen=True)

@@ -5,10 +5,12 @@ import io
 import json
 import math
 import re
+import threading
 
 import numpy as np
 import pytest
 
+from ecloner import cli, montecarlo
 from ecloner.cli import CSV_HEADER, build_parser, main, run_sweep
 
 
@@ -193,6 +195,64 @@ def test_invalid_flags_exit_with_code_one(argv, capsys):
     assert argv[-2] in err.splitlines()[-1]
 
 
-def test_unwritable_output_exits_with_code_two(tmp_path):
+def test_unwritable_output_exits_with_code_two(tmp_path, monkeypatch, capsys):
+    # The path is checked before any sampling, not after it.
+    calls = []
+    monkeypatch.setattr(montecarlo, "sample_circuit", lambda *a, **k: calls.append(a))
     target = tmp_path / "missing_dir" / "sweep.csv"
-    assert main(["--points", "3", "--output", str(target)]) == 2
+    assert main(["--points", "3", "--mc-shots", "1000", "--output", str(target)]) == 2
+    assert calls == []
+    assert capsys.readouterr().err.startswith(f"ecloner: cannot write {target}: ")
+
+
+# With 64-row chunks a run of 2000 shots holds a full chunk in each of its
+# 20 batches, so the CLI samples it on the thread pool.
+POOL_CHUNK, POOL_SHOTS = 64, 2000
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_threaded_output_is_byte_identical_to_one_worker(tmp_path, monkeypatch, fmt):
+    monkeypatch.setattr(montecarlo, "CHUNK_SHOTS", POOL_CHUNK)
+    threads, real = [], montecarlo.sample_circuit
+
+    def recorded(*args, **kwargs):
+        threads.append(threading.get_ident())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "sample_circuit", recorded)
+    argv = ["--points", "5", "--mc-shots", str(POOL_SHOTS), "--seed", "7", "--format", fmt]
+    outputs = {}
+    for workers in (1, 3):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)
+        threads.clear()
+        target = tmp_path / f"{workers}.{fmt}"
+        assert main(argv + ["--output", str(target)]) == 0
+        outputs[workers] = target.read_bytes()
+        assert len(threads) == 10
+        assert (threading.get_ident() in threads) == (workers == 1)
+    assert outputs[3] == outputs[1]
+
+
+def test_failing_run_raises_as_serially_and_cancels_pending_runs(monkeypatch):
+    monkeypatch.setattr(montecarlo, "CHUNK_SHOTS", POOL_CHUNK)
+    points, real = 40, montecarlo.sample_circuit
+    failing_seed = cli._mc_seed(5, 0, 1)  # the second run: point 0, global machine
+    calls = []
+
+    def failing(machine, v_s, displacement_variance, shots, seed, gain):
+        calls.append(seed)
+        if seed == failing_seed:
+            raise ValueError(f"injected failure in run {seed}")
+        return real(machine, v_s, displacement_variance, shots, seed, gain=gain)
+
+    monkeypatch.setattr(montecarlo, "sample_circuit", failing)
+    argv = ["--points", str(points), "--mc-shots", str(POOL_SHOTS), "--seed", "5"]
+    errors = {}
+    for workers in (1, 2):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)
+        calls.clear()
+        with pytest.raises(ValueError) as excinfo:
+            main(argv)
+        errors[workers] = str(excinfo.value)
+        assert len(calls) < 2 * points
+    assert errors[1] == errors[2] == f"injected failure in run {failing_seed}"

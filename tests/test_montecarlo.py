@@ -1,6 +1,8 @@
 """Sampling oracle: determinism, kernel equivalence, and moment agreement."""
 
 import dataclasses
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -103,6 +105,37 @@ def test_identical_seed_gives_bit_identical_runs(monkeypatch):
         assert np.array_equal(value, getattr(b, name)), name
 
 
+def test_concurrent_runs_are_bit_identical_to_sequential_ones():
+    # Each run owns its generator and buffers, so runs on threads that
+    # switch far more often than usual give the same bits as run in turn.
+    shots = 3 * montecarlo.NUM_BATCHES * montecarlo.CHUNK_SHOTS // 2 + 7
+    jobs = [("local", 0.3, 0.0, 81), ("global", 0.3, 1.0, 82)] * 2
+    sequential = [sample_circuit(m, v, d, shots, seed=s) for m, v, d, s in jobs]
+    start = threading.Barrier(len(jobs))
+    concurrent = [None] * len(jobs)
+
+    def worker(i):
+        start.wait(timeout=30)
+        machine, v_s, displacement_variance, seed = jobs[i]
+        concurrent[i] = sample_circuit(machine, v_s, displacement_variance, shots, seed=seed)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(jobs))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for want, got in zip(sequential, concurrent):
+        assert got is not None
+        for name, value in _array_fields(want).items():
+            assert np.array_equal(value, getattr(got, name)), name
+
+
 @pytest.mark.parametrize("machine", ["local", "global"])
 @pytest.mark.parametrize("displacement_variance", [0.0, 1e4])
 def test_streamed_moments_match_two_pass_definition(monkeypatch, machine, displacement_variance):
@@ -188,6 +221,32 @@ def test_standard_errors_calibrated_against_exact_oracle_moments(machine):
     assert np.max(np.abs(z.mean(axis=0))) <= 0.35
     sd = z.std(axis=0, ddof=1)
     assert np.all((sd >= 0.75) & (sd <= 1.25))
+
+
+@pytest.mark.parametrize("machine", ["local", "global"])
+def test_criteria_error_bars_calibrated_against_exact_oracle_moments(machine):
+    # With the exact covariance M^T M of the run's map, the ratio
+    # (sampled - exact criterion) / batch-means error follows Student t
+    # with NUM_BATCHES - 1 = 19 degrees of freedom: SD sqrt(19/17) = 1.057
+    # and kurtosis 3 + 6/15.  Over 200 seeds the sample mean has SD
+    # 1.057/sqrt(200) and the sample SD has SD ~ 1.057 sqrt((3.4 - 1)/800);
+    # the bounds are 5 of those.
+    v_s, seeds, shots = 0.3, 200, 5000
+    dof = montecarlo.NUM_BATCHES - 1
+    sd_t = np.sqrt(dof / (dof - 2.0))
+    kurtosis = 3.0 + 6.0 / (dof - 4.0)
+    mean_bound = 5.0 * sd_t / np.sqrt(seeds)
+    sd_bound = 5.0 * sd_t * np.sqrt((kurtosis - 1.0) / (4.0 * seeds))
+    transfer, _ = _kernels.affine_map(machine, v_s, UNITY_GAIN, UNITY_GAIN, np.zeros(2))
+    estimates = [
+        estimate_criteria(sample_circuit(machine, v_s, 0.0, shots, seed=s)) for s in range(seeds)
+    ]
+    exact_cm = correlation_matrix_from_cov(transfer.T @ transfer, estimates[0].pair)
+    exact = {"inseparability": inseparability(exact_cm), "epr_paradox": epr_paradox(exact_cm)}
+    for name, value in exact.items():
+        t = np.array([(getattr(e, name) - value) / getattr(e, f"{name}_err") for e in estimates])
+        assert abs(t.mean()) <= mean_bound, name
+        assert abs(t.std(ddof=1) - sd_t) <= sd_bound, name
 
 
 def test_sampled_covariance_is_displacement_independent():
