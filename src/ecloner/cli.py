@@ -12,7 +12,6 @@ import math
 import os
 import sys
 from contextlib import nullcontext
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,48 +21,10 @@ from .criteria import correlation_matrix_from_cov, epr_paradox, inseparability, 
 from .fidelity import fidelity_from_cov
 
 CSV_HEADER = "v_s,squeezing_db,i_local,i_global,eps_local,eps_global,f_local,f_global"
-MC_COLUMNS = (
-    "mc_i_local",
-    "mc_i_local_err",
-    "mc_eps_local",
-    "mc_eps_local_err",
-    "mc_i_global",
-    "mc_i_global_err",
-    "mc_eps_global",
-    "mc_eps_global_err",
-)
 BISECTION_TOL = 1e-9
 V_MIN_FLOOR = 0.001
-
-
-@dataclass
-class SweepRecord:
-    """One grid point of the sweep; mc fields stay None without sampling."""
-
-    v_s: float
-    squeezing_db: float
-    i_local: float
-    i_global: float
-    eps_local: float
-    eps_global: float
-    f_local: float
-    f_global: float
-    mc: dict | None = None
-
-    def as_dict(self):
-        row = {
-            "v_s": self.v_s,
-            "squeezing_db": self.squeezing_db,
-            "i_local": self.i_local,
-            "i_global": self.i_global,
-            "eps_local": self.eps_local,
-            "eps_global": self.eps_global,
-            "f_local": self.f_local,
-            "f_global": self.f_global,
-        }
-        if self.mc is not None:
-            row.update(self.mc)
-        return row
+# 128 + SIGPIPE: the status a shell reports for a writer killed by SIGPIPE
+EXIT_BROKEN_PIPE = 141
 
 
 class _Parser(argparse.ArgumentParser):
@@ -116,7 +77,7 @@ def _validate(parser, args):
         parser.error(f"--points must be at least 2, got {args.points}")
     # the global machine's criteria are computed from covariance entries of
     # size 1/v_s, so their relative error grows as 1/v_s^2 (2e-9 at 1e-4);
-    # the spectral validation rejects states below ~3e-5
+    # the spectral validation rejects some states below 1e-4
     if not V_MIN_FLOOR <= args.v_min < 1.0:
         parser.error(f"--v-min must lie in [{V_MIN_FLOOR}, 1), got {args.v_min}")
     if args.mc_shots != 0 and args.mc_shots < 100:
@@ -133,24 +94,22 @@ def _mc_seed(master_seed, point_index, machine_index):
     return int(seq.generate_state(1, dtype=np.uint64)[0])
 
 
+def _criteria(machine, v_s, gain):
+    """Stacked source covariance and clone-1 correlation matrix of a machine."""
+    source, clones = machine_covariances(machine, v_s, gain)
+    return source, correlation_matrix_from_cov(clones, CLONE_PAIRS[machine][0])
+
+
 def _analytic_records(grid, gain):
-    """One record per grid point; every column comes from one stacked evaluation."""
-    columns = {}
+    """The analytic columns in CSV_HEADER order, each from one stacked evaluation."""
+    table = {"v_s": grid.tolist(), "squeezing_db": [squeezing_db(v_s) for v_s in grid]}
     for name in ("local", "global"):
-        source, clones = machine_covariances(name, grid, gain)
-        cm = correlation_matrix_from_cov(clones, CLONE_PAIRS[name][0])
-        columns[f"i_{name}"] = inseparability(cm)
-        columns[f"eps_{name}"] = epr_paradox(cm)
+        source, cm = _criteria(name, grid, gain)
+        table[f"i_{name}"] = inseparability(cm).tolist()
+        table[f"eps_{name}"] = epr_paradox(cm).tolist()
         # the pair's correlation matrix is the clone's reduced covariance
-        columns[f"f_{name}"] = fidelity_from_cov(source, cm.matrix).value
-    return [
-        SweepRecord(
-            v_s=float(v_s),
-            squeezing_db=squeezing_db(v_s),
-            **{key: float(column[idx]) for key, column in columns.items()},
-        )
-        for idx, v_s in enumerate(grid)
-    ]
+        table[f"f_{name}"] = fidelity_from_cov(source, cm.matrix).value.tolist()
+    return {key: table[key] for key in CSV_HEADER.split(",")}
 
 
 def _usable_cpus():
@@ -160,8 +119,8 @@ def _usable_cpus():
         return os.cpu_count() or 1
 
 
-def _sample_records(records, gain, mc_shots, master_seed):
-    """Fill every record's mc fields from one oracle run per (point, machine).
+def _sample_records(table, gain, mc_shots, master_seed):
+    """Append the mc columns from one oracle run per (point, machine).
 
     Each run has its own seed and generator, so its result does not depend
     on which worker takes it or when.  Threads pay off only once every batch
@@ -169,8 +128,8 @@ def _sample_records(records, gain, mc_shots, master_seed):
     interpreter lock dominates each run.
     """
     jobs = [
-        (machine, record.v_s, _mc_seed(master_seed, idx, m))
-        for idx, record in enumerate(records)
+        (machine, v_s, _mc_seed(master_seed, idx, m))
+        for idx, v_s in enumerate(table["v_s"])
         for m, machine in enumerate(("local", "global"))
     ]
 
@@ -197,45 +156,45 @@ def _sample_records(records, gain, mc_shots, master_seed):
             pool.shutdown(cancel_futures=True)
     else:
         results = [run(job) for job in jobs]
-    for record, local, global_ in zip(records, results[0::2], results[1::2]):
-        record.mc = {**local, **global_}
+    for runs in (results[0::2], results[1::2]):  # local, then global
+        for key in runs[0]:
+            table[key] = [result[key] for result in runs]
 
 
-def _global_criterion(which, v_s, gain):
-    _, clones = machine_covariances("global", v_s, gain)
-    cm = correlation_matrix_from_cov(clones, CLONE_PAIRS["global"][0])
-    return inseparability(cm) if which == "i" else epr_paradox(cm)
+def _bisect_crossing(lo, hi, gain):
+    """Roots of inseparability = 1 and epr_paradox = 1 on [lo, hi], bisected together.
 
+    Returns ``(inseparability_root, epr_paradox_root)``, None where the
+    criterion does not change sign.  Each step is one stacked evaluation of
+    the global machine at both brackets' midpoints.
+    """
 
-def _bisect_crossing(which, lo, hi, gain):
-    """Root of criterion(v) = 1 on [lo, hi], or None without a sign change."""
-    f_lo = _global_criterion(which, lo, gain) - 1.0
-    f_hi = _global_criterion(which, hi, gain) - 1.0
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if f_lo * f_hi > 0:
-        return None
-    while hi - lo > BISECTION_TOL:
+    def excess(v_s):  # rows: criterion; columns: points
+        _, cm = _criteria("global", v_s, gain)
+        return np.stack([inseparability(cm), epr_paradox(cm)]) - 1.0
+
+    f_lo, f_hi = excess([lo, hi]).T
+    crossing = f_lo * f_hi <= 0
+    lo, hi = np.full(2, lo), np.full(2, hi)
+    # rounding can leave the brackets' widths apart: each stops on its own
+    while (wide := hi - lo > BISECTION_TOL).any():
         mid = 0.5 * (lo + hi)
-        f_mid = _global_criterion(which, mid, gain) - 1.0
-        if f_mid == 0.0:
-            return mid
-        if f_lo * f_mid < 0:
-            hi = mid
-        else:
-            lo, f_lo = mid, f_mid
-    return 0.5 * (lo + hi)
+        f_mid = np.diagonal(excess(mid))
+        left = f_lo * f_mid <= 0
+        right = wide & ~left
+        hi = np.where(wide & left, mid, hi)
+        lo, f_lo = np.where(right, mid, lo), np.where(right, f_mid, f_lo)
+    roots = 0.5 * (lo + hi)
+    return tuple(float(root) if ok else None for root, ok in zip(roots, crossing))
 
 
 def _threshold_lines(gain):
     lines = [f"thresholds for the global machine (bisection to {BISECTION_TOL:g})"]
-    for which, label, literature in (
-        ("i", "inseparability", "literature: 3 dB"),
-        ("eps", "epr_paradox", "literature: 5.7 dB"),
+    for root, label, literature in zip(
+        _bisect_crossing(V_MIN_FLOOR, 1.0, gain),
+        ("inseparability", "epr_paradox"),
+        ("literature: 3 dB", "literature: 5.7 dB"),
     ):
-        root = _bisect_crossing(which, V_MIN_FLOOR, 1.0, gain)
         if root is None:
             lines.append(f"{label} = 1: no crossing for v_s in (0, 1] at gain {gain:.12g}")
         else:
@@ -254,20 +213,16 @@ def _fmt(value):
     return f"{value:.12g}"
 
 
-def _write_csv(stream, records, threshold_lines):
-    columns = CSV_HEADER.split(",")
-    if records and records[0].mc is not None:
-        columns = columns + list(MC_COLUMNS)
-    stream.write(",".join(columns) + "\n")
-    for record in records:
-        row = record.as_dict()
-        stream.write(",".join(_fmt(row[c]) for c in columns) + "\n")
+def _write_csv(stream, table, threshold_lines):
+    stream.write(",".join(table) + "\n")
+    for row in zip(*table.values()):
+        stream.write(",".join(map(_fmt, row)) + "\n")
     for line in threshold_lines:
         stream.write(f"# {line}\n")
 
 
-def _write_json(stream, records):
-    payload = [{k: float(_fmt(v)) for k, v in r.as_dict().items()} for r in records]
+def _write_json(stream, table):
+    payload = [{key: float(_fmt(v)) for key, v in zip(table, row)} for row in zip(*table.values())]
     json.dump(payload, stream, indent=2)
     stream.write("\n")
 
@@ -286,14 +241,14 @@ def run_sweep(args, stdout=None, stderr=None):
     with sink as stream:
         grid = np.geomspace(args.v_min, 1.0, args.points)
         grid[-1] = 1.0
-        records = _analytic_records(grid, args.gain)
+        table = _analytic_records(grid, args.gain)
         if args.mc_shots:
-            _sample_records(records, args.gain, args.mc_shots, args.seed)
+            _sample_records(table, args.gain, args.mc_shots, args.seed)
         threshold_lines = _threshold_lines(args.gain)
         if args.format == "csv":
-            _write_csv(stream, records, threshold_lines)
+            _write_csv(stream, table, threshold_lines)
         else:
-            _write_json(stream, records)
+            _write_json(stream, table)
             for line in threshold_lines:
                 print(f"# {line}", file=stderr)
     return 0
@@ -303,7 +258,14 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     _validate(parser, args)
-    return run_sweep(args)
+    try:
+        code = run_sweep(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+    except BrokenPipeError:
+        # the reader stopped early, as `| head` does; drop the rest of the output
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    return code
 
 
 if __name__ == "__main__":

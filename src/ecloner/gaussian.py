@@ -24,6 +24,11 @@ from .exceptions import UncertaintyViolation
 SYMMETRY_TOL = 1e-12
 SYMPLECTIC_TOL = 1e-12
 SPECTRAL_TOL = 1e-9
+# Rounding leaves a physical state's smallest symplectic eigenvalue short of
+# 1 by up to about 1.2e3 eps times its largest entry (both machines, 120
+# gains in [0.05, 40], 4000 v_s in [1e-3, 1]); the uncertainty bound allows
+# this much more per unit of max|cov|, about 8x that deficit.
+SPECTRAL_REL_TOL = 1e4 * np.finfo(float).eps
 
 
 def symplectic_form(num_modes):
@@ -106,7 +111,8 @@ def _check_covariance(cov, where=None):
     """Validate a covariance matrix or a (..., 2n, 2n) stack of them.
 
     Every entry must be finite, every matrix symmetric within SYMMETRY_TOL
-    and its symplectic eigenvalues >= 1 within SPECTRAL_TOL.  ``where`` maps
+    and its symplectic eigenvalues >= 1 within SPECTRAL_TOL plus
+    SPECTRAL_REL_TOL times its largest entry.  ``where`` maps
     the flat stack index of the first offending matrix to a phrase naming it
     in the error, for example the grid value the matrix was built from.
     """
@@ -127,7 +133,8 @@ def _check_covariance(cov, where=None):
             f"{at}covariance matrix is not symmetric (max asymmetry {np.ravel(asym)[i]:.3e})"
         )
     nu_min = symplectic_eigenvalues(cov).min(axis=-1)
-    bad = ~(nu_min >= 1.0 - SPECTRAL_TOL)
+    tol = SPECTRAL_TOL + SPECTRAL_REL_TOL * np.max(np.abs(cov), axis=(-2, -1))
+    bad = ~(nu_min >= 1.0 - tol)
     if np.any(bad):
         i, at = first(bad)
         raise UncertaintyViolation(

@@ -75,7 +75,7 @@ def test_criterion_2_global_inseparability_and_crossing():
         for v_s in GRID:
             i_value, _ = _global_criteria(v_s)
             assert abs(i_value - 2.0 * v_s) < 1e-10
-        root = _bisect_crossing("i", 0.001, 1.0, UNITY_GAIN)
+        root = _bisect_crossing(0.001, 1.0, UNITY_GAIN)[0]
         assert abs(root - 0.5) <= 1e-9
         assert abs(squeezing_db(root) - 3.01) < 5e-3
 
@@ -89,7 +89,7 @@ def test_criterion_3_epr_paradox_values_and_crossing():
             assert abs(eps_local - 4.0) < 1e-10
             _, eps_global = _global_criteria(v_s)
             assert abs(eps_global - 16.0 / (v_s + 1.0 / v_s) ** 2) < 1e-10
-        root = _bisect_crossing("eps", 0.001, 1.0, UNITY_GAIN)
+        root = _bisect_crossing(0.001, 1.0, UNITY_GAIN)[1]
         assert abs(root - EPS_ROOT) <= 1e-9
         # the dB value matches the quoted 5.7 dB; the quoted v_s = 0.67 does not
         assert abs(squeezing_db(root) - 5.72) < 5e-3

@@ -4,14 +4,20 @@ import csv
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ecloner import cli, montecarlo
+from ecloner.circuits import CLONE_PAIRS, UNITY_GAIN, machine_covariances
 from ecloner.cli import CSV_HEADER, build_parser, main, run_sweep
+from ecloner.criteria import correlation_matrix_from_cov, epr_paradox, inseparability
 
 
 def _run(argv, tmp_path=None):
@@ -69,9 +75,11 @@ def test_every_record_satisfies_schema_invariants():
 def test_in_memory_record_invariants_are_tight():
     from ecloner.cli import _analytic_records
 
-    for record in _analytic_records(np.array([0.013, 0.37, 0.81, 1.0]), math.sqrt(2.0)):
-        assert abs(record.squeezing_db - (-10.0 * math.log10(record.v_s))) < 1e-12
-        assert abs(record.f_global - 4.0 / 9.0) < 1e-12
+    table = _analytic_records(np.array([0.013, 0.37, 0.81, 1.0]), math.sqrt(2.0))
+    assert list(table) == CSV_HEADER.split(",")
+    for v_s, db, f_global in zip(table["v_s"], table["squeezing_db"], table["f_global"]):
+        assert abs(db - (-10.0 * math.log10(v_s))) < 1e-12
+        assert abs(f_global - 4.0 / 9.0) < 1e-12
 
 
 @pytest.mark.parametrize("gain", [math.sqrt(2.0), 1.0])
@@ -89,7 +97,8 @@ def test_stacked_records_match_the_scalar_api(gain):
     from ecloner.cli import _analytic_records
 
     grid = np.geomspace(0.001, 1.0, 25)
-    for v_s, record in zip(grid, _analytic_records(grid, gain)):
+    table = _analytic_records(grid, gain)
+    for idx, v_s in enumerate(grid):
         epr = epr_source(v_s)
         for name, clones in (
             ("local", local_ecloner(epr, gain)),
@@ -102,7 +111,7 @@ def test_stacked_records_match_the_scalar_api(gain):
                 "f": pure_mixed_fidelity(epr, clone_state(clones)).value,
             }
             for key, value in expected.items():
-                assert abs(getattr(record, f"{key}_{name}") - value) <= 1e-12 * abs(value)
+                assert abs(table[f"{key}_{name}"][idx] - value) <= 1e-12 * abs(value)
 
 
 def test_csv_and_json_parse_to_identical_values(tmp_path):
@@ -129,6 +138,71 @@ def test_threshold_block_reports_both_crossings():
     assert "3 dB" in block and "5.7 dB" in block
     assert "inconsistent" in block  # the 0.67 quote is flagged
     assert "2 - sqrt(3)" in block
+
+
+def _scalar_bisection(criterion, lo, hi, gain):
+    """One criterion's crossing, one scalar machine evaluation per step."""
+
+    def excess(v_s):
+        _, clones = machine_covariances("global", v_s, gain)
+        return criterion(correlation_matrix_from_cov(clones, CLONE_PAIRS["global"][0])) - 1.0
+
+    f_lo = excess(lo)
+    if f_lo * excess(hi) > 0:
+        return None
+    while hi - lo > cli.BISECTION_TOL:
+        mid = 0.5 * (lo + hi)
+        f_mid = excess(mid)
+        if f_lo * f_mid < 0:
+            hi = mid
+        else:
+            lo, f_lo = mid, f_mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("gain", [UNITY_GAIN, 0.5, 1.0, 2.5, 8.0])
+@pytest.mark.parametrize(
+    "bracket",
+    # (0.3, 1): epr_paradox does not cross there; (0.6, 1): neither criterion does
+    [(1e-3, 1.0), (0.25, 0.5), (0.3, 1.0), (0.6, 1.0)],
+)
+def test_lockstep_roots_equal_one_criterion_at_a_time(gain, bracket):
+    expected = tuple(_scalar_bisection(c, *bracket, gain) for c in (inseparability, epr_paradox))
+    assert cli._bisect_crossing(*bracket, gain) == expected
+
+
+@pytest.mark.parametrize("gain", [5.8, 8.0, 20.0, 40.0])
+def test_large_gains_report_the_closed_form_thresholds(gain, capsys):
+    # I* = 2 / (2 + g^2); eps crosses at the smaller root of v + 1/v = 2 + g^2
+    b = 2.0 + gain * gain
+    expected = [2.0 / b, 0.5 * (b - math.sqrt(b * b - 4.0))]
+    assert main(["--points", "3", "--gain", str(gain)]) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines() if "= 1" in line]
+    for label, root, line in zip(("inseparability", "epr_paradox"), expected, lines):
+        assert line.startswith(f"# {label} = 1")
+        if root < cli.V_MIN_FLOOR:
+            assert ": no crossing for v_s in (0, 1]" in line
+        else:
+            printed = float(re.search(r"at v_s = ([0-9.]+)", line).group(1))
+            assert abs(printed - root) <= 1e-9
+    assert len(lines) == 2
+
+
+def test_closed_pipe_exits_quietly():
+    paths = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    # 2000 rows are far more than a pipe buffers, so writes go on after the close
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ecloner.cli", "--points", "2000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline().decode().rstrip("\n") == CSV_HEADER
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == cli.EXIT_BROKEN_PIPE
+    assert err == ""  # no Traceback, nor any other message
 
 
 def test_json_mode_sends_thresholds_to_stderr():

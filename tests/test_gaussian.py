@@ -21,7 +21,7 @@ from ecloner import (
     symplectic_form,
     vacuum,
 )
-from ecloner.gaussian import _check_covariance
+from ecloner.gaussian import SPECTRAL_REL_TOL, SPECTRAL_TOL, _check_covariance
 
 
 def test_vacuum_is_pure_with_unit_variance():
@@ -257,6 +257,19 @@ NAN, INF = float("nan"), float("inf")
 def test_validation_rejects_non_finite_input(build):
     with pytest.raises(ValueError, match="finite"):
         build()
+
+
+def test_uncertainty_tolerance_scales_with_the_largest_entry():
+    nu = 1.0 - 5.0 * SPECTRAL_TOL  # symplectic eigenvalue of both matrices below
+    # at unit scale the deficit is far beyond rounding and is rejected
+    with pytest.raises(UncertaintyViolation):
+        _check_covariance(nu * np.eye(2))
+    # with entries of 1e5 it is below SPECTRAL_REL_TOL * 1e5 and is accepted
+    v = 1e-5
+    assert 5.0 * SPECTRAL_TOL < SPECTRAL_REL_TOL / v
+    _check_covariance(np.diag([nu * v, nu / v]))
+    # for matrices of ordinary size the scaled term is negligible
+    assert SPECTRAL_REL_TOL * 10.0 < 0.1 * SPECTRAL_TOL
 
 
 def test_stacked_validation_names_the_offending_matrix():
