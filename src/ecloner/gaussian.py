@@ -285,11 +285,17 @@ def squeeze_gate(s_plus, mode):
     """In-line squeezer diag(s_plus, 1/s_plus) on one mode's (x, p) block.
 
     Scales x by s_plus and p by 1/s_plus; squeeze_gate(1/s) undoes
-    squeeze_gate(s).
+    squeeze_gate(s).  A covariance picks up the factors s_plus**2 and
+    1/s_plus**2, so both must be finite normal floats: s_plus lies within
+    about [1.5e-154, 6.7e153].
     """
     s = float(s_plus)
-    if not 0 < s < math.inf:
-        raise ValueError(f"squeeze factor must be positive and finite, got {s}")
+    tiny = np.finfo(float).tiny
+    if not (s > 0 and tiny <= s * s <= 1.0 / tiny):
+        raise ValueError(
+            "squeeze factor s_plus must be positive, with s_plus**2 and 1/s_plus**2 "
+            f"finite normal floats, got {s!r}"
+        )
     return SymplecticOp(_squeeze_matrix(s), (mode,))
 
 

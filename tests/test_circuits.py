@@ -233,6 +233,16 @@ def test_global_ecloner_rejects_bad_inputs():
         global_ecloner(epr_source(0.5), 0.0)
 
 
+def test_global_ecloner_rejects_a_v_s_its_source_was_not_built_with():
+    with pytest.raises(ValueError, match=r"v_s = 0\.1 does not match .* v_s = 0\.5"):
+        global_ecloner(epr_source(0.5), 0.1)
+    with pytest.raises(ValueError, match="does not match"):
+        global_ecloner(epr_source(1e-3), 1e-3 * (1.0 + 1e-12))
+    # a two-mode thermal state is no source: it is cloned at any v_s, as before
+    thermal = GaussianState(np.zeros(4), 2.0 * np.eye(4))
+    assert global_ecloner(thermal, 0.1).v_s == 0.1
+
+
 def test_clone_set_rejects_non_partition_pairs():
     state = local_ecloner(epr_source(0.5)).state
     with pytest.raises(ValueError):

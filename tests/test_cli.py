@@ -15,9 +15,8 @@ import numpy as np
 import pytest
 
 from ecloner import cli, montecarlo
-from ecloner.circuits import CLONE_PAIRS, UNITY_GAIN, machine_covariances
+from ecloner.circuits import UNITY_GAIN
 from ecloner.cli import CSV_HEADER, build_parser, main, run_sweep
-from ecloner.criteria import correlation_matrix_from_cov, epr_paradox, inseparability
 
 
 def _run(argv, tmp_path=None):
@@ -140,42 +139,54 @@ def test_threshold_block_reports_both_crossings():
     assert "2 - sqrt(3)" in block
 
 
-def _scalar_bisection(criterion, lo, hi, gain):
-    """One criterion's crossing, one scalar machine evaluation per step."""
+def _closed_form_roots(gain):
+    # I* = 2 / (2 + g^2); eps crosses at the smaller root of v + 1/v = 2 + g^2,
+    # written as 1 / (larger root) so that it cancels no digits at large gains
+    b = 2.0 + gain * gain
+    return 2.0 / b, 2.0 / (b + math.sqrt(b * b - 4.0))
 
-    def excess(v_s):
-        _, clones = machine_covariances("global", v_s, gain)
-        return criterion(correlation_matrix_from_cov(clones, CLONE_PAIRS["global"][0])) - 1.0
 
-    f_lo = excess(lo)
-    if f_lo * excess(hi) > 0:
-        return None
-    while hi - lo > cli.BISECTION_TOL:
-        mid = 0.5 * (lo + hi)
-        f_mid = excess(mid)
-        if f_lo * f_mid < 0:
-            hi = mid
+THRESHOLD_GAINS = [UNITY_GAIN, 0.25, 0.5, 0.75, 1.0, 2.5, 8.0, 20.0, 40.0]
+# (0.3, 1): epr_paradox does not cross there at unity gain; (0.6, 1): neither does
+THRESHOLD_BRACKETS = [(1e-3, 1.0), (0.25, 0.5), (0.3, 1.0), (0.6, 1.0)]
+
+
+@pytest.mark.parametrize("gain", THRESHOLD_GAINS)
+@pytest.mark.parametrize("bracket", THRESHOLD_BRACKETS)
+def test_threshold_roots_match_closed_forms(gain, bracket):
+    lo, hi = bracket
+    for root, exact in zip(cli._bisect_crossing(lo, hi, gain), _closed_form_roots(gain)):
+        if lo <= exact <= hi:
+            # the midpoint of a bracket no wider than the tolerance
+            assert root is not None and abs(root - exact) <= cli.BISECTION_TOL / 2
         else:
-            lo, f_lo = mid, f_mid
-    return 0.5 * (lo + hi)
+            assert root is None
 
 
-@pytest.mark.parametrize("gain", [UNITY_GAIN, 0.5, 1.0, 2.5, 8.0])
-@pytest.mark.parametrize(
-    "bracket",
-    # (0.3, 1): epr_paradox does not cross there; (0.6, 1): neither criterion does
-    [(1e-3, 1.0), (0.25, 0.5), (0.3, 1.0), (0.6, 1.0)],
-)
-def test_lockstep_roots_equal_one_criterion_at_a_time(gain, bracket):
-    expected = tuple(_scalar_bisection(c, *bracket, gain) for c in (inseparability, epr_paradox))
-    assert cli._bisect_crossing(*bracket, gain) == expected
+def test_threshold_search_takes_few_global_evaluations(monkeypatch):
+    calls, real = [], cli._criteria
+
+    def counted(machine, v_s, gain):
+        calls.append(machine)
+        return real(machine, v_s, gain)
+
+    monkeypatch.setattr(cli, "_criteria", counted)
+    for gain in THRESHOLD_GAINS:
+        for lo, hi in THRESHOLD_BRACKETS:
+            calls.clear()
+            cli._bisect_crossing(lo, hi, gain)
+            assert set(calls) == {"global"}
+            # ITP never takes more than n0 = 1 step beyond the bisection's
+            n_max = math.ceil(math.log2((hi - lo) / cli.BISECTION_TOL)) + 1
+            assert len(calls) <= 1 + n_max, (gain, lo, hi, len(calls))
+    calls.clear()
+    cli._bisect_crossing(cli.V_MIN_FLOOR, 1.0, UNITY_GAIN)
+    assert len(calls) <= 10  # a bisection to 1e-9 takes 31
 
 
 @pytest.mark.parametrize("gain", [5.8, 8.0, 20.0, 40.0])
 def test_large_gains_report_the_closed_form_thresholds(gain, capsys):
-    # I* = 2 / (2 + g^2); eps crosses at the smaller root of v + 1/v = 2 + g^2
-    b = 2.0 + gain * gain
-    expected = [2.0 / b, 0.5 * (b - math.sqrt(b * b - 4.0))]
+    expected = _closed_form_roots(gain)
     assert main(["--points", "3", "--gain", str(gain)]) == 0
     lines = [line for line in capsys.readouterr().out.splitlines() if "= 1" in line]
     for label, root, line in zip(("inseparability", "epr_paradox"), expected, lines):

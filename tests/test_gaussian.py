@@ -1,5 +1,7 @@
 """Core state engine: constructors, gates, and structural invariants."""
 
+import warnings
+
 import numpy as np
 import pytest
 from conftest import apply_all, random_ops
@@ -114,6 +116,22 @@ def test_squeeze_gate_identity_and_inverse_pair():
 def test_squeeze_gate_rejects_nonpositive_factor():
     with pytest.raises(ValueError):
         squeeze_gate(0.0, 0)
+
+
+@pytest.mark.parametrize("s_plus", [1e160, 1e-160, 1e154, 1e-154])
+def test_squeeze_gate_rejects_factors_whose_square_leaves_the_normal_range(s_plus):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="s_plus"):
+            apply(squeeze_gate(s_plus, 0), vacuum(1))
+
+
+@pytest.mark.parametrize("s_plus", [1e153, 1e-153])
+def test_squeeze_gate_at_the_edge_of_its_range_applies_without_warnings(s_plus):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = apply(squeeze_gate(s_plus, 0), vacuum(1))
+    assert np.array_equal(np.diag(out.cov), [s_plus * s_plus, 1.0 / (s_plus * s_plus)])
 
 
 def test_phase_rotation_by_half_pi_swaps_quadratures():
