@@ -15,8 +15,9 @@ import numpy as np
 import pytest
 
 from ecloner import cli, montecarlo
-from ecloner.circuits import UNITY_GAIN
+from ecloner.circuits import CLONE_PAIRS, UNITY_GAIN, machine_covariances
 from ecloner.cli import CSV_HEADER, build_parser, main, run_sweep
+from ecloner.criteria import correlation_matrix_from_cov, epr_paradox, inseparability
 
 
 def _run(argv, tmp_path=None):
@@ -161,6 +162,52 @@ def test_threshold_roots_match_closed_forms(gain, bracket):
             assert root is not None and abs(root - exact) <= cli.BISECTION_TOL / 2
         else:
             assert root is None
+
+
+def _scalar_itp(criterion, lo, hi, gain):
+    """One criterion's crossing, one 1-point machine evaluation per ITP step.
+
+    A 1-point stack, not a 0-d v_s: the stacked path agrees with itself
+    column for column, but only to an ulp with the scalar one.
+    """
+
+    def excess(v_s):
+        _, clones = machine_covariances("global", [v_s], gain)
+        cm = correlation_matrix_from_cov(clones, CLONE_PAIRS["global"][0])
+        return float(criterion(cm)[0]) - 1.0
+
+    f_lo, f_hi = excess(lo), excess(hi)
+    if f_lo * f_hi > 0:
+        return None
+    kappa1, kappa2 = 0.2 / (hi - lo), 1.7
+    n_max = math.ceil(math.log2((hi - lo) / cli.BISECTION_TOL)) + 1
+    j = 0
+    while hi - lo > cli.BISECTION_TOL:
+        mid, width = 0.5 * (lo + hi), hi - lo
+        x_f = lo + (f_lo / (f_lo - f_hi) if f_lo != f_hi else 0.5) * width
+        toward = np.sign(mid - x_f)
+        delta = kappa1 * np.power(width, kappa2)
+        x_t = x_f + toward * delta if delta <= abs(mid - x_f) else mid
+        radius = 0.5 * cli.BISECTION_TOL * 2.0 ** (n_max - j) - 0.5 * width
+        x = x_t if abs(x_t - mid) <= radius else mid - toward * radius
+        f_x = excess(x)
+        if f_lo * f_x <= 0:
+            hi, f_hi = x, f_x
+        else:
+            lo, f_lo = x, f_x
+        j += 1
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("gain", [UNITY_GAIN, 0.5, 1.0, 2.5, 8.0])
+@pytest.mark.parametrize(
+    "bracket",
+    # (0.3, 1): epr_paradox does not cross there; (0.6, 1): neither criterion does
+    [(1e-3, 1.0), (0.25, 0.5), (0.3, 1.0), (0.6, 1.0)],
+)
+def test_lockstep_roots_equal_one_criterion_at_a_time(gain, bracket):
+    expected = tuple(_scalar_itp(c, *bracket, gain) for c in (inseparability, epr_paradox))
+    assert cli._bisect_crossing(*bracket, gain) == expected
 
 
 def test_threshold_search_takes_few_global_evaluations(monkeypatch):
