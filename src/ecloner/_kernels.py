@@ -12,12 +12,13 @@ Each machine is written once, as the literal per-shot circuit in
 ``propagate_local_numpy`` / ``propagate_global_numpy``: beamsplitters,
 squeezers, homodyne readout and feedforward applied quadrature by
 quadrature.  That circuit is affine in its inputs, so ``affine_map`` runs
-it once per sampling run to get the run's map ``(M, offset)``: 18 unit
-normals ``u`` in the columns above give the shot's outputs
-``u @ M + offset``.  The displacement is one offset per run, not per-shot
-noise, so it meets zero rows of ``M`` and ``offset`` is the exact mean of
-every shot.  The sampler never draws these 18 columns: it takes the law
-N(offset, M^T M) of the outputs from ``M`` and draws 8 normals per shot.
+it once for a whole block of sampling runs, on the stacked unit vectors of
+every run, to get each run's map: 18 unit normals ``u`` in the columns
+above give the shot's outputs ``u @ M + offset``.  The displacement is one
+offset per run, not per-shot noise, so it meets zero rows of ``M``, and
+``offset = displacement @ response`` is the exact mean of every shot.  The
+sampler never draws these 18 columns: it takes the law N(offset, M^T M) of
+the outputs from ``M`` and draws 8 normals per shot.
 """
 
 import numpy as np
@@ -88,22 +89,31 @@ def propagate_global_numpy(noise, s, gx, gp):
     )
 
 
-def affine_map(machine, v_s, gx, gp, displacement):
-    """The run's map ``(M, offset)``: unit normals ``u`` give outputs ``u @ M + offset``.
+def affine_map(machine, v_s, gx, gp):
+    """The runs' maps ``(M, response)``: unit normals ``u`` give outputs
+    ``u @ M + displacement @ response``.
 
     One call of the literal circuit, on the 18 unit vectors with rows 0-3
     scaled by the inputs' standard deviations sqrt(v_s, 1/v_s, 1/v_s, v_s),
     gives both: its rows 4-5, the response to the displacement columns, map
-    ``displacement = (S+, S-)`` to ``offset`` and are zero in ``M`` (18x8).
+    ``displacement = (S+, S-)`` to the offset (2x8) and are zero in ``M``
+    (18x8).  A stack of v_s is one call on the stacked (..., 18) rows and
+    gives (..., 18, 8) and (..., 2, 8) stacks: every row runs through the
+    circuit elementwise, so each map has the bits of its own call.
     """
-    unit = np.eye(NOISE_COLUMNS)
-    unit[:4] *= np.sqrt([v_s, 1.0 / v_s, 1.0 / v_s, v_s])[:, None]
+    v_s = np.asarray(v_s, dtype=float)
+    unit = np.broadcast_to(np.eye(NOISE_COLUMNS), v_s.shape + (NOISE_COLUMNS,) * 2).copy()
+    scale = np.sqrt(np.stack([v_s, 1.0 / v_s, 1.0 / v_s, v_s], axis=-1))
+    unit[..., :4, :] *= scale[..., None]
+    rows = unit.reshape(-1, NOISE_COLUMNS)
     if machine == "local":
-        transfer = propagate_local_numpy(unit, gx, gp)
+        transfer = propagate_local_numpy(rows, gx, gp)
     elif machine == "global":
-        transfer = propagate_global_numpy(unit, np.sqrt(v_s), gx, gp)
+        s = np.repeat(np.sqrt(v_s).ravel(), NOISE_COLUMNS)
+        transfer = propagate_global_numpy(rows, s, gx, gp)
     else:
         raise ValueError(f"unknown machine {machine!r}")
-    offset = displacement @ transfer[4:6]
-    transfer[4:6] = 0.0
-    return transfer, offset
+    transfer = transfer.reshape(v_s.shape + (NOISE_COLUMNS, 8))
+    response = transfer[..., 4:6, :].copy()
+    transfer[..., 4:6, :] = 0.0
+    return transfer, response

@@ -16,14 +16,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DegenerateInputError
-from .gaussian import _check_v_s, _first_failing, _is_pure, _quadratures, _scalar_or_array
+from .gaussian import (
+    _check_v_s,
+    _first_failing,
+    _is_pure,
+    _pure_rounding,
+    _quadratures,
+    _scalar_or_array,
+)
 
 VALUE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class FidelityResult:
-    """Fidelity value in [0, 1] plus determinant diagnostics.
+    """Fidelity value in [0, 1], up to rounding, plus determinant diagnostics.
 
     For stacked input every field is an array of the stack's leading shape.
     """
@@ -31,11 +38,6 @@ class FidelityResult:
     value: float
     reference_cov_det: float
     joint_det: float
-
-    def __post_init__(self):
-        inside = (self.value >= 0.0) & (self.value <= 1.0 + VALUE_TOL)
-        if not np.all(inside):
-            raise RuntimeError(f"fidelity {_first_failing(self.value, inside)} escaped [0, 1]")
 
 
 def pure_mixed_fidelity(reference, candidate, mode_map=None):
@@ -101,6 +103,10 @@ def fidelity_from_cov(reference_cov, candidate_cov, delta=None):
         solved = np.linalg.solve(joint, delta[..., None])[..., 0]
         exponent = -0.5 * np.sum(delta * solved, axis=-1)
     value = 2.0**n / np.sqrt(det_joint) * np.exp(exponent)
+    # det(A + B) carries the rounding of the pure reference's spectrum
+    inside = (value >= 0.0) & (value <= 1.0 + VALUE_TOL + _pure_rounding(a))
+    if not np.all(inside):
+        raise RuntimeError(f"fidelity {_first_failing(value, inside)} escaped [0, 1]")
     return FidelityResult(
         value=_scalar_or_array(value),
         reference_cov_det=_scalar_or_array(np.linalg.det(a)),

@@ -9,36 +9,44 @@ Moment estimates of the four output modes can then be compared entrywise
 against the analytic covariance engine, which models the same feedforward
 as a deterministic affine map.
 
-A run first builds its affine map ``(M, offset)`` once from the literal
-circuit (``_kernels.affine_map``): a row ``u`` of unit normals, one per
-input of the literal circuit, gives the shot's outputs
-``y = u @ M + offset``, so ``offset`` is the exact mean of every shot and
-the outputs follow the Gaussian law N(offset, M^T M).  With the reduced QR
-``M = Q R`` (``Q^T Q = I``), ``u @ Q`` is itself 8 unit normals, so a shot
-draws only 8 normals ``e`` and takes ``y = e @ R + offset``: the same law,
-even where ``M`` is rank-deficient.  The random stream is the 2
-displacement normals, then 8 normals per shot in shot order.  The run
-makes one pass over its shots in chunks of at most ``CHUNK_SHOTS`` rows,
-drawn into one reused buffer from the run's single generator, so the
-stream is the one a single ``(shots, 8)`` draw would give.  Chunks never
-straddle one of the ``NUM_BATCHES`` batches.  Each batch keeps only the
-Gram sums of the row ``(1, z, z*z)`` with ``z = y - offset = e @ R``:
-count, first, second and fourth moments.  The run's mean, covariance
-and per-entry standard errors follow exactly from the merged sums (the
-shifted-sum updates of Chan, Golub & LeVeque, 1979), with no second pass
-and no array that grows with the shot count: the traced peak of a call
-stays near 1 MB from a few hundred thousand shots up.  ``z`` never sees
-the displacement, so the covariance estimates are exactly independent of
-it.  The whole run is row 0 of one stack whose other rows are its
-batches, so each moment formula, and each criterion in
-``estimate_criteria``, is evaluated once for the run and its batches.
-A call shares no state with another, so independent runs may go on
-concurrent threads and give the same bits as in turn.
+A run's affine map ``(M, offset)`` comes from the literal circuit
+(``_kernels.affine_map``): a row ``u`` of unit normals, one per input of
+the literal circuit, gives the shot's outputs ``y = u @ M + offset``, so
+``offset`` is the exact mean of every shot and the outputs follow the
+Gaussian law N(offset, M^T M).  With the reduced QR ``M = Q R``
+(``Q^T Q = I``), ``u @ Q`` is itself 8 unit normals, so a shot draws only
+8 normals ``e`` and takes ``y = e @ R + offset``: the same law, even where
+``M`` is rank-deficient.  The random stream is the 2 displacement normals,
+then 8 normals per shot in shot order.  The run makes one pass over its
+shots in chunks of at most ``CHUNK_SHOTS`` rows, drawn into one buffer from
+the run's single generator, so the stream is the one a single
+``(shots, 8)`` draw would give.  A chunk holds whole batches of the
+``NUM_BATCHES``, or one piece of a batch larger than a chunk.  Each batch
+keeps only the Gram sums of the row ``(1, z, z*z)`` with
+``z = y - offset = e @ R``: count, first, second and fourth moments.  The
+run's mean, covariance and per-entry standard errors follow exactly from
+the merged sums (the shifted-sum updates of Chan, Golub & LeVeque, 1979),
+with no second pass and no array that grows with the shot count.  ``z``
+never sees the displacement, so the covariance estimates are exactly
+independent of it.
+
+Only the generator, its draws, ``e @ R``, the square and the Gram sums
+belong to one run (``_draw_run``); numpy runs all of them without the
+interpreter lock, so an executor may draw runs on concurrent threads, each
+with its own generator and buffers, and give the bits of a serial pass.
+Everything else is evaluated once for a block of up to ``BLOCK_RUNS`` runs
+of one machine: the maps and their QR factors (``_launch_block``), the
+moments over a (runs, 1 + batches, ...) stack whose row 0 is each whole run
+and the others its batches, the ``SampleRun`` checks (``_block_moments``),
+and both criteria with their batch-means error bars (``sample_criteria``).
+``sample_circuit`` and ``estimate_criteria`` are the one-run case of the
+same code: a run has the same bits alone or in any block.
 """
 
 import math
 import operator
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -54,6 +62,37 @@ MIN_SHOTS = 100
 # OpenBLAS's single-thread limit (4 * 65536), so runs sampled on concurrent
 # threads do not contend for one BLAS thread pool.
 CHUNK_SHOTS = 1 << 12
+# Whole batches share a chunk of at most this many rows.  On 2 CPUs 1024,
+# 2048 and 4096 rows sampled a 5000-shot sweep equally fast, and a sampling
+# thread's buffers hold 1024 * 25 floats (200 KB) instead of 800 KB.
+PACK_SHOTS = 1 << 10
+# Runs whose moments and criteria are one stacked evaluation: a block's
+# Gram stack is BLOCK_RUNS * (NUM_BATCHES + 1) * 17 * 17 floats (388 KB).
+BLOCK_RUNS = 8
+
+
+def _check_moments(v_s, shots, mean, cov, standard_errors, mean_standard_errors):
+    """Reject a run's estimates that no sampled run gives, naming its v_s.
+
+    Every argument but ``shots`` has a leading run axis; the first failing
+    run raises.
+    """
+
+    def require(ok, message):
+        ok = np.reshape(ok, (len(v_s), -1)).all(axis=1)
+        if not ok.all():
+            raise ValueError(f"run at v_s = {float(v_s[np.argmin(ok)])!r}: {message}")
+
+    asym = np.abs(cov - np.swapaxes(cov, -1, -2))
+    require(asym <= 1e-12, "estimated covariance must be symmetric")
+    require(np.isfinite(mean), "estimated mean must be finite")
+    if shots >= 2:
+        for name, value in (
+            ("standard_errors", standard_errors),
+            ("mean_standard_errors", mean_standard_errors),
+        ):
+            message = f"{name} must be finite and positive for shots >= 2"
+            require(np.isfinite(value) & (value > 0), message)
 
 
 @dataclass(frozen=True)
@@ -82,15 +121,9 @@ class SampleRun:
     clone2: tuple
 
     def __post_init__(self):
-        asym = np.max(np.abs(self.estimated_cov - self.estimated_cov.T))
-        if not asym <= 1e-12:
-            raise ValueError("estimated covariance must be symmetric")
-        if not np.all(np.isfinite(self.estimated_mean)):
-            raise ValueError("estimated mean must be finite")
-        for name in ("standard_errors", "mean_standard_errors"):
-            value = getattr(self, name)
-            if self.shots >= 2 and not np.all(np.isfinite(value) & (value > 0)):
-                raise ValueError(f"{name} must be finite and positive for shots >= 2")
+        checked = (self.estimated_mean, self.estimated_cov)
+        checked += (self.standard_errors, self.mean_standard_errors)
+        _check_moments([self.v_s], self.shots, *(value[None] for value in checked))
 
 
 @dataclass(frozen=True)
@@ -114,6 +147,22 @@ def _integer_at_least(name, value, low):
     if value < low:
         raise ValueError(f"{name} must be an integer >= {low}, got {value}")
     return value
+
+
+def _check_inputs(machines, v_s, displacement_variance, shots, seeds):
+    """The validated ``(v_s, displacement_variance, shots, seeds)``; ValueError names a bad one."""
+    for machine in machines:
+        if machine not in CLONE_PAIRS:
+            raise ValueError(f"unknown machine {machine!r}")
+    v_s = np.ravel(_check_v_s(v_s))
+    displacement_variance = float(displacement_variance)
+    if not (math.isfinite(displacement_variance) and displacement_variance >= 0):
+        raise ValueError(
+            f"displacement_variance must be finite and non-negative, got {displacement_variance}"
+        )
+    shots = _integer_at_least("shots", shots, MIN_SHOTS)
+    seeds = [_integer_at_least("seed", seed, 0) for seed in seeds]
+    return v_s, displacement_variance, shots, seeds
 
 
 def sample_circuit(machine, v_s, displacement_variance, shots, seed, gain=UNITY_GAIN):
@@ -142,91 +191,207 @@ def sample_circuit(machine, v_s, displacement_variance, shots, seed, gain=UNITY_
         Mode ordering matches the analytic machines: (1A, 2A, 1B, 2B) for
         the local machine, (1A, 1B, 2A, 2B) for the global one.
     """
-    if machine not in CLONE_PAIRS:
-        raise ValueError(f"unknown machine {machine!r}")
-    v_s = float(_check_v_s(v_s))
-    displacement_variance = float(displacement_variance)
-    if not (math.isfinite(displacement_variance) and displacement_variance >= 0):
-        raise ValueError(
-            f"displacement_variance must be finite and non-negative, got {displacement_variance}"
-        )
-    shots = _integer_at_least("shots", shots, MIN_SHOTS)
-    seed = _integer_at_least("seed", seed, 0)
-    gx, gp = _gain_pair(gain)
-
-    rng = np.random.default_rng(seed)
-    # The state's displacement is a single unknown offset, not per-shot noise.
-    displacement = rng.standard_normal(2) * np.sqrt(displacement_variance)
-    transfer, offset = _kernels.affine_map(machine, v_s, gx, gp, displacement)
-    # transfer = Q @ factor with orthonormal Q, and u @ Q ~ N(0, I_8) for
-    # u ~ N(0, I_18): 8 unit normals e give outputs e @ factor + offset
-    # with the exact law of the 18-column circuit.
-    factor = np.linalg.qr(transfer, mode="r")
-
-    bounds = np.linspace(0, shots, NUM_BATCHES + 1).astype(int)
-    # A chunk never exceeds a batch, so small runs need smaller buffers.
-    rows = min(CHUNK_SHOTS, int(np.max(np.diff(bounds))))
-    noise = np.empty((rows, 8))
-    # Per shot the row w = (1, z, z*z), z = e @ factor; gram[b] sums w^T w over batch b.
-    work = np.empty((rows, 17))
-    work[:, 0] = 1.0
-    gram = np.zeros((NUM_BATCHES, 17, 17))
-    for b in range(NUM_BATCHES):
-        for start in range(bounds[b], bounds[b + 1], rows):
-            n = min(rows, bounds[b + 1] - start)
-            chunk, w = noise[:n], work[:n]
-            rng.standard_normal(out=chunk)
-            np.matmul(chunk, factor, out=w[:, 1:9])
-            np.square(w[:, 1:9], out=w[:, 9:])
-            gram[b] += w.T @ w
-
-    total = gram.sum(axis=0)
-    # Row 0 is the whole run, rows 1..NUM_BATCHES its batches.
-    sums = np.concatenate([total[None], gram])
-    counts = sums[:, 0, 0]
-    mean_z = sums[:, 0, 1:9] / counts[:, None]
-    means = offset + mean_z
-    # sum_k c_i c_j with c = y - mean = z - mean_z
-    scatters = sums[:, 1:9, 1:9] - counts[:, None, None] * (
-        mean_z[:, :, None] * mean_z[:, None, :]
+    v_s, displacement_variance, shots, seeds = _check_inputs(
+        [machine], v_s, displacement_variance, shots, [seed]
     )
-    covs = scatters / (counts - 1.0)[:, None, None]
-    covs = 0.5 * (covs + covs.transpose(0, 2, 1))
-    d, scatter, cov = mean_z[0], scatters[0], covs[0]
-    # Standard error of each covariance entry from the spread of the
-    # per-shot products c_i * c_j; sum_k c_i^2 c_j^2 expanded about the offset.
-    z2 = total[0, 9:]
-    z2z = total[9:, 1:9] * d
-    d2 = d * d
-    quartic = (
-        total[9:, 9:]
-        - 2.0 * (z2z + z2z.T)
-        + 4.0 * np.outer(d, d) * total[1:9, 1:9]
-        + np.outer(z2, d2)
-        + np.outer(d2, z2)
-        - 3.0 * shots * np.outer(d2, d2)
-    )
-    prod_var = np.maximum(quartic / shots - (scatter / shots) ** 2, 0.0)
-    standard_errors = np.sqrt(prod_var / shots)
-    mean_standard_errors = np.sqrt(np.diag(cov) / shots)
-
+    started = _launch_block(machine, v_s, shots, seeds, gain)
+    moments = _block_moments(v_s, displacement_variance, shots, *started)
     clone1, clone2 = CLONE_PAIRS[machine]
     return SampleRun(
         machine=machine,
-        v_s=v_s,
+        v_s=float(v_s[0]),
         displacement_variance=displacement_variance,
         shots=shots,
-        seed=seed,
+        seed=seeds[0],
         rng_algorithm=RNG_ALGORITHM,
-        estimated_mean=means[0],
-        estimated_cov=cov,
-        standard_errors=standard_errors,
-        mean_standard_errors=mean_standard_errors,
-        batch_means=means[1:],
-        batch_covs=covs[1:],
         clone1=clone1,
         clone2=clone2,
+        **{name: value[0] for name, value in moments.items()},
     )
+
+
+def sample_criteria(runs, shots, gain=UNITY_GAIN, executor=None):
+    """Both criteria of many runs, one per ``(machine, v_s, seed)`` of ``runs``.
+
+    Returns a (4, len(runs)) array: the fields ``inseparability``,
+    ``inseparability_err``, ``epr_paradox`` and ``epr_paradox_err`` of
+    ``estimate_criteria(sample_circuit(machine, v_s, displacement_variance,
+    shots, seed, gain))`` for each run, with the same bits at any
+    displacement variance, which the covariance estimates never see.
+    Consecutive runs of one machine go in blocks of up to ``BLOCK_RUNS``, so
+    memory does not grow with the number of runs.  With an ``executor``
+    (a ``concurrent.futures.Executor``) the runs' draws go to it, and the
+    next block's draws are submitted before this block is evaluated, so its
+    workers stay busy from block to block.  The first failing run, in the
+    order of ``runs``, raises; the draws submitted after it are left to the
+    executor, whose ``shutdown(cancel_futures=True)`` drops those not started.
+    """
+    machines = [run[0] for run in runs]
+    v_s, _, shots, seeds = _check_inputs(
+        machines, [run[1] for run in runs], 0.0, shots, [run[2] for run in runs]
+    )
+    blocks, start = [], 0
+    for k in range(1, len(runs) + 1):
+        if k == len(runs) or machines[k] != machines[start] or k - start == BLOCK_RUNS:
+            blocks.append(slice(start, k))
+            start = k
+    values = np.empty((4, len(runs)))
+    launched = []
+
+    def finish():
+        block, started = launched.pop(0)
+        moments = _block_moments(v_s[block], 0.0, shots, *started)
+        pair = CLONE_PAIRS[machines[block.start]][0]
+        values[:, block] = _criteria_block(moments["estimated_cov"], moments["batch_covs"], pair)
+
+    for block in blocks:
+        machine = machines[block.start]
+        started = _launch_block(machine, v_s[block], shots, seeds[block], gain, executor)
+        launched.append((block, started))
+        if len(launched) == 2:  # the next block draws while this one is evaluated
+            finish()
+    while launched:
+        finish()
+    return values
+
+
+def _chunk_plan(shots):
+    """A run's chunks as ``(rows, groups)``, a group ``(first batch, batches, rows each)``.
+
+    Adjacent whole batches share a chunk while it stays within
+    ``PACK_SHOTS`` rows; a batch of more rows is a chunk of its own, split
+    into pieces of ``CHUNK_SHOTS`` rows, one chunk each, where it exceeds
+    that.  Adjacent batches of one size in a chunk form one group, whose
+    Gram sums are one stacked product.
+    """
+    sizes = np.diff(np.linspace(0, shots, NUM_BATCHES + 1).astype(int)).tolist()
+    chunks = []
+    for b, size in enumerate(sizes):
+        if size > CHUNK_SHOTS:
+            for start in range(0, size, CHUNK_SHOTS):
+                piece = min(CHUNK_SHOTS, size - start)
+                chunks.append((piece, [(b, 1, piece)]))
+        elif not chunks or chunks[-1][0] + size > min(PACK_SHOTS, CHUNK_SHOTS):
+            chunks.append((size, [(b, 1, size)]))
+        else:
+            rows, groups = chunks[-1]
+            first, count, each = groups[-1]
+            if each == size:
+                groups[-1] = (first, count + 1, size)
+            else:
+                groups.append((b, 1, size))
+            chunks[-1] = (rows + size, groups)
+    return chunks
+
+
+def _draw_run(chunks, seed, factor, gram):
+    """Draw one run: add its per-batch Gram sums to ``gram``, return its 2 displacement normals.
+
+    Per shot the row w = (1, z, z*z) with z = e @ factor; ``gram[b]`` sums
+    w^T w over batch b.
+    """
+    rng = np.random.default_rng(seed)
+    # The state's displacement is a single unknown offset, not per-shot noise.
+    displacement = rng.standard_normal(2)
+    rows = max(n for n, _ in chunks)
+    noise = np.empty((rows, 8))
+    work = np.empty((rows, 17))
+    work[:, 0] = 1.0
+    for n, groups in chunks:
+        chunk, w = noise[:n], work[:n]
+        rng.standard_normal(out=chunk)
+        np.matmul(chunk, factor, out=w[:, 1:9])
+        np.square(w[:, 1:9], out=w[:, 9:])
+        start = 0
+        for first, count, size in groups:
+            stop = start + count * size
+            stack = w[start:stop].reshape(count, size, 17)
+            gram[first : first + count] += np.swapaxes(stack, 1, 2) @ stack
+            start = stop
+    return displacement
+
+
+def _launch_block(machine, v_s, shots, seeds, gain, executor=None):
+    """Start a block of runs at ``v_s[k]`` with ``seeds[k]``.
+
+    Returns the block's Gram stack, which the draws fill, the maps'
+    displacement responses, and one callable per run that returns the
+    run's displacement normals once it is drawn: by ``executor`` if given,
+    else by the call.
+    """
+    gx, gp = _gain_pair(gain)
+    transfer, response = _kernels.affine_map(machine, v_s, gx, gp)
+    # transfer = Q @ factor with orthonormal Q, and u @ Q ~ N(0, I_8) for
+    # u ~ N(0, I_18): 8 unit normals e give outputs e @ factor + offset
+    # with the exact law of the 18-column circuit.
+    factors = np.linalg.qr(transfer, mode="r")
+    # Along axis 1, row 0 is the whole run, rows 1..NUM_BATCHES its batches.
+    sums = np.zeros((len(seeds), 1 + NUM_BATCHES, 17, 17))
+    draw = partial(_draw_run, _chunk_plan(shots))
+    jobs = zip(seeds, factors, sums[:, 1:])
+    if executor is None:
+        draws = [partial(draw, *job) for job in jobs]
+    else:
+        draws = [executor.submit(draw, *job).result for job in jobs]
+    return sums, response, draws
+
+
+def _block_moments(v_s, displacement_variance, shots, sums, response, draws):
+    """The ``SampleRun`` arrays of a launched block's runs, stacked on axis 0."""
+    displacement = np.array([drawn() for drawn in draws]) * np.sqrt(displacement_variance)
+    offset = (displacement[:, None] @ response)[:, 0]
+    total = np.sum(sums[:, 1:], axis=1, out=sums[:, 0])
+
+    counts = sums[..., 0, 0]
+    mean_z = sums[..., 0, 1:9] / counts[..., None]
+    means = offset[:, None] + mean_z
+    # sum_k c_i c_j with c = y - mean = z - mean_z
+    scatters = sums[..., 1:9, 1:9] - counts[..., None, None] * (
+        mean_z[..., :, None] * mean_z[..., None, :]
+    )
+    covs = scatters / (counts - 1.0)[..., None, None]
+    covs = 0.5 * (covs + np.swapaxes(covs, -1, -2))
+    d, scatter, cov = mean_z[:, 0], scatters[:, 0], covs[:, 0]
+    # Standard error of each covariance entry from the spread of the
+    # per-shot products c_i * c_j; sum_k c_i^2 c_j^2 expanded about the offset.
+    z2 = total[:, 0, 9:]
+    z2z = total[:, 9:, 1:9] * d[:, None, :]
+    d2 = d * d
+
+    def outer(a, b):
+        return a[:, :, None] * b[:, None, :]
+
+    quartic = (
+        total[:, 9:, 9:]
+        - 2.0 * (z2z + np.swapaxes(z2z, 1, 2))
+        + 4.0 * outer(d, d) * total[:, 1:9, 1:9]
+        + outer(z2, d2)
+        + outer(d2, z2)
+        - 3.0 * shots * outer(d2, d2)
+    )
+    prod_var = np.maximum(quartic / shots - (scatter / shots) ** 2, 0.0)
+    standard_errors = np.sqrt(prod_var / shots)
+    mean_standard_errors = np.sqrt(np.diagonal(cov, axis1=1, axis2=2) / shots)
+    _check_moments(v_s, shots, means[:, 0], cov, standard_errors, mean_standard_errors)
+    return {
+        "estimated_mean": means[:, 0],
+        "estimated_cov": cov,
+        "standard_errors": standard_errors,
+        "mean_standard_errors": mean_standard_errors,
+        "batch_means": means[:, 1:],
+        "batch_covs": covs[:, 1:],
+    }
+
+
+def _criteria_block(cov, batch_covs, pair):
+    """Both criteria and their batch-means errors over a stack of runs, as (4, runs)."""
+    n_batches = batch_covs.shape[1]
+    # Along axis 1, element 0 is the whole run, elements 1..n_batches its batches.
+    cm = correlation_matrix_from_cov(np.concatenate([cov[:, None], batch_covs], axis=1), pair)
+    values = []
+    for per_matrix in (inseparability(cm), epr_paradox(cm)):
+        values += [per_matrix[:, 0], per_matrix[:, 1:].std(axis=1, ddof=1) / np.sqrt(n_batches)]
+    return np.array(values)
 
 
 def estimate_criteria(run, clone=1):
@@ -245,18 +410,13 @@ def estimate_criteria(run, clone=1):
     if clone not in (1, 2):
         raise ValueError(f"clone index must be 1 or 2, got {clone}")
     pair = run.clone1 if clone == 1 else run.clone2
-
-    # Element 0 is the whole run, elements 1..n_batches its batches.
-    covs = np.concatenate([run.estimated_cov[None], run.batch_covs])
-    cm = correlation_matrix_from_cov(covs, pair)
-    i_all = inseparability(cm)
-    eps_all = epr_paradox(cm)
-
+    values = _criteria_block(run.estimated_cov[None], run.batch_covs[None], pair)[:, 0]
+    i, i_err, eps, eps_err = (float(value) for value in values)
     return CriteriaEstimate(
-        inseparability=float(i_all[0]),
-        inseparability_err=float(i_all[1:].std(ddof=1) / np.sqrt(n_batches)),
-        epr_paradox=float(eps_all[0]),
-        epr_paradox_err=float(eps_all[1:].std(ddof=1) / np.sqrt(n_batches)),
+        inseparability=i,
+        inseparability_err=i_err,
+        epr_paradox=eps,
+        epr_paradox_err=eps_err,
         pair=pair,
         batches=n_batches,
     )

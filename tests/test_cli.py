@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -330,54 +331,76 @@ def test_invalid_flags_exit_with_code_one(argv, capsys):
 def test_unwritable_output_exits_with_code_two(tmp_path, monkeypatch, capsys):
     # The path is checked before any sampling, not after it.
     calls = []
-    monkeypatch.setattr(montecarlo, "sample_circuit", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(montecarlo, "_draw_run", lambda *a, **k: calls.append(a))
     target = tmp_path / "missing_dir" / "sweep.csv"
     assert main(["--points", "3", "--mc-shots", "1000", "--output", str(target)]) == 2
     assert calls == []
     assert capsys.readouterr().err.startswith(f"ecloner: cannot write {target}: ")
 
 
-# With 64-row chunks a run of 2000 shots holds a full chunk in each of its
-# 20 batches, so the CLI samples it on the thread pool.
-POOL_CHUNK, POOL_SHOTS = 64, 2000
+# With 64-row chunks each 100-shot batch of a 2000-shot run is split into
+# two pieces; 2000 shots is the CLI's pool threshold, so the runs go to the pool.
+POOL_CHUNK, POOL_SHOTS = 64, cli.POOL_SHOTS
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_threaded_output_is_byte_identical_to_one_worker(tmp_path, monkeypatch, fmt):
-    monkeypatch.setattr(montecarlo, "CHUNK_SHOTS", POOL_CHUNK)
-    threads, real = [], montecarlo.sample_circuit
+def _recorded_threads(monkeypatch):
+    """Record the thread of every run the CLI draws."""
+    threads, real = [], montecarlo._draw_run
 
     def recorded(*args, **kwargs):
         threads.append(threading.get_ident())
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(montecarlo, "sample_circuit", recorded)
-    argv = ["--points", "5", "--mc-shots", str(POOL_SHOTS), "--seed", "7", "--format", fmt]
+    monkeypatch.setattr(montecarlo, "_draw_run", recorded)
+    return threads
+
+
+def _outputs_by_workers(tmp_path, monkeypatch, argv, workers_list):
+    threads = _recorded_threads(monkeypatch)
     outputs = {}
-    for workers in (1, 3):
+    for workers in workers_list:
         monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)
         threads.clear()
-        target = tmp_path / f"{workers}.{fmt}"
+        target = tmp_path / f"{workers}.out"
         assert main(argv + ["--output", str(target)]) == 0
         outputs[workers] = target.read_bytes()
-        assert len(threads) == 10
+        points = int(argv[argv.index("--points") + 1])
+        assert len(threads) == 2 * points
         assert (threading.get_ident() in threads) == (workers == 1)
-    assert outputs[3] == outputs[1]
+    return outputs
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_threaded_output_is_byte_identical_to_one_worker(tmp_path, monkeypatch, fmt):
+    monkeypatch.setattr(montecarlo, "CHUNK_SHOTS", POOL_CHUNK)
+    argv = ["--points", "5", "--mc-shots", str(POOL_SHOTS), "--seed", "7", "--format", fmt]
+    outputs = _outputs_by_workers(tmp_path, monkeypatch, argv, (1, 2, 3))
+    assert outputs[3] == outputs[2] == outputs[1]
+
+
+def test_unpatched_small_runs_go_to_the_pool_with_identical_output(tmp_path, monkeypatch):
+    # 2017 shots: unequal batches of 100 and 101 shots, packed whole into chunks.
+    argv = ["--points", "7", "--mc-shots", "2017", "--seed", "3"]
+    assert 2017 >= cli.POOL_SHOTS
+    outputs = _outputs_by_workers(tmp_path, monkeypatch, argv, (1, 2))
+    assert outputs[2] == outputs[1]
 
 
 def test_failing_run_raises_as_serially_and_cancels_pending_runs(monkeypatch):
     monkeypatch.setattr(montecarlo, "CHUNK_SHOTS", POOL_CHUNK)
-    points, real = 40, montecarlo.sample_circuit
-    failing_seed = cli._mc_seed(5, 0, 1)  # the second run: point 0, global machine
+    points, real = 40, montecarlo._draw_run
+    # the global machine's runs at points 0 and 3; the first of them raises
+    failing = {cli._mc_seed(5, idx, 1) for idx in (0, 3)}
+    first = cli._mc_seed(5, 0, 1)
     calls = []
 
-    def failing(machine, v_s, displacement_variance, shots, seed, gain):
+    def draw(chunks, seed, factor, gram):
         calls.append(seed)
-        if seed == failing_seed:
+        if seed in failing:
             raise ValueError(f"injected failure in run {seed}")
-        return real(machine, v_s, displacement_variance, shots, seed, gain=gain)
+        return real(chunks, seed, factor, gram)
 
-    monkeypatch.setattr(montecarlo, "sample_circuit", failing)
+    monkeypatch.setattr(montecarlo, "_draw_run", draw)
     argv = ["--points", str(points), "--mc-shots", str(POOL_SHOTS), "--seed", "5"]
     errors = {}
     for workers in (1, 2):
@@ -386,5 +409,26 @@ def test_failing_run_raises_as_serially_and_cancels_pending_runs(monkeypatch):
         with pytest.raises(ValueError) as excinfo:
             main(argv)
         errors[workers] = str(excinfo.value)
-        assert len(calls) < 2 * points
-    assert errors[1] == errors[2] == f"injected failure in run {failing_seed}"
+        # the local runs, then at most the failing run's block and the one drawn ahead
+        assert len(calls) <= points + 2 * montecarlo.BLOCK_RUNS
+    assert errors[1] == errors[2] == f"injected failure in run {first}"
+
+
+def test_oracle_pass_memory_does_not_grow_with_points():
+    # The bound, fixed before any run: one block's Gram stack, the largest
+    # array the pass holds per block of runs.  An unblocked pass would hold
+    # every run's stack at once, 50 times that at 400 points.
+    block_bytes = montecarlo.BLOCK_RUNS * (montecarlo.NUM_BATCHES + 1) * 17 * 17 * 8
+    shots = 5000
+    assert shots >= cli.POOL_SHOTS  # on several CPUs the pass uses the pool
+    cli._sample_records({"v_s": [0.5, 1.0]}, UNITY_GAIN, shots, 1)  # one-time set-up
+    peaks = []
+    for points in (50, 400):
+        table = {"v_s": np.geomspace(0.01, 1.0, points).tolist()}
+        tracemalloc.start()
+        try:
+            cli._sample_records(table, UNITY_GAIN, shots, 1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < block_bytes

@@ -19,7 +19,9 @@ from ecloner import (
     squeezed_vacuum,
     vacuum,
 )
-from ecloner.fidelity import fidelity_from_cov
+from ecloner.circuits import machine_covariances
+from ecloner.fidelity import VALUE_TOL, fidelity_from_cov
+from ecloner.gaussian import PURE_REL_TOL
 
 GRID = np.geomspace(0.01, 1.0, 100)
 
@@ -185,3 +187,16 @@ def test_stacked_fidelity_matches_scalar_calls_and_guards_every_matrix():
         fidelity_from_cov(impure, references)
     with pytest.raises(DegenerateInputError):
         fidelity_from_cov(references, np.array([references[0], -references[1], references[2]]))
+
+
+@pytest.mark.parametrize("machine, v_min", [("local", 1e-6), ("global", 1e-4)])
+def test_exact_source_has_unit_fidelity_with_itself_within_rounding(machine, v_min):
+    # With absolute tolerances the exact source failed here: F escaped
+    # 1 + VALUE_TOL at v_s up to 7.7e-3, and the purity test rejected it
+    # below about 2.4e-4.  Both errors grow as eps * max|cov|**2.
+    v_s = np.geomspace(v_min, 1.0, 400)
+    source, _ = machine_covariances(machine, v_s)
+    result = fidelity_from_cov(source, source)
+    bound = VALUE_TOL + PURE_REL_TOL * np.max(np.abs(source), axis=(-2, -1)) ** 2
+    assert np.all(np.abs(result.value - 1.0) <= bound)
+    assert np.all(bound[v_s >= 1e-3] <= 2e-9)

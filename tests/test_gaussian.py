@@ -139,6 +139,21 @@ def test_phase_rotation_by_half_pi_swaps_quadratures():
     assert np.allclose(out.cov, np.diag([4.0, 0.25]), atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "s_plus, state",
+    [
+        (1e100, lambda: apply(squeeze_gate(1e100, 0), vacuum(1))),
+        (1e150, lambda: squeezed_vacuum(1e10, 1e-10)),
+    ],
+    ids=["twice-1e100", "1e150-on-1e10"],
+)
+def test_apply_rejects_moments_past_the_float_range(s_plus, state):
+    # Each gate is in range on its own; its product with the state is not.
+    gate, before = squeeze_gate(s_plus, 0), state()
+    with pytest.raises(ValueError, match=r"gate \[\[.*\]\] on modes \(0,\) .* float range"):
+        apply(gate, before)
+
+
 def test_apply_identity_leaves_state_unchanged():
     state = epr_source(0.5)
     out = apply(SymplecticOp(np.eye(4), (0, 1)), state)

@@ -4,6 +4,7 @@ import dataclasses
 import sys
 import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -57,9 +58,7 @@ def _two_pass_moments(machine, v_s, displacement_variance, shots, seed):
     rng = np.random.default_rng(seed)
     s_plus, s_minus = rng.standard_normal(2) * np.sqrt(displacement_variance)
     drawn = rng.standard_normal((shots, 8))
-    transfer, _ = _kernels.affine_map(
-        machine, v_s, UNITY_GAIN, UNITY_GAIN, np.array([s_plus, s_minus])
-    )
+    transfer, _ = _kernels.affine_map(machine, v_s, UNITY_GAIN, UNITY_GAIN)
     noise = drawn @ np.linalg.qr(transfer)[0].T
     noise[:, 0:4] *= np.sqrt([v_s, 1.0 / v_s, 1.0 / v_s, v_s])
     noise[:, 4] = s_plus
@@ -136,6 +135,99 @@ def test_concurrent_runs_are_bit_identical_to_sequential_ones():
             assert np.array_equal(value, getattr(got, name)), name
 
 
+@pytest.mark.parametrize("shots", [100, 2017, 5000, 81_920, 81_940, 1_000_000])
+def test_chunk_plan_covers_every_batch_once_in_order(shots):
+    sizes = np.diff(np.linspace(0, shots, montecarlo.NUM_BATCHES + 1).astype(int))
+    covered, order = np.zeros(montecarlo.NUM_BATCHES, dtype=int), []
+    for rows, groups in montecarlo._chunk_plan(shots):
+        assert rows == sum(count * size for _, count, size in groups)
+        assert rows <= montecarlo.CHUNK_SHOTS
+        # several batches share a chunk only within PACK_SHOTS rows
+        assert rows <= montecarlo.PACK_SHOTS or groups[0][1] == 1 == len(groups)
+        for first, count, size in groups:
+            covered[first : first + count] += size
+            order += range(first, first + count)
+    assert covered.tolist() == sizes.tolist()
+    assert order == sorted(order)
+
+
+@pytest.mark.parametrize("machine", ["local", "global"])
+@pytest.mark.parametrize("gain", [UNITY_GAIN, (1.1, 1.7)], ids=["unity", "pair"])
+def test_stacked_affine_map_is_bit_identical_to_per_point_calls(machine, gain):
+    gx, gp = (gain, gain) if np.isscalar(gain) else gain
+    v_s = np.geomspace(1e-3, 1.0, 200)
+    transfer, response = _kernels.affine_map(machine, v_s, gx, gp)
+    assert transfer.shape == (200, _kernels.NOISE_COLUMNS, 8) and response.shape == (200, 2, 8)
+    for k, one_v_s in enumerate(v_s):
+        single = _kernels.affine_map(machine, one_v_s, gx, gp)
+        assert np.array_equal(transfer[k], single[0]) and np.array_equal(response[k], single[1])
+
+
+# 2017 shots: unequal batches (100 and 101 shots) packed whole into chunks;
+# MULTI_CHUNK_SHOTS with SMALL_CHUNK: every batch split into pieces.
+@pytest.mark.parametrize("shots", [2017, 5000, MULTI_CHUNK_SHOTS])
+@pytest.mark.parametrize("machine", ["local", "global"])
+@pytest.mark.parametrize("gain", [UNITY_GAIN, (1.1, 1.7)], ids=["unity", "pair"])
+@pytest.mark.parametrize("displacement_variance", [0.0, 3.0])
+def test_stacked_runs_are_bit_identical_to_single_runs(
+    monkeypatch, shots, machine, gain, displacement_variance
+):
+    if shots == MULTI_CHUNK_SHOTS:
+        monkeypatch.setattr(montecarlo, "CHUNK_SHOTS", SMALL_CHUNK)
+    v_s, seeds = [0.02, 0.3, 1.0], [5, 6, 7]
+    started = montecarlo._launch_block(machine, np.array(v_s), shots, seeds, gain)
+    stacked = montecarlo._block_moments(np.array(v_s), displacement_variance, shots, *started)
+    runs = [(machine, one_v_s, seed) for one_v_s, seed in zip(v_s, seeds)]
+    criteria = montecarlo.sample_criteria(runs, shots, gain)
+    for k, (one_v_s, seed) in enumerate(zip(v_s, seeds)):
+        run = sample_circuit(machine, one_v_s, displacement_variance, shots, seed, gain=gain)
+        fields = _array_fields(run)
+        assert fields.keys() == stacked.keys()
+        for name, value in fields.items():
+            assert np.array_equal(value, stacked[name][k]), name
+        est = estimate_criteria(run)
+        expected = [est.inseparability, est.inseparability_err]
+        expected += [est.epr_paradox, est.epr_paradox_err]
+        assert criteria[:, k].tolist() == expected
+
+
+def test_stacked_criteria_on_threads_match_the_serial_pass():
+    # Both machines, each over more than one block, drawn a block ahead.
+    v_s = np.geomspace(0.05, 1.0, montecarlo.BLOCK_RUNS + 3)
+    runs = [(machine, x, 100 + k) for machine in ("local", "global") for k, x in enumerate(v_s)]
+    serial = montecarlo.sample_criteria(runs, 2017)
+    with ThreadPoolExecutor(3) as pool:
+        threaded = montecarlo.sample_criteria(runs, 2017, executor=pool)
+    assert serial.shape == (4, len(runs))
+    assert np.array_equal(serial, threaded)
+    for k in (0, len(v_s), len(runs) - 1):
+        machine, one_v_s, seed = runs[k]
+        est = estimate_criteria(sample_circuit(machine, one_v_s, 0.0, 2017, seed))
+        assert serial[:, k].tolist() == [
+            est.inseparability, est.inseparability_err, est.epr_paradox, est.epr_paradox_err
+        ]
+
+
+def test_stacked_error_names_the_first_failing_run(monkeypatch):
+    runs = [("global", 0.02, 5), ("global", 0.3, 6), ("local", 0.5, 7), ("local", 1.0, 8)]
+    real = montecarlo._draw_run
+
+    def draw(chunks, seed, factor, gram):
+        normals = real(chunks, seed, factor, gram)
+        if seed in (6, 8):
+            gram[:] = np.nan
+        return normals
+
+    monkeypatch.setattr(montecarlo, "_draw_run", draw)
+    first_failure = r"^run at v_s = 0\.3: estimated covariance"
+    with pytest.raises(ValueError, match=first_failure):
+        montecarlo.sample_criteria(runs, 1000)
+    with ThreadPoolExecutor(2) as pool, pytest.raises(ValueError, match=first_failure):
+        montecarlo.sample_criteria(runs, 1000, executor=pool)
+    with pytest.raises(ValueError, match="unknown machine 'sideways'"):
+        montecarlo.sample_criteria(runs + [("sideways", 0.5, 9)], 1000)
+
+
 @pytest.mark.parametrize("machine", ["local", "global"])
 @pytest.mark.parametrize("displacement_variance", [0.0, 1e4])
 def test_streamed_moments_match_two_pass_definition(monkeypatch, machine, displacement_variance):
@@ -180,9 +272,9 @@ def test_linear_map_matches_literal_per_shot_circuit(machine, v_s, gain):
         literal = _kernels.propagate_local_numpy(noise, gx, gp)
     else:
         literal = _kernels.propagate_global_numpy(noise, np.sqrt(v_s), gx, gp)
-    transfer, offset = _kernels.affine_map(machine, v_s, gx, gp, displacement)
-    mapped = unit @ transfer + offset
-    assert transfer.shape == (_kernels.NOISE_COLUMNS, 8) and offset.shape == (8,)
+    transfer, response = _kernels.affine_map(machine, v_s, gx, gp)
+    mapped = unit @ transfer + displacement @ response
+    assert transfer.shape == (_kernels.NOISE_COLUMNS, 8) and response.shape == (2, 8)
     assert mapped.shape == literal.shape == (2000, 8)
     # Relative bound: rounding in the literal circuit grows like 1/sqrt(v_s).
     assert np.max(np.abs(mapped - literal)) <= 1e-13 * np.max(np.abs(literal))
@@ -208,7 +300,7 @@ def test_standard_errors_calibrated_against_exact_oracle_moments(machine):
     # (estimate - M^T M) / standard error should be N(0, 1) over seeds.
     # Bounds are ~5 sigma of that law for 200 seeds.
     v_s, seeds = 0.3, 200
-    transfer, _ = _kernels.affine_map(machine, v_s, UNITY_GAIN, UNITY_GAIN, np.zeros(2))
+    transfer, _ = _kernels.affine_map(machine, v_s, UNITY_GAIN, UNITY_GAIN)
     exact = transfer.T @ transfer
     upper = np.triu_indices(8)
     z = np.array(
@@ -237,7 +329,7 @@ def test_criteria_error_bars_calibrated_against_exact_oracle_moments(machine):
     kurtosis = 3.0 + 6.0 / (dof - 4.0)
     mean_bound = 5.0 * sd_t / np.sqrt(seeds)
     sd_bound = 5.0 * sd_t * np.sqrt((kurtosis - 1.0) / (4.0 * seeds))
-    transfer, _ = _kernels.affine_map(machine, v_s, UNITY_GAIN, UNITY_GAIN, np.zeros(2))
+    transfer, _ = _kernels.affine_map(machine, v_s, UNITY_GAIN, UNITY_GAIN)
     estimates = [
         estimate_criteria(sample_circuit(machine, v_s, 0.0, shots, seed=s)) for s in range(seeds)
     ]
