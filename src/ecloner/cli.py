@@ -4,9 +4,7 @@ Writes one record per grid point with the entanglement criteria and clone
 fidelities of both machines, all derived from the circuit outputs, plus a
 threshold report locating where the whole-state machine's criteria cross 1.
 Optionally cross-checks the criteria with the sampling oracle: one run per
-point and machine, sampled a block of runs at a time by
-``montecarlo.sample_criteria``, with the runs' draws on a thread pool from
-``POOL_SHOTS`` shots per run.
+point and machine, all sampled by ``montecarlo.sample_criteria``.
 """
 
 import argparse
@@ -28,11 +26,6 @@ BISECTION_TOL = 1e-9
 V_MIN_FLOOR = 0.001
 # 128 + SIGPIPE: the status a shell reports for a writer killed by SIGPIPE
 EXIT_BROKEN_PIPE = 141
-# From this many shots per run the CLI draws its runs on threads.  On 2 CPUs
-# 400 runs took 0.12-0.16 s on 2 threads and 0.11-0.16 s serially at 1000
-# shots, were even at 1600-2000, and took 0.23 s against 0.30 s at 2500:
-# below it, Python code holding the interpreter lock dominates a run.
-POOL_SHOTS = 2000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -120,39 +113,15 @@ def _analytic_records(grid, gain):
     return {key: table[key] for key in CSV_HEADER.split(",")}
 
 
-def _usable_cpus():
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def _sample_records(table, gain, mc_shots, master_seed):
-    """Append the mc columns from one oracle run per (point, machine).
-
-    Each run has its own seed and generator, so its result does not depend
-    on which worker draws it or when.  From ``POOL_SHOTS`` shots per run the
-    runs' draws go to a thread pool with one worker per usable CPU; the rest
-    of each block of runs is one stacked evaluation on this thread.
-    """
+    """Append the mc columns from one oracle run, with its own seed, per (point, machine)."""
     machines = ("local", "global")
     runs = [
         (machine, v_s, _mc_seed(master_seed, idx, m))
         for m, machine in enumerate(machines)
         for idx, v_s in enumerate(table["v_s"])
     ]
-    workers = min(_usable_cpus(), len(runs))
-    pool = None
-    if workers > 1 and mc_shots >= POOL_SHOTS:
-        from concurrent.futures import ThreadPoolExecutor
-
-        pool = ThreadPoolExecutor(workers)
-    try:
-        values = montecarlo.sample_criteria(runs, mc_shots, gain, executor=pool)
-    finally:
-        if pool is not None:
-            # draws submitted behind a failing run are dropped if not yet started
-            pool.shutdown(cancel_futures=True)
+    values = montecarlo.sample_criteria(runs, mc_shots, gain)
     names = ("mc_i_{}", "mc_i_{}_err", "mc_eps_{}", "mc_eps_{}_err")
     for machine, columns in zip(machines, np.split(values, len(machines), axis=1)):
         for name, column in zip(names, columns.tolist()):

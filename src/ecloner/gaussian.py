@@ -35,6 +35,9 @@ SPECTRAL_REL_TOL = 1e4 * np.finfo(float).eps
 # sources of both machines, 4000 v_s in [1e-7, 1] and [1e-4, 1]).  Purity
 # and the fidelity's upper bound allow 16 eps * max|cov|^2 more.
 PURE_REL_TOL = 16 * np.finfo(float).eps
+# That allowance reaches 1 at this max|cov| (2**24): float64 cannot resolve
+# purity from here on.
+PURE_MAX_ENTRY = PURE_REL_TOL**-0.5
 
 
 def symplectic_form(num_modes):
@@ -109,15 +112,26 @@ def _scalar_or_array(value):
 
 
 def _pure_rounding(cov):
-    """Per matrix of a stack: the rounding allowed a pure state's spectrum."""
-    return PURE_REL_TOL * np.max(np.abs(cov), axis=(-2, -1)) ** 2
+    """Per matrix of a stack: the rounding allowed a pure state's spectrum.
+
+    A ValueError names the first ``max|cov|`` of at least ``PURE_MAX_ENTRY``.
+    """
+    largest = np.max(np.abs(cov), axis=(-2, -1))
+    resolved = ~(largest >= PURE_MAX_ENTRY)  # NaN is left to the callers' checks
+    if not np.all(resolved):
+        raise ValueError(
+            f"purity is not resolvable in float64 at max|cov| = "
+            f"{_first_failing(largest, resolved):.6g} (limit {PURE_MAX_ENTRY:.6g})"
+        )
+    return PURE_REL_TOL * largest**2
 
 
 def _is_pure(cov, tol=SPECTRAL_TOL):
     """Per matrix of a stack: every symplectic eigenvalue equals 1 within
     tol plus ``PURE_REL_TOL * max|cov|**2``."""
+    allowed = tol + _pure_rounding(cov)
     deviation = np.abs(symplectic_eigenvalues(cov) - 1.0)
-    return np.all(deviation <= tol + _pure_rounding(cov)[..., None], axis=-1)
+    return np.all(deviation <= allowed[..., None], axis=-1)
 
 
 def _check_covariance(cov, where=None):
@@ -192,7 +206,11 @@ class GaussianState:
 
     def is_pure(self, tol=SPECTRAL_TOL):
         """True when every symplectic eigenvalue equals 1 within tol, plus
-        the rounding of a pure covariance (``PURE_REL_TOL * max|cov|**2``)."""
+        the rounding of a pure covariance (``PURE_REL_TOL * max|cov|**2``).
+
+        Raises ValueError from ``max|cov| >= PURE_MAX_ENTRY`` (about 1.68e7),
+        where that rounding reaches 1.
+        """
         return bool(_is_pure(self.cov, tol))
 
     def mode_block(self, mode):

@@ -10,43 +10,31 @@ against the analytic covariance engine, which models the same feedforward
 as a deterministic affine map.
 
 A run's affine map ``(M, offset)`` comes from the literal circuit
-(``_kernels.affine_map``): a row ``u`` of unit normals, one per input of
-the literal circuit, gives the shot's outputs ``y = u @ M + offset``, so
-``offset`` is the exact mean of every shot and the outputs follow the
-Gaussian law N(offset, M^T M).  With the reduced QR ``M = Q R``
-(``Q^T Q = I``), ``u @ Q`` is itself 8 unit normals, so a shot draws only
-8 normals ``e`` and takes ``y = e @ R + offset``: the same law, even where
-``M`` is rank-deficient.  The random stream is the 2 displacement normals,
-then 8 normals per shot in shot order.  The run makes one pass over its
-shots in chunks of at most ``CHUNK_SHOTS`` rows, drawn into one buffer from
-the run's single generator, so the stream is the one a single
-``(shots, 8)`` draw would give.  A chunk holds whole batches of the
-``NUM_BATCHES``, or one piece of a batch larger than a chunk.  Each batch
-keeps only the Gram sums of the row ``(1, z, z*z)`` with
-``z = y - offset = e @ R``: count, first, second and fourth moments.  The
-run's mean, covariance and per-entry standard errors follow exactly from
-the merged sums (the shifted-sum updates of Chan, Golub & LeVeque, 1979),
-with no second pass and no array that grows with the shot count.  ``z``
-never sees the displacement, so the covariance estimates are exactly
-independent of it.
+(``_kernels.affine_map``): unit normals ``u``, one per input of the
+circuit, give the shot's outputs ``y = u @ M + offset``, the Gaussian law
+N(offset, M^T M).  With the reduced QR ``M = Q R``, ``u @ Q`` is itself 8
+unit normals, so a shot draws only 8 normals ``e`` and takes
+``y = e @ R + offset``: the same law, even where ``M`` is rank-deficient.
+The random stream is the 2 displacement normals, then 8 normals per shot
+in shot order, drawn in chunks (``_chunk_plan``) from the run's one
+generator.  Each of the ``NUM_BATCHES`` batches keeps only the Gram sums
+of the row ``(1, z, z*z)`` with ``z = e @ R``, from which the run's
+moments and their standard errors follow exactly (the shifted-sum updates
+of Chan, Golub & LeVeque, 1979), with no second pass and no array that
+grows with the shot count.  ``z`` never sees the displacement, so the
+covariance estimates are exactly independent of it.
 
-Only the generator, its draws, ``e @ R``, the square and the Gram sums
-belong to one run (``_draw_run``); numpy runs all of them without the
-interpreter lock, so an executor may draw runs on concurrent threads, each
-with its own generator and buffers, and give the bits of a serial pass.
-Everything else is evaluated once for a block of up to ``BLOCK_RUNS`` runs
-of one machine: the maps and their QR factors (``_launch_block``), the
-moments over a (runs, 1 + batches, ...) stack whose row 0 is each whole run
-and the others its batches, the ``SampleRun`` checks (``_block_moments``),
-and both criteria with their batch-means error bars (``sample_criteria``).
-``sample_circuit`` and ``estimate_criteria`` are the one-run case of the
-same code: a run has the same bits alone or in any block.
+A block of runs of one machine (``_block_moments``) shares one stacked
+evaluation of the maps, QR factors, moments and checks, and draws its runs
+one after another: a run has the same bits alone (``sample_circuit``) or
+in any block (``sample_criteria``, which maps blocks over a thread pool).
 """
 
 import math
 import operator
+import os
+import threading
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -62,13 +50,18 @@ MIN_SHOTS = 100
 # OpenBLAS's single-thread limit (4 * 65536), so runs sampled on concurrent
 # threads do not contend for one BLAS thread pool.
 CHUNK_SHOTS = 1 << 12
-# Whole batches share a chunk of at most this many rows.  On 2 CPUs 1024,
-# 2048 and 4096 rows sampled a 5000-shot sweep equally fast, and a sampling
-# thread's buffers hold 1024 * 25 floats (200 KB) instead of 800 KB.
+# Whole batches of one size share a chunk of at most this many rows.  On 2
+# CPUs 1024, 2048 and 4096 rows sampled a 5000-shot sweep equally fast, and
+# a sampling thread's buffers hold 1024 * 25 floats (200 KB), not 800 KB.
 PACK_SHOTS = 1 << 10
 # Runs whose moments and criteria are one stacked evaluation: a block's
 # Gram stack is BLOCK_RUNS * (NUM_BATCHES + 1) * 17 * 17 floats (388 KB).
 BLOCK_RUNS = 8
+# From this many shots per run sample_criteria draws its blocks on threads.
+# On 2 CPUs 400 runs took 0.12-0.16 s on 2 threads and 0.11-0.16 s serially
+# at 1000 shots, were even at 1600-2000, and took 0.23 s against 0.30 s at
+# 2500: below it, Python code holding the interpreter lock dominates a run.
+POOL_SHOTS = 2000
 
 
 def _check_moments(v_s, shots, mean, cov, standard_errors, mean_standard_errors):
@@ -194,8 +187,7 @@ def sample_circuit(machine, v_s, displacement_variance, shots, seed, gain=UNITY_
     v_s, displacement_variance, shots, seeds = _check_inputs(
         [machine], v_s, displacement_variance, shots, [seed]
     )
-    started = _launch_block(machine, v_s, shots, seeds, gain)
-    moments = _block_moments(v_s, displacement_variance, shots, *started)
+    moments = _block_moments(machine, v_s, displacement_variance, shots, seeds, gain)
     clone1, clone2 = CLONE_PAIRS[machine]
     return SampleRun(
         machine=machine,
@@ -210,77 +202,94 @@ def sample_circuit(machine, v_s, displacement_variance, shots, seed, gain=UNITY_
     )
 
 
-def sample_criteria(runs, shots, gain=UNITY_GAIN, executor=None):
+def _usable_cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def sample_criteria(runs, shots, gain=UNITY_GAIN):
     """Both criteria of many runs, one per ``(machine, v_s, seed)`` of ``runs``.
 
     Returns a (4, len(runs)) array: the fields ``inseparability``,
     ``inseparability_err``, ``epr_paradox`` and ``epr_paradox_err`` of
     ``estimate_criteria(sample_circuit(machine, v_s, displacement_variance,
     shots, seed, gain))`` for each run, with the same bits at any
-    displacement variance, which the covariance estimates never see.
-    Consecutive runs of one machine go in blocks of up to ``BLOCK_RUNS``, so
-    memory does not grow with the number of runs.  With an ``executor``
-    (a ``concurrent.futures.Executor``) the runs' draws go to it, and the
-    next block's draws are submitted before this block is evaluated, so its
-    workers stay busy from block to block.  The first failing run, in the
-    order of ``runs``, raises; the draws submitted after it are left to the
-    executor, whose ``shutdown(cancel_futures=True)`` drops those not started.
+    displacement variance, which the covariance estimates never see.  From
+    ``POOL_SHOTS`` shots per run the blocks (``_block_plan``) go to a thread
+    pool with one worker per usable CPU.  The first failing run, in the
+    order of ``runs``, raises.
     """
     machines = [run[0] for run in runs]
     v_s, _, shots, seeds = _check_inputs(
         machines, [run[1] for run in runs], 0.0, shots, [run[2] for run in runs]
     )
-    blocks, start = [], 0
-    for k in range(1, len(runs) + 1):
-        if k == len(runs) or machines[k] != machines[start] or k - start == BLOCK_RUNS:
-            blocks.append(slice(start, k))
-            start = k
-    values = np.empty((4, len(runs)))
-    launched = []
+    workers = _usable_cpus() if shots >= POOL_SHOTS else 1
+    blocks = _block_plan(machines, workers)
+    failed = threading.Event()
 
-    def finish():
-        block, started = launched.pop(0)
-        moments = _block_moments(v_s[block], 0.0, shots, *started)
-        pair = CLONE_PAIRS[machines[block.start]][0]
-        values[:, block] = _criteria_block(moments["estimated_cov"], moments["batch_covs"], pair)
-
-    for block in blocks:
+    def criteria(block):
+        # Blocks start in order, so one that starts after a failure lies
+        # behind the failing block, whose error is raised first.
+        if failed.is_set():
+            return None
         machine = machines[block.start]
-        started = _launch_block(machine, v_s[block], shots, seeds[block], gain, executor)
-        launched.append((block, started))
-        if len(launched) == 2:  # the next block draws while this one is evaluated
-            finish()
-    while launched:
-        finish()
+        try:
+            moments = _block_moments(machine, v_s[block], 0.0, shots, seeds[block], gain)
+            pair = CLONE_PAIRS[machine][0]
+            return _criteria_block(moments["estimated_cov"], moments["batch_covs"], pair)
+        except BaseException:
+            failed.set()
+            raise
+
+    values = np.empty((4, len(runs)))
+    workers = min(workers, len(blocks))
+    if workers < 2:
+        for block in blocks:
+            values[:, block] = criteria(block)
+        return values
+    from concurrent.futures import ThreadPoolExecutor  # imported by a pooled pass only
+
+    pool = ThreadPoolExecutor(workers)
+    try:
+        for block, value in zip(blocks, pool.map(criteria, blocks)):
+            values[:, block] = value
+    finally:
+        pool.shutdown(cancel_futures=True)  # blocks not yet started are dropped
     return values
 
 
-def _chunk_plan(shots):
-    """A run's chunks as ``(rows, groups)``, a group ``(first batch, batches, rows each)``.
+def _block_plan(machines, workers):
+    """Consecutive runs of one machine as slices of at most ``BLOCK_RUNS``
+    runs, and of ``ceil(runs / workers)``, so every worker gets a block."""
+    size = min(BLOCK_RUNS, -(-len(machines) // workers))
+    blocks, start = [], 0
+    for k in range(1, len(machines) + 1):
+        if k == len(machines) or machines[k] != machines[start] or k - start == size:
+            blocks.append(slice(start, k))
+            start = k
+    return blocks
 
-    Adjacent whole batches share a chunk while it stays within
+
+def _chunk_plan(shots):
+    """A run's chunks as ``(first batch, batches, rows each)`` triples.
+
+    Adjacent whole batches of one size share a chunk while it stays within
     ``PACK_SHOTS`` rows; a batch of more rows is a chunk of its own, split
     into pieces of ``CHUNK_SHOTS`` rows, one chunk each, where it exceeds
-    that.  Adjacent batches of one size in a chunk form one group, whose
-    Gram sums are one stacked product.
+    that.  A chunk's Gram sums are one stacked product.
     """
     sizes = np.diff(np.linspace(0, shots, NUM_BATCHES + 1).astype(int)).tolist()
-    chunks = []
+    chunks, limit = [], min(PACK_SHOTS, CHUNK_SHOTS)
     for b, size in enumerate(sizes):
         if size > CHUNK_SHOTS:
             for start in range(0, size, CHUNK_SHOTS):
-                piece = min(CHUNK_SHOTS, size - start)
-                chunks.append((piece, [(b, 1, piece)]))
-        elif not chunks or chunks[-1][0] + size > min(PACK_SHOTS, CHUNK_SHOTS):
-            chunks.append((size, [(b, 1, size)]))
+                chunks.append((b, 1, min(CHUNK_SHOTS, size - start)))
+        elif chunks and chunks[-1][2] == size and (chunks[-1][1] + 1) * size <= limit:
+            chunks[-1] = (chunks[-1][0], chunks[-1][1] + 1, size)
         else:
-            rows, groups = chunks[-1]
-            first, count, each = groups[-1]
-            if each == size:
-                groups[-1] = (first, count + 1, size)
-            else:
-                groups.append((b, 1, size))
-            chunks[-1] = (rows + size, groups)
+            chunks.append((b, 1, size))
     return chunks
 
 
@@ -293,32 +302,22 @@ def _draw_run(chunks, seed, factor, gram):
     rng = np.random.default_rng(seed)
     # The state's displacement is a single unknown offset, not per-shot noise.
     displacement = rng.standard_normal(2)
-    rows = max(n for n, _ in chunks)
+    rows = max(count * size for _, count, size in chunks)
     noise = np.empty((rows, 8))
     work = np.empty((rows, 17))
     work[:, 0] = 1.0
-    for n, groups in chunks:
-        chunk, w = noise[:n], work[:n]
+    for first, count, size in chunks:
+        chunk, w = noise[: count * size], work[: count * size]
         rng.standard_normal(out=chunk)
         np.matmul(chunk, factor, out=w[:, 1:9])
         np.square(w[:, 1:9], out=w[:, 9:])
-        start = 0
-        for first, count, size in groups:
-            stop = start + count * size
-            stack = w[start:stop].reshape(count, size, 17)
-            gram[first : first + count] += np.swapaxes(stack, 1, 2) @ stack
-            start = stop
+        stack = w.reshape(count, size, 17)
+        gram[first : first + count] += np.swapaxes(stack, 1, 2) @ stack
     return displacement
 
 
-def _launch_block(machine, v_s, shots, seeds, gain, executor=None):
-    """Start a block of runs at ``v_s[k]`` with ``seeds[k]``.
-
-    Returns the block's Gram stack, which the draws fill, the maps'
-    displacement responses, and one callable per run that returns the
-    run's displacement normals once it is drawn: by ``executor`` if given,
-    else by the call.
-    """
+def _block_moments(machine, v_s, displacement_variance, shots, seeds, gain):
+    """The ``SampleRun`` arrays of runs at ``v_s[k]`` with ``seeds[k]``, stacked on axis 0."""
     gx, gp = _gain_pair(gain)
     transfer, response = _kernels.affine_map(machine, v_s, gx, gp)
     # transfer = Q @ factor with orthonormal Q, and u @ Q ~ N(0, I_8) for
@@ -327,18 +326,9 @@ def _launch_block(machine, v_s, shots, seeds, gain, executor=None):
     factors = np.linalg.qr(transfer, mode="r")
     # Along axis 1, row 0 is the whole run, rows 1..NUM_BATCHES its batches.
     sums = np.zeros((len(seeds), 1 + NUM_BATCHES, 17, 17))
-    draw = partial(_draw_run, _chunk_plan(shots))
-    jobs = zip(seeds, factors, sums[:, 1:])
-    if executor is None:
-        draws = [partial(draw, *job) for job in jobs]
-    else:
-        draws = [executor.submit(draw, *job).result for job in jobs]
-    return sums, response, draws
-
-
-def _block_moments(v_s, displacement_variance, shots, sums, response, draws):
-    """The ``SampleRun`` arrays of a launched block's runs, stacked on axis 0."""
-    displacement = np.array([drawn() for drawn in draws]) * np.sqrt(displacement_variance)
+    chunks = _chunk_plan(shots)
+    drawn = [_draw_run(chunks, *run) for run in zip(seeds, factors, sums[:, 1:])]
+    displacement = np.array(drawn) * np.sqrt(displacement_variance)
     offset = (displacement[:, None] @ response)[:, 0]
     total = np.sum(sums[:, 1:], axis=1, out=sums[:, 0])
 

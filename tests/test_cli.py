@@ -247,9 +247,14 @@ def test_large_gains_report_the_closed_form_thresholds(gain, capsys):
     assert len(lines) == 2
 
 
-def test_closed_pipe_exits_quietly():
+def _package_env():
+    """The environment of a fresh interpreter that imports this package."""
     paths = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+
+
+def test_closed_pipe_exits_quietly():
+    env = _package_env()
     # 2000 rows are far more than a pipe buffers, so writes go on after the close
     proc = subprocess.Popen(
         [sys.executable, "-m", "ecloner.cli", "--points", "2000"],
@@ -262,6 +267,15 @@ def test_closed_pipe_exits_quietly():
     err = proc.stderr.read().decode()
     assert proc.wait(timeout=60) == cli.EXIT_BROKEN_PIPE
     assert err == ""  # no Traceback, nor any other message
+
+
+def test_importing_the_cli_leaves_the_thread_pool_unimported():
+    # Only a pooled oracle pass imports concurrent.futures (about 7 ms).
+    code = "import sys, ecloner.cli; print('concurrent.futures' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_package_env()
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
 
 
 def test_json_mode_sends_thresholds_to_stderr():
@@ -339,8 +353,8 @@ def test_unwritable_output_exits_with_code_two(tmp_path, monkeypatch, capsys):
 
 
 # With 64-row chunks each 100-shot batch of a 2000-shot run is split into
-# two pieces; 2000 shots is the CLI's pool threshold, so the runs go to the pool.
-POOL_CHUNK, POOL_SHOTS = 64, cli.POOL_SHOTS
+# two pieces; 2000 shots is the oracle's pool threshold, so the runs go to the pool.
+POOL_CHUNK, POOL_SHOTS = 64, montecarlo.POOL_SHOTS
 
 
 def _recorded_threads(monkeypatch):
@@ -359,7 +373,7 @@ def _outputs_by_workers(tmp_path, monkeypatch, argv, workers_list):
     threads = _recorded_threads(monkeypatch)
     outputs = {}
     for workers in workers_list:
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: workers)
         threads.clear()
         target = tmp_path / f"{workers}.out"
         assert main(argv + ["--output", str(target)]) == 0
@@ -381,7 +395,7 @@ def test_threaded_output_is_byte_identical_to_one_worker(tmp_path, monkeypatch, 
 def test_unpatched_small_runs_go_to_the_pool_with_identical_output(tmp_path, monkeypatch):
     # 2017 shots: unequal batches of 100 and 101 shots, packed whole into chunks.
     argv = ["--points", "7", "--mc-shots", "2017", "--seed", "3"]
-    assert 2017 >= cli.POOL_SHOTS
+    assert 2017 >= montecarlo.POOL_SHOTS
     outputs = _outputs_by_workers(tmp_path, monkeypatch, argv, (1, 2))
     assert outputs[2] == outputs[1]
 
@@ -404,12 +418,12 @@ def test_failing_run_raises_as_serially_and_cancels_pending_runs(monkeypatch):
     argv = ["--points", str(points), "--mc-shots", str(POOL_SHOTS), "--seed", "5"]
     errors = {}
     for workers in (1, 2):
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: workers)
         calls.clear()
         with pytest.raises(ValueError) as excinfo:
             main(argv)
         errors[workers] = str(excinfo.value)
-        # the local runs, then at most the failing run's block and the one drawn ahead
+        # the local runs, then at most the failing block and the one begun beside it
         assert len(calls) <= points + 2 * montecarlo.BLOCK_RUNS
     assert errors[1] == errors[2] == f"injected failure in run {first}"
 
@@ -420,7 +434,7 @@ def test_oracle_pass_memory_does_not_grow_with_points():
     # every run's stack at once, 50 times that at 400 points.
     block_bytes = montecarlo.BLOCK_RUNS * (montecarlo.NUM_BATCHES + 1) * 17 * 17 * 8
     shots = 5000
-    assert shots >= cli.POOL_SHOTS  # on several CPUs the pass uses the pool
+    assert shots >= montecarlo.POOL_SHOTS  # on several CPUs the pass uses the pool
     cli._sample_records({"v_s": [0.5, 1.0]}, UNITY_GAIN, shots, 1)  # one-time set-up
     peaks = []
     for points in (50, 400):

@@ -1,5 +1,6 @@
 """Core state engine: constructors, gates, and structural invariants."""
 
+import re
 import warnings
 
 import numpy as np
@@ -16,6 +17,7 @@ from ecloner import (
     discard_modes,
     displace,
     epr_source,
+    fidelity_from_cov,
     phase_rotation,
     squeeze_gate,
     squeezed_vacuum,
@@ -23,7 +25,13 @@ from ecloner import (
     symplectic_form,
     vacuum,
 )
-from ecloner.gaussian import SPECTRAL_REL_TOL, SPECTRAL_TOL, _check_covariance
+from ecloner.gaussian import (
+    PURE_MAX_ENTRY,
+    PURE_REL_TOL,
+    SPECTRAL_REL_TOL,
+    SPECTRAL_TOL,
+    _check_covariance,
+)
 
 
 def test_vacuum_is_pure_with_unit_variance():
@@ -373,6 +381,28 @@ def test_purity_conserved_under_symplectics():
         state = apply_all(random_ops(rng, 2, depth=8), epr_source(0.4))
         assert state.is_pure()
         assert np.linalg.det(state.cov) == pytest.approx(1.0, rel=1e-9)
+
+
+def test_purity_beyond_float64_resolution_raises_naming_the_largest_entry():
+    # From max|cov| = PURE_MAX_ENTRY (2**24) the allowance 16 eps max|cov|**2
+    # reaches 1, where a mixed state (nu = sqrt(2)) and sources whose nu
+    # rounded to 6.5e7 and 7.6e11 read pure, and 1e-300 overflowed.
+    assert PURE_MAX_ENTRY == PURE_REL_TOL**-0.5
+    cases = [
+        (GaussianState(np.zeros(2), np.diag([2e8, 1e-8])), "2e+08"),
+        (epr_source(1e-20), "5e+19"),
+        (epr_source(1e-300), "5e+299"),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for state, largest in cases:
+            with pytest.raises(ValueError, match=rf"max\|cov\| = {re.escape(largest)} "):
+                state.is_pure()
+        assert not GaussianState(np.zeros(2), np.diag([2e6, 1e-6])).is_pure()
+        # per matrix of a stack: the error names the first unresolvable one
+        stack = np.stack([np.eye(2), np.diag([2e8, 5e-9]), np.diag([3e8, 1 / 3e8])])
+        with pytest.raises(ValueError, match=r"max\|cov\| = 2e\+08 "):
+            fidelity_from_cov(stack, stack)
 
 
 def test_states_are_immutable():

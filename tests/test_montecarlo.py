@@ -4,7 +4,6 @@ import dataclasses
 import sys
 import threading
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -139,16 +138,34 @@ def test_concurrent_runs_are_bit_identical_to_sequential_ones():
 def test_chunk_plan_covers_every_batch_once_in_order(shots):
     sizes = np.diff(np.linspace(0, shots, montecarlo.NUM_BATCHES + 1).astype(int))
     covered, order = np.zeros(montecarlo.NUM_BATCHES, dtype=int), []
-    for rows, groups in montecarlo._chunk_plan(shots):
-        assert rows == sum(count * size for _, count, size in groups)
-        assert rows <= montecarlo.CHUNK_SHOTS
+    for first, count, size in montecarlo._chunk_plan(shots):
+        assert count * size <= montecarlo.CHUNK_SHOTS
         # several batches share a chunk only within PACK_SHOTS rows
-        assert rows <= montecarlo.PACK_SHOTS or groups[0][1] == 1 == len(groups)
-        for first, count, size in groups:
-            covered[first : first + count] += size
-            order += range(first, first + count)
+        assert count * size <= montecarlo.PACK_SHOTS or count == 1
+        covered[first : first + count] += size
+        order += range(first, first + count)
     assert covered.tolist() == sizes.tolist()
     assert order == sorted(order)
+
+
+# (points per machine, workers, blocks): 2 x 2 runs on 4 workers are 4
+# blocks of one run; 5 x 2 on 2 workers two of 5; 200 x 2 blocks of BLOCK_RUNS.
+@pytest.mark.parametrize(
+    "points, workers, blocks",
+    [(2, 4, 4), (5, 2, 2), (5, 4, 4), (7, 1, 2), (13, 3, 4), (40, 2, 10), (200, 2, 50)],
+)
+def test_block_plan_covers_every_run_once_in_order(points, workers, blocks):
+    machines = ["local"] * points + ["global"] * points
+    plan = montecarlo._block_plan(machines, workers)
+    assert len(plan) == blocks
+    assert [k for block in plan for k in range(block.start, block.stop)] == list(range(2 * points))
+    cap = min(montecarlo.BLOCK_RUNS, -(-2 * points // workers))
+    for block in plan:
+        assert len(set(machines[block])) == 1
+        assert 0 < block.stop - block.start <= cap
+    assert montecarlo._block_plan(["local", "global", "local"], 1) == [
+        slice(0, 1), slice(1, 2), slice(2, 3)
+    ]
 
 
 @pytest.mark.parametrize("machine", ["local", "global"])
@@ -175,8 +192,9 @@ def test_stacked_runs_are_bit_identical_to_single_runs(
     if shots == MULTI_CHUNK_SHOTS:
         monkeypatch.setattr(montecarlo, "CHUNK_SHOTS", SMALL_CHUNK)
     v_s, seeds = [0.02, 0.3, 1.0], [5, 6, 7]
-    started = montecarlo._launch_block(machine, np.array(v_s), shots, seeds, gain)
-    stacked = montecarlo._block_moments(np.array(v_s), displacement_variance, shots, *started)
+    stacked = montecarlo._block_moments(
+        machine, np.array(v_s), displacement_variance, shots, seeds, gain
+    )
     runs = [(machine, one_v_s, seed) for one_v_s, seed in zip(v_s, seeds)]
     criteria = montecarlo.sample_criteria(runs, shots, gain)
     for k, (one_v_s, seed) in enumerate(zip(v_s, seeds)):
@@ -191,13 +209,21 @@ def test_stacked_runs_are_bit_identical_to_single_runs(
         assert criteria[:, k].tolist() == expected
 
 
-def test_stacked_criteria_on_threads_match_the_serial_pass():
-    # Both machines, each over more than one block, drawn a block ahead.
+def test_stacked_criteria_on_threads_match_the_serial_pass(monkeypatch):
+    # Both machines, each over more than one block, on one and on 3 workers
+    # whose threads switch far more often than usual.
     v_s = np.geomspace(0.05, 1.0, montecarlo.BLOCK_RUNS + 3)
     runs = [(machine, x, 100 + k) for machine in ("local", "global") for k, x in enumerate(v_s)]
+    assert 2017 >= montecarlo.POOL_SHOTS
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)
     serial = montecarlo.sample_criteria(runs, 2017)
-    with ThreadPoolExecutor(3) as pool:
-        threaded = montecarlo.sample_criteria(runs, 2017, executor=pool)
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 3)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = montecarlo.sample_criteria(runs, 2017)
+    finally:
+        sys.setswitchinterval(interval)
     assert serial.shape == (4, len(runs))
     assert np.array_equal(serial, threaded)
     for k in (0, len(v_s), len(runs) - 1):
@@ -222,8 +248,11 @@ def test_stacked_error_names_the_first_failing_run(monkeypatch):
     first_failure = r"^run at v_s = 0\.3: estimated covariance"
     with pytest.raises(ValueError, match=first_failure):
         montecarlo.sample_criteria(runs, 1000)
-    with ThreadPoolExecutor(2) as pool, pytest.raises(ValueError, match=first_failure):
-        montecarlo.sample_criteria(runs, 1000, executor=pool)
+    # one block per machine, each on its own worker
+    monkeypatch.setattr(montecarlo, "POOL_SHOTS", 1000)
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+    with pytest.raises(ValueError, match=first_failure):
+        montecarlo.sample_criteria(runs, 1000)
     with pytest.raises(ValueError, match="unknown machine 'sideways'"):
         montecarlo.sample_criteria(runs + [("sideways", 0.5, 9)], 1000)
 
