@@ -154,9 +154,11 @@ def epr_source(v_s):
     pure for every v_s; random displacements are applied separately via
     :func:`ecloner.gaussian.displace`.
 
-    Squeezing beyond roughly 45 dB (v_s below ~3e-5) exhausts the
-    double-precision headroom of the spectral validation and is rejected by
-    the state constructor rather than here.
+    Below v_s = 1e-4 the state constructor's spectral validation rejects
+    some v_s (``UncertaintyViolation``), erratically: on 400-point log grids
+    none of [1e-4, 1e-3], 91 of [1e-5, 1e-4] (the largest 5.85e-5) and 242
+    of [1e-6, 1e-5]; 5e-6 passes while 1e-5 fails.  ROADMAP item 4 holds
+    the v_s floor, to be taken from the measured error curve.
     """
     v_s = float(v_s)
     return GaussianState(np.zeros(4), _epr_cov(float(np.sqrt(_check_v_s(v_s)))))

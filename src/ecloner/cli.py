@@ -81,8 +81,10 @@ def _validate(parser, args):
     # the spectral validation rejects some states below 1e-4
     if not V_MIN_FLOOR <= args.v_min < 1.0:
         parser.error(f"--v-min must lie in [{V_MIN_FLOOR}, 1), got {args.v_min}")
-    if args.mc_shots != 0 and args.mc_shots < 100:
-        parser.error(f"--mc-shots must be 0 or at least 100, got {args.mc_shots}")
+    if args.mc_shots != 0 and args.mc_shots < montecarlo.MIN_SHOTS:
+        parser.error(
+            f"--mc-shots must be 0 or at least {montecarlo.MIN_SHOTS}, got {args.mc_shots}"
+        )
     # checked with sampling off too, so a flag's validity never depends on another
     if args.seed < 0:
         parser.error(f"--seed must be a non-negative integer, got {args.seed}")

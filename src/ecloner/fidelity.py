@@ -30,13 +30,12 @@ VALUE_TOL = 1e-12
 
 @dataclass(frozen=True)
 class FidelityResult:
-    """Fidelity value in [0, 1], up to rounding, plus determinant diagnostics.
+    """Fidelity value in [0, 1], up to rounding, plus det(A + B).
 
     For stacked input every field is an array of the stack's leading shape.
     """
 
     value: float
-    reference_cov_det: float
     joint_det: float
 
 
@@ -109,7 +108,6 @@ def fidelity_from_cov(reference_cov, candidate_cov, delta=None):
         raise RuntimeError(f"fidelity {_first_failing(value, inside)} escaped [0, 1]")
     return FidelityResult(
         value=_scalar_or_array(value),
-        reference_cov_det=_scalar_or_array(np.linalg.det(a)),
         joint_det=_scalar_or_array(det_joint),
     )
 

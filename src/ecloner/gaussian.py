@@ -126,10 +126,10 @@ def _pure_rounding(cov):
     return PURE_REL_TOL * largest**2
 
 
-def _is_pure(cov, tol=SPECTRAL_TOL):
+def _is_pure(cov):
     """Per matrix of a stack: every symplectic eigenvalue equals 1 within
-    tol plus ``PURE_REL_TOL * max|cov|**2``."""
-    allowed = tol + _pure_rounding(cov)
+    ``SPECTRAL_TOL`` plus ``PURE_REL_TOL * max|cov|**2``."""
+    allowed = SPECTRAL_TOL + _pure_rounding(cov)
     deviation = np.abs(symplectic_eigenvalues(cov) - 1.0)
     return np.all(deviation <= allowed[..., None], axis=-1)
 
@@ -204,19 +204,14 @@ class GaussianState:
     def symplectic_eigenvalues(self):
         return symplectic_eigenvalues(self.cov)
 
-    def is_pure(self, tol=SPECTRAL_TOL):
-        """True when every symplectic eigenvalue equals 1 within tol, plus
-        the rounding of a pure covariance (``PURE_REL_TOL * max|cov|**2``).
+    def is_pure(self):
+        """True when every symplectic eigenvalue equals 1 within SPECTRAL_TOL,
+        plus the rounding of a pure covariance (``PURE_REL_TOL * max|cov|**2``).
 
         Raises ValueError from ``max|cov| >= PURE_MAX_ENTRY`` (about 1.68e7),
         where that rounding reaches 1.
         """
-        return bool(_is_pure(self.cov, tol))
-
-    def mode_block(self, mode):
-        """The 2x2 (x, p) covariance block of a single mode."""
-        i = 2 * mode
-        return self.cov[i : i + 2, i : i + 2]
+        return bool(_is_pure(self.cov))
 
 
 @dataclass(frozen=True)
@@ -262,10 +257,6 @@ class SymplecticOp:
         full = np.eye(2 * num_modes)
         full[np.ix_(idx, idx)] = self.matrix
         return full
-
-    def apply(self, state):
-        """Convenience wrapper for :func:`apply`."""
-        return apply(self, state)
 
 
 def vacuum(n):

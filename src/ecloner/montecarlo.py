@@ -57,11 +57,6 @@ PACK_SHOTS = 1 << 10
 # Runs whose moments and criteria are one stacked evaluation: a block's
 # Gram stack is BLOCK_RUNS * (NUM_BATCHES + 1) * 17 * 17 floats (388 KB).
 BLOCK_RUNS = 8
-# From this many shots per run sample_criteria draws its blocks on threads.
-# On 2 CPUs 400 runs took 0.12-0.16 s on 2 threads and 0.11-0.16 s serially
-# at 1000 shots, were even at 1600-2000, and took 0.23 s against 0.30 s at
-# 2500: below it, Python code holding the interpreter lock dominates a run.
-POOL_SHOTS = 2000
 
 
 def _check_moments(v_s, shots, mean, cov, standard_errors, mean_standard_errors):
@@ -216,16 +211,15 @@ def sample_criteria(runs, shots, gain=UNITY_GAIN):
     ``inseparability_err``, ``epr_paradox`` and ``epr_paradox_err`` of
     ``estimate_criteria(sample_circuit(machine, v_s, displacement_variance,
     shots, seed, gain))`` for each run, with the same bits at any
-    displacement variance, which the covariance estimates never see.  From
-    ``POOL_SHOTS`` shots per run the blocks (``_block_plan``) go to a thread
-    pool with one worker per usable CPU.  The first failing run, in the
-    order of ``runs``, raises.
+    displacement variance, which the covariance estimates never see.  The
+    blocks (``_block_plan``) go to a thread pool with one worker per usable
+    CPU.  The first failing run, in the order of ``runs``, raises.
     """
     machines = [run[0] for run in runs]
     v_s, _, shots, seeds = _check_inputs(
         machines, [run[1] for run in runs], 0.0, shots, [run[2] for run in runs]
     )
-    workers = _usable_cpus() if shots >= POOL_SHOTS else 1
+    workers = _usable_cpus()
     blocks = _block_plan(machines, workers)
     failed = threading.Event()
 
@@ -243,15 +237,10 @@ def sample_criteria(runs, shots, gain=UNITY_GAIN):
             failed.set()
             raise
 
-    values = np.empty((4, len(runs)))
-    workers = min(workers, len(blocks))
-    if workers < 2:
-        for block in blocks:
-            values[:, block] = criteria(block)
-        return values
-    from concurrent.futures import ThreadPoolExecutor  # imported by a pooled pass only
+    from concurrent.futures import ThreadPoolExecutor  # imported by an oracle pass only
 
-    pool = ThreadPoolExecutor(workers)
+    values = np.empty((4, len(runs)))
+    pool = ThreadPoolExecutor(max(1, min(workers, len(blocks))))
     try:
         for block, value in zip(blocks, pool.map(criteria, blocks)):
             values[:, block] = value

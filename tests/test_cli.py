@@ -264,13 +264,13 @@ def test_closed_pipe_exits_quietly():
     )
     assert proc.stdout.readline().decode().rstrip("\n") == CSV_HEADER
     proc.stdout.close()
-    err = proc.stderr.read().decode()
-    assert proc.wait(timeout=60) == cli.EXIT_BROKEN_PIPE
-    assert err == ""  # no Traceback, nor any other message
+    _, err = proc.communicate(timeout=60)  # reads and closes stderr
+    assert proc.returncode == cli.EXIT_BROKEN_PIPE
+    assert err == b""  # no Traceback, nor any other message
 
 
 def test_importing_the_cli_leaves_the_thread_pool_unimported():
-    # Only a pooled oracle pass imports concurrent.futures (about 7 ms).
+    # Only an oracle pass imports concurrent.futures (about 7 ms).
     code = "import sys, ecloner.cli; print('concurrent.futures' in sys.modules)"
     done = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=_package_env()
@@ -353,8 +353,8 @@ def test_unwritable_output_exits_with_code_two(tmp_path, monkeypatch, capsys):
 
 
 # With 64-row chunks each 100-shot batch of a 2000-shot run is split into
-# two pieces; 2000 shots is the oracle's pool threshold, so the runs go to the pool.
-POOL_CHUNK, POOL_SHOTS = 64, montecarlo.POOL_SHOTS
+# two pieces.
+POOL_CHUNK, RUN_SHOTS = 64, 2000
 
 
 def _recorded_threads(monkeypatch):
@@ -380,14 +380,14 @@ def _outputs_by_workers(tmp_path, monkeypatch, argv, workers_list):
         outputs[workers] = target.read_bytes()
         points = int(argv[argv.index("--points") + 1])
         assert len(threads) == 2 * points
-        assert (threading.get_ident() in threads) == (workers == 1)
+        assert threading.get_ident() not in threads  # every run is drawn on the pool
     return outputs
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_threaded_output_is_byte_identical_to_one_worker(tmp_path, monkeypatch, fmt):
     monkeypatch.setattr(montecarlo, "CHUNK_SHOTS", POOL_CHUNK)
-    argv = ["--points", "5", "--mc-shots", str(POOL_SHOTS), "--seed", "7", "--format", fmt]
+    argv = ["--points", "5", "--mc-shots", str(RUN_SHOTS), "--seed", "7", "--format", fmt]
     outputs = _outputs_by_workers(tmp_path, monkeypatch, argv, (1, 2, 3))
     assert outputs[3] == outputs[2] == outputs[1]
 
@@ -395,7 +395,6 @@ def test_threaded_output_is_byte_identical_to_one_worker(tmp_path, monkeypatch, 
 def test_unpatched_small_runs_go_to_the_pool_with_identical_output(tmp_path, monkeypatch):
     # 2017 shots: unequal batches of 100 and 101 shots, packed whole into chunks.
     argv = ["--points", "7", "--mc-shots", "2017", "--seed", "3"]
-    assert 2017 >= montecarlo.POOL_SHOTS
     outputs = _outputs_by_workers(tmp_path, monkeypatch, argv, (1, 2))
     assert outputs[2] == outputs[1]
 
@@ -415,7 +414,7 @@ def test_failing_run_raises_as_serially_and_cancels_pending_runs(monkeypatch):
         return real(chunks, seed, factor, gram)
 
     monkeypatch.setattr(montecarlo, "_draw_run", draw)
-    argv = ["--points", str(points), "--mc-shots", str(POOL_SHOTS), "--seed", "5"]
+    argv = ["--points", str(points), "--mc-shots", str(RUN_SHOTS), "--seed", "5"]
     errors = {}
     for workers in (1, 2):
         monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: workers)
@@ -434,7 +433,6 @@ def test_oracle_pass_memory_does_not_grow_with_points():
     # every run's stack at once, 50 times that at 400 points.
     block_bytes = montecarlo.BLOCK_RUNS * (montecarlo.NUM_BATCHES + 1) * 17 * 17 * 8
     shots = 5000
-    assert shots >= montecarlo.POOL_SHOTS  # on several CPUs the pass uses the pool
     cli._sample_records({"v_s": [0.5, 1.0]}, UNITY_GAIN, shots, 1)  # one-time set-up
     peaks = []
     for points in (50, 400):

@@ -17,7 +17,7 @@ from ecloner import (
     local_ecloner,
     sample_circuit,
 )
-from ecloner import _kernels, montecarlo
+from ecloner import _kernels, circuits, montecarlo
 from ecloner.circuits import UNITY_GAIN
 from ecloner.criteria import correlation_matrix_from_cov, epr_paradox, inseparability
 
@@ -214,7 +214,6 @@ def test_stacked_criteria_on_threads_match_the_serial_pass(monkeypatch):
     # whose threads switch far more often than usual.
     v_s = np.geomspace(0.05, 1.0, montecarlo.BLOCK_RUNS + 3)
     runs = [(machine, x, 100 + k) for machine in ("local", "global") for k, x in enumerate(v_s)]
-    assert 2017 >= montecarlo.POOL_SHOTS
     monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)
     serial = montecarlo.sample_criteria(runs, 2017)
     monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 3)
@@ -249,7 +248,6 @@ def test_stacked_error_names_the_first_failing_run(monkeypatch):
     with pytest.raises(ValueError, match=first_failure):
         montecarlo.sample_criteria(runs, 1000)
     # one block per machine, each on its own worker
-    monkeypatch.setattr(montecarlo, "POOL_SHOTS", 1000)
     monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
     with pytest.raises(ValueError, match=first_failure):
         montecarlo.sample_criteria(runs, 1000)
@@ -312,6 +310,24 @@ def test_linear_map_matches_literal_per_shot_circuit(machine, v_s, gain):
     exact = transfer.T @ transfer
     assert factor.shape == (8, 8)
     assert np.max(np.abs(factor.T @ factor - exact)) <= 1e-13 * np.max(np.abs(exact))
+
+
+@pytest.mark.parametrize("machine", ["local", "global"])
+@pytest.mark.parametrize(
+    "gain",
+    [UNITY_GAIN, 1.0, 0.5, 2.5, (1.1, 1.7), (1.7, 1.1)],
+    ids=["unity", "one", "half", "2.5", "pair", "swapped"],
+)
+def test_engine_covariance_is_the_oracle_law(machine, gain):
+    # No sampling: the oracle's outputs are exactly N(offset, M^T M), so the
+    # engine's clone covariance must equal M^T M up to rounding.  The worst
+    # case measured over this grid is 2.1e-15 relative.
+    v_s = np.geomspace(1e-3, 1.0, 200)
+    transfer, _ = _kernels.affine_map(machine, v_s, *circuits._gain_pair(gain))
+    law = np.swapaxes(transfer, -1, -2) @ transfer
+    _, cov = circuits.machine_covariances(machine, v_s, gain)
+    error = np.max(np.abs(cov - law), axis=(-2, -1))
+    assert np.all(error <= 1e-13 * np.max(np.abs(cov), axis=(-2, -1)))
 
 
 @pytest.mark.parametrize("machine", ["local", "global"])
