@@ -294,6 +294,21 @@ def _infer_epr_variance(state):
     return math.nan
 
 
+def _clone_set(machine, epr, s, gain, v_s):
+    """The CloneSet of ``machine`` at squeeze factor s on a 2-mode input."""
+    if epr.num_modes != 2:
+        raise ValueError(f"{machine} machine expects a 2-mode input, got {epr.num_modes}")
+    gx, gp = _gain_pair(gain)
+    clone1, clone2 = CLONE_PAIRS[machine]
+    return CloneSet(
+        state=_output_state(_machine_matrix(machine, s, gx, gp), epr),
+        clone1=clone1,
+        clone2=clone2,
+        machine=machine,
+        v_s=v_s,
+    )
+
+
 def local_ecloner(epr, gain=UNITY_GAIN):
     """Clone each arm of a two-mode state with an independent linear cloner.
 
@@ -303,17 +318,7 @@ def local_ecloner(epr, gain=UNITY_GAIN):
     has the input arm's variance + 1 while every inter-arm correlation
     block passes through unchanged.
     """
-    if epr.num_modes != 2:
-        raise ValueError(f"local machine expects a 2-mode input, got {epr.num_modes}")
-    gx, gp = _gain_pair(gain)
-    clone1, clone2 = CLONE_PAIRS["local"]
-    return CloneSet(
-        state=_output_state(_machine_matrix("local", 1.0, gx, gp), epr),
-        clone1=clone1,
-        clone2=clone2,
-        machine="local",
-        v_s=_infer_epr_variance(epr),
-    )
+    return _clone_set("local", epr, 1.0, gain, _infer_epr_variance(epr))
 
 
 def global_ecloner(epr, v_s, gain=UNITY_GAIN):
@@ -330,8 +335,6 @@ def global_ecloner(epr, v_s, gain=UNITY_GAIN):
     (1A, 1B, 2A, 2B) with clone1 = (1A, 1B) and clone2 = (2A, 2B); at unity
     gain each output arm carries variance v_s + 1/v_s, twice the input's.
     """
-    if epr.num_modes != 2:
-        raise ValueError(f"global machine expects a 2-mode input, got {epr.num_modes}")
     v_s = float(v_s)
     s = float(np.sqrt(_check_v_s(v_s)))
     inferred = _infer_epr_variance(epr)  # NaN for a non-source, which passes
@@ -339,12 +342,4 @@ def global_ecloner(epr, v_s, gain=UNITY_GAIN):
         raise ValueError(
             f"v_s = {v_s!r} does not match the input, an epr_source of v_s = {float(inferred)!r}"
         )
-    gx, gp = _gain_pair(gain)
-    clone1, clone2 = CLONE_PAIRS["global"]
-    return CloneSet(
-        state=_output_state(_machine_matrix("global", s, gx, gp), epr),
-        clone1=clone1,
-        clone2=clone2,
-        machine="global",
-        v_s=v_s,
-    )
+    return _clone_set("global", epr, s, gain, v_s)

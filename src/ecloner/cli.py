@@ -191,7 +191,9 @@ def _threshold_lines(gain):
         ("literature: 3 dB", "literature: 5.7 dB"),
     ):
         if root is None:
-            lines.append(f"{label} = 1: no crossing for v_s in (0, 1] at gain {gain:.12g}")
+            lines.append(
+                f"{label} = 1: no crossing for v_s in [{V_MIN_FLOOR:g}, 1] at gain {gain:.12g}"
+            )
         else:
             lines.append(
                 f"{label} = 1 at v_s = {root:.9f} ({squeezing_db(root):.4f} dB); {literature}"

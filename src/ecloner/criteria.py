@@ -53,6 +53,7 @@ def correlation_matrix_from_cov(cov, pair):
     """Build the pair's correlation matrix from a full covariance matrix.
 
     ``cov`` may be a (..., 2n, 2n) stack, giving a stacked correlation matrix.
+    The pair's block is taken as it is: an asymmetric one raises ValueError.
     """
     cov = np.asarray(cov, dtype=float)
     i, j = (int(m) for m in pair)
@@ -62,8 +63,7 @@ def correlation_matrix_from_cov(cov, pair):
     if not (0 <= i < n and 0 <= j < n):
         raise ValueError(f"pair ({i}, {j}) out of range for {n} modes")
     q = _quadratures((i, j))
-    block = cov[..., q[:, None], q]
-    return CorrelationMatrix(0.5 * (block + np.swapaxes(block, -1, -2)))
+    return CorrelationMatrix(cov[..., q[:, None], q])
 
 
 def correlation_matrix(state, pair):
@@ -101,33 +101,23 @@ def inseparability(cm):
     return _scalar_or_array(0.5 * np.sqrt(c[0] * c[1]))
 
 
-def _conditional_variance_product(cm, target, conditioner):
-    product = 1.0
-    for k in ("+", "-"):
-        v_cond = cm.entry(k, k, conditioner, conditioner)
-        if not np.all(v_cond > 0):
-            raise DegenerateInputError(
-                f"conditioning variance C^{k}{k}_{conditioner}{conditioner} is not positive"
-            )
-        cross = cm.entry(k, k, target, conditioner)
-        product = product * (cm.entry(k, k, target, target) - np.abs(cross) ** 2 / v_cond)
-    return product
-
-
-def epr_paradox(cm, symmetrized=False):
+def epr_paradox(cm):
     """Product of conditional variances; values below 1 certify EPR steering.
 
-    The directed form conditions mode x on mode y:
+    Mode x is conditioned on mode y:
 
         eps = (C++_xx - |C++_xy|^2 / C++_yy) * (C--_xx - |C--_xy|^2 / C--_yy)
 
-    With ``symmetrized=True`` the minimum over both conditioning directions
-    is returned instead; for the symmetric states produced here the two
-    directions coincide.
+    A correlation matrix of the swapped pair conditions y on x; for the
+    symmetric states produced here the two directions coincide.
     """
-    eps = _conditional_variance_product(cm, "x", "y")
-    if symmetrized:
-        eps = np.minimum(eps, _conditional_variance_product(cm, "y", "x"))
+    eps = 1.0
+    for k in ("+", "-"):
+        v_cond = cm.entry(k, k, "y", "y")
+        if not np.all(v_cond > 0):
+            raise DegenerateInputError(f"conditioning variance C^{k}{k}_yy is not positive")
+        cross = cm.entry(k, k, "x", "y")
+        eps = eps * (cm.entry(k, k, "x", "x") - np.abs(cross) ** 2 / v_cond)
     return _scalar_or_array(eps)
 
 

@@ -50,10 +50,6 @@ MIN_SHOTS = 100
 # OpenBLAS's single-thread limit (4 * 65536), so runs sampled on concurrent
 # threads do not contend for one BLAS thread pool.
 CHUNK_SHOTS = 1 << 12
-# Whole batches of one size share a chunk of at most this many rows.  On 2
-# CPUs 1024, 2048 and 4096 rows sampled a 5000-shot sweep equally fast, and
-# a sampling thread's buffers hold 1024 * 25 floats (200 KB), not 800 KB.
-PACK_SHOTS = 1 << 10
 # Runs whose moments and criteria are one stacked evaluation: a block's
 # Gram stack is BLOCK_RUNS * (NUM_BATCHES + 1) * 17 * 17 floats (388 KB).
 BLOCK_RUNS = 8
@@ -265,17 +261,17 @@ def _chunk_plan(shots):
     """A run's chunks as ``(first batch, batches, rows each)`` triples.
 
     Adjacent whole batches of one size share a chunk while it stays within
-    ``PACK_SHOTS`` rows; a batch of more rows is a chunk of its own, split
-    into pieces of ``CHUNK_SHOTS`` rows, one chunk each, where it exceeds
-    that.  A chunk's Gram sums are one stacked product.
+    ``CHUNK_SHOTS`` rows; a batch of more rows is split into pieces of
+    ``CHUNK_SHOTS`` rows, one chunk each.  A chunk's Gram sums are one
+    stacked product.
     """
     sizes = np.diff(np.linspace(0, shots, NUM_BATCHES + 1).astype(int)).tolist()
-    chunks, limit = [], min(PACK_SHOTS, CHUNK_SHOTS)
+    chunks = []
     for b, size in enumerate(sizes):
         if size > CHUNK_SHOTS:
             for start in range(0, size, CHUNK_SHOTS):
                 chunks.append((b, 1, min(CHUNK_SHOTS, size - start)))
-        elif chunks and chunks[-1][2] == size and (chunks[-1][1] + 1) * size <= limit:
+        elif chunks and chunks[-1][2] == size and (chunks[-1][1] + 1) * size <= CHUNK_SHOTS:
             chunks[-1] = (chunks[-1][0], chunks[-1][1] + 1, size)
         else:
             chunks.append((b, 1, size))

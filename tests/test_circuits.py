@@ -357,6 +357,24 @@ def test_machine_covariances_reject_bad_input():
         machine_covariances("local", np.array([np.nan, 0.5]))
 
 
+@pytest.mark.parametrize(
+    "v_s, first", [([0.5, 1e-9], "1e-09"), ([0.3, 1e-8, 1e-9], "1e-08")], ids=["one", "first"]
+)
+def test_machine_covariances_errors_name_the_first_failing_v_s(v_s, first):
+    with pytest.raises(ValueError, match=f"v_s = {first}"):
+        machine_covariances("global", np.array(v_s))
+
+
+@pytest.mark.parametrize("machine", ["local", "global"])
+@pytest.mark.parametrize("modes", [1, 3])
+def test_ecloners_reject_inputs_that_are_not_two_modes(machine, modes):
+    with pytest.raises(ValueError, match=f"{machine} machine expects a 2-mode input, got {modes}"):
+        if machine == "local":
+            local_ecloner(vacuum(modes))
+        else:
+            global_ecloner(vacuum(modes), 0.5)
+
+
 def test_stacked_clone_symmetry_check_names_the_offending_point():
     good = local_ecloner(epr_source(0.5)).state.cov
     bad = good.copy()

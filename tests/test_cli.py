@@ -240,7 +240,7 @@ def test_large_gains_report_the_closed_form_thresholds(gain, capsys):
     for label, root, line in zip(("inseparability", "epr_paradox"), expected, lines):
         assert line.startswith(f"# {label} = 1")
         if root < cli.V_MIN_FLOOR:
-            assert ": no crossing for v_s in (0, 1]" in line
+            assert ": no crossing for v_s in [0.001, 1]" in line
         else:
             printed = float(re.search(r"at v_s = ([0-9.]+)", line).group(1))
             assert abs(printed - root) <= 1e-9

@@ -66,6 +66,15 @@ def test_correlation_matrix_rejects_out_of_range_pair():
         correlation_matrix(vacuum(2), (0, 2))
 
 
+def test_correlation_matrix_from_cov_rejects_an_asymmetric_block():
+    # Averaged with its transpose, this block would fail only later, inside
+    # inseparability, with a RuntimeError.
+    cov = np.eye(4)
+    cov[0, 2] = 5.0
+    with pytest.raises(ValueError, match="correlation matrix must be symmetric"):
+        correlation_matrix_from_cov(cov, (0, 1))
+
+
 def test_correlation_matrix_validation():
     bad = np.eye(4)
     bad[0, 1] = 0.5  # asymmetric
@@ -162,7 +171,7 @@ def test_criteria_symmetric_under_mode_swap_for_machine_outputs():
     assert epr_paradox(cm) == pytest.approx(epr_paradox(cm_swapped), abs=1e-12)
 
 
-def test_symmetrized_flag_takes_the_smaller_direction():
+def test_swapping_the_pair_conditions_the_other_mode():
     # Hand-built asymmetric matrix: conditioning on the quieter mode differs.
     matrix = np.array(
         [
@@ -172,11 +181,11 @@ def test_symmetrized_flag_takes_the_smaller_direction():
             [0.0, -1.0, 0.0, 1.5],
         ]
     )
-    cm = CorrelationMatrix(matrix)
-    directed = epr_paradox(cm)
-    swapped = (1.5 - 1.0 / 3.0) ** 2
+    swap = [2, 3, 0, 1]
+    directed = epr_paradox(CorrelationMatrix(matrix))
+    swapped = epr_paradox(CorrelationMatrix(matrix[np.ix_(swap, swap)]))
     assert directed == pytest.approx((3.0 - 1.0 / 1.5) ** 2, abs=1e-12)
-    assert epr_paradox(cm, symmetrized=True) == pytest.approx(min(directed, swapped), abs=1e-12)
+    assert swapped == pytest.approx((1.5 - 1.0 / 3.0) ** 2, abs=1e-12)
 
 
 def test_epr_paradox_rejects_zero_conditioning_variance():
@@ -217,14 +226,14 @@ def test_squeezing_db_rejects_non_finite(v_s):
 def test_stacked_criteria_match_scalar_calls():
     covs = np.array([global_ecloner(epr_source(v), v).state.cov for v in (0.02, 0.3, 0.7)])
     stacked = correlation_matrix_from_cov(covs, (0, 1))
-    assert stacked.matrix.shape == (3, 4, 4)
+    stacked_swapped = correlation_matrix_from_cov(covs, (1, 0))
+    assert stacked.matrix.shape == stacked_swapped.matrix.shape == (3, 4, 4)
     for idx, cov in enumerate(covs):
         cm = correlation_matrix_from_cov(cov, (0, 1))
         assert inseparability(stacked)[idx] == pytest.approx(inseparability(cm), rel=1e-12)
         assert epr_paradox(stacked)[idx] == pytest.approx(epr_paradox(cm), rel=1e-12)
-        assert epr_paradox(stacked, symmetrized=True)[idx] == pytest.approx(
-            epr_paradox(cm, symmetrized=True), rel=1e-12
-        )
+        swapped = correlation_matrix_from_cov(cov, (1, 0))
+        assert epr_paradox(stacked_swapped)[idx] == pytest.approx(epr_paradox(swapped), rel=1e-12)
     assert isinstance(inseparability(cm), float) and isinstance(epr_paradox(cm), float)
 
 

@@ -62,10 +62,7 @@ def _two_pass_moments(machine, v_s, displacement_variance, shots, seed):
     noise[:, 0:4] *= np.sqrt([v_s, 1.0 / v_s, 1.0 / v_s, v_s])
     noise[:, 4] = s_plus
     noise[:, 5] = s_minus
-    if machine == "local":
-        outputs = _kernels.propagate_local_numpy(noise, UNITY_GAIN, UNITY_GAIN)
-    else:
-        outputs = _kernels.propagate_global_numpy(noise, np.sqrt(v_s), UNITY_GAIN, UNITY_GAIN)
+    outputs = _kernels.literal_circuit(machine, noise, np.sqrt(v_s), UNITY_GAIN, UNITY_GAIN)
 
     mean = outputs.mean(axis=0)
     centered = outputs - mean
@@ -140,8 +137,6 @@ def test_chunk_plan_covers_every_batch_once_in_order(shots):
     covered, order = np.zeros(montecarlo.NUM_BATCHES, dtype=int), []
     for first, count, size in montecarlo._chunk_plan(shots):
         assert count * size <= montecarlo.CHUNK_SHOTS
-        # several batches share a chunk only within PACK_SHOTS rows
-        assert count * size <= montecarlo.PACK_SHOTS or count == 1
         covered[first : first + count] += size
         order += range(first, first + count)
     assert covered.tolist() == sizes.tolist()
@@ -253,6 +248,8 @@ def test_stacked_error_names_the_first_failing_run(monkeypatch):
         montecarlo.sample_criteria(runs, 1000)
     with pytest.raises(ValueError, match="unknown machine 'sideways'"):
         montecarlo.sample_criteria(runs + [("sideways", 0.5, 9)], 1000)
+    with pytest.raises(ValueError, match="unknown machine 'sideways'"):
+        _kernels.affine_map("sideways", 0.5, UNITY_GAIN, UNITY_GAIN)
 
 
 @pytest.mark.parametrize("machine", ["local", "global"])
@@ -295,10 +292,7 @@ def test_linear_map_matches_literal_per_shot_circuit(machine, v_s, gain):
     noise = unit.copy()
     noise[:, 0:4] *= np.sqrt([v_s, 1.0 / v_s, 1.0 / v_s, v_s])
     noise[:, 4:6] = displacement
-    if machine == "local":
-        literal = _kernels.propagate_local_numpy(noise, gx, gp)
-    else:
-        literal = _kernels.propagate_global_numpy(noise, np.sqrt(v_s), gx, gp)
+    literal = _kernels.literal_circuit(machine, noise, np.sqrt(v_s), gx, gp)
     transfer, response = _kernels.affine_map(machine, v_s, gx, gp)
     mapped = unit @ transfer + displacement @ response
     assert transfer.shape == (_kernels.NOISE_COLUMNS, 8) and response.shape == (2, 8)
