@@ -57,7 +57,7 @@ from .montecarlo import (
     sample_circuit,
 )
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 __all__ = [
     "CloneSet",

@@ -52,10 +52,13 @@ class CorrelationMatrix:
 def correlation_matrix_from_cov(cov, pair):
     """Build the pair's correlation matrix from a full covariance matrix.
 
-    ``cov`` may be a (..., 2n, 2n) stack, giving a stacked correlation matrix.
-    The pair's block is taken as it is: an asymmetric one raises ValueError.
+    ``cov`` may be a (..., 2n, 2n) stack, giving a stacked correlation matrix;
+    any other shape raises ValueError.  The pair's block is taken as it is:
+    an asymmetric one raises ValueError.
     """
     cov = np.asarray(cov, dtype=float)
+    if cov.ndim < 2 or cov.shape[-1] != cov.shape[-2] or cov.shape[-1] % 2:
+        raise ValueError(f"covariance must be (..., 2n, 2n), got shape {cov.shape}")
     i, j = (int(m) for m in pair)
     n = cov.shape[-1] // 2
     if i == j:

@@ -18,11 +18,13 @@ unit normals, so a shot draws only 8 normals ``e`` and takes
 The random stream is the 2 displacement normals, then 8 normals per shot
 in shot order, drawn in chunks (``_chunk_plan``) from the run's one
 generator.  Each of the ``NUM_BATCHES`` batches keeps only the Gram sums
-of the row ``(1, z, z*z)`` with ``z = e @ R``, from which the run's
-moments and their standard errors follow exactly (the shifted-sum updates
-of Chan, Golub & LeVeque, 1979), with no second pass and no array that
-grows with the shot count.  ``z`` never sees the displacement, so the
-covariance estimates are exactly independent of it.
+of the row ``(1, z)`` with ``z = e @ R``, from which the run's moments
+follow exactly (the shifted-sum updates of Chan, Golub & LeVeque, 1979),
+with no second pass and no array that grows with the shot count.  ``z``
+never sees the displacement, so the covariance estimates are exactly
+independent of it.  The law of every shot is Gaussian by construction, so
+the standard errors of the covariance estimates are the Gaussian
+(Isserlis / Wishart) ones, taken from the run's own estimate.
 
 A block of runs of one machine (``_block_moments``) shares one stacked
 evaluation of the maps, QR factors, moments and checks, and draws its runs
@@ -51,7 +53,7 @@ MIN_SHOTS = 100
 # threads do not contend for one BLAS thread pool.
 CHUNK_SHOTS = 1 << 12
 # Runs whose moments and criteria are one stacked evaluation: a block's
-# Gram stack is BLOCK_RUNS * (NUM_BATCHES + 1) * 17 * 17 floats (388 KB).
+# Gram stack is BLOCK_RUNS * (NUM_BATCHES + 1) * 9 * 9 floats (109 KB).
 BLOCK_RUNS = 8
 
 
@@ -84,9 +86,12 @@ class SampleRun:
     """Moment estimates from one sampling run over a 4-mode clone layout.
 
     ``estimated_cov`` and ``standard_errors`` are 8x8 (quadrature ordering
-    x1, p1, ..., x4, p4); ``batch_means``/``batch_covs`` hold per-batch
-    moments for batch-means error bars downstream.  ``rng_algorithm`` names
-    the generator so runs can be reproduced exactly.
+    x1, p1, ..., x4, p4).  ``standard_errors`` is the Gaussian-law standard
+    error of each covariance entry, sqrt((C_ii C_jj + C_ij^2) / shots) with
+    C = ``estimated_cov``: the sampled law is Gaussian by construction.
+    ``batch_means``/``batch_covs`` hold per-batch moments for batch-means
+    error bars downstream.  ``rng_algorithm`` names the generator so runs
+    can be reproduced exactly.
     """
 
     machine: str
@@ -281,7 +286,7 @@ def _chunk_plan(shots):
 def _draw_run(chunks, seed, factor, gram):
     """Draw one run: add its per-batch Gram sums to ``gram``, return its 2 displacement normals.
 
-    Per shot the row w = (1, z, z*z) with z = e @ factor; ``gram[b]`` sums
+    Per shot the row w = (1, z) with z = e @ factor; ``gram[b]`` sums
     w^T w over batch b.
     """
     rng = np.random.default_rng(seed)
@@ -289,14 +294,13 @@ def _draw_run(chunks, seed, factor, gram):
     displacement = rng.standard_normal(2)
     rows = max(count * size for _, count, size in chunks)
     noise = np.empty((rows, 8))
-    work = np.empty((rows, 17))
+    work = np.empty((rows, 9))
     work[:, 0] = 1.0
     for first, count, size in chunks:
         chunk, w = noise[: count * size], work[: count * size]
         rng.standard_normal(out=chunk)
-        np.matmul(chunk, factor, out=w[:, 1:9])
-        np.square(w[:, 1:9], out=w[:, 9:])
-        stack = w.reshape(count, size, 17)
+        np.matmul(chunk, factor, out=w[:, 1:])
+        stack = w.reshape(count, size, 9)
         gram[first : first + count] += np.swapaxes(stack, 1, 2) @ stack
     return displacement
 
@@ -310,43 +314,27 @@ def _block_moments(machine, v_s, displacement_variance, shots, seeds, gain):
     # with the exact law of the 18-column circuit.
     factors = np.linalg.qr(transfer, mode="r")
     # Along axis 1, row 0 is the whole run, rows 1..NUM_BATCHES its batches.
-    sums = np.zeros((len(seeds), 1 + NUM_BATCHES, 17, 17))
+    sums = np.zeros((len(seeds), 1 + NUM_BATCHES, 9, 9))
     chunks = _chunk_plan(shots)
     drawn = [_draw_run(chunks, *run) for run in zip(seeds, factors, sums[:, 1:])]
     displacement = np.array(drawn) * np.sqrt(displacement_variance)
     offset = (displacement[:, None] @ response)[:, 0]
-    total = np.sum(sums[:, 1:], axis=1, out=sums[:, 0])
+    np.sum(sums[:, 1:], axis=1, out=sums[:, 0])
 
     counts = sums[..., 0, 0]
-    mean_z = sums[..., 0, 1:9] / counts[..., None]
+    mean_z = sums[..., 0, 1:] / counts[..., None]
     means = offset[:, None] + mean_z
     # sum_k c_i c_j with c = y - mean = z - mean_z
-    scatters = sums[..., 1:9, 1:9] - counts[..., None, None] * (
+    scatters = sums[..., 1:, 1:] - counts[..., None, None] * (
         mean_z[..., :, None] * mean_z[..., None, :]
     )
     covs = scatters / (counts - 1.0)[..., None, None]
     covs = 0.5 * (covs + np.swapaxes(covs, -1, -2))
-    d, scatter, cov = mean_z[:, 0], scatters[:, 0], covs[:, 0]
-    # Standard error of each covariance entry from the spread of the
-    # per-shot products c_i * c_j; sum_k c_i^2 c_j^2 expanded about the offset.
-    z2 = total[:, 0, 9:]
-    z2z = total[:, 9:, 1:9] * d[:, None, :]
-    d2 = d * d
-
-    def outer(a, b):
-        return a[:, :, None] * b[:, None, :]
-
-    quartic = (
-        total[:, 9:, 9:]
-        - 2.0 * (z2z + np.swapaxes(z2z, 1, 2))
-        + 4.0 * outer(d, d) * total[:, 1:9, 1:9]
-        + outer(z2, d2)
-        + outer(d2, z2)
-        - 3.0 * shots * outer(d2, d2)
-    )
-    prod_var = np.maximum(quartic / shots - (scatter / shots) ** 2, 0.0)
-    standard_errors = np.sqrt(prod_var / shots)
-    mean_standard_errors = np.sqrt(np.diagonal(cov, axis1=1, axis2=2) / shots)
+    cov = covs[:, 0]
+    variances = np.diagonal(cov, axis1=1, axis2=2)
+    # Gaussian law (Isserlis): Var(C_ij) = (C_ii C_jj + C_ij^2) / shots
+    standard_errors = np.sqrt((variances[:, :, None] * variances[:, None, :] + cov**2) / shots)
+    mean_standard_errors = np.sqrt(variances / shots)
     _check_moments(v_s, shots, means[:, 0], cov, standard_errors, mean_standard_errors)
     return {
         "estimated_mean": means[:, 0],

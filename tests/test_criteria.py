@@ -75,6 +75,18 @@ def test_correlation_matrix_from_cov_rejects_an_asymmetric_block():
         correlation_matrix_from_cov(cov, (0, 1))
 
 
+def test_correlation_matrix_from_cov_rejects_an_odd_size():
+    # Read by its last axis alone, a 5x5 matrix passed as a 2-mode state.
+    with pytest.raises(ValueError, match=r"got shape \(5, 5\)"):
+        correlation_matrix_from_cov(np.eye(5), (0, 1))
+
+
+def test_correlation_matrix_from_cov_rejects_a_non_square_matrix():
+    # Read by its last axis alone, a 4x6 matrix passed as a 3-mode state.
+    with pytest.raises(ValueError, match=r"got shape \(4, 6\)"):
+        correlation_matrix_from_cov(np.ones((4, 6)), (0, 1))
+
+
 def test_correlation_matrix_validation():
     bad = np.eye(4)
     bad[0, 1] = 0.5  # asymmetric

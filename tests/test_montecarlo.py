@@ -263,7 +263,24 @@ def test_streamed_moments_match_two_pass_definition(monkeypatch, machine, displa
     for name, value in fields.items():
         want = expected[name]
         assert value.shape == want.shape and value.dtype == want.dtype, name
-        assert np.max(np.abs(value - want)) <= 1e-12 * np.max(np.abs(want)), name
+        if name != "standard_errors":
+            assert np.max(np.abs(value - want)) <= 1e-12 * np.max(np.abs(want)), name
+    # The standard errors are the Gaussian-law (Isserlis) ones of the run's
+    # own covariance estimate C: Var(C_ij) = (C_ii C_jj + C_ij^2) / shots.
+    variances = np.diag(run.estimated_cov)
+    isserlis = np.sqrt((np.outer(variances, variances) + run.estimated_cov**2) / run.shots)
+    assert np.max(np.abs(run.standard_errors - isserlis)) <= 1e-15 * np.max(isserlis)
+    # Against the empirical spread of the per-shot products c_i c_j (the
+    # two-pass quartic).  For unit-variance Gaussian x, y with correlation
+    # r, the eighth moments give, to first order in 1/n over n shots,
+    # Var(quartic variance) = (8 + 40 r^2 + 8 r^4) / n, its covariance with
+    # the Isserlis variance (1 + r^2) equal to that one's variance
+    # (4 + 24 r^2 + 4 r^4) / n, and so Var(ratio of the two variances)
+    # = (4 + 16 r^2 + 4 r^4) / (n (1 + r^2)^2), at most 6 / n (at r = 1).
+    # The ratio of standard errors, its square root, has SD <= sqrt(1.5 / n):
+    # 0.0049 at MULTI_CHUNK_SHOTS; the bound is 5 of that.
+    ratio = run.standard_errors / expected["standard_errors"]
+    assert np.max(np.abs(ratio - 1.0)) <= 5.0 * np.sqrt(1.5 / MULTI_CHUNK_SHOTS)
 
 
 def test_peak_memory_does_not_grow_with_shots():
