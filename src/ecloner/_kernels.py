@@ -18,7 +18,7 @@ unit normals ``u`` in the columns above give the shot's outputs
 noise, so it meets zero rows of ``M``, and
 ``offset = displacement @ response`` is the exact mean of every shot.  The
 sampler never draws these 18 columns: it takes the law N(offset, M^T M) of
-the outputs from ``M`` and draws 8 normals per shot.
+the outputs from ``M`` and draws the batch moments of that law.
 """
 
 import numpy as np

@@ -13,29 +13,34 @@ A run's affine map ``(M, offset)`` comes from the literal circuit
 (``_kernels.affine_map``): unit normals ``u``, one per input of the
 circuit, give the shot's outputs ``y = u @ M + offset``, the Gaussian law
 N(offset, M^T M).  With the reduced QR ``M = Q R``, ``u @ Q`` is itself 8
-unit normals, so a shot draws only 8 normals ``e`` and takes
-``y = e @ R + offset``: the same law, even where ``M`` is rank-deficient.
-The random stream is the 2 displacement normals, then 8 normals per shot
-in shot order, drawn in chunks (``_chunk_plan``) from the run's one
-generator.  Each of the ``NUM_BATCHES`` batches keeps only the Gram sums
-of the row ``(1, z)`` with ``z = e @ R``, from which the run's moments
-follow exactly (the shifted-sum updates of Chan, Golub & LeVeque, 1979),
-with no second pass and no array that grows with the shot count.  ``z``
-never sees the displacement, so the covariance estimates are exactly
-independent of it.  The law of every shot is Gaussian by construction, so
-the standard errors of the covariance estimates are the Gaussian
-(Isserlis / Wishart) ones, taken from the run's own estimate.
+unit normals ``e``, and ``y = e @ R + offset`` has the same law, even where
+``M`` is rank-deficient.
+
+The criteria read second moments only, so the oracle draws each of a run's
+``NUM_BATCHES`` batches of n shots as its mean and scatter, never as shots.
+For Gaussian ``e`` these are independent, the mean N(0, I/n) and the
+scatter W = sum (e - mean)^T (e - mean) Wishart(I, n - 1), drawn as T^T T by
+Bartlett's decomposition (Odell & Feiveson, JASA 61, 199, 1966): row i of
+the upper-trapezoidal T, for i < min(n - 1, 8), holds sqrt(chi^2(n - 1 - i))
+on the diagonal and unit normals right of it; its other rows are zero.
+``z = e @ R`` then has batch means ``mean @ R`` and scatters ``R^T W R``,
+and the run's moments follow exactly from its batches' (Chan, Golub &
+LeVeque, 1979).  A run's random stream is its 2 displacement normals, the
+8 normals of each batch mean in batch order, the chi^2 draws in (batch,
+row) order, then the off-diagonal normals in (batch, row, column) order:
+882 numbers at any shot count from 180 up.  ``z`` never sees the
+displacement, so the covariance estimates are exactly independent of it,
+and their standard errors are the Gaussian (Isserlis / Wishart) ones, taken
+from the run's own estimate.
 
 A block of runs of one machine (``_block_moments``) shares one stacked
-evaluation of the maps, QR factors, moments and checks, and draws its runs
-one after another: a run has the same bits alone (``sample_circuit``) or
-in any block (``sample_criteria``, which maps blocks over a thread pool).
+evaluation of the maps, QR factors, moments and checks; only a run's
+generator calls (``_draw_run``) are its own, so a run has the same bits
+alone (``sample_circuit``) or in any block (``sample_criteria``).
 """
 
 import math
 import operator
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,12 +53,8 @@ from .gaussian import _check_v_s
 RNG_ALGORITHM = "numpy.random.default_rng (PCG64)"
 NUM_BATCHES = 20
 MIN_SHOTS = 100
-# A chunk's e @ R product (4096 * 8 * 8 = 262144 multiply-adds) stays at
-# OpenBLAS's single-thread limit (4 * 65536), so runs sampled on concurrent
-# threads do not contend for one BLAS thread pool.
-CHUNK_SHOTS = 1 << 12
-# Runs whose moments and criteria are one stacked evaluation: a block's
-# Gram stack is BLOCK_RUNS * (NUM_BATCHES + 1) * 9 * 9 floats (109 KB).
+# Runs whose draws, moments and criteria are one stacked evaluation: a
+# block's Bartlett factors are BLOCK_RUNS * NUM_BATCHES * 8 * 8 floats (80 KB).
 BLOCK_RUNS = 8
 
 
@@ -173,6 +174,8 @@ def sample_circuit(machine, v_s, displacement_variance, shots, seed, gain=UNITY_
         ``RNG_ALGORITHM``.
     gain : float or (float, float)
         Feedforward gain of the internal cloners (defaults to unity gain).
+        A ValueError names it where the run's covariance leaves the float
+        range.
 
     Returns
     -------
@@ -198,13 +201,6 @@ def sample_circuit(machine, v_s, displacement_variance, shots, seed, gain=UNITY_
     )
 
 
-def _usable_cpus():
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def sample_criteria(runs, shots, gain=UNITY_GAIN):
     """Both criteria of many runs, one per ``(machine, v_s, seed)`` of ``runs``.
 
@@ -213,128 +209,130 @@ def sample_criteria(runs, shots, gain=UNITY_GAIN):
     ``estimate_criteria(sample_circuit(machine, v_s, displacement_variance,
     shots, seed, gain))`` for each run, with the same bits at any
     displacement variance, which the covariance estimates never see.  The
-    blocks (``_block_plan``) go to a thread pool with one worker per usable
-    CPU.  The first failing run, in the order of ``runs``, raises.
+    runs are sampled block by block (``_block_plan``), in order, so the
+    first failing run raises and no run behind it is drawn.
     """
     machines = [run[0] for run in runs]
     v_s, _, shots, seeds = _check_inputs(
         machines, [run[1] for run in runs], 0.0, shots, [run[2] for run in runs]
     )
-    workers = _usable_cpus()
-    blocks = _block_plan(machines, workers)
-    failed = threading.Event()
-
-    def criteria(block):
-        # Blocks start in order, so one that starts after a failure lies
-        # behind the failing block, whose error is raised first.
-        if failed.is_set():
-            return None
-        machine = machines[block.start]
-        try:
-            moments = _block_moments(machine, v_s[block], 0.0, shots, seeds[block], gain)
-            pair = CLONE_PAIRS[machine][0]
-            return _criteria_block(moments["estimated_cov"], moments["batch_covs"], pair)
-        except BaseException:
-            failed.set()
-            raise
-
-    from concurrent.futures import ThreadPoolExecutor  # imported by an oracle pass only
-
     values = np.empty((4, len(runs)))
-    pool = ThreadPoolExecutor(max(1, min(workers, len(blocks))))
-    try:
-        for block, value in zip(blocks, pool.map(criteria, blocks)):
-            values[:, block] = value
-    finally:
-        pool.shutdown(cancel_futures=True)  # blocks not yet started are dropped
+    for block in _block_plan(machines):
+        machine = machines[block.start]
+        moments = _block_moments(machine, v_s[block], 0.0, shots, seeds[block], gain)
+        pair = CLONE_PAIRS[machine][0]
+        values[:, block] = _criteria_block(moments["estimated_cov"], moments["batch_covs"], pair)
     return values
 
 
-def _block_plan(machines, workers):
-    """Consecutive runs of one machine as slices of at most ``BLOCK_RUNS``
-    runs, and of ``ceil(runs / workers)``, so every worker gets a block."""
-    size = min(BLOCK_RUNS, -(-len(machines) // workers))
+def _block_plan(machines):
+    """Consecutive runs of one machine as slices of at most ``BLOCK_RUNS`` runs."""
     blocks, start = [], 0
     for k in range(1, len(machines) + 1):
-        if k == len(machines) or machines[k] != machines[start] or k - start == size:
+        if k == len(machines) or machines[k] != machines[start] or k - start == BLOCK_RUNS:
             blocks.append(slice(start, k))
             start = k
     return blocks
 
 
-def _chunk_plan(shots):
-    """A run's chunks as ``(first batch, batches, rows each)`` triples.
-
-    Adjacent whole batches of one size share a chunk while it stays within
-    ``CHUNK_SHOTS`` rows; a batch of more rows is split into pieces of
-    ``CHUNK_SHOTS`` rows, one chunk each.  A chunk's Gram sums are one
-    stacked product.
-    """
-    sizes = np.diff(np.linspace(0, shots, NUM_BATCHES + 1).astype(int)).tolist()
-    chunks = []
-    for b, size in enumerate(sizes):
-        if size > CHUNK_SHOTS:
-            for start in range(0, size, CHUNK_SHOTS):
-                chunks.append((b, 1, min(CHUNK_SHOTS, size - start)))
-        elif chunks and chunks[-1][2] == size and (chunks[-1][1] + 1) * size <= CHUNK_SHOTS:
-            chunks[-1] = (chunks[-1][0], chunks[-1][1] + 1, size)
-        else:
-            chunks.append((b, 1, size))
-    return chunks
+def _batch_sizes(shots):
+    """Shots per batch: batch b holds shots ``b * shots // NUM_BATCHES`` up to
+    ``(b + 1) * shots // NUM_BATCHES``, in exact integer arithmetic."""
+    bounds = [shots * b // NUM_BATCHES for b in range(NUM_BATCHES + 1)]
+    return [hi - lo for lo, hi in zip(bounds, bounds[1:])]
 
 
-def _draw_run(chunks, seed, factor, gram):
-    """Draw one run: add its per-batch Gram sums to ``gram``, return its 2 displacement normals.
-
-    Per shot the row w = (1, z) with z = e @ factor; ``gram[b]`` sums
-    w^T w over batch b.
-    """
+def _draw_run(seed, dof, off_diagonal):
+    """One run's generator calls in stream order: 2 displacement normals, the
+    batch means' (NUM_BATCHES, 8) normals, chi^2(``dof``), ``off_diagonal`` normals."""
     rng = np.random.default_rng(seed)
     # The state's displacement is a single unknown offset, not per-shot noise.
     displacement = rng.standard_normal(2)
-    rows = max(count * size for _, count, size in chunks)
-    noise = np.empty((rows, 8))
-    work = np.empty((rows, 9))
-    work[:, 0] = 1.0
-    for first, count, size in chunks:
-        chunk, w = noise[: count * size], work[: count * size]
-        rng.standard_normal(out=chunk)
-        np.matmul(chunk, factor, out=w[:, 1:])
-        stack = w.reshape(count, size, 9)
-        gram[first : first + count] += np.swapaxes(stack, 1, 2) @ stack
-    return displacement
+    means = rng.standard_normal((NUM_BATCHES, 8))
+    return displacement, means, rng.chisquare(dof), rng.standard_normal(off_diagonal)
+
+
+def _raise_out_of_range(v_s, gain, bad):
+    if np.any(bad):
+        raise ValueError(
+            f"run at v_s = {float(v_s[np.argmax(bad)])!r}, gain = {gain!r}: "
+            "its covariance leaves the float range"
+        )
 
 
 def _block_moments(machine, v_s, displacement_variance, shots, seeds, gain):
     """The ``SampleRun`` arrays of runs at ``v_s[k]`` with ``seeds[k]``, stacked on axis 0."""
     gx, gp = _gain_pair(gain)
-    transfer, response = _kernels.affine_map(machine, v_s, gx, gp)
+    # An entry of M past the float range puts its output's variance there too.
+    with np.errstate(over="ignore", invalid="ignore"):
+        transfer, response = _kernels.affine_map(machine, v_s, gx, gp)
+    _raise_out_of_range(v_s, gain, ~np.isfinite(transfer).all(axis=(1, 2)))
     # transfer = Q @ factor with orthonormal Q, and u @ Q ~ N(0, I_8) for
     # u ~ N(0, I_18): 8 unit normals e give outputs e @ factor + offset
     # with the exact law of the 18-column circuit.
     factors = np.linalg.qr(transfer, mode="r")
-    # Along axis 1, row 0 is the whole run, rows 1..NUM_BATCHES its batches.
-    sums = np.zeros((len(seeds), 1 + NUM_BATCHES, 9, 9))
-    chunks = _chunk_plan(shots)
-    drawn = [_draw_run(chunks, *run) for run in zip(seeds, factors, sums[:, 1:])]
-    displacement = np.array(drawn) * np.sqrt(displacement_variance)
-    offset = (displacement[:, None] @ response)[:, 0]
-    np.sum(sums[:, 1:], axis=1, out=sums[:, 0])
+    displacement, means, scatters = _draw_block(seeds, shots)
+    offset = (displacement[:, None] * np.sqrt(displacement_variance) @ response)[:, 0]
+    return _assemble(v_s, gain, shots, factors, offset, means, scatters)
 
-    counts = sums[..., 0, 0]
-    mean_z = sums[..., 0, 1:] / counts[..., None]
-    means = offset[:, None] + mean_z
-    # sum_k c_i c_j with c = y - mean = z - mean_z
-    scatters = sums[..., 1:, 1:] - counts[..., None, None] * (
-        mean_z[..., :, None] * mean_z[..., None, :]
+
+def _draw_block(seeds, shots):
+    """Each run's 2 displacement normals, and the means and scatters of its
+    batches of 8 unit normals ``e``, stacked on axis 0."""
+    counts = np.array(_batch_sizes(shots), dtype=float)
+    # Row i of a batch's Bartlett factor is drawn where its chi^2 has
+    # n - 1 - i > 0 degrees of freedom; the rows below are zero.
+    dof = np.subtract.outer(counts - 1.0, np.arange(8))
+    rows = dof > 0
+    diagonal = rows[..., None] & np.eye(8, dtype=bool)
+    upper = rows[..., None] & np.triu(np.ones((8, 8), dtype=bool), 1)
+    drawn = [_draw_run(seed, dof[rows], np.count_nonzero(upper)) for seed in seeds]
+    displacement, means, chi2, normals = (np.array(values) for values in zip(*drawn))
+    bartlett = np.zeros((len(seeds), NUM_BATCHES, 8, 8))
+    bartlett[:, diagonal] = np.sqrt(chi2)
+    bartlett[:, upper] = normals
+    scatters = np.swapaxes(bartlett, -1, -2) @ bartlett
+    return displacement, means / np.sqrt(counts)[:, None], scatters
+
+
+def _assemble(v_s, gain, shots, factors, offset, means, scatters):
+    """The ``SampleRun`` arrays of runs from the batch moments of their 8 normals ``e``.
+
+    ``means`` (runs, NUM_BATCHES, 8) holds each batch's mean of ``e`` and
+    ``scatters`` (runs, NUM_BATCHES, 8, 8) its scatter, the sum of
+    (e - mean)^T (e - mean) over the batch's shots; ``z = e @ factors[k]``
+    has batch means ``means @ factors[k]`` and scatters
+    ``factors[k]^T scatters factors[k]``.
+    """
+    counts = np.array(_batch_sizes(shots), dtype=float)
+    # In units of 2^e >= max|R| per run, an exact scaling, no sum over
+    # shots leaves the float range before the estimates themselves do.
+    exponent = np.frexp(np.max(np.abs(factors), axis=(1, 2)))[1]
+    unit = np.ldexp(factors, -exponent[:, None, None])
+    batch_means = means @ unit
+    batch_scatters = np.swapaxes(unit, 1, 2)[:, None] @ scatters @ unit[:, None]
+    mean = counts @ batch_means / float(shots)
+    # Chan, Golub & LeVeque: the run's scatter is the sum of its batches'
+    # plus the scatter of their means about the run's mean.
+    spread = batch_means - mean[:, None]
+    scatter = batch_scatters.sum(axis=1) + np.swapaxes(spread, 1, 2) @ (counts[:, None] * spread)
+    # Along axis 1, row 0 is the whole run, rows 1..NUM_BATCHES its batches.
+    covs = np.concatenate(
+        [scatter[:, None] / float(shots - 1), batch_scatters / (counts - 1.0)[:, None, None]],
+        axis=1,
     )
-    covs = scatters / (counts - 1.0)[..., None, None]
     covs = 0.5 * (covs + np.swapaxes(covs, -1, -2))
+    limit = np.ldexp(np.finfo(float).max, -2 * np.maximum(exponent, 0))
+    _raise_out_of_range(v_s, gain, np.max(np.abs(covs), axis=(1, 2, 3)) > limit)
+    covs = np.ldexp(covs, 2 * exponent[:, None, None, None])
+    means = offset[:, None] + np.ldexp(
+        np.concatenate([mean[:, None], batch_means], axis=1), exponent[:, None, None]
+    )
     cov = covs[:, 0]
-    variances = np.diagonal(cov, axis1=1, axis2=2)
+    roots = np.sqrt(np.diagonal(cov, axis1=1, axis2=2))
     # Gaussian law (Isserlis): Var(C_ij) = (C_ii C_jj + C_ij^2) / shots
-    standard_errors = np.sqrt((variances[:, :, None] * variances[:, None, :] + cov**2) / shots)
-    mean_standard_errors = np.sqrt(variances / shots)
+    standard_errors = np.hypot(roots[:, :, None] * roots[:, None, :], cov) / math.sqrt(shots)
+    mean_standard_errors = roots / math.sqrt(shots)
     _check_moments(v_s, shots, means[:, 0], cov, standard_errors, mean_standard_errors)
     return {
         "estimated_mean": means[:, 0],

@@ -51,9 +51,8 @@ CASES = {
     "gain_0.5": ["--points", "3", "--gain", "0.5"],
     "gain_8": ["--points", "3", "--gain", "8"],
     "gain_40": ["--points", "3", "--gain", "40"],
+    "mc_1m": ["--points", "5", "--mc-shots", "1000000", "--seed", "3"],
 }
-# About 1 s per run: compared in CI, kept out of the tier-1 suite.
-CI_CASES = {"mc_1m": ["--points", "5", "--mc-shots", "1000000", "--seed", "3"]}
 
 MC_RELATIVE = 1e-9
 _DECIMAL = re.compile(r"(-?\d+\.\d+)")
@@ -188,7 +187,7 @@ def differences(name, stdout, stderr, exact):
 
 def regenerate():
     GOLDEN.mkdir(exist_ok=True)
-    for name, argv in {**CASES, **CI_CASES}.items():
+    for name, argv in CASES.items():
         out, err = run(argv)
         (GOLDEN / f"{name}.out").write_bytes(out.encode())
         err_path = GOLDEN / f"{name}.err"

@@ -270,7 +270,7 @@ def test_closed_pipe_exits_quietly():
 
 
 def test_importing_the_cli_leaves_the_thread_pool_unimported():
-    # Only an oracle pass imports concurrent.futures (about 7 ms).
+    # No module of the package imports concurrent.futures (about 7 ms).
     code = "import sys, ecloner.cli; print('concurrent.futures' in sys.modules)"
     done = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=_package_env()
@@ -352,86 +352,71 @@ def test_unwritable_output_exits_with_code_two(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err.startswith(f"ecloner: cannot write {target}: ")
 
 
-# With 64-row chunks each 100-shot batch of a 2000-shot run is split into
-# two pieces.
-POOL_CHUNK, RUN_SHOTS = 64, 2000
+RUN_SHOTS = 2000
 
 
-def _recorded_threads(monkeypatch):
-    """Record the thread of every run the CLI draws."""
-    threads, real = [], montecarlo._draw_run
+@pytest.mark.parametrize(
+    "fmt, shots",
+    [("csv", RUN_SHOTS), ("json", RUN_SHOTS), ("csv", 2017)],
+    ids=["csv", "json", "2017"],
+)
+def test_threaded_output_is_byte_identical_to_one_worker(tmp_path, fmt, shots):
+    # Three sweeps at once on user threads that switch far more often than
+    # usual write the bytes of one sweep alone on one thread; 2017 shots
+    # give unequal batches of 100 and 101 shots.
+    argv = ["--points", "7", "--mc-shots", str(shots), "--seed", "3", "--format", fmt]
+    serial = tmp_path / "serial.out"
+    assert main(argv + ["--output", str(serial)]) == 0
+    start, codes = threading.Barrier(3), [None] * 3
 
-    def recorded(*args, **kwargs):
-        threads.append(threading.get_ident())
-        return real(*args, **kwargs)
+    def worker(i):
+        start.wait(timeout=30)
+        codes[i] = main(argv + ["--output", str(tmp_path / f"{i}.out")])
 
-    monkeypatch.setattr(montecarlo, "_draw_run", recorded)
-    return threads
-
-
-def _outputs_by_workers(tmp_path, monkeypatch, argv, workers_list):
-    threads = _recorded_threads(monkeypatch)
-    outputs = {}
-    for workers in workers_list:
-        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: workers)
-        threads.clear()
-        target = tmp_path / f"{workers}.out"
-        assert main(argv + ["--output", str(target)]) == 0
-        outputs[workers] = target.read_bytes()
-        points = int(argv[argv.index("--points") + 1])
-        assert len(threads) == 2 * points
-        assert threading.get_ident() not in threads  # every run is drawn on the pool
-    return outputs
-
-
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_threaded_output_is_byte_identical_to_one_worker(tmp_path, monkeypatch, fmt):
-    monkeypatch.setattr(montecarlo, "CHUNK_SHOTS", POOL_CHUNK)
-    argv = ["--points", "5", "--mc-shots", str(RUN_SHOTS), "--seed", "7", "--format", fmt]
-    outputs = _outputs_by_workers(tmp_path, monkeypatch, argv, (1, 2, 3))
-    assert outputs[3] == outputs[2] == outputs[1]
-
-
-def test_unpatched_small_runs_go_to_the_pool_with_identical_output(tmp_path, monkeypatch):
-    # 2017 shots: unequal batches of 100 and 101 shots, packed whole into chunks.
-    argv = ["--points", "7", "--mc-shots", "2017", "--seed", "3"]
-    outputs = _outputs_by_workers(tmp_path, monkeypatch, argv, (1, 2))
-    assert outputs[2] == outputs[1]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(3)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert codes == [0, 0, 0]
+    for i in range(3):
+        assert (tmp_path / f"{i}.out").read_bytes() == serial.read_bytes()
 
 
 def test_failing_run_raises_as_serially_and_cancels_pending_runs(monkeypatch):
-    monkeypatch.setattr(montecarlo, "CHUNK_SHOTS", POOL_CHUNK)
     points, real = 40, montecarlo._draw_run
     # the global machine's runs at points 0 and 3; the first of them raises
     failing = {cli._mc_seed(5, idx, 1) for idx in (0, 3)}
     first = cli._mc_seed(5, 0, 1)
     calls = []
 
-    def draw(chunks, seed, factor, gram):
+    def draw(seed, dof, off_diagonal):
         calls.append(seed)
         if seed in failing:
             raise ValueError(f"injected failure in run {seed}")
-        return real(chunks, seed, factor, gram)
+        return real(seed, dof, off_diagonal)
 
     monkeypatch.setattr(montecarlo, "_draw_run", draw)
     argv = ["--points", str(points), "--mc-shots", str(RUN_SHOTS), "--seed", "5"]
-    errors = {}
-    for workers in (1, 2):
-        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: workers)
-        calls.clear()
-        with pytest.raises(ValueError) as excinfo:
-            main(argv)
-        errors[workers] = str(excinfo.value)
-        # the local runs, then at most the failing block and the one begun beside it
-        assert len(calls) <= points + 2 * montecarlo.BLOCK_RUNS
-    assert errors[1] == errors[2] == f"injected failure in run {first}"
+    with pytest.raises(ValueError, match=f"^injected failure in run {first}$"):
+        main(argv)
+    # the local runs, then the failing run, first of its block: no run behind it is drawn
+    assert calls[-1] == first and len(calls) == points + 1
 
 
 def test_oracle_pass_memory_does_not_grow_with_points():
-    # The bound, fixed before any run: one block's Gram stack, the largest
-    # array the pass holds per block of runs.  An unblocked pass would hold
-    # every run's stack at once, 50 times that at 400 points.
-    block_bytes = montecarlo.BLOCK_RUNS * (montecarlo.NUM_BATCHES + 1) * 17 * 17 * 8
+    # The bound, fixed before any run: four of the (runs, NUM_BATCHES + 1,
+    # 8, 8) float stacks of one block (Bartlett factors, their e- and
+    # z-space scatters, the covariances), 344 KB, below the traced peak of
+    # one block alone (0.48 MB).  Measured growth is 0.08-0.15 MB, most of it
+    # the output columns the pass leaves in the table; an unblocked pass
+    # would hold every run's stacks at once, 100 times a block at 400 points.
+    block_bytes = 4 * montecarlo.BLOCK_RUNS * (montecarlo.NUM_BATCHES + 1) * 8 * 8 * 8
     shots = 5000
     cli._sample_records({"v_s": [0.5, 1.0]}, UNITY_GAIN, shots, 1)  # one-time set-up
     peaks = []

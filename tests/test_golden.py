@@ -11,7 +11,7 @@ def test_cli_output_matches_golden_files(name):
     assert goldens.differences(name, stdout, stderr, exact) == []
 
 
-@pytest.mark.parametrize("name", list(goldens.CASES) + list(goldens.CI_CASES))
+@pytest.mark.parametrize("name", list(goldens.CASES))
 def test_golden_files_agree_with_themselves_field_by_field(name):
     assert goldens.differences(name, *goldens.read(name), exact=False) == []
 
