@@ -1,4 +1,4 @@
-"""Shot-propagation kernel for the sampling oracle.
+"""Literal circuits of the sampling oracle and the affine maps they define.
 
 The literal circuit of one shot has 18 Gaussian inputs, one column each of
 a row; only this module knows their layout:
@@ -21,27 +21,23 @@ sampler never draws these 18 columns: it takes the law N(offset, M^T M) of
 the outputs from ``M`` and draws the batch moments of that law.
 """
 
+import operator
+
 import numpy as np
 
 SQRT2 = np.sqrt(2.0)
 NOISE_COLUMNS = 18
 
 
-def _cloner(x, p, n1x, n1p, n2x, n2p, n3x, n3p, gx, gp):
-    # 50/50 tap, dual-homodyne readout, feedforward, 50/50 output split.
-    x_tap = (x - n1x) / SQRT2
-    x_keep = (x + n1x) / SQRT2
-    read_x = (x_tap - n2x) / SQRT2
-    x5 = x_keep + gx * read_x
-    xa = (x5 + n3x) / SQRT2
-    xb = (x5 - n3x) / SQRT2
-    p_tap = (p - n1p) / SQRT2
-    p_keep = (p + n1p) / SQRT2
-    read_p = (p_tap + n2p) / SQRT2
-    p5 = p_keep + gp * read_p
-    pa = (p5 + n3p) / SQRT2
-    pb = (p5 - n3p) / SQRT2
-    return xa, pa, xb, pb
+def _cloner(q, n1, n2, n3, sign, gain):
+    """One quadrature of a linear cloner: 50/50 tap, homodyne readout of
+    tap + sign * n2 (x reads tap - n2, p reads tap + n2), feedforward with
+    ``gain`` onto the kept beam, and a 50/50 output split into (A, B)."""
+    tap = (q - n1) / SQRT2
+    keep = (q + n1) / SQRT2
+    read = (tap + sign * n2) / SQRT2
+    out = keep + gain * read
+    return (out + n3) / SQRT2, (out - n3) / SQRT2
 
 
 def literal_circuit(machine, noise, s, gx, gp):
@@ -49,31 +45,34 @@ def literal_circuit(machine, noise, s, gx, gp):
 
     ``s`` = sqrt(v_s), a scalar or one value per row, is read by the global
     machine only.  Mode order is (1A, 2A, 1B, 2B) for the local machine and
-    (1A, 1B, 2A, 2B) for the global one.
+    (1A, 1B, 2A, 2B) for the global one.  The quadratures never mix, so the
+    circuit runs once for x and once for p.
     """
     if machine not in ("local", "global"):
         raise ValueError(f"unknown machine {machine!r}")
     c = noise.T
-    e1x = (c[0] + c[2]) / SQRT2 + c[4]
-    e1p = (c[1] + c[3]) / SQRT2 + c[5]
-    e2x = (c[0] - c[2]) / SQRT2 + c[4]
-    e2p = (c[1] - c[3]) / SQRT2 + c[5]
-    if machine == "global":
-        # disentangle, then un-squeeze both branches into coherent amplitudes
-        e1x, e2x = (e1x + e2x) / SQRT2 / s, (e1x - e2x) / SQRT2 * s
-        e1p, e2p = (e1p + e2p) / SQRT2 * s, (e1p - e2p) / SQRT2 / s
-    x1a, p1a, x1b, p1b = _cloner(e1x, e1p, c[6], c[7], c[8], c[9], c[10], c[11], gx, gp)
-    x2a, p2a, x2b, p2b = _cloner(e2x, e2p, c[12], c[13], c[14], c[15], c[16], c[17], gx, gp)
-    if machine == "global":
-        # re-squeeze by the same amounts, then recombine the clones pairwise:
-        # the slots of (1A, 2A, 1B, 2B) now hold (1A, 1B, 2A, 2B)
-        x1a, p1a, x1b, p1b = x1a * s, p1a / s, x1b * s, p1b / s
-        x2a, p2a, x2b, p2b = x2a / s, p2a * s, x2b / s, p2b * s
-        x1a, x2a = (x1a + x2a) / SQRT2, (x1a - x2a) / SQRT2
-        p1a, p2a = (p1a + p2a) / SQRT2, (p1a - p2a) / SQRT2
-        x1b, x2b = (x1b + x2b) / SQRT2, (x1b - x2b) / SQRT2
-        p1b, p2b = (p1b + p2b) / SQRT2, (p1b - p2b) / SQRT2
-    return np.stack([x1a, p1a, x2a, p2a, x1b, p1b, x2b, p2b], axis=1)
+    quadratures = []
+    # (column offset, readout sign, gain, squeezer on branch 1, on branch 2):
+    # the global machine un-squeezes x on branch 1 and p on branch 2
+    for q, sign, gain, down, up in (
+        (0, -1.0, gx, operator.truediv, operator.mul),
+        (1, 1.0, gp, operator.mul, operator.truediv),
+    ):
+        e1 = (c[q] + c[q + 2]) / SQRT2 + c[q + 4]
+        e2 = (c[q] - c[q + 2]) / SQRT2 + c[q + 4]
+        if machine == "global":
+            # disentangle, then un-squeeze both branches into coherent amplitudes
+            e1, e2 = down((e1 + e2) / SQRT2, s), up((e1 - e2) / SQRT2, s)
+        a1, b1 = _cloner(e1, c[q + 6], c[q + 8], c[q + 10], sign, gain)
+        a2, b2 = _cloner(e2, c[q + 12], c[q + 14], c[q + 16], sign, gain)
+        if machine == "global":
+            # re-squeeze by the same amounts, then recombine the clones pairwise:
+            # the slots of (1A, 2A, 1B, 2B) now hold (1A, 1B, 2A, 2B)
+            a1, b1, a2, b2 = up(a1, s), up(b1, s), down(a2, s), down(b2, s)
+            a1, a2 = (a1 + a2) / SQRT2, (a1 - a2) / SQRT2
+            b1, b2 = (b1 + b2) / SQRT2, (b1 - b2) / SQRT2
+        quadratures.append((a1, a2, b1, b2))
+    return np.stack([value for pair in zip(*quadratures) for value in pair], axis=1)
 
 
 def affine_map(machine, v_s, gx, gp):

@@ -41,9 +41,10 @@ UNITY_GAIN = math.sqrt(2.0)
 
 VARIANCE_MATCH_TOL = 1e-12
 # Relative slack between a v_s argument and the v_s inferred from its input.
-# Inference recovers v_s to within 6.8e-16 relative (about 3 eps), measured
-# on 2000 epr_source outputs with v_s log-uniform in [1e-300, 1] and on 1000
-# sources built gate by gate with v_s in [1e-5, 1]; this allows 45 eps.
+# Inference recovers v_s to within 5.9e-16 relative (about 3 eps), measured
+# on the first 2000 epr_source outputs that build with v_s log-uniform in
+# [1e-300, 1] and on 1000 sources built gate by gate with v_s in [1e-5, 1];
+# this allows 45 eps.
 V_S_MATCH_RTOL = 1e-14
 
 # (clone1, clone2) mode pairs of each machine's 4-mode output.
@@ -154,11 +155,15 @@ def epr_source(v_s):
     pure for every v_s; random displacements are applied separately via
     :func:`ecloner.gaussian.displace`.
 
-    Below v_s = 1e-4 the state constructor's spectral validation rejects
-    some v_s (``UncertaintyViolation``), erratically: on 400-point log grids
-    none of [1e-4, 1e-3], 91 of [1e-5, 1e-4] (the largest 5.85e-5) and 242
-    of [1e-6, 1e-5]; 5e-6 passes while 1e-5 fails.  ROADMAP item 4 holds
-    the v_s floor, to be taken from the measured error curve.
+    Below v_s = 1e-4 the state constructor's validation rejects some v_s
+    (``UncertaintyViolation``), erratically.  On 400-point log grids the
+    uncertainty bound rejects none of [1e-4, 1e-3], 91 of [1e-5, 1e-4] (the
+    largest 5.85e-5), 242 of [1e-6, 1e-5] and 266 of [1e-7, 1e-6]; 5e-6
+    passes while 1e-5 fails.  From about 6.7e-9 down, rounding mostly
+    leaves the covariance without a Cholesky factor, and it is rejected as
+    not positive definite: 3341 of 4000 log-spaced v_s in [1e-300, 1], while
+    22 fail the bound and 637 build.  ROADMAP item 4 holds the v_s floor,
+    to be taken from the measured error curve.
     """
     v_s = float(v_s)
     return GaussianState(np.zeros(4), _epr_cov(float(np.sqrt(_check_v_s(v_s)))))

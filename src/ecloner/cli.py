@@ -4,7 +4,8 @@ Writes one record per grid point with the entanglement criteria and clone
 fidelities of both machines, all derived from the circuit outputs, plus a
 threshold report locating where the whole-state machine's criteria cross 1.
 Optionally cross-checks the criteria with the sampling oracle: one run per
-point and machine, all sampled by ``montecarlo.sample_criteria``.
+point and machine, sampled by one ``montecarlo.sample_criteria`` pass per
+machine.
 """
 
 import argparse
@@ -117,16 +118,11 @@ def _analytic_records(grid, gain):
 
 def _sample_records(table, gain, mc_shots, master_seed):
     """Append the mc columns from one oracle run, with its own seed, per (point, machine)."""
-    machines = ("local", "global")
-    runs = [
-        (machine, v_s, _mc_seed(master_seed, idx, m))
-        for m, machine in enumerate(machines)
-        for idx, v_s in enumerate(table["v_s"])
-    ]
-    values = montecarlo.sample_criteria(runs, mc_shots, gain)
     names = ("mc_i_{}", "mc_i_{}_err", "mc_eps_{}", "mc_eps_{}_err")
-    for machine, columns in zip(machines, np.split(values, len(machines), axis=1)):
-        for name, column in zip(names, columns.tolist()):
+    for m, machine in enumerate(("local", "global")):
+        seeds = [_mc_seed(master_seed, idx, m) for idx in range(len(table["v_s"]))]
+        values = montecarlo.sample_criteria(machine, table["v_s"], seeds, mc_shots, gain)
+        for name, column in zip(names, values.tolist()):
             table[name.format(machine)] = column
 
 

@@ -60,23 +60,20 @@ def symplectic_eigenvalues(cov):
     For positive-definite input with Cholesky factor L the same spectrum is
     obtained from the Hermitian matrix i L^T Omega L, which the symmetric
     eigensolver handles backward-stably even for strong squeezing, where the
-    non-normal i*Omega@cov eigenproblem loses many digits.
+    non-normal i*Omega@cov eigenproblem loses many digits.  Every physical
+    covariance is positive definite; any other matrix gives NaN values.
     """
     cov = np.asarray(cov, dtype=float)
     n = cov.shape[-1] // 2
-    omega = symplectic_form(n)
     try:
         chol = np.linalg.cholesky(cov)
-        eigs = np.linalg.eigvalsh(1j * np.swapaxes(chol, -1, -2) @ omega @ chol)
     except np.linalg.LinAlgError:
-        if cov.ndim > 2:
-            # one matrix of the stack is not positive definite; keep the
-            # accurate spectrum for the others
-            flat = cov.reshape((-1,) + cov.shape[-2:])
-            eigs = np.array([symplectic_eigenvalues(c) for c in flat])
-            return eigs.reshape(cov.shape[:-2] + (n,))
-        # not positive definite; accuracy does not matter for rejects
-        eigs = np.linalg.eigvals(1j * omega @ cov)
+        if cov.ndim == 2:
+            return np.full(n, np.nan)
+        flat = cov.reshape((-1,) + cov.shape[-2:])
+        eigs = np.array([symplectic_eigenvalues(c) for c in flat])
+        return eigs.reshape(cov.shape[:-2] + (n,))
+    eigs = np.linalg.eigvalsh(1j * np.swapaxes(chol, -1, -2) @ symplectic_form(n) @ chol)
     return np.sort(np.abs(eigs), axis=-1)[..., ::2]
 
 
@@ -138,8 +135,8 @@ def _check_covariance(cov, where=None):
     """Validate a covariance matrix or a (..., 2n, 2n) stack of them.
 
     Every entry must be finite, every matrix symmetric within SYMMETRY_TOL
-    and its symplectic eigenvalues >= 1 within SPECTRAL_TOL plus
-    SPECTRAL_REL_TOL times its largest entry.  ``where`` maps
+    and positive definite, and its symplectic eigenvalues >= 1 within
+    SPECTRAL_TOL plus SPECTRAL_REL_TOL times its largest entry.  ``where`` maps
     the flat stack index of the first offending matrix to a phrase naming it
     in the error, for example the grid value the matrix was built from.
     """
@@ -160,6 +157,10 @@ def _check_covariance(cov, where=None):
             f"{at}covariance matrix is not symmetric (max asymmetry {np.ravel(asym)[i]:.3e})"
         )
     nu_min = symplectic_eigenvalues(cov).min(axis=-1)
+    definite = ~np.isnan(nu_min)
+    if not np.all(definite):
+        _, at = first(~definite)
+        raise UncertaintyViolation(f"{at}covariance matrix is not positive definite")
     tol = SPECTRAL_TOL + SPECTRAL_REL_TOL * np.max(np.abs(cov), axis=(-2, -1))
     bad = ~(nu_min >= 1.0 - tol)
     if np.any(bad):
@@ -174,10 +175,10 @@ def _check_covariance(cov, where=None):
 class GaussianState:
     """An n-mode Gaussian state: mean vector (2n,) and covariance (2n, 2n).
 
-    Construction rejects non-finite entries and validates symmetry of the
-    covariance and the uncertainty bound (all symplectic eigenvalues >= 1
-    within SPECTRAL_TOL).  The arrays are copied and frozen, so states are
-    safe to share between threads.
+    Construction rejects non-finite entries and validates symmetry and
+    positive definiteness of the covariance and the uncertainty bound (all
+    symplectic eigenvalues >= 1 within SPECTRAL_TOL).  The arrays are copied
+    and frozen, so states are safe to share between threads.
     """
 
     mean: np.ndarray

@@ -23,20 +23,21 @@ scatter W = sum (e - mean)^T (e - mean) Wishart(I, n - 1), drawn as T^T T by
 Bartlett's decomposition (Odell & Feiveson, JASA 61, 199, 1966): row i of
 the upper-trapezoidal T, for i < min(n - 1, 8), holds sqrt(chi^2(n - 1 - i))
 on the diagonal and unit normals right of it; its other rows are zero.
-``z = e @ R`` then has batch means ``mean @ R`` and scatters ``R^T W R``,
-and the run's moments follow exactly from its batches' (Chan, Golub &
-LeVeque, 1979).  A run's random stream is its 2 displacement normals, the
-8 normals of each batch mean in batch order, the chi^2 draws in (batch,
-row) order, then the off-diagonal normals in (batch, row, column) order:
-882 numbers at any shot count from 180 up.  ``z`` never sees the
+The run's moments of ``e`` follow exactly from its batches' (Chan, Golub &
+LeVeque, 1979), and ``z = e @ R`` has the means ``mean @ R`` and the
+covariances ``R^T C R`` of the means and covariances C of ``e``.  A run's
+random stream is its 2 displacement normals, the 8 normals of each batch
+mean in batch order, the chi^2 draws in (batch, row) order, then the
+off-diagonal normals in (batch, row, column) order: 882 numbers at any
+shot count from 180 up.  ``z`` never sees the
 displacement, so the covariance estimates are exactly independent of it,
 and their standard errors are the Gaussian (Isserlis / Wishart) ones, taken
 from the run's own estimate.
 
-A block of runs of one machine (``_block_moments``) shares one stacked
-evaluation of the maps, QR factors, moments and checks; only a run's
-generator calls (``_draw_run``) are its own, so a run has the same bits
-alone (``sample_circuit``) or in any block (``sample_criteria``).
+A block of runs (``_block_moments``) shares one stacked evaluation of the
+maps, QR factors, moments and checks; only a run's generator calls
+(``_draw_run``) are its own, so a run has the same bits alone
+(``sample_circuit``) or in any block (``sample_criteria``).
 """
 
 import math
@@ -139,11 +140,10 @@ def _integer_at_least(name, value, low):
     return value
 
 
-def _check_inputs(machines, v_s, displacement_variance, shots, seeds):
+def _check_inputs(machine, v_s, displacement_variance, shots, seeds):
     """The validated ``(v_s, displacement_variance, shots, seeds)``; ValueError names a bad one."""
-    for machine in machines:
-        if machine not in CLONE_PAIRS:
-            raise ValueError(f"unknown machine {machine!r}")
+    if machine not in CLONE_PAIRS:
+        raise ValueError(f"unknown machine {machine!r}")
     v_s = np.ravel(_check_v_s(v_s))
     displacement_variance = float(displacement_variance)
     if not (math.isfinite(displacement_variance) and displacement_variance >= 0):
@@ -152,6 +152,8 @@ def _check_inputs(machines, v_s, displacement_variance, shots, seeds):
         )
     shots = _integer_at_least("shots", shots, MIN_SHOTS)
     seeds = [_integer_at_least("seed", seed, 0) for seed in seeds]
+    if len(seeds) != len(v_s):
+        raise ValueError(f"need one seed per v_s, got {len(seeds)} seeds for {len(v_s)} v_s")
     return v_s, displacement_variance, shots, seeds
 
 
@@ -184,7 +186,7 @@ def sample_circuit(machine, v_s, displacement_variance, shots, seed, gain=UNITY_
         the local machine, (1A, 1B, 2A, 2B) for the global one.
     """
     v_s, displacement_variance, shots, seeds = _check_inputs(
-        [machine], v_s, displacement_variance, shots, [seed]
+        machine, v_s, displacement_variance, shots, [seed]
     )
     moments = _block_moments(machine, v_s, displacement_variance, shots, seeds, gain)
     clone1, clone2 = CLONE_PAIRS[machine]
@@ -201,38 +203,26 @@ def sample_circuit(machine, v_s, displacement_variance, shots, seed, gain=UNITY_
     )
 
 
-def sample_criteria(runs, shots, gain=UNITY_GAIN):
-    """Both criteria of many runs, one per ``(machine, v_s, seed)`` of ``runs``.
+def sample_criteria(machine, v_s, seeds, shots, gain=UNITY_GAIN):
+    """Both criteria of one run of ``machine`` per ``(v_s[k], seeds[k])``.
 
-    Returns a (4, len(runs)) array: the fields ``inseparability``,
+    Returns a (4, len(v_s)) array: the fields ``inseparability``,
     ``inseparability_err``, ``epr_paradox`` and ``epr_paradox_err`` of
-    ``estimate_criteria(sample_circuit(machine, v_s, displacement_variance,
-    shots, seed, gain))`` for each run, with the same bits at any
+    ``estimate_criteria(sample_circuit(machine, v_s[k], displacement_variance,
+    shots, seeds[k], gain))`` for each run, with the same bits at any
     displacement variance, which the covariance estimates never see.  The
-    runs are sampled block by block (``_block_plan``), in order, so the
-    first failing run raises and no run behind it is drawn.
+    runs are sampled in consecutive blocks of ``BLOCK_RUNS``, in order, so
+    the first failing run raises and no block behind it is drawn.
     """
-    machines = [run[0] for run in runs]
-    v_s, _, shots, seeds = _check_inputs(
-        machines, [run[1] for run in runs], 0.0, shots, [run[2] for run in runs]
-    )
-    values = np.empty((4, len(runs)))
-    for block in _block_plan(machines):
-        machine = machines[block.start]
+    v_s, _, shots, seeds = _check_inputs(machine, v_s, 0.0, shots, seeds)
+    pair = CLONE_PAIRS[machine][0]
+    values = np.empty((4, len(v_s)))
+    for start in range(0, len(v_s), BLOCK_RUNS):
+        block = slice(start, start + BLOCK_RUNS)
         moments = _block_moments(machine, v_s[block], 0.0, shots, seeds[block], gain)
-        pair = CLONE_PAIRS[machine][0]
-        values[:, block] = _criteria_block(moments["estimated_cov"], moments["batch_covs"], pair)
+        cov, batch_covs = moments["estimated_cov"], moments["batch_covs"]
+        values[:, block] = _criteria_block(v_s[block], gain, cov, batch_covs, pair)
     return values
-
-
-def _block_plan(machines):
-    """Consecutive runs of one machine as slices of at most ``BLOCK_RUNS`` runs."""
-    blocks, start = [], 0
-    for k in range(1, len(machines) + 1):
-        if k == len(machines) or machines[k] != machines[start] or k - start == BLOCK_RUNS:
-            blocks.append(slice(start, k))
-            start = k
-    return blocks
 
 
 def _batch_sizes(shots):
@@ -252,12 +242,12 @@ def _draw_run(seed, dof, off_diagonal):
     return displacement, means, rng.chisquare(dof), rng.standard_normal(off_diagonal)
 
 
-def _raise_out_of_range(v_s, gain, bad):
+def _raise_out_of_range(v_s, gain, bad, what="its covariance leaves"):
+    """Name the first run flagged in ``bad`` by its v_s, and by ``gain`` unless None."""
     if np.any(bad):
-        raise ValueError(
-            f"run at v_s = {float(v_s[np.argmax(bad)])!r}, gain = {gain!r}: "
-            "its covariance leaves the float range"
-        )
+        at = f"v_s = {float(v_s[np.argmax(bad)])!r}"
+        at += f", gain = {gain!r}" if gain is not None else ""
+        raise ValueError(f"run at {at}: {what} the float range")
 
 
 def _block_moments(machine, v_s, displacement_variance, shots, seeds, gain):
@@ -300,34 +290,30 @@ def _assemble(v_s, gain, shots, factors, offset, means, scatters):
 
     ``means`` (runs, NUM_BATCHES, 8) holds each batch's mean of ``e`` and
     ``scatters`` (runs, NUM_BATCHES, 8, 8) its scatter, the sum of
-    (e - mean)^T (e - mean) over the batch's shots; ``z = e @ factors[k]``
-    has batch means ``means @ factors[k]`` and scatters
-    ``factors[k]^T scatters factors[k]``.
+    (e - mean)^T (e - mean) over the batch's shots.  The moments of ``e``
+    are combined first; ``z = e @ factors[k]`` then has means
+    ``mean @ factors[k]`` and covariances ``factors[k]^T C factors[k]``.
     """
     counts = np.array(_batch_sizes(shots), dtype=float)
-    # In units of 2^e >= max|R| per run, an exact scaling, no sum over
-    # shots leaves the float range before the estimates themselves do.
-    exponent = np.frexp(np.max(np.abs(factors), axis=(1, 2)))[1]
-    unit = np.ldexp(factors, -exponent[:, None, None])
-    batch_means = means @ unit
-    batch_scatters = np.swapaxes(unit, 1, 2)[:, None] @ scatters @ unit[:, None]
-    mean = counts @ batch_means / float(shots)
-    # Chan, Golub & LeVeque: the run's scatter is the sum of its batches'
-    # plus the scatter of their means about the run's mean.
-    spread = batch_means - mean[:, None]
-    scatter = batch_scatters.sum(axis=1) + np.swapaxes(spread, 1, 2) @ (counts[:, None] * spread)
+    mean = counts @ means / float(shots)
+    # Chan, Golub & LeVeque, in e-space, where no entry exceeds the shot
+    # count: the run's scatter is the sum of its batches' plus the scatter
+    # of their means about the run's mean.
+    spread = means - mean[:, None]
+    scatter = scatters.sum(axis=1) + np.swapaxes(spread, 1, 2) @ (counts[:, None] * spread)
     # Along axis 1, row 0 is the whole run, rows 1..NUM_BATCHES its batches.
-    covs = np.concatenate(
-        [scatter[:, None] / float(shots - 1), batch_scatters / (counts - 1.0)[:, None, None]],
-        axis=1,
+    e_covs = np.concatenate(
+        [scatter[:, None] / float(shots - 1), scatters / (counts - 1.0)[:, None, None]], axis=1
     )
-    covs = 0.5 * (covs + np.swapaxes(covs, -1, -2))
-    limit = np.ldexp(np.finfo(float).max, -2 * np.maximum(exponent, 0))
-    _raise_out_of_range(v_s, gain, np.max(np.abs(covs), axis=(1, 2, 3)) > limit)
-    covs = np.ldexp(covs, 2 * exponent[:, None, None, None])
-    means = offset[:, None] + np.ldexp(
-        np.concatenate([mean[:, None], batch_means], axis=1), exponent[:, None, None]
-    )
+    e_means = np.concatenate([mean[:, None], means], axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        covs = np.swapaxes(factors, 1, 2)[:, None] @ e_covs @ factors[:, None]
+        covs = 0.5 * (covs + np.swapaxes(covs, -1, -2))
+        means = offset[:, None] + e_means @ factors
+    # A finite draw whose image is not finite has left the float range; a
+    # NaN draw is left to the moment checks.
+    drawn = np.isfinite(e_covs).all(axis=(1, 2, 3))
+    _raise_out_of_range(v_s, gain, drawn & ~np.isfinite(covs).all(axis=(1, 2, 3)))
     cov = covs[:, 0]
     roots = np.sqrt(np.diagonal(cov, axis1=1, axis2=2))
     # Gaussian law (Isserlis): Var(C_ij) = (C_ii C_jj + C_ij^2) / shots
@@ -344,15 +330,22 @@ def _assemble(v_s, gain, shots, factors, offset, means, scatters):
     }
 
 
-def _criteria_block(cov, batch_covs, pair):
-    """Both criteria and their batch-means errors over a stack of runs, as (4, runs)."""
-    n_batches = batch_covs.shape[1]
-    # Along axis 1, element 0 is the whole run, elements 1..n_batches its batches.
+def _criteria_block(v_s, gain, cov, batch_covs, pair):
+    """Both criteria and their batch-means errors over a stack of runs, as (4, runs).
+
+    A ValueError names the first run, by ``v_s`` and ``gain`` (unless None),
+    where a criterion or its error leaves the float range.
+    """
+    root_n = np.sqrt(batch_covs.shape[1])
+    # Along axis 1, element 0 is the whole run, elements 1.. its batches.
     cm = correlation_matrix_from_cov(np.concatenate([cov[:, None], batch_covs], axis=1), pair)
     values = []
-    for per_matrix in (inseparability(cm), epr_paradox(cm)):
-        values += [per_matrix[:, 0], per_matrix[:, 1:].std(axis=1, ddof=1) / np.sqrt(n_batches)]
-    return np.array(values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for per_matrix in (inseparability(cm), epr_paradox(cm)):
+            values += [per_matrix[:, 0], per_matrix[:, 1:].std(axis=1, ddof=1) / root_n]
+    values = np.array(values)
+    _raise_out_of_range(v_s, gain, ~np.isfinite(values).all(axis=0), "its criteria leave")
+    return values
 
 
 def estimate_criteria(run, clone=1):
@@ -361,7 +354,8 @@ def estimate_criteria(run, clone=1):
     Point estimates come from the full-run correlation matrix; error bars
     are batch-means standard errors over the ``NUM_BATCHES`` stored batches.
     The run and its batches are one stacked evaluation, and every guard of
-    the criteria applies to each of their matrices.
+    the criteria applies to each of their matrices.  A ValueError names the
+    run's v_s where a criterion or its error leaves the float range.
     """
     n_batches = len(run.batch_covs)
     if n_batches < NUM_BATCHES:
@@ -371,8 +365,8 @@ def estimate_criteria(run, clone=1):
     if clone not in (1, 2):
         raise ValueError(f"clone index must be 1 or 2, got {clone}")
     pair = run.clone1 if clone == 1 else run.clone2
-    values = _criteria_block(run.estimated_cov[None], run.batch_covs[None], pair)[:, 0]
-    i, i_err, eps, eps_err = (float(value) for value in values)
+    values = _criteria_block([run.v_s], None, run.estimated_cov[None], run.batch_covs[None], pair)
+    i, i_err, eps, eps_err = (float(value) for value in values[:, 0])
     return CriteriaEstimate(
         inseparability=i,
         inseparability_err=i_err,

@@ -405,14 +405,14 @@ def test_failing_run_raises_as_serially_and_cancels_pending_runs(monkeypatch):
     argv = ["--points", str(points), "--mc-shots", str(RUN_SHOTS), "--seed", "5"]
     with pytest.raises(ValueError, match=f"^injected failure in run {first}$"):
         main(argv)
-    # the local runs, then the failing run, first of its block: no run behind it is drawn
+    # the whole local pass, then the global pass's failing first run: no run behind it is drawn
     assert calls[-1] == first and len(calls) == points + 1
 
 
 def test_oracle_pass_memory_does_not_grow_with_points():
     # The bound, fixed before any run: four of the (runs, NUM_BATCHES + 1,
-    # 8, 8) float stacks of one block (Bartlett factors, their e- and
-    # z-space scatters, the covariances), 344 KB, below the traced peak of
+    # 8, 8) float stacks of one block (Bartlett factors, their scatters, the
+    # e- and z-space covariances), 344 KB, below the traced peak of
     # one block alone (0.48 MB).  Measured growth is 0.08-0.15 MB, most of it
     # the output columns the pass leaves in the table; an unblocked pass
     # would hold every run's stacks at once, 100 times a block at 400 points.

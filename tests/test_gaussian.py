@@ -25,12 +25,14 @@ from ecloner import (
     symplectic_form,
     vacuum,
 )
+from ecloner.circuits import _epr_cov
 from ecloner.gaussian import (
     PURE_MAX_ENTRY,
     PURE_REL_TOL,
     SPECTRAL_REL_TOL,
     SPECTRAL_TOL,
     _check_covariance,
+    _is_pure,
 )
 
 
@@ -338,11 +340,27 @@ def test_stacked_symplectic_eigenvalues_match_per_matrix_calls():
     stacked = symplectic_eigenvalues(covs.reshape(4, 6, 6, 6))
     assert stacked.shape == (4, 6, 3)
     assert np.max(np.abs(stacked.reshape(24, 3) - expected)) <= 1e-13 * np.max(expected)
-    # a matrix that is not positive definite falls back on its own
+    # a matrix that is not positive definite gives NaN, alone or in a stack
     indefinite = np.diag([2.0, -0.5, 1.0, 1.0, 1.0, 1.0])
     mixed = symplectic_eigenvalues(np.array([covs[0], indefinite]))
     assert np.array_equal(mixed[0], symplectic_eigenvalues(covs[0]))
-    assert np.array_equal(mixed[1], symplectic_eigenvalues(indefinite))
+    assert np.isnan(mixed[1]).all() and np.isnan(symplectic_eigenvalues(indefinite)).all()
+
+
+def test_covariance_that_is_not_positive_definite_is_rejected():
+    # -cov has the symplectic moduli of cov, so the uncertainty bound alone
+    # takes these for states with nu = 2 and nu = 3.
+    for cov in (np.diag([-2.0, -2.0]), np.diag([3.0, 3.0, -3.0, -3.0])):
+        with pytest.raises(UncertaintyViolation, match="^covariance matrix is not positive"):
+            GaussianState(np.zeros(len(cov)), cov)
+    stack = np.array([np.eye(4), np.diag([3.0, 3.0, -3.0, -3.0]), -np.eye(4)])
+    with pytest.raises(UncertaintyViolation, match="^point 1: covariance matrix is not positive"):
+        _check_covariance(stack, lambda i: f"point {i}")
+    # Below about 6.7e-9 rounding mostly leaves the source without a
+    # Cholesky factor, where its spectrum used to come out as garbage.
+    for v_s in (1e-10, 1e-20, 1e-300):
+        with pytest.raises(UncertaintyViolation, match="not positive definite"):
+            epr_source(v_s)
 
 
 def test_symplectic_op_rejects_non_symplectic_matrix():
@@ -386,18 +404,24 @@ def test_purity_conserved_under_symplectics():
 def test_purity_beyond_float64_resolution_raises_naming_the_largest_entry():
     # From max|cov| = PURE_MAX_ENTRY (2**24) the allowance 16 eps max|cov|**2
     # reaches 1, where a mixed state (nu = sqrt(2)) and sources whose nu
-    # rounded to 6.5e7 and 7.6e11 read pure, and 1e-300 overflowed.
+    # rounded to 6.5e7 and 7.6e11 read pure, and 1e-300 overflowed.  No
+    # state holds the sources' covariances at 1e-20 and 1e-300 any more
+    # (they are not positive definite), so they are checked as raw matrices.
     assert PURE_MAX_ENTRY == PURE_REL_TOL**-0.5
     cases = [
-        (GaussianState(np.zeros(2), np.diag([2e8, 1e-8])), "2e+08"),
-        (epr_source(1e-20), "5e+19"),
-        (epr_source(1e-300), "5e+299"),
+        (np.diag([2e8, 1e-8]), "2e+08"),
+        (_epr_cov(np.sqrt(1e-20)), "5e+19"),
+        (_epr_cov(np.sqrt(1e-300)), "5e+299"),
     ]
+    with pytest.raises(UncertaintyViolation, match="not positive definite"):
+        epr_source(1e-20)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for state, largest in cases:
+        for cov, largest in cases:
             with pytest.raises(ValueError, match=rf"max\|cov\| = {re.escape(largest)} "):
-                state.is_pure()
+                _is_pure(cov)
+        with pytest.raises(ValueError, match=r"max\|cov\| = 2e\+08 "):
+            GaussianState(np.zeros(2), cases[0][0]).is_pure()
         assert not GaussianState(np.zeros(2), np.diag([2e6, 1e-6])).is_pure()
         # per matrix of a stack: the error names the first unresolvable one
         stack = np.stack([np.eye(2), np.diag([2e8, 5e-9]), np.diag([3e8, 1 / 3e8])])

@@ -145,22 +145,60 @@ def test_a_run_past_2_pow_53_shots_estimates_its_exact_law():
 
 
 # (runs per segment, segments, blocks): the runs alternate machines in
-# segments; blocks are of one machine, each of at most BLOCK_RUNS runs.
+# segments, one pass per segment; blocks are of one machine, each of at most
+# BLOCK_RUNS runs.
 @pytest.mark.parametrize(
     "points, segments, blocks",
     [(2, 4, 4), (5, 2, 2), (5, 4, 4), (7, 2, 2), (13, 2, 4), (40, 2, 10), (200, 2, 50)],
 )
-def test_block_plan_covers_every_run_once_in_order(points, segments, blocks):
+def test_block_plan_covers_every_run_once_in_order(monkeypatch, points, segments, blocks):
+    real, plan = montecarlo._block_moments, []
+
+    def spy(machine, v_s, displacement_variance, shots, seeds, gain):
+        plan.append((machine, list(seeds)))
+        return real(machine, v_s, displacement_variance, shots, seeds, gain)
+
+    monkeypatch.setattr(montecarlo, "_block_moments", spy)
+
+    def blocks_of(machines, points):
+        plan.clear()
+        seeds = list(range(len(machines)))
+        for start in range(0, len(machines), points):
+            segment = slice(start, start + points)
+            v_s = np.full(len(machines[segment]), 0.5)
+            montecarlo.sample_criteria(machines[start], v_s, seeds[segment], 100)
+        return list(plan)
+
     machines = [("local", "global")[s % 2] for s in range(segments) for _ in range(points)]
-    plan = montecarlo._block_plan(machines)
-    assert len(plan) == blocks
-    assert [k for block in plan for k in range(block.start, block.stop)] == list(range(len(machines)))
-    for block in plan:
-        assert len(set(machines[block])) == 1
-        assert 0 < block.stop - block.start <= montecarlo.BLOCK_RUNS
-    assert montecarlo._block_plan(["local", "global", "local"]) == [
-        slice(0, 1), slice(1, 2), slice(2, 3)
+    plan_seen = blocks_of(machines, points)
+    assert len(plan_seen) == blocks
+    assert [k for _, block in plan_seen for k in block] == list(range(len(machines)))
+    for machine, block in plan_seen:
+        assert {machines[k] for k in block} == {machine}
+        assert 0 < len(block) <= montecarlo.BLOCK_RUNS
+    assert blocks_of(["local", "global", "local"], 1) == [
+        ("local", [0]), ("global", [1]), ("local", [2])
     ]
+
+
+@pytest.mark.parametrize("machine", ["local", "global"])
+def test_a_pass_samples_every_run_once_in_order_across_blocks(machine):
+    # Three blocks, the last of 3 runs: every column is its own single run.
+    runs = 2 * montecarlo.BLOCK_RUNS + 3
+    v_s, seeds = np.geomspace(0.05, 1.0, runs), range(200, 200 + runs)
+    values = montecarlo.sample_criteria(machine, v_s, seeds, 2017)
+    assert values.shape == (4, runs)
+    for k, (one_v_s, seed) in enumerate(zip(v_s, seeds)):
+        est = estimate_criteria(sample_circuit(machine, one_v_s, 0.0, 2017, seed))
+        assert values[:, k].tolist() == [
+            est.inseparability, est.inseparability_err, est.epr_paradox, est.epr_paradox_err
+        ]
+
+
+def test_a_pass_needs_one_seed_per_v_s():
+    for v_s, seeds in (([0.5, 0.6], [1]), ([0.5], [1, 2]), ([], [1])):
+        with pytest.raises(ValueError, match="one seed per v_s"):
+            montecarlo.sample_criteria("local", v_s, seeds, 1000)
 
 
 def _wishart_moment_bounds(m, samples):
@@ -220,8 +258,7 @@ def test_stacked_runs_are_bit_identical_to_single_runs(
     stacked = montecarlo._block_moments(
         machine, np.array(v_s), displacement_variance, shots, seeds, gain
     )
-    runs = [(machine, one_v_s, seed) for one_v_s, seed in zip(v_s, seeds)]
-    criteria = montecarlo.sample_criteria(runs, shots, gain)
+    criteria = montecarlo.sample_criteria(machine, v_s, seeds, shots, gain)
     for k, (one_v_s, seed) in enumerate(zip(v_s, seeds)):
         run = sample_circuit(machine, one_v_s, displacement_variance, shots, seed, gain=gain)
         fields = _array_fields(run)
@@ -238,13 +275,18 @@ def test_stacked_criteria_on_threads_match_the_serial_pass():
     # Both machines, each over more than one block, sampled by passes on 3
     # user threads at once whose threads switch far more often than usual.
     v_s = np.geomspace(0.05, 1.0, montecarlo.BLOCK_RUNS + 3)
-    runs = [(machine, x, 100 + k) for machine in ("local", "global") for k, x in enumerate(v_s)]
-    serial = montecarlo.sample_criteria(runs, 2017)
+    seeds = range(100, 100 + len(v_s))
+
+    def both_passes():
+        passes = [montecarlo.sample_criteria(m, v_s, seeds, 2017) for m in ("local", "global")]
+        return np.concatenate(passes, axis=1)
+
+    serial = both_passes()
     start, threaded = threading.Barrier(3), [None] * 3
 
     def worker(i):
         start.wait(timeout=30)
-        threaded[i] = montecarlo.sample_criteria(runs, 2017)
+        threaded[i] = both_passes()
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -256,36 +298,38 @@ def test_stacked_criteria_on_threads_match_the_serial_pass():
             thread.join(timeout=60)
     finally:
         sys.setswitchinterval(interval)
-    assert serial.shape == (4, len(runs))
+    assert serial.shape == (4, 2 * len(v_s))
     for values in threaded:
         assert values is not None and np.array_equal(serial, values)
-    for k in (0, len(v_s), len(runs) - 1):
-        machine, one_v_s, seed = runs[k]
-        est = estimate_criteria(sample_circuit(machine, one_v_s, 0.0, 2017, seed))
-        assert serial[:, k].tolist() == [
+    for machine, k in (("local", 0), ("global", len(v_s) - 1)):
+        est = estimate_criteria(sample_circuit(machine, v_s[k], 0.0, 2017, seeds[k]))
+        column = k + len(v_s) * (machine == "global")
+        assert serial[:, column].tolist() == [
             est.inseparability, est.inseparability_err, est.epr_paradox, est.epr_paradox_err
         ]
 
 
 def test_stacked_error_names_the_first_failing_run(monkeypatch):
-    runs = [("global", 0.02, 5), ("global", 0.3, 6), ("local", 0.5, 7), ("local", 1.0, 8)]
+    # A NaN draw in the first block and one in the second: the first block
+    # raises its moment check, and the second block is never drawn.
+    v_s = [0.02, 0.3] + [0.5] * montecarlo.BLOCK_RUNS
+    seeds = list(range(5, 5 + len(v_s)))
     real, drawn = montecarlo._draw_run, []
 
     def draw(seed, dof, off_diagonal):
         drawn.append(seed)
         displacement, means, chi2, normals = real(seed, dof, off_diagonal)
-        if seed in (6, 8):
+        if seed in (6, seeds[-1]):
             means[:] = np.nan
         return displacement, means, chi2, normals
 
     monkeypatch.setattr(montecarlo, "_draw_run", draw)
     first_failure = r"^run at v_s = 0\.3: estimated covariance"
     with pytest.raises(ValueError, match=first_failure):
-        montecarlo.sample_criteria(runs, 1000)
-    # the failing block raises before the block behind it is drawn
-    assert drawn == [5, 6]
+        montecarlo.sample_criteria("global", v_s, seeds, 1000)
+    assert drawn == seeds[: montecarlo.BLOCK_RUNS]
     with pytest.raises(ValueError, match="unknown machine 'sideways'"):
-        montecarlo.sample_criteria(runs + [("sideways", 0.5, 9)], 1000)
+        montecarlo.sample_criteria("sideways", [0.5], [9], 1000)
     with pytest.raises(ValueError, match="unknown machine 'sideways'"):
         _kernels.affine_map("sideways", 0.5, UNITY_GAIN, UNITY_GAIN)
 
@@ -562,7 +606,7 @@ def test_covariance_past_the_float_range_raises_naming_gain(machine, gain):
     with pytest.raises(ValueError, match=message):
         sample_circuit(machine, 0.5, 0.0, 5000, 1, gain=gain)
     with pytest.raises(ValueError, match=message):
-        montecarlo.sample_criteria([(machine, 0.5, 1)], 5000, gain)
+        montecarlo.sample_criteria(machine, [0.5], [1], 5000, gain)
 
 
 @pytest.mark.filterwarnings("error")
@@ -575,6 +619,26 @@ def test_covariance_near_the_float_range_is_estimated_at_any_shot_count():
     exact = transfer.T @ transfer
     assert np.max(exact) > 1e299
     assert np.all(np.abs(run.estimated_cov - exact) <= 5.0 * run.standard_errors)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("gain", [1e39, 1e60, 1e150])
+def test_criteria_past_the_float_range_raise_naming_gain(gain):
+    # The covariance is in range, but the batch spread of epr_paradox, which
+    # grows as the fourth power of the gain, or the criteria are not.
+    message = rf"^run at v_s = 0\.5, gain = {re.escape(repr(gain))}: its criteria leave"
+    with pytest.raises(ValueError, match=message):
+        montecarlo.sample_criteria("local", [0.5], [1], 5000, gain)
+    run = sample_circuit("local", 0.5, 0.0, 5000, 1, gain=gain)
+    with pytest.raises(ValueError, match=r"^run at v_s = 0\.5: its criteria leave"):
+        estimate_criteria(run)
+
+
+@pytest.mark.filterwarnings("error")
+def test_criteria_of_a_run_at_tiny_v_s_raise_naming_it():
+    run = sample_circuit("local", 1e-300, 0.0, 5000, 1)
+    with pytest.raises(ValueError, match=r"^run at v_s = 1e-300: its criteria leave"):
+        estimate_criteria(run)
 
 
 def test_estimate_criteria_needs_enough_batches():
