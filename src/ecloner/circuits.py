@@ -12,13 +12,19 @@ global machine first disentangles the input on a 50/50 beamsplitter,
 un-squeezes each branch into a coherent state, clones, re-squeezes by the
 same amount, and re-entangles the clones pairwise on 50/50 beamsplitters.
 
-Each circuit is written once, as a chain of plain gate matrices acting on
-the rows of a Heisenberg matrix K: the output quadratures as combinations
-of the input quadratures followed by those of the vacuum ancillas.  With
-T = K[:, :d] and N = K[:, d:] K[:, d:]^T the circuit maps a d-dimensional
-input (mean, cov) to (T mean, T cov T^T + N), and only that final state is
-validated.  A machine is one 8 x 16 K (two input modes, six ancillas); the
-squeezing variance may be an array, which stacks K over a grid.
+Each circuit is written once, as one chain of gates acting on the rows of a
+Heisenberg stack K of shape (..., 2, modes, cols): the output quadratures as
+combinations of the input quadratures followed by those of the vacuum
+ancillas.  Axis -3 is the quadrature, x then p, because no gate of these
+circuits mixes x with p: a 50/50 beamsplitter acts alike on both, a
+squeezer scales the x rows by f and the p rows by 1/f, and the feedforward
+adds the n2 readout to x and the n1 readout to p.  With T = K[..., :d] and
+N = K[..., d:] K[..., d:]^T the circuit maps a d-mode input (mean, cov) to
+(T mean, T cov T^T + N) per quadrature.  A machine is a 2 x 4 x 8 K (two
+input modes, six ancillas); the squeezing variance may be an array, which
+stacks K over a grid.  ``machine_covariances`` propagates and validates
+the x and p blocks and interleaves them into (x1, p1, ...) order at its
+return; the gate-object API and the CloneSets interleave K itself.
 """
 
 import math
@@ -29,10 +35,9 @@ import numpy as np
 from .gaussian import (
     GaussianState,
     _beamsplitter_matrix,
-    _check_covariance,
+    _check_split_covariance,
     _check_v_s,
     _quadratures,
-    _squeeze_matrix,
 )
 
 # Feedforward gain that cancels the first beamsplitter's vacuum noise and
@@ -49,11 +54,13 @@ V_S_MATCH_RTOL = 1e-14
 
 # (clone1, clone2) mode pairs of each machine's 4-mode output.
 CLONE_PAIRS = {"local": ((0, 3), (2, 1)), "global": ((0, 1), (2, 3))}
-# A machine's Heisenberg matrix runs over 8 modes: the input pair, then the
+# A machine's Heisenberg stack runs over 8 modes: the input pair, then the
 # (tap, readout, clone B) ancillas of the arm-1 and the arm-2 cloner.  The
 # four outputs end on modes 0, 1, 4 and 7.
 _MACHINE_MODES = 8
-_OUTPUT_MODES = (0, 1, 4, 7)
+_OUTPUT_MODES = [0, 1, 4, 7]
+# The 50/50 beamsplitter on one quadrature of a mode pair.
+_BALANCED = _beamsplitter_matrix(0.5)[::2, ::2]
 
 
 @dataclass(frozen=True)
@@ -109,13 +116,41 @@ def clone_state(clone_set, which=1):
     return GaussianState(clone_set.state.mean[q], clone_set.state.cov[np.ix_(q, q)])
 
 
-def _gate(rows, matrix, modes):
-    """Left-multiply the listed modes' rows of a Heisenberg matrix by a gate.
+def _identity(shape, modes):
+    """The Heisenberg stack (shape + (2, modes, modes)) of a circuit with no gates."""
+    return np.broadcast_to(np.eye(modes), shape + (2, modes, modes)).copy()
 
-    ``rows`` and ``matrix`` may carry matching leading stack axes.
+
+def _beamsplit(rows, i, j):
+    """A 50/50 beamsplitter on modes i < j of a Heisenberg stack.
+
+    The two modes' rows are taken as one strided view, not a gathered copy.
     """
-    q = _quadratures(modes)
-    rows[..., q, :] = matrix @ rows[..., q, :]
+    pair = rows[..., i : j + 1 : j - i, :]
+    pair[...] = _BALANCED @ pair
+
+
+def _squeeze(rows, mode, factors):
+    """A squeezer on one mode's rows: ``factors`` (..., 2, 1) = (f, 1/f)
+    scale its x row and its p row."""
+    rows[..., mode, :] *= factors
+
+
+def _squeeze_factors(f):
+    """The (..., 2, 1) factors (f, 1/f) of a squeezer of factor f, stacked like f."""
+    factors = np.empty(np.shape(f) + (2, 1))
+    factors[..., 0, 0] = f
+    factors[..., 1, 0] = 1.0 / f
+    return factors
+
+
+def _interleave(blocks):
+    """The (..., 2n, 2m) matrix, in (x1, p1, ...) order, of (..., 2, n, m) x and p blocks."""
+    *lead, _, n, m = blocks.shape
+    out = np.zeros((*lead, n, 2, m, 2))
+    for q in (0, 1):
+        out[..., :, q, :, q] = blocks[..., q, :, :]
+    return out.reshape(*lead, 2 * n, 2 * m)
 
 
 def _transfer(k, d_in):
@@ -130,19 +165,33 @@ def _propagate(t, n, cov):
     return 0.5 * (out + np.swapaxes(out, -1, -2))
 
 
-def _output_state(k, state):
-    """The validated state a Heisenberg matrix makes of ``state``."""
-    t, n = _transfer(k, 2 * state.num_modes)
-    return GaussianState(t @ state.mean, _propagate(t, n, state.cov))
+def _output_state(rows, state, at):
+    """The validated state a Heisenberg stack makes of ``state``.
+
+    Where the moments leave the float range, a ValueError names the
+    circuit's parameters by the phrase ``at``.
+    """
+    k = _interleave(rows)
+    with np.errstate(over="ignore", invalid="ignore"):
+        t, n = _transfer(k, 2 * state.num_modes)
+        mean, cov = t @ state.mean, _propagate(t, n, state.cov)
+    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
+        raise ValueError(f"{at}: the clones leave the float range")
+    return GaussianState(mean, cov)
+
+
+def _epr_blocks(s):
+    """x and p blocks (..., 2, 2, 2) of epr_source's covariance at s = sqrt(v_s)."""
+    rows = _identity(np.shape(s), 2)
+    _squeeze(rows, 0, _squeeze_factors(s))
+    _squeeze(rows, 1, _squeeze_factors(1.0 / s))
+    _beamsplit(rows, 0, 1)
+    return _propagate(rows, 0.0, np.eye(2))  # both inputs are vacuum
 
 
 def _epr_cov(s):
     """Covariance of epr_source at squeeze factor s = sqrt(v_s), stacked like s."""
-    k = np.broadcast_to(np.eye(4), np.shape(s) + (4, 4)).copy()
-    _gate(k, _squeeze_matrix(s), (0,))
-    _gate(k, _squeeze_matrix(1.0 / s), (1,))
-    _gate(k, _beamsplitter_matrix(0.5), (0, 1))
-    return _propagate(k, 0.0, np.eye(4))  # both inputs are vacuum
+    return _interleave(_epr_blocks(s))
 
 
 def epr_source(v_s):
@@ -182,7 +231,7 @@ def _gain_pair(gain):
 
 
 def _clone_rows(rows, mode, ancillas, gx, gp):
-    """The linear cloning circuit on the rows of a Heisenberg matrix.
+    """The linear cloning circuit on the rows of a Heisenberg stack.
 
     ``ancillas`` = (n1, n2, n3) are three fresh vacuum modes: a 50/50 split
     taps ``mode`` onto n1, a second 50/50 with n2 makes the dual-homodyne
@@ -191,14 +240,13 @@ def _clone_rows(rows, mode, ancillas, gx, gp):
     on n3.  n1 and n2 are the measured modes.
     """
     n1, n2, n3 = ancillas
-    balanced = _beamsplitter_matrix(0.5)
     # mode -> kept beam (in + N1)/sqrt(2), n1 -> tapped beam (in - N1)/sqrt(2)
-    _gate(rows, balanced, (mode, n1))
+    _beamsplit(rows, mode, n1)
     # dual homodyne: n2 slot's x and n1 slot's p are the two readouts
-    _gate(rows, balanced, (n1, n2))
-    rows[..., 2 * mode, :] += gx * rows[..., 2 * n2, :]
-    rows[..., 2 * mode + 1, :] += gp * rows[..., 2 * n1 + 1, :]
-    _gate(rows, balanced, (mode, n3))
+    _beamsplit(rows, n1, n2)
+    rows[..., 0, mode, :] += gx * rows[..., 0, n2, :]
+    rows[..., 1, mode, :] += gp * rows[..., 1, n1, :]
+    _beamsplit(rows, mode, n3)
 
 
 def linear_cloner(state, mode, gain=UNITY_GAIN):
@@ -210,7 +258,8 @@ def linear_cloner(state, mode, gain=UNITY_GAIN):
     beam, feedforward of the readout with gain (g_x, g_p) onto the kept
     beam, and a final 50/50 split.  The two measured ancilla modes are
     discarded.  ``gain`` may be a scalar or an (x, p) pair; unity gain
-    sqrt(2) gives clones with the input mean and variance + 1.
+    sqrt(2) gives clones with the input mean and variance + 1.  A ValueError
+    names the gain where the clones' moments leave the float range.
     """
     n = state.num_modes
     mode = int(mode)
@@ -218,39 +267,37 @@ def linear_cloner(state, mode, gain=UNITY_GAIN):
         raise ValueError(f"mode {mode} out of range for {n} modes")
     gx, gp = _gain_pair(gain)
 
-    rows = np.eye(2 * (n + 3))
-    _clone_rows(rows, mode, (n, n + 1, n + 2), gx, gp)
+    rows = _identity((), n + 3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _clone_rows(rows, mode, (n, n + 1, n + 2), gx, gp)
     # The feedforward row is not symplectic, so the moments are only
     # meaningful once the consumed measurement modes are dropped.
     keep = [i for i in range(n + 3) if i not in (n, n + 1)]
-    return _output_state(rows[_quadratures(keep)], state)
+    return _output_state(rows[:, keep], state, f"gain = {gain!r}")
 
 
-def _machine_matrix(machine, s, gx, gp):
-    """The 8 x 16 Heisenberg matrix of a machine at squeeze factor s.
+def _machine_rows(machine, s, gx, gp):
+    """The (..., 2, 4, 8) Heisenberg stack of a machine at squeeze factor s.
 
-    Columns 0-3 are the input quadratures, 4-15 the six vacuum ancillas;
-    rows are the outputs in CloneSet order.  The global machine stacks over
-    an array s; the local one does not depend on s.
+    Columns 0-1 are the input modes, 2-7 the six vacuum ancillas; rows are
+    the outputs in CloneSet order.  The global machine stacks over an array
+    s; the local one does not depend on s.
     """
     shape = np.shape(s) if machine == "global" else ()
-    d = 2 * _MACHINE_MODES
-    rows = np.broadcast_to(np.eye(d), shape + (d, d)).copy()
-    balanced = _beamsplitter_matrix(0.5)
+    rows = _identity(shape, _MACHINE_MODES)
     if machine == "global":
-        _gate(rows, balanced, (0, 1))  # branches: x-squeezed, p-squeezed
-        _gate(rows, _squeeze_matrix(1.0 / s), (0,))
-        _gate(rows, _squeeze_matrix(s), (1,))
+        up, down = _squeeze_factors(s), _squeeze_factors(1.0 / s)
+        _beamsplit(rows, 0, 1)  # branches: x-squeezed, p-squeezed
+        _squeeze(rows, 0, down)
+        _squeeze(rows, 1, up)
     _clone_rows(rows, 0, (2, 3, 4), gx, gp)  # (1A, arm 2, 1B) on modes 0, 1, 4
     _clone_rows(rows, 1, (5, 6, 7), gx, gp)  # (1A, 2A, 1B, 2B) on modes 0, 1, 4, 7
     if machine == "global":
-        _gate(rows, _squeeze_matrix(s), (0,))
-        _gate(rows, _squeeze_matrix(s), (4,))
-        _gate(rows, _squeeze_matrix(1.0 / s), (1,))
-        _gate(rows, _squeeze_matrix(1.0 / s), (7,))
-        _gate(rows, balanced, (0, 1))
-        _gate(rows, balanced, (4, 7))
-    return rows[..., _quadratures(_OUTPUT_MODES), :]
+        for mode, factors in ((0, up), (4, up), (1, down), (7, down)):
+            _squeeze(rows, mode, factors)
+        _beamsplit(rows, 0, 1)
+        _beamsplit(rows, 4, 7)
+    return rows[..., _OUTPUT_MODES, :]
 
 
 def machine_covariances(machine, v_s, gain=UNITY_GAIN):
@@ -259,23 +306,30 @@ def machine_covariances(machine, v_s, gain=UNITY_GAIN):
     Returns ``(source, clones)``: the (..., 4, 4) source covariance and the
     (..., 8, 8) output covariance, modes ordered as the machine's CloneSet.
     ``v_s`` may be an array, whose shape then leads both results, so a whole
-    grid is one stacked evaluation of the compiled machine.  Only the
-    outputs are validated (finite, symmetric, uncertainty bound, clone
-    symmetry), once for the whole stack; an error names the offending v_s.
+    grid is one stacked evaluation of the compiled machine.  The x and p
+    blocks are propagated apart, and only the outputs are validated (finite,
+    symmetric, uncertainty bound, clone symmetry), once for the whole stack;
+    an error names the offending v_s, and the gain too where the clones
+    leave the float range.
     """
     if machine not in CLONE_PAIRS:
         raise ValueError(f"unknown machine {machine!r}")
     v = _check_v_s(v_s)
     s = np.sqrt(v)
     gx, gp = _gain_pair(gain)
-    source = _epr_cov(s)
-    t, n = _transfer(_machine_matrix(machine, s, gx, gp), 4)
-    clones = _propagate(t, n, source)
 
     def where(i):
         return f"v_s = {float(v.flat[i])!r}"
 
-    _check_covariance(clones, where)
+    with np.errstate(over="ignore", invalid="ignore"):
+        source = _epr_blocks(s)
+        clones = _propagate(*_transfer(_machine_rows(machine, s, gx, gp), 2), source)
+    finite = np.isfinite(clones).all(axis=(-3, -2, -1))
+    if not finite.all():
+        at = where(int(np.flatnonzero(~finite)[0]))
+        raise ValueError(f"{at}, gain = {gain!r}: the clones leave the float range")
+    _check_split_covariance(clones, where)
+    source, clones = _interleave(source), _interleave(clones)
     _check_clone_symmetry(clones, *CLONE_PAIRS[machine], where)
     return source, clones
 
@@ -305,8 +359,10 @@ def _clone_set(machine, epr, s, gain, v_s):
         raise ValueError(f"{machine} machine expects a 2-mode input, got {epr.num_modes}")
     gx, gp = _gain_pair(gain)
     clone1, clone2 = CLONE_PAIRS[machine]
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = _machine_rows(machine, s, gx, gp)
     return CloneSet(
-        state=_output_state(_machine_matrix(machine, s, gx, gp), epr),
+        state=_output_state(rows, epr, f"v_s = {float(v_s)!r}, gain = {gain!r}"),
         clone1=clone1,
         clone2=clone2,
         machine=machine,

@@ -78,7 +78,8 @@ def fidelity_from_cov(reference_cov, candidate_cov, delta=None):
     ``reference_cov`` (A) must be pure and ``candidate_cov`` (B) shares its
     size; either may be a (..., 2n, 2n) stack.  ``delta`` is the candidate
     mean minus the reference mean, zero when None.  Every check of
-    :func:`pure_mixed_fidelity` applies to each matrix of the stack.
+    :func:`pure_mixed_fidelity` applies to each matrix of the stack, and a
+    ValueError names max|A + B| where det(A + B) leaves the float range.
 
     Returns
     -------
@@ -92,7 +93,14 @@ def fidelity_from_cov(reference_cov, candidate_cov, delta=None):
         raise ValueError("reference state must be pure")
     n = a.shape[-1] // 2
     joint = a + b
-    det_joint = np.linalg.det(joint)
+    with np.errstate(over="ignore", invalid="ignore"):
+        det_joint = np.linalg.det(joint)
+    # an infinite determinant of finite matrices has overflowed; NaN is left
+    # to the singular-matrix error
+    in_range = ~np.isinf(det_joint)
+    if not np.all(in_range):
+        largest = _first_failing(np.max(np.abs(joint), axis=(-2, -1)), in_range)
+        raise ValueError(f"det(A + B) leaves the float range at max|A + B| = {largest:.6g}")
     regular = (det_joint > 0) & np.isfinite(det_joint)
     if not np.all(regular):
         raise DegenerateInputError(f"A + B is singular (det {_first_failing(det_joint, regular)})")

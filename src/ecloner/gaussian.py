@@ -26,8 +26,9 @@ SYMPLECTIC_TOL = 1e-12
 SPECTRAL_TOL = 1e-9
 # Rounding leaves a physical state's smallest symplectic eigenvalue short of
 # 1 by up to about 1.2e3 eps times its largest entry (both machines, 120
-# gains in [0.05, 40], 4000 v_s in [1e-3, 1]); the uncertainty bound allows
-# this much more per unit of max|cov|, about 8x that deficit.
+# gains in [0.05, 40], 4000 v_s in [1e-3, 1]; 1.23e3 eps for the 2n-dim
+# spectrum and the split one alike); the uncertainty bound allows this much
+# more per unit of max|cov|, about 8x that deficit.
 SPECTRAL_REL_TOL = 1e4 * np.finfo(float).eps
 # A pure state's covariance has condition number about max|cov|^2, and
 # rounding moves its symplectic eigenvalues off 1 by up to 3.4 eps times
@@ -49,6 +50,20 @@ def symplectic_form(num_modes):
     return omega
 
 
+def _spectrum(cov, core, n, from_cholesky):
+    """``from_cholesky`` of the Cholesky factors of a stack whose last ``core``
+    axes are one item; n NaN values for an item without a factor."""
+    try:
+        chol = np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        if cov.ndim == core:
+            return np.full(n, np.nan)
+        flat = cov.reshape((-1,) + cov.shape[-core:])
+        values = np.array([_spectrum(item, core, n, from_cholesky) for item in flat])
+        return values.reshape(cov.shape[:-core] + (n,))
+    return from_cholesky(chol)
+
+
 def symplectic_eigenvalues(cov):
     """Symplectic spectrum of a covariance matrix, sorted ascending.
 
@@ -65,16 +80,31 @@ def symplectic_eigenvalues(cov):
     """
     cov = np.asarray(cov, dtype=float)
     n = cov.shape[-1] // 2
-    try:
-        chol = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        if cov.ndim == 2:
-            return np.full(n, np.nan)
-        flat = cov.reshape((-1,) + cov.shape[-2:])
-        eigs = np.array([symplectic_eigenvalues(c) for c in flat])
-        return eigs.reshape(cov.shape[:-2] + (n,))
-    eigs = np.linalg.eigvalsh(1j * np.swapaxes(chol, -1, -2) @ symplectic_form(n) @ chol)
-    return np.sort(np.abs(eigs), axis=-1)[..., ::2]
+
+    def from_cholesky(chol):
+        eigs = np.linalg.eigvalsh(1j * np.swapaxes(chol, -1, -2) @ symplectic_form(n) @ chol)
+        return np.sort(np.abs(eigs), axis=-1)[..., ::2]
+
+    return _spectrum(cov, 2, n, from_cholesky)
+
+
+def _split_symplectic_eigenvalues(blocks):
+    """Symplectic spectrum of covariances that never mix x with p, ascending.
+
+    ``blocks`` (..., 2, n, n) holds each covariance's x block and p block
+    (axis -3); the result is (..., n), as :func:`symplectic_eigenvalues` gives
+    for the interleaved (..., 2n, 2n) matrices.  With Cholesky factors L_x
+    and L_p the spectrum is the square root of that of cov_x cov_p, so it is
+    sigma(L_p^T L_x): a real n x n SVD, no complex Hermitian eigensolve.  A
+    block that is not positive definite gives NaN values.
+    """
+    blocks = np.asarray(blocks, dtype=float)
+
+    def from_cholesky(chol):
+        lx, lp = chol[..., 0, :, :], chol[..., 1, :, :]
+        return np.linalg.svd(np.swapaxes(lp, -1, -2) @ lx, compute_uv=False)[..., ::-1]
+
+    return _spectrum(blocks, 3, blocks.shape[-1], from_cholesky)
 
 
 def _quadratures(modes):
@@ -140,30 +170,42 @@ def _check_covariance(cov, where=None):
     the flat stack index of the first offending matrix to a phrase naming it
     in the error, for example the grid value the matrix was built from.
     """
+    _validate(cov, (-2, -1), symplectic_eigenvalues, where)
+
+
+def _check_split_covariance(blocks, where=None):
+    """``_check_covariance`` for covariances that never mix x with p, given
+    as their (..., 2, n, n) x and p blocks: the same checks, tolerances and
+    messages, with the spectrum of :func:`_split_symplectic_eigenvalues`."""
+    _validate(blocks, (-3, -2, -1), _split_symplectic_eigenvalues, where)
+
+
+def _validate(cov, axes, spectrum, where):
+    """The checks of ``_check_covariance`` on a stack whose ``axes`` are one covariance."""
 
     def first(bad):
         i = int(np.flatnonzero(bad)[0])
         return i, (f"{where(i)}: " if where is not None else "")
 
-    finite = np.all(np.isfinite(cov), axis=(-2, -1))
-    if not np.all(finite):
+    finite = np.isfinite(cov).all(axis=axes)
+    if not finite.all():
         _, at = first(~finite)
         raise ValueError(f"{at}covariance matrix has non-finite entries")
-    asym = np.max(np.abs(cov - np.swapaxes(cov, -1, -2)), axis=(-2, -1))
+    asym = np.abs(cov - np.swapaxes(cov, -1, -2)).max(axis=axes)
     bad = ~(asym <= SYMMETRY_TOL)
-    if np.any(bad):
+    if bad.any():
         i, at = first(bad)
         raise ValueError(
             f"{at}covariance matrix is not symmetric (max asymmetry {np.ravel(asym)[i]:.3e})"
         )
-    nu_min = symplectic_eigenvalues(cov).min(axis=-1)
+    nu_min = spectrum(cov).min(axis=-1)
     definite = ~np.isnan(nu_min)
-    if not np.all(definite):
+    if not definite.all():
         _, at = first(~definite)
         raise UncertaintyViolation(f"{at}covariance matrix is not positive definite")
-    tol = SPECTRAL_TOL + SPECTRAL_REL_TOL * np.max(np.abs(cov), axis=(-2, -1))
+    tol = SPECTRAL_TOL + SPECTRAL_REL_TOL * np.abs(cov).max(axis=axes)
     bad = ~(nu_min >= 1.0 - tol)
-    if np.any(bad):
+    if bad.any():
         i, at = first(bad)
         raise UncertaintyViolation(
             f"{at}covariance violates the uncertainty bound: "
@@ -320,16 +362,7 @@ def squeeze_gate(s_plus, mode):
             "squeeze factor s_plus must be positive, with s_plus**2 and 1/s_plus**2 "
             f"finite normal floats, got {s!r}"
         )
-    return SymplecticOp(_squeeze_matrix(s), (mode,))
-
-
-def _squeeze_matrix(s):
-    """diag(s, 1/s); an array of factors gives a (..., 2, 2) stack."""
-    s = np.asarray(s, dtype=float)
-    matrix = np.zeros(s.shape + (2, 2))
-    matrix[..., 0, 0] = s
-    matrix[..., 1, 1] = 1.0 / s
-    return matrix
+    return SymplecticOp(np.diag([s, 1.0 / s]), (mode,))
 
 
 def phase_rotation(theta, mode):

@@ -1,6 +1,7 @@
 """Cloning circuits: EPR source, linear cloner, and both machines."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from ecloner import (
     vacuum,
 )
 from ecloner.circuits import _check_clone_symmetry, machine_covariances
+from ecloner.gaussian import _split_symplectic_eigenvalues, symplectic_eigenvalues
 
 GRID = np.geomspace(0.02, 1.0, 50)
 
@@ -381,3 +383,51 @@ def test_stacked_clone_symmetry_check_names_the_offending_point():
     bad[0, 0] += 1e-6
     with pytest.raises(ValueError, match="point 2: clones are not symmetric"):
         _check_clone_symmetry(np.array([good, good, bad]), (0, 3), (2, 1), lambda i: f"point {i}")
+
+
+# Every gate of both machines keeps x apart from p, so the engine solves an
+# x problem and a p problem; the bound on the split spectrum, fixed before
+# the run, is 1e3 eps of the largest entry (measured worst: 114 eps, global
+# machine at gain 0.5).
+SPLIT_SPECTRUM_REL_TOL = 1e3 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("gain", [UNITY_GAIN, 1.0, 0.5, (1.1, 1.7)], ids=["unity", "one", "half", "pair"])
+@pytest.mark.parametrize("machine", ["local", "global"])
+def test_machines_never_mix_x_with_p(machine, gain):
+    v_s = np.geomspace(1e-3, 1.0, 400)
+    for cov in machine_covariances(machine, v_s, gain):
+        assert np.all(cov[..., ::2, 1::2] == 0.0) and np.all(cov[..., 1::2, ::2] == 0.0)
+        blocks = np.stack([cov[..., ::2, ::2], cov[..., 1::2, 1::2]], axis=-3)
+        split = _split_symplectic_eigenvalues(blocks)
+        deviation = np.max(np.abs(split - symplectic_eigenvalues(cov)), axis=-1)
+        assert np.all(deviation <= SPLIT_SPECTRUM_REL_TOL * np.max(np.abs(cov), axis=(-2, -1)))
+
+
+def test_split_spectrum_gives_nan_for_a_block_that_is_not_positive_definite():
+    good = np.stack([np.diag([4.0, 0.25]), np.diag([0.25, 4.0])])
+    bad = good.copy()
+    bad[1, 1, 1] = -1.0
+    nu = _split_symplectic_eigenvalues(np.array([good, bad]))
+    assert np.array_equal(nu[0], [1.0, 1.0]) and np.isnan(nu[1]).all()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("machine", ["local", "global"])
+@pytest.mark.parametrize("gain", [1e160, (1.0, 1e160), 1e307], ids=["1e160", "pair", "1e307"])
+def test_clones_past_the_float_range_raise_naming_v_s_and_gain(machine, gain):
+    # Under -W error: a ValueError that names the input, no escaped overflow.
+    at = rf"v_s = 0\.5, gain = {re.escape(repr(gain))}"
+    with pytest.raises(ValueError, match=rf"^{at}: the clones leave the float range$"):
+        machine_covariances(machine, np.array([0.5, 0.2]), gain)
+    with pytest.raises(ValueError, match=rf"^{at}: the clones leave the float range$"):
+        if machine == "local":
+            local_ecloner(epr_source(0.5), gain)
+        else:
+            global_ecloner(epr_source(0.5), 0.5, gain)
+
+
+@pytest.mark.filterwarnings("error")
+def test_linear_cloner_past_the_float_range_raises_naming_gain():
+    with pytest.raises(ValueError, match=r"^gain = 1e\+160: the clones leave the float range$"):
+        linear_cloner(vacuum(1), 0, 1e160)

@@ -247,6 +247,14 @@ def test_large_gains_report_the_closed_form_thresholds(gain, capsys):
     assert len(lines) == 2
 
 
+@pytest.mark.filterwarnings("error")
+def test_gain_past_the_float_range_raises_naming_v_s_and_gain():
+    # the clones' variances grow as gain**2: at 1e160 they pass 1e308
+    message = r"^v_s = 0\.01, gain = 1e\+160: the clones leave the float range$"
+    with pytest.raises(ValueError, match=message):
+        main(["--points", "3", "--gain", "1e160"])
+
+
 def _package_env():
     """The environment of a fresh interpreter that imports this package."""
     paths = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]

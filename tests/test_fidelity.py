@@ -136,6 +136,17 @@ def test_fidelity_rejects_bad_inputs():
         pure_mixed_fidelity(vacuum(2), vacuum(2), mode_map=(0, 0))
 
 
+@pytest.mark.filterwarnings("error")
+def test_determinant_past_the_float_range_is_reported_as_such():
+    # det(A + B) of finite matrices overflows: no escaped warning, and no
+    # claim that A + B is singular
+    message = r"^det\(A \+ B\) leaves the float range at max\|A \+ B\| = 1e\+300$"
+    with pytest.raises(ValueError, match=message):
+        fidelity_from_cov(np.eye(2), 1e300 * np.eye(2))
+    with pytest.raises(ValueError, match=message):
+        fidelity_from_cov(np.eye(2), np.array([np.eye(2), 1e300 * np.eye(2)]))
+
+
 def test_closed_form_domain_checks():
     for fn in (local_fidelity, global_fidelity):
         for bad in (0.0, 1.2, 1.5, np.nan):
