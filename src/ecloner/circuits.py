@@ -194,6 +194,18 @@ def _epr_cov(s):
     return _interleave(_epr_blocks(s))
 
 
+def _source_blocks(v):
+    """``_epr_blocks`` at the validated v_s ``v``; a ValueError names the first
+    v_s where the source, whose entries grow as 1/v_s, leaves the float range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        blocks = _epr_blocks(np.sqrt(v))
+    finite = np.isfinite(blocks).all(axis=(-3, -2, -1))
+    if not finite.all():
+        at = float(v.flat[np.argmin(finite)])
+        raise ValueError(f"v_s = {at!r}: the source leaves the float range")
+    return blocks
+
+
 def epr_source(v_s):
     """Two-mode entangled state from orthogonally squeezed beams on a 50/50.
 
@@ -215,7 +227,7 @@ def epr_source(v_s):
     to be taken from the measured error curve.
     """
     v_s = float(v_s)
-    return GaussianState(np.zeros(4), _epr_cov(float(np.sqrt(_check_v_s(v_s)))))
+    return GaussianState(np.zeros(4), _interleave(_source_blocks(_check_v_s(v_s))))
 
 
 def _gain_pair(gain):
@@ -310,7 +322,8 @@ def machine_covariances(machine, v_s, gain=UNITY_GAIN):
     blocks are propagated apart, and only the outputs are validated (finite,
     symmetric, uncertainty bound, clone symmetry), once for the whole stack;
     an error names the offending v_s, and the gain too where the clones
-    leave the float range.
+    leave the float range.  Below v_s of about 5.6e-309 (subnormal) the
+    source itself leaves the float range, and the error says so.
     """
     if machine not in CLONE_PAIRS:
         raise ValueError(f"unknown machine {machine!r}")
@@ -321,8 +334,8 @@ def machine_covariances(machine, v_s, gain=UNITY_GAIN):
     def where(i):
         return f"v_s = {float(v.flat[i])!r}"
 
+    source = _source_blocks(v)
     with np.errstate(over="ignore", invalid="ignore"):
-        source = _epr_blocks(s)
         clones = _propagate(*_transfer(_machine_rows(machine, s, gx, gp), 2), source)
     finite = np.isfinite(clones).all(axis=(-3, -2, -1))
     if not finite.all():

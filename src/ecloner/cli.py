@@ -25,6 +25,13 @@ from .fidelity import fidelity_from_cov
 CSV_HEADER = "v_s,squeezing_db,i_local,i_global,eps_local,eps_global,f_local,f_global"
 BISECTION_TOL = 1e-9
 V_MIN_FLOOR = 0.001
+# Largest --gain accepted, a decade below the smallest gain measured to fail:
+# over 3000 log-spaced gains in [1e3, 1e5] and 8000 v_s in [1e-3, 1] (4000
+# of them in [1e-3, 2e-3]), the first failure is at gain 9.4e4, where
+# rounding at entries ~gain^2/v_s leaves the global machine's clone
+# covariance at v_s = 1.003e-3 without a Cholesky factor; from there up
+# the failures are erratic (3e7 fails at v_s = 0.01 already).
+MAX_GAIN = 9e3
 # 128 + SIGPIPE: the status a shell reports for a writer killed by SIGPIPE
 EXIT_BROKEN_PIPE = 141
 
@@ -68,7 +75,7 @@ def build_parser():
         help=(
             "expert: cloner feedforward gain (default sqrt(2), the unity-gain "
             "setting that copies clone amplitudes exactly; other values bias "
-            "the clones and break the fixed-fidelity records)"
+            f"the clones and break the fixed-fidelity records); at most {MAX_GAIN:g}"
         ),
     )
     return parser
@@ -89,8 +96,8 @@ def _validate(parser, args):
     # checked with sampling off too, so a flag's validity never depends on another
     if args.seed < 0:
         parser.error(f"--seed must be a non-negative integer, got {args.seed}")
-    if not math.isfinite(args.gain) or args.gain <= 0:
-        parser.error(f"--gain must be a positive finite number, got {args.gain}")
+    if not 0 < args.gain <= MAX_GAIN:  # NaN fails too
+        parser.error(f"--gain must lie in (0, {MAX_GAIN:g}], got {args.gain}")
 
 
 def _mc_seed(master_seed, point_index, machine_index):

@@ -37,7 +37,9 @@ from the run's own estimate.
 A block of runs (``_block_moments``) shares one stacked evaluation of the
 maps, QR factors, moments and checks; only a run's generator calls
 (``_draw_run``) are its own, so a run has the same bits alone
-(``sample_circuit``) or in any block (``sample_criteria``).
+(``sample_circuit``) or in any block (``sample_criteria``).  A pass sets up
+its shot layout and block buffers once (``_Blocks``), and every block works
+in them in place.
 """
 
 import math
@@ -54,9 +56,11 @@ from .gaussian import _check_v_s
 RNG_ALGORITHM = "numpy.random.default_rng (PCG64)"
 NUM_BATCHES = 20
 MIN_SHOTS = 100
-# Runs whose draws, moments and criteria are one stacked evaluation: a
-# block's Bartlett factors are BLOCK_RUNS * NUM_BATCHES * 8 * 8 floats (80 KB).
-BLOCK_RUNS = 8
+# Runs whose draws, moments and criteria are one stacked evaluation.  A
+# pass holds two (BLOCK_RUNS, NUM_BATCHES + 1, 8, 8) float stacks, 344 KB
+# each at 32: the largest size tried (8 to 32) that keeps the CLI's peak
+# RSS within 1% of 8-run blocks with per-block arrays (README).
+BLOCK_RUNS = 32
 
 
 def _check_moments(v_s, shots, mean, cov, standard_errors, mean_standard_errors):
@@ -188,7 +192,7 @@ def sample_circuit(machine, v_s, displacement_variance, shots, seed, gain=UNITY_
     v_s, displacement_variance, shots, seeds = _check_inputs(
         machine, v_s, displacement_variance, shots, [seed]
     )
-    moments = _block_moments(machine, v_s, displacement_variance, shots, seeds, gain)
+    moments = _block_moments(_Blocks(shots, 1), machine, v_s, displacement_variance, seeds, gain)
     clone1, clone2 = CLONE_PAIRS[machine]
     return SampleRun(
         machine=machine,
@@ -217,11 +221,12 @@ def sample_criteria(machine, v_s, seeds, shots, gain=UNITY_GAIN):
     v_s, _, shots, seeds = _check_inputs(machine, v_s, 0.0, shots, seeds)
     pair = CLONE_PAIRS[machine][0]
     values = np.empty((4, len(v_s)))
+    blocks = _Blocks(shots, min(BLOCK_RUNS, len(v_s)))
     for start in range(0, len(v_s), BLOCK_RUNS):
         block = slice(start, start + BLOCK_RUNS)
-        moments = _block_moments(machine, v_s[block], 0.0, shots, seeds[block], gain)
-        cov, batch_covs = moments["estimated_cov"], moments["batch_covs"]
-        values[:, block] = _criteria_block(v_s[block], gain, cov, batch_covs, pair)
+        _block_moments(blocks, machine, v_s[block], 0.0, seeds[block], gain)
+        covs = blocks.covs[: len(v_s[block])]
+        values[:, block] = _criteria_block(v_s[block], gain, covs, pair)
     return values
 
 
@@ -232,14 +237,18 @@ def _batch_sizes(shots):
     return [hi - lo for lo, hi in zip(bounds, bounds[1:])]
 
 
-def _draw_run(seed, dof, off_diagonal):
-    """One run's generator calls in stream order: 2 displacement normals, the
-    batch means' (NUM_BATCHES, 8) normals, chi^2(``dof``), ``off_diagonal`` normals."""
+# A run's stream starts with its 2 displacement normals and the batch means'
+# NUM_BATCHES * 8 normals, one generator call for both.
+_NORMALS = 2 + NUM_BATCHES * 8
+
+
+def _draw_run(seed, dof, row):
+    """Write one run's generator calls into ``row`` in stream order: the
+    ``_NORMALS`` normals, chi^2(``dof``), then unit normals to the row's end."""
     rng = np.random.default_rng(seed)
-    # The state's displacement is a single unknown offset, not per-shot noise.
-    displacement = rng.standard_normal(2)
-    means = rng.standard_normal((NUM_BATCHES, 8))
-    return displacement, means, rng.chisquare(dof), rng.standard_normal(off_diagonal)
+    rng.standard_normal(out=row[:_NORMALS])
+    row[_NORMALS : _NORMALS + len(dof)] = rng.chisquare(dof)
+    rng.standard_normal(out=row[_NORMALS + len(dof) :])
 
 
 def _raise_out_of_range(v_s, gain, bad, what="its covariance leaves"):
@@ -250,7 +259,105 @@ def _raise_out_of_range(v_s, gain, bad, what="its covariance leaves"):
         raise ValueError(f"run at {at}: {what} the float range")
 
 
-def _block_moments(machine, v_s, displacement_variance, shots, seeds, gain):
+class _Blocks:
+    """The shot layout of a pass and the buffers its blocks reuse.
+
+    Set up once per pass for blocks of at most ``runs`` runs; a block of
+    ``n`` runs works in the first ``n`` rows of every buffer and reads
+    nothing an earlier block left behind.  ``e_covs`` and ``covs`` are
+    (runs, NUM_BATCHES + 1, 8, 8) stacks, row 0 of axis 1 the whole run and
+    rows 1..NUM_BATCHES its batches.  ``covs`` ends a block holding the
+    run's and its batches' covariances of ``z``.
+    """
+
+    def __init__(self, shots, runs):
+        self.shots = shots
+        self.counts = np.array(_batch_sizes(shots), dtype=float)
+        # Row i of a batch's Bartlett factor is drawn where its chi^2 has
+        # n - 1 - i > 0 degrees of freedom; the rows below are zero.
+        dof = np.subtract.outer(self.counts - 1.0, np.arange(8))
+        rows = dof > 0
+        self.dof = dof[rows]
+        # (batch, row, column) indices of the drawn entries, in stream order
+        self.diagonal = np.nonzero(rows[..., None] & np.eye(8, dtype=bool))
+        self.upper = np.nonzero(rows[..., None] & np.triu(np.ones((8, 8), dtype=bool), 1))
+        # The degrees of freedom of the run's scatter and of its batches',
+        # one per entry of a run's (NUM_BATCHES + 1, 8, 8) stack
+        self.divisors = np.repeat(np.append(float(shots - 1), self.counts - 1.0), 8 * 8)
+        # A run's stream: 882 numbers from 180 shots up, fewer below
+        self.stream = _NORMALS + len(self.dof) + len(self.upper[0])
+        self.e_covs = np.empty((runs, NUM_BATCHES + 1, 8, 8))
+        self.covs = np.empty_like(self.e_covs)
+
+    def draw(self, seeds):
+        """Draw a run per seed; returns each run's 2 displacement normals and
+        its batches' means of ``e``, and leaves their scatters in rows
+        1..NUM_BATCHES of ``e_covs``."""
+        n = len(seeds)
+        # A run's stream is drawn into its own rows of e_covs (1344 numbers),
+        # which the scatters overwrite once it is read; the Bartlett factors
+        # are built in rows 1..NUM_BATCHES of covs.
+        draws = self.e_covs[:n].reshape(n, -1)[:, : self.stream]
+        bartlett = self.covs[:n, 1:]
+        for seed, row in zip(seeds, draws):
+            _draw_run(seed, self.dof, row)
+        displacement = draws[:, :2].copy()
+        means = draws[:, 2:_NORMALS].reshape(n, NUM_BATCHES, 8) / np.sqrt(self.counts)[:, None]
+        chi2 = draws[:, _NORMALS : _NORMALS + len(self.dof)]
+        bartlett[...] = 0.0
+        bartlett[(slice(None),) + self.diagonal] = np.sqrt(chi2, out=chi2)
+        bartlett[(slice(None),) + self.upper] = draws[:, _NORMALS + len(self.dof) :]
+        np.matmul(np.swapaxes(bartlett, -1, -2), bartlett, out=self.e_covs[:n, 1:])
+        return displacement, means
+
+    def assemble(self, v_s, gain, factors, offset, means):
+        """The ``SampleRun`` arrays of runs from the batch moments of their 8 normals ``e``.
+
+        ``means`` (runs, NUM_BATCHES, 8) holds each batch's mean of ``e``,
+        and rows 1..NUM_BATCHES of ``e_covs`` its scatter, the sum of
+        (e - mean)^T (e - mean) over the batch's shots.  The moments of
+        ``e`` are combined first; ``z = e @ factors[k]`` then has means
+        ``mean @ factors[k]`` and covariances ``factors[k]^T C factors[k]``.
+        """
+        n, counts, shots = len(means), self.counts, self.shots
+        e_covs, covs = self.e_covs[:n], self.covs[:n]
+        mean = counts @ means / float(shots)
+        # Chan, Golub & LeVeque, in e-space, where no entry exceeds the shot
+        # count: the run's scatter is the sum of its batches' plus the
+        # scatter of their means about the run's mean.
+        spread = means - mean[:, None]
+        scatter = np.sum(e_covs[:, 1:], axis=1, out=e_covs[:, 0])
+        scatter += np.swapaxes(spread, 1, 2) @ (counts[:, None] * spread)
+        entries = e_covs.reshape(n, -1)
+        entries /= self.divisors
+        # A finite draw whose image is not finite has left the float range; a
+        # NaN draw is left to the moment checks.
+        drawn = np.isfinite(e_covs).all(axis=(1, 2, 3))
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.matmul(np.swapaxes(factors, 1, 2)[:, None], e_covs, out=covs)
+            np.matmul(covs, factors[:, None], out=e_covs)
+            np.add(e_covs, np.swapaxes(e_covs, -1, -2), out=covs)
+            covs *= 0.5
+            means = np.concatenate([mean[:, None], means], axis=1) @ factors
+            means += offset[:, None]
+        _raise_out_of_range(v_s, gain, drawn & ~np.isfinite(covs).all(axis=(1, 2, 3)))
+        cov = covs[:, 0]
+        roots = np.sqrt(np.diagonal(cov, axis1=1, axis2=2))
+        # Gaussian law (Isserlis): Var(C_ij) = (C_ii C_jj + C_ij^2) / shots
+        standard_errors = np.hypot(roots[:, :, None] * roots[:, None, :], cov) / math.sqrt(shots)
+        mean_standard_errors = roots / math.sqrt(shots)
+        _check_moments(v_s, shots, means[:, 0], cov, standard_errors, mean_standard_errors)
+        return {
+            "estimated_mean": means[:, 0],
+            "estimated_cov": cov,
+            "standard_errors": standard_errors,
+            "mean_standard_errors": mean_standard_errors,
+            "batch_means": means[:, 1:],
+            "batch_covs": covs[:, 1:],
+        }
+
+
+def _block_moments(blocks, machine, v_s, displacement_variance, seeds, gain):
     """The ``SampleRun`` arrays of runs at ``v_s[k]`` with ``seeds[k]``, stacked on axis 0."""
     gx, gp = _gain_pair(gain)
     # An entry of M past the float range puts its output's variance there too.
@@ -261,84 +368,21 @@ def _block_moments(machine, v_s, displacement_variance, shots, seeds, gain):
     # u ~ N(0, I_18): 8 unit normals e give outputs e @ factor + offset
     # with the exact law of the 18-column circuit.
     factors = np.linalg.qr(transfer, mode="r")
-    displacement, means, scatters = _draw_block(seeds, shots)
+    displacement, means = blocks.draw(seeds)
     offset = (displacement[:, None] * np.sqrt(displacement_variance) @ response)[:, 0]
-    return _assemble(v_s, gain, shots, factors, offset, means, scatters)
+    return blocks.assemble(v_s, gain, factors, offset, means)
 
 
-def _draw_block(seeds, shots):
-    """Each run's 2 displacement normals, and the means and scatters of its
-    batches of 8 unit normals ``e``, stacked on axis 0."""
-    counts = np.array(_batch_sizes(shots), dtype=float)
-    # Row i of a batch's Bartlett factor is drawn where its chi^2 has
-    # n - 1 - i > 0 degrees of freedom; the rows below are zero.
-    dof = np.subtract.outer(counts - 1.0, np.arange(8))
-    rows = dof > 0
-    diagonal = rows[..., None] & np.eye(8, dtype=bool)
-    upper = rows[..., None] & np.triu(np.ones((8, 8), dtype=bool), 1)
-    drawn = [_draw_run(seed, dof[rows], np.count_nonzero(upper)) for seed in seeds]
-    displacement, means, chi2, normals = (np.array(values) for values in zip(*drawn))
-    bartlett = np.zeros((len(seeds), NUM_BATCHES, 8, 8))
-    bartlett[:, diagonal] = np.sqrt(chi2)
-    bartlett[:, upper] = normals
-    scatters = np.swapaxes(bartlett, -1, -2) @ bartlett
-    return displacement, means / np.sqrt(counts)[:, None], scatters
-
-
-def _assemble(v_s, gain, shots, factors, offset, means, scatters):
-    """The ``SampleRun`` arrays of runs from the batch moments of their 8 normals ``e``.
-
-    ``means`` (runs, NUM_BATCHES, 8) holds each batch's mean of ``e`` and
-    ``scatters`` (runs, NUM_BATCHES, 8, 8) its scatter, the sum of
-    (e - mean)^T (e - mean) over the batch's shots.  The moments of ``e``
-    are combined first; ``z = e @ factors[k]`` then has means
-    ``mean @ factors[k]`` and covariances ``factors[k]^T C factors[k]``.
-    """
-    counts = np.array(_batch_sizes(shots), dtype=float)
-    mean = counts @ means / float(shots)
-    # Chan, Golub & LeVeque, in e-space, where no entry exceeds the shot
-    # count: the run's scatter is the sum of its batches' plus the scatter
-    # of their means about the run's mean.
-    spread = means - mean[:, None]
-    scatter = scatters.sum(axis=1) + np.swapaxes(spread, 1, 2) @ (counts[:, None] * spread)
-    # Along axis 1, row 0 is the whole run, rows 1..NUM_BATCHES its batches.
-    e_covs = np.concatenate(
-        [scatter[:, None] / float(shots - 1), scatters / (counts - 1.0)[:, None, None]], axis=1
-    )
-    e_means = np.concatenate([mean[:, None], means], axis=1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        covs = np.swapaxes(factors, 1, 2)[:, None] @ e_covs @ factors[:, None]
-        covs = 0.5 * (covs + np.swapaxes(covs, -1, -2))
-        means = offset[:, None] + e_means @ factors
-    # A finite draw whose image is not finite has left the float range; a
-    # NaN draw is left to the moment checks.
-    drawn = np.isfinite(e_covs).all(axis=(1, 2, 3))
-    _raise_out_of_range(v_s, gain, drawn & ~np.isfinite(covs).all(axis=(1, 2, 3)))
-    cov = covs[:, 0]
-    roots = np.sqrt(np.diagonal(cov, axis1=1, axis2=2))
-    # Gaussian law (Isserlis): Var(C_ij) = (C_ii C_jj + C_ij^2) / shots
-    standard_errors = np.hypot(roots[:, :, None] * roots[:, None, :], cov) / math.sqrt(shots)
-    mean_standard_errors = roots / math.sqrt(shots)
-    _check_moments(v_s, shots, means[:, 0], cov, standard_errors, mean_standard_errors)
-    return {
-        "estimated_mean": means[:, 0],
-        "estimated_cov": cov,
-        "standard_errors": standard_errors,
-        "mean_standard_errors": mean_standard_errors,
-        "batch_means": means[:, 1:],
-        "batch_covs": covs[:, 1:],
-    }
-
-
-def _criteria_block(v_s, gain, cov, batch_covs, pair):
+def _criteria_block(v_s, gain, covs, pair):
     """Both criteria and their batch-means errors over a stack of runs, as (4, runs).
 
-    A ValueError names the first run, by ``v_s`` and ``gain`` (unless None),
-    where a criterion or its error leaves the float range.
+    ``covs`` is (runs, 1 + batches, 2n, 2n): along axis 1, element 0 is the
+    whole run, elements 1.. its batches.  A ValueError names the first run,
+    by ``v_s`` and ``gain`` (unless None), where a criterion or its error
+    leaves the float range.
     """
-    root_n = np.sqrt(batch_covs.shape[1])
-    # Along axis 1, element 0 is the whole run, elements 1.. its batches.
-    cm = correlation_matrix_from_cov(np.concatenate([cov[:, None], batch_covs], axis=1), pair)
+    root_n = np.sqrt(covs.shape[1] - 1)
+    cm = correlation_matrix_from_cov(covs, pair)
     values = []
     with np.errstate(over="ignore", invalid="ignore"):
         for per_matrix in (inseparability(cm), epr_paradox(cm)):
@@ -365,7 +409,8 @@ def estimate_criteria(run, clone=1):
     if clone not in (1, 2):
         raise ValueError(f"clone index must be 1 or 2, got {clone}")
     pair = run.clone1 if clone == 1 else run.clone2
-    values = _criteria_block([run.v_s], None, run.estimated_cov[None], run.batch_covs[None], pair)
+    covs = np.concatenate([run.estimated_cov[None], run.batch_covs])
+    values = _criteria_block([run.v_s], None, covs[None], pair)
     i, i_err, eps, eps_err = (float(value) for value in values[:, 0])
     return CriteriaEstimate(
         inseparability=i,

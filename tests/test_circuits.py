@@ -431,3 +431,20 @@ def test_clones_past_the_float_range_raise_naming_v_s_and_gain(machine, gain):
 def test_linear_cloner_past_the_float_range_raises_naming_gain():
     with pytest.raises(ValueError, match=r"^gain = 1e\+160: the clones leave the float range$"):
         linear_cloner(vacuum(1), 0, 1e160)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("machine", ["local", "global"])
+def test_source_past_the_float_range_is_named_as_the_cause(machine):
+    # Below v_s of about 5.6e-309 the source's entries, ~1/v_s, overflow at
+    # any gain; the first such v_s of a stack is named, and the source blamed.
+    match = r"^v_s = 1e-310: the source leaves the float range$"
+    with pytest.raises(ValueError, match=match):
+        machine_covariances(machine, np.array([0.5, 1e-310, 1e-320]))
+    with pytest.raises(ValueError, match=match):
+        machine_covariances(machine, 1e-310, gain=1.0)
+    with pytest.raises(ValueError, match=match):
+        epr_source(1e-310)
+    # Just above, the source is finite and the clones are what fail.
+    with pytest.raises(ValueError, match=r"^v_s = 5\.6e-309(: covariance|, gain = )"):
+        machine_covariances(machine, 5.6e-309)

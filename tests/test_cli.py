@@ -249,10 +249,19 @@ def test_large_gains_report_the_closed_form_thresholds(gain, capsys):
 
 @pytest.mark.filterwarnings("error")
 def test_gain_past_the_float_range_raises_naming_v_s_and_gain():
-    # the clones' variances grow as gain**2: at 1e160 they pass 1e308
+    # the clones' variances grow as gain**2: at 1e160 they pass 1e308; main
+    # rejects such a gain as a flag, so the sweep is run past its parser
     message = r"^v_s = 0\.01, gain = 1e\+160: the clones leave the float range$"
     with pytest.raises(ValueError, match=message):
-        main(["--points", "3", "--gain", "1e160"])
+        cli.run_sweep(cli.build_parser().parse_args(["--points", "3", "--gain", "1e160"]))
+
+
+@pytest.mark.filterwarnings("error")
+def test_the_largest_gain_accepted_runs_over_the_whole_v_s_domain(capsys):
+    argv = ["--points", "50", "--v-min", str(cli.V_MIN_FLOOR), "--mc-shots", "100"]
+    assert main(argv + ["--gain", repr(cli.MAX_GAIN)]) == 0
+    line = f"no crossing for v_s in [0.001, 1] at gain {cli.MAX_GAIN:.12g}"
+    assert line in capsys.readouterr().out
 
 
 def _package_env():
@@ -338,6 +347,8 @@ def test_gain_flag_changes_the_records():
         ["--points", "many"],
         ["--points", "3", "--seed", "-1"],
         ["--points", "3", "--mc-shots", "100", "--seed", "-1"],
+        ["--points", "3", "--gain", "9000.001"],
+        ["--points", "3", "--gain", "nan"],
     ],
 )
 def test_invalid_flags_exit_with_code_one(argv, capsys):
@@ -403,11 +414,11 @@ def test_failing_run_raises_as_serially_and_cancels_pending_runs(monkeypatch):
     first = cli._mc_seed(5, 0, 1)
     calls = []
 
-    def draw(seed, dof, off_diagonal):
+    def draw(seed, dof, row):
         calls.append(seed)
         if seed in failing:
             raise ValueError(f"injected failure in run {seed}")
-        return real(seed, dof, off_diagonal)
+        real(seed, dof, row)
 
     monkeypatch.setattr(montecarlo, "_draw_run", draw)
     argv = ["--points", str(points), "--mc-shots", str(RUN_SHOTS), "--seed", "5"]
@@ -419,11 +430,11 @@ def test_failing_run_raises_as_serially_and_cancels_pending_runs(monkeypatch):
 
 def test_oracle_pass_memory_does_not_grow_with_points():
     # The bound, fixed before any run: four of the (runs, NUM_BATCHES + 1,
-    # 8, 8) float stacks of one block (Bartlett factors, their scatters, the
-    # e- and z-space covariances), 344 KB, below the traced peak of
-    # one block alone (0.48 MB).  Measured growth is 0.08-0.15 MB, most of it
-    # the output columns the pass leaves in the table; an unblocked pass
-    # would hold every run's stacks at once, 100 times a block at 400 points.
+    # 8, 8) float stacks of one block, 1.38 MB, twice the two block buffers
+    # a pass holds and above the traced peak of one block alone (1.07 MB).
+    # Measured growth is 0.09-0.12 MB, most of it the output columns the
+    # pass leaves in the table; an unblocked pass would hold every run's
+    # stacks at once, 12.5 times a block at 400 points.
     block_bytes = 4 * montecarlo.BLOCK_RUNS * (montecarlo.NUM_BATCHES + 1) * 8 * 8 * 8
     shots = 5000
     cli._sample_records({"v_s": [0.5, 1.0]}, UNITY_GAIN, shots, 1)  # one-time set-up

@@ -1,6 +1,7 @@
 """Sampling oracle: determinism, kernel equivalence, and moment agreement."""
 
 import dataclasses
+import math
 import re
 import sys
 import threading
@@ -149,14 +150,17 @@ def test_a_run_past_2_pow_53_shots_estimates_its_exact_law():
 # BLOCK_RUNS runs.
 @pytest.mark.parametrize(
     "points, segments, blocks",
-    [(2, 4, 4), (5, 2, 2), (5, 4, 4), (7, 2, 2), (13, 2, 4), (40, 2, 10), (200, 2, 50)],
+    [
+        (points, segments, segments * math.ceil(points / montecarlo.BLOCK_RUNS))
+        for points, segments in [(2, 4), (5, 2), (5, 4), (7, 2), (13, 2), (40, 2), (200, 2)]
+    ],
 )
 def test_block_plan_covers_every_run_once_in_order(monkeypatch, points, segments, blocks):
     real, plan = montecarlo._block_moments, []
 
-    def spy(machine, v_s, displacement_variance, shots, seeds, gain):
+    def spy(run_blocks, machine, v_s, displacement_variance, seeds, gain):
         plan.append((machine, list(seeds)))
-        return real(machine, v_s, displacement_variance, shots, seeds, gain)
+        return real(run_blocks, machine, v_s, displacement_variance, seeds, gain)
 
     monkeypatch.setattr(montecarlo, "_block_moments", spy)
 
@@ -195,6 +199,22 @@ def test_a_pass_samples_every_run_once_in_order_across_blocks(machine):
         ]
 
 
+# 100 shots: batches of 5, whose Bartlett factors have 4 drawn rows; 2017
+# shots: unequal batches of 100 and 101.  Blocks of 3 and of BLOCK_RUNS runs
+# end in a shorter block, which must read no row the block before it left.
+@pytest.mark.parametrize("shots", [100, 2017])
+def test_criteria_do_not_depend_on_the_block_size(monkeypatch, shots):
+    runs = montecarlo.BLOCK_RUNS + 3
+    v_s, seeds = np.geomspace(0.02, 1.0, runs), range(300, 300 + runs)
+    machines, passes = ("local", "global"), []
+    for size in (1, 3, montecarlo.BLOCK_RUNS, runs + 1):
+        monkeypatch.setattr(montecarlo, "BLOCK_RUNS", size)
+        passes.append([montecarlo.sample_criteria(m, v_s, seeds, shots) for m in machines])
+    for values in passes:
+        for one_machine, want in zip(values, passes[0]):
+            assert one_machine.shape == (4, runs) and np.array_equal(one_machine, want)
+
+
 def test_a_pass_needs_one_seed_per_v_s():
     for v_s, seeds in (([0.5, 0.6], [1]), ([0.5], [1, 2]), ([], [1])):
         with pytest.raises(ValueError, match="one seed per v_s"):
@@ -224,9 +244,10 @@ def test_batch_scatters_follow_the_wishart_law(shots, m):
     seeds = range(500)
     samples = len(seeds) * montecarlo.NUM_BATCHES
     mean, variance, mean_bound, variance_bound = _wishart_moment_bounds(m, samples)
-    displacement, means, scatters = montecarlo._draw_block(seeds, shots)
+    blocks = montecarlo._Blocks(shots, len(seeds))
+    displacement, means = blocks.draw(seeds)
     assert displacement.shape == (len(seeds), 2) and means.shape == (len(seeds), 20, 8)
-    w = scatters.reshape(samples, 8, 8)
+    w = blocks.e_covs[:, 1:].reshape(samples, 8, 8)
     assert np.array_equal(w, np.swapaxes(w, 1, 2))
     assert np.all(np.abs(w.mean(axis=0) - mean) <= mean_bound)
     assert np.all(np.abs(w.var(axis=0, ddof=1) - variance) <= variance_bound)
@@ -256,7 +277,8 @@ def test_stacked_runs_are_bit_identical_to_single_runs(
 ):
     v_s, seeds = [0.02, 0.3, 1.0], [5, 6, 7]
     stacked = montecarlo._block_moments(
-        machine, np.array(v_s), displacement_variance, shots, seeds, gain
+        montecarlo._Blocks(shots, len(v_s)), machine, np.array(v_s), displacement_variance,
+        seeds, gain,
     )
     criteria = montecarlo.sample_criteria(machine, v_s, seeds, shots, gain)
     for k, (one_v_s, seed) in enumerate(zip(v_s, seeds)):
@@ -316,12 +338,11 @@ def test_stacked_error_names_the_first_failing_run(monkeypatch):
     seeds = list(range(5, 5 + len(v_s)))
     real, drawn = montecarlo._draw_run, []
 
-    def draw(seed, dof, off_diagonal):
+    def draw(seed, dof, row):
         drawn.append(seed)
-        displacement, means, chi2, normals = real(seed, dof, off_diagonal)
+        real(seed, dof, row)
         if seed in (6, seeds[-1]):
-            means[:] = np.nan
-        return displacement, means, chi2, normals
+            row[2 : montecarlo._NORMALS] = np.nan  # the batch means
 
     monkeypatch.setattr(montecarlo, "_draw_run", draw)
     first_failure = r"^run at v_s = 0\.3: estimated covariance"
@@ -349,9 +370,10 @@ def test_streamed_moments_match_two_pass_definition(machine, displacement_varian
     scatters = np.array([(batch - mean).T @ (batch - mean) for batch, mean in zip(batches, means)])
     transfer, response = _kernels.affine_map(machine, np.array([v_s]), UNITY_GAIN, UNITY_GAIN)
     factors = np.linalg.qr(transfer, mode="r")
-    moments = montecarlo._assemble(
-        np.array([v_s]), UNITY_GAIN, shots, factors, displacement @ response, means[None],
-        scatters[None],
+    blocks = montecarlo._Blocks(shots, 1)
+    blocks.e_covs[0, 1:] = scatters
+    moments = blocks.assemble(
+        np.array([v_s]), UNITY_GAIN, factors, displacement @ response, means[None]
     )
     run = {name: value[0] for name, value in moments.items()}
     expected = _two_pass_moments(machine, v_s, displacement, drawn)
