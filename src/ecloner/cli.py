@@ -100,11 +100,6 @@ def _validate(parser, args):
         parser.error(f"--gain must lie in (0, {MAX_GAIN:g}], got {args.gain}")
 
 
-def _mc_seed(master_seed, point_index, machine_index):
-    seq = np.random.SeedSequence(master_seed, spawn_key=(point_index, machine_index))
-    return int(seq.generate_state(1, dtype=np.uint64)[0])
-
-
 def _criteria(machine, v_s, gain):
     """Stacked source covariance and clone-1 correlation matrix of a machine."""
     source, clones = machine_covariances(machine, v_s, gain)
@@ -127,7 +122,7 @@ def _sample_records(table, gain, mc_shots, master_seed):
     """Append the mc columns from one oracle run, with its own seed, per (point, machine)."""
     names = ("mc_i_{}", "mc_i_{}_err", "mc_eps_{}", "mc_eps_{}_err")
     for m, machine in enumerate(("local", "global")):
-        seeds = [_mc_seed(master_seed, idx, m) for idx in range(len(table["v_s"]))]
+        seeds = montecarlo.spawn_seeds(master_seed, len(table["v_s"]), m)
         values = montecarlo.sample_criteria(machine, table["v_s"], seeds, mc_shots, gain)
         for name, column in zip(names, values.tolist()):
             table[name.format(machine)] = column
@@ -146,7 +141,9 @@ def _bisect_crossing(lo, hi, gain):
     ``tol/2 * 2**(n_max - j) - width/2`` of the midpoint, so no bracket takes
     more than ``n0`` steps beyond the bisection's.  After one stacked
     evaluation of the global machine at the brackets' ends, each step is one
-    stacked evaluation at both brackets' points.
+    stacked evaluation at both brackets' points.  A search that has not
+    ended after ``n_max`` steps raises a RuntimeError naming the gain and
+    the bracket.
     """
 
     def excess(v_s):  # rows: criterion; columns: points
@@ -159,10 +156,15 @@ def _bisect_crossing(lo, hi, gain):
     # evaluations, 1.5 takes 9-13, and 2 stalls to 31-32 at gains 0.5 and 1
     kappa1, kappa2, n0 = 0.2 / (hi - lo), 1.7, 1
     n_max = math.ceil(math.log2((hi - lo) / BISECTION_TOL)) + n0
+    bracket = f"[{lo!r}, {hi!r}]"
     lo, hi = np.full(2, lo), np.full(2, hi)
     # rounding can leave the brackets' widths apart: each stops on its own
     j = 0
     while (active := crossing & (hi - lo > BISECTION_TOL)).any():
+        if j == n_max:
+            raise RuntimeError(
+                f"threshold search on {bracket} at gain {gain!r} did not end in {n_max} steps"
+            )
         mid, width = 0.5 * (lo + hi), hi - lo
         # interpolate: regula falsi, which divides 0 by 0 only if both ends are roots
         frac = np.divide(f_lo, f_lo - f_hi, out=np.full(2, 0.5), where=f_lo != f_hi)

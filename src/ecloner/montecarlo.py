@@ -38,8 +38,16 @@ A block of runs (``_block_moments``) shares one stacked evaluation of the
 maps, QR factors, moments and checks; only a run's generator calls
 (``_draw_run``) are its own, so a run has the same bits alone
 (``sample_circuit``) or in any block (``sample_criteria``).  A pass sets up
-its shot layout and block buffers once (``_Blocks``), and every block works
-in them in place.
+its shot layout, block buffers and one generator once (``_Blocks``), and
+every block works in them in place.
+
+A run's stream is still ``numpy.random.default_rng(seed)``'s, but numpy
+does not build a generator per run: ``_pcg64_states`` computes the states
+of all of a pass's seeds at once, with a replica of numpy's seeding
+(``_seeding``) that the tests check against numpy, and each run sets its
+state on the pass's generator.  ``spawn_seeds`` derives a pass's run seeds
+from a master seed by the same replica.  A pass of fewer than
+``_REPLICA_SEEDS`` runs takes numpy's own classes, cheaper at that size.
 """
 
 import math
@@ -161,6 +169,39 @@ def _check_inputs(machine, v_s, displacement_variance, shots, seeds):
     return v_s, displacement_variance, shots, seeds
 
 
+# Fewer seeds than this are cheaper to hash with numpy's own SeedSequence and
+# PCG64, one object per seed (12-14 us each), than with one evaluation of the
+# replica (60-80 us at any count up to 16), on the machine of BENCH_21.json
+_REPLICA_SEEDS = 8
+
+
+def spawn_seeds(master_seed, count, key):
+    """The seeds of ``count`` runs under ``key``:
+    ``SeedSequence(master_seed, spawn_key=(i, key)).generate_state(1, np.uint64)[0]``
+    for ``i`` in ``range(count)``, as a list of ints."""
+    master_seed = _integer_at_least("master_seed", master_seed, 0)
+    count = _integer_at_least("count", count, 0)
+    key = _integer_at_least("key", key, 0)
+    if count < _REPLICA_SEEDS:
+        sequences = (np.random.SeedSequence(master_seed, spawn_key=(i, key)) for i in range(count))
+        return [int(sequence.generate_state(1, np.uint64)[0]) for sequence in sequences]
+    from . import _seeding  # see _pcg64_states
+
+    return _seeding.spawn_seeds(master_seed, count, key)
+
+
+def _pcg64_states(seeds):
+    """The ``(state, inc)`` of ``np.random.PCG64(seed)`` for each seed.  The
+    replica is imported on first use: with no bytecode cache, compiling it
+    at import raised the peak RSS of a sweep that samples nothing by 0.2 MB."""
+    if len(seeds) < _REPLICA_SEEDS:
+        states = (np.random.PCG64(seed).state["state"] for seed in seeds)
+        return [(state["state"], state["inc"]) for state in states]
+    from . import _seeding
+
+    return _seeding.pcg64_states(seeds)
+
+
 def sample_circuit(machine, v_s, displacement_variance, shots, seed, gain=UNITY_GAIN):
     """Sample the full machine circuit and estimate output moments.
 
@@ -192,7 +233,8 @@ def sample_circuit(machine, v_s, displacement_variance, shots, seed, gain=UNITY_
     v_s, displacement_variance, shots, seeds = _check_inputs(
         machine, v_s, displacement_variance, shots, [seed]
     )
-    moments = _block_moments(_Blocks(shots, 1), machine, v_s, displacement_variance, seeds, gain)
+    states = _pcg64_states(seeds)
+    moments = _block_moments(_Blocks(shots, 1), machine, v_s, displacement_variance, states, gain)
     clone1, clone2 = CLONE_PAIRS[machine]
     return SampleRun(
         machine=machine,
@@ -222,9 +264,10 @@ def sample_criteria(machine, v_s, seeds, shots, gain=UNITY_GAIN):
     pair = CLONE_PAIRS[machine][0]
     values = np.empty((4, len(v_s)))
     blocks = _Blocks(shots, min(BLOCK_RUNS, len(v_s)))
+    states = _pcg64_states(seeds)
     for start in range(0, len(v_s), BLOCK_RUNS):
         block = slice(start, start + BLOCK_RUNS)
-        _block_moments(blocks, machine, v_s[block], 0.0, seeds[block], gain)
+        _block_moments(blocks, machine, v_s[block], 0.0, states[block], gain)
         covs = blocks.covs[: len(v_s[block])]
         values[:, block] = _criteria_block(v_s[block], gain, covs, pair)
     return values
@@ -240,12 +283,24 @@ def _batch_sizes(shots):
 # A run's stream starts with its 2 displacement normals and the batch means'
 # NUM_BATCHES * 8 normals, one generator call for both.
 _NORMALS = 2 + NUM_BATCHES * 8
+# Runs whose Bartlett factors are copied at a time, so that their squares
+# take numpy's gemm route: its syrk route for T^T T costs 3-4x as much.  4
+# (a 41 KB copy) costs 30 us more per 32-run block than 8, whose 82 KB copy
+# raised the CLI's peak RSS by 0.2 MB more (BENCH_21.json).
+_SQUARE_RUNS = 4
 
 
-def _draw_run(seed, dof, row):
-    """Write one run's generator calls into ``row`` in stream order: the
-    ``_NORMALS`` normals, chi^2(``dof``), then unit normals to the row's end."""
-    rng = np.random.default_rng(seed)
+def _draw_run(rng, state, dof, row):
+    """Set ``rng``'s PCG64 to ``state``, a ``(state, inc)`` pair, and write
+    the run's generator calls into ``row`` in stream order: the ``_NORMALS``
+    normals, chi^2(``dof``), then unit normals to the row's end."""
+    lcg_state, inc = state
+    rng.bit_generator.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": lcg_state, "inc": inc},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
     rng.standard_normal(out=row[:_NORMALS])
     row[_NORMALS : _NORMALS + len(dof)] = rng.chisquare(dof)
     rng.standard_normal(out=row[_NORMALS + len(dof) :])
@@ -267,7 +322,9 @@ class _Blocks:
     nothing an earlier block left behind.  ``e_covs`` and ``covs`` are
     (runs, NUM_BATCHES + 1, 8, 8) stacks, row 0 of axis 1 the whole run and
     rows 1..NUM_BATCHES its batches.  ``covs`` ends a block holding the
-    run's and its batches' covariances of ``z``.
+    run's and its batches' covariances of ``z``.  ``factor_copy`` holds
+    ``_SQUARE_RUNS`` runs' Bartlett factors at a time, and ``rng`` is the
+    pass's one generator.
     """
 
     def __init__(self, shots, runs):
@@ -288,26 +345,34 @@ class _Blocks:
         self.stream = _NORMALS + len(self.dof) + len(self.upper[0])
         self.e_covs = np.empty((runs, NUM_BATCHES + 1, 8, 8))
         self.covs = np.empty_like(self.e_covs)
+        self.factor_copy = np.empty((min(runs, _SQUARE_RUNS), NUM_BATCHES, 8, 8))
+        # every run sets its own state; numpy.random is imported here, not
+        # with the package
+        self.rng = np.random.default_rng(0)
 
-    def draw(self, seeds):
-        """Draw a run per seed; returns each run's 2 displacement normals and
-        its batches' means of ``e``, and leaves their scatters in rows
-        1..NUM_BATCHES of ``e_covs``."""
-        n = len(seeds)
+    def draw(self, states):
+        """Draw a run per PCG64 state (``_pcg64_states``); returns
+        each run's 2 displacement normals and its batches' means of ``e``,
+        and leaves their scatters in rows 1..NUM_BATCHES of ``e_covs``."""
+        n = len(states)
         # A run's stream is drawn into its own rows of e_covs (1344 numbers),
         # which the scatters overwrite once it is read; the Bartlett factors
         # are built in rows 1..NUM_BATCHES of covs.
         draws = self.e_covs[:n].reshape(n, -1)[:, : self.stream]
-        bartlett = self.covs[:n, 1:]
-        for seed, row in zip(seeds, draws):
-            _draw_run(seed, self.dof, row)
+        bartlett, scatters = self.covs[:n, 1:], self.e_covs[:n, 1:]
+        for state, row in zip(states, draws):
+            _draw_run(self.rng, state, self.dof, row)
         displacement = draws[:, :2].copy()
         means = draws[:, 2:_NORMALS].reshape(n, NUM_BATCHES, 8) / np.sqrt(self.counts)[:, None]
         chi2 = draws[:, _NORMALS : _NORMALS + len(self.dof)]
         bartlett[...] = 0.0
         bartlett[(slice(None),) + self.diagonal] = np.sqrt(chi2, out=chi2)
         bartlett[(slice(None),) + self.upper] = draws[:, _NORMALS + len(self.dof) :]
-        np.matmul(np.swapaxes(bartlett, -1, -2), bartlett, out=self.e_covs[:n, 1:])
+        for start in range(0, n, _SQUARE_RUNS):
+            chunk = slice(start, start + _SQUARE_RUNS)
+            copy = self.factor_copy[: len(bartlett[chunk])]
+            np.copyto(copy, bartlett[chunk])
+            np.matmul(np.swapaxes(copy, -1, -2), bartlett[chunk], out=scatters[chunk])
         return displacement, means
 
     def assemble(self, v_s, gain, factors, offset, means):
@@ -357,8 +422,9 @@ class _Blocks:
         }
 
 
-def _block_moments(blocks, machine, v_s, displacement_variance, seeds, gain):
-    """The ``SampleRun`` arrays of runs at ``v_s[k]`` with ``seeds[k]``, stacked on axis 0."""
+def _block_moments(blocks, machine, v_s, displacement_variance, states, gain):
+    """The ``SampleRun`` arrays of runs at ``v_s[k]`` from PCG64 state ``states[k]``,
+    stacked on axis 0."""
     gx, gp = _gain_pair(gain)
     # An entry of M past the float range puts its output's variance there too.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -368,7 +434,7 @@ def _block_moments(blocks, machine, v_s, displacement_variance, seeds, gain):
     # u ~ N(0, I_18): 8 unit normals e give outputs e @ factor + offset
     # with the exact law of the 18-column circuit.
     factors = np.linalg.qr(transfer, mode="r")
-    displacement, means = blocks.draw(seeds)
+    displacement, means = blocks.draw(states)
     offset = (displacement[:, None] * np.sqrt(displacement_variance) @ response)[:, 0]
     return blocks.assemble(v_s, gain, factors, offset, means)
 

@@ -52,6 +52,11 @@ CASES = {
     "gain_8": ["--points", "3", "--gain", "8"],
     "gain_40": ["--points", "3", "--gain", "40"],
     "mc_1m": ["--points", "5", "--mc-shots", "1000000", "--seed", "3"],
+    # 2^128 + 1: a master seed of five 32-bit words; 9 runs per machine, so
+    # that the seeds are hashed by montecarlo's replica of SeedSequence
+    "mc_seed_2_128": [
+        "--points", "9", "--mc-shots", "1000", "--seed", "340282366920938463463374607431768211457"
+    ],
 }
 
 MC_RELATIVE = 1e-9

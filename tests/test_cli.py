@@ -211,6 +211,19 @@ def test_lockstep_roots_equal_one_criterion_at_a_time(gain, bracket):
     assert cli._bisect_crossing(*bracket, gain) == expected
 
 
+def _patch_excess(monkeypatch, excess, calls):
+    """Make the threshold search see ``excess(v_s)`` as both criteria minus 1,
+    appending to ``calls`` at each evaluation."""
+
+    def criteria(machine, v_s, gain):
+        calls.append(machine)
+        return None, np.asarray(v_s, dtype=float)
+
+    monkeypatch.setattr(cli, "_criteria", criteria)
+    for name in ("inseparability", "epr_paradox"):
+        monkeypatch.setattr(cli, name, lambda v_s: excess(v_s) + 1.0)
+
+
 def test_threshold_search_takes_few_global_evaluations(monkeypatch):
     calls, real = [], cli._criteria
 
@@ -230,6 +243,34 @@ def test_threshold_search_takes_few_global_evaluations(monkeypatch):
     calls.clear()
     cli._bisect_crossing(cli.V_MIN_FLOOR, 1.0, UNITY_GAIN)
     assert len(calls) <= 10  # a bisection to 1e-9 takes 31
+    # A steep excess stalls regula falsi at one end; there the projection
+    # acts and holds the search to the bound, which it reaches (32 = 1 + 31).
+    for steepness in (20.0, 200.0):
+        calls.clear()
+        _patch_excess(monkeypatch, lambda v_s: np.expm1(steepness * (v_s - 0.9)), calls)
+        roots = cli._bisect_crossing(0.0, 1.0, UNITY_GAIN)
+        n_max = math.ceil(math.log2(1.0 / cli.BISECTION_TOL)) + 1
+        assert len(calls) <= 1 + n_max, (steepness, len(calls))
+        assert all(abs(root - 0.9) <= cli.BISECTION_TOL for root in roots)
+
+
+def test_threshold_search_stops_past_its_step_cap(monkeypatch):
+    # Adjacent floats near 1e8 lie 1.5e-8 apart, so no bracket there gets
+    # narrower than BISECTION_TOL: without its cap the search never ends.
+    _patch_excess(monkeypatch, lambda v_s: v_s - (1e8 + 0.3), [])
+    errors = []
+
+    def search():
+        try:
+            cli._bisect_crossing(1e8, 1e8 + 1.0, 2.0)
+        except RuntimeError as exc:
+            errors.append(str(exc))
+
+    thread = threading.Thread(target=search, daemon=True)
+    thread.start()
+    thread.join(timeout=60)
+    message = "threshold search on [100000000.0, 100000001.0] at gain 2.0 did not end in 31 steps"
+    assert errors == [message]
 
 
 @pytest.mark.parametrize("gain", [5.8, 8.0, 20.0, 40.0])
@@ -293,6 +334,19 @@ def test_importing_the_cli_leaves_the_thread_pool_unimported():
         [sys.executable, "-c", code], capture_output=True, text=True, env=_package_env()
     )
     assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
+
+
+def test_importing_the_cli_leaves_the_oracle_set_up_unimported():
+    # numpy 2 imports numpy.random lazily, and the oracle builds its
+    # generator and imports its seeding replica on first use, so a sweep
+    # without --mc-shots pays for neither (numpy 1 imports numpy.random).
+    modules = "{'numpy.random', 'ecloner._seeding'}"
+    code = f"import sys, ecloner.cli; print(sorted({modules} & set(sys.modules)))"
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_package_env()
+    )
+    loaded = [] if int(np.__version__.split(".")[0]) >= 2 else ["numpy.random"]
+    assert (done.returncode, done.stdout, done.stderr) == (0, f"{loaded}\n", "")
 
 
 def test_json_mode_sends_thresholds_to_stderr():
@@ -361,6 +415,13 @@ def test_invalid_flags_exit_with_code_one(argv, capsys):
     assert argv[-2] in err.splitlines()[-1]
 
 
+def test_two_points_are_the_grid_ends(capsys):
+    # through main, which validates the flags; --points 1 is rejected above
+    assert main(["--points", "2", "--v-min", "0.04"]) == 0
+    rows, _ = _parse_csv(capsys.readouterr().out)
+    assert [row["v_s"] for row in rows] == [0.04, 1.0]
+
+
 def test_unwritable_output_exits_with_code_two(tmp_path, monkeypatch, capsys):
     # The path is checked before any sampling, not after it.
     calls = []
@@ -409,16 +470,19 @@ def test_threaded_output_is_byte_identical_to_one_worker(tmp_path, fmt, shots):
 
 def test_failing_run_raises_as_serially_and_cancels_pending_runs(monkeypatch):
     points, real = 40, montecarlo._draw_run
-    # the global machine's runs at points 0 and 3; the first of them raises
-    failing = {cli._mc_seed(5, idx, 1) for idx in (0, 3)}
-    first = cli._mc_seed(5, 0, 1)
+    # the global machine's runs at points 0 and 3, known by their generator
+    # states; the first of them raises
+    sequences = [np.random.SeedSequence(5, spawn_key=(idx, 1)) for idx in (0, 3)]
+    seeds = [int(seq.generate_state(1, np.uint64)[0]) for seq in sequences]
+    failing = {np.random.PCG64(seed).state["state"]["state"]: seed for seed in seeds}
+    first = seeds[0]
     calls = []
 
-    def draw(seed, dof, row):
-        calls.append(seed)
-        if seed in failing:
-            raise ValueError(f"injected failure in run {seed}")
-        real(seed, dof, row)
+    def draw(rng, state, dof, row):
+        calls.append(failing.get(state[0]))
+        if calls[-1] is not None:
+            raise ValueError(f"injected failure in run {calls[-1]}")
+        real(rng, state, dof, row)
 
     monkeypatch.setattr(montecarlo, "_draw_run", draw)
     argv = ["--points", str(points), "--mc-shots", str(RUN_SHOTS), "--seed", "5"]

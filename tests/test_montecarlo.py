@@ -19,7 +19,7 @@ from ecloner import (
     local_ecloner,
     sample_circuit,
 )
-from ecloner import _kernels, circuits, montecarlo
+from ecloner import _kernels, _seeding, circuits, montecarlo
 from ecloner.circuits import UNITY_GAIN
 from ecloner.criteria import correlation_matrix_from_cov, epr_paradox, inseparability
 
@@ -125,6 +125,71 @@ def test_concurrent_runs_are_bit_identical_to_sequential_ones():
             assert np.array_equal(value, getattr(got, name)), name
 
 
+# Seeds of every size SeedSequence treats apart: one, two, four and five or
+# more 32-bit words (a spawned sequence pads its entropy to four).
+MASTER_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**100 + 5, 2**130 + 9]
+RUN_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+
+
+@pytest.mark.parametrize("master_seed", MASTER_SEEDS)
+@pytest.mark.parametrize("key", [0, 1, 2**40])
+def test_spawned_seeds_are_numpy_seed_sequence_children(master_seed, key):
+    expected = [
+        int(np.random.SeedSequence(master_seed, spawn_key=(i, key)).generate_state(1, np.uint64)[0])
+        for i in range(50)
+    ]
+    assert _seeding.spawn_seeds(master_seed, 50, key) == expected
+    # numpy's own classes below _REPLICA_SEEDS, the replica from there up
+    for count in (0, montecarlo._REPLICA_SEEDS - 1, montecarlo._REPLICA_SEEDS, 50):
+        assert montecarlo.spawn_seeds(master_seed, count, key) == expected[:count]
+
+
+def test_generator_states_are_numpy_pcg64_states():
+    spawned = montecarlo.spawn_seeds(2**130 + 9, 500, 1)
+    seeds = RUN_SEEDS + [2**100 + 5, 2**130 + 9, 2**200] + spawned
+    expected = [np.random.PCG64(seed).state["state"] for seed in seeds]
+    expected = [(state["state"], state["inc"]) for state in expected]
+    assert _seeding.pcg64_states(seeds) == expected
+    for count in (montecarlo._REPLICA_SEEDS - 1, montecarlo._REPLICA_SEEDS):
+        assert montecarlo._pcg64_states(seeds[:count]) == expected[:count]
+
+
+@pytest.mark.parametrize("seed", RUN_SEEDS + [2**130 + 9])
+def test_a_run_draws_the_stream_of_default_rng(seed):
+    # The pass's generator has a 32-bit draw buffered from an earlier run;
+    # setting the state must drop it.
+    blocks = montecarlo._Blocks(2017, 1)
+    blocks.rng.integers(2**32, dtype=np.uint32)
+    row = np.empty(blocks.stream)
+    montecarlo._draw_run(blocks.rng, _seeding.pcg64_states([seed])[0], blocks.dof, row)
+    rng = np.random.default_rng(seed)
+    expected = np.concatenate(
+        [
+            rng.standard_normal(montecarlo._NORMALS),
+            rng.chisquare(blocks.dof),
+            rng.standard_normal(blocks.stream - montecarlo._NORMALS - len(blocks.dof)),
+        ]
+    )
+    assert np.array_equal(row, expected)
+
+
+def test_bartlett_squares_are_the_factors_gram_matrices():
+    # The scatters are T^T T of the drawn factors T, squared in chunks of
+    # _SQUARE_RUNS on a copy, for a block size that is no multiple of it.
+    # Each entry is a dot product of 8 terms, so any two summation orders
+    # differ by at most 2 * 8 eps |T_i| |T_j| (Cauchy-Schwarz); with
+    # OpenBLAS the gemm and syrk routes agree exactly.
+    seeds = list(range(11))
+    blocks = montecarlo._Blocks(2017, len(seeds))
+    blocks.draw(_seeding.pcg64_states(seeds))
+    factors, scatters = blocks.covs[:, 1:], blocks.e_covs[:, 1:]
+    reference = np.einsum("...ki,...kj->...ij", factors, factors)
+    norms = np.sqrt(np.einsum("...ki,...ki->...i", factors, factors))
+    bound = 16 * np.finfo(float).eps * norms[..., :, None] * norms[..., None, :]
+    assert np.all(np.abs(scatters - reference) <= bound)
+    assert np.array_equal(scatters, np.swapaxes(scatters, -1, -2))
+
+
 # 2**60 + 3: past 2**53, where a float grid of batch bounds drops shots.
 @pytest.mark.parametrize("shots", [100, 2017, 5000, 81_920, 81_940, 1_000_000, 2**60 + 3])
 def test_batch_sizes_cover_every_shot_once_in_order(shots):
@@ -157,10 +222,12 @@ def test_a_run_past_2_pow_53_shots_estimates_its_exact_law():
 )
 def test_block_plan_covers_every_run_once_in_order(monkeypatch, points, segments, blocks):
     real, plan = montecarlo._block_moments, []
+    # each run's seed, known by its generator state
+    seed_of = {np.random.PCG64(k).state["state"]["state"]: k for k in range(points * segments)}
 
-    def spy(run_blocks, machine, v_s, displacement_variance, seeds, gain):
-        plan.append((machine, list(seeds)))
-        return real(run_blocks, machine, v_s, displacement_variance, seeds, gain)
+    def spy(run_blocks, machine, v_s, displacement_variance, states, gain):
+        plan.append((machine, [seed_of[state] for state, _ in states]))
+        return real(run_blocks, machine, v_s, displacement_variance, states, gain)
 
     monkeypatch.setattr(montecarlo, "_block_moments", spy)
 
@@ -245,7 +312,7 @@ def test_batch_scatters_follow_the_wishart_law(shots, m):
     samples = len(seeds) * montecarlo.NUM_BATCHES
     mean, variance, mean_bound, variance_bound = _wishart_moment_bounds(m, samples)
     blocks = montecarlo._Blocks(shots, len(seeds))
-    displacement, means = blocks.draw(seeds)
+    displacement, means = blocks.draw(_seeding.pcg64_states(seeds))
     assert displacement.shape == (len(seeds), 2) and means.shape == (len(seeds), 20, 8)
     w = blocks.e_covs[:, 1:].reshape(samples, 8, 8)
     assert np.array_equal(w, np.swapaxes(w, 1, 2))
@@ -278,7 +345,7 @@ def test_stacked_runs_are_bit_identical_to_single_runs(
     v_s, seeds = [0.02, 0.3, 1.0], [5, 6, 7]
     stacked = montecarlo._block_moments(
         montecarlo._Blocks(shots, len(v_s)), machine, np.array(v_s), displacement_variance,
-        seeds, gain,
+        _seeding.pcg64_states(seeds), gain,
     )
     criteria = montecarlo.sample_criteria(machine, v_s, seeds, shots, gain)
     for k, (one_v_s, seed) in enumerate(zip(v_s, seeds)):
@@ -337,10 +404,13 @@ def test_stacked_error_names_the_first_failing_run(monkeypatch):
     v_s = [0.02, 0.3] + [0.5] * montecarlo.BLOCK_RUNS
     seeds = list(range(5, 5 + len(v_s)))
     real, drawn = montecarlo._draw_run, []
+    # each run is known by its generator state
+    by_state = {np.random.PCG64(seed).state["state"]["state"]: seed for seed in seeds}
 
-    def draw(seed, dof, row):
+    def draw(rng, state, dof, row):
+        seed = by_state[state[0]]
         drawn.append(seed)
-        real(seed, dof, row)
+        real(rng, state, dof, row)
         if seed in (6, seeds[-1]):
             row[2 : montecarlo._NORMALS] = np.nan  # the batch means
 
