@@ -37,7 +37,9 @@ from .gaussian import (
     _beamsplitter_matrix,
     _check_split_covariance,
     _check_v_s,
+    _integer_at_least,
     _quadratures,
+    _require,
 )
 
 # Feedforward gain that cancels the first beamsplitter's vacuum noise and
@@ -79,8 +81,8 @@ class CloneSet:
     v_s: float
 
     def __post_init__(self):
-        clone1 = tuple(int(m) for m in self.clone1)
-        clone2 = tuple(int(m) for m in self.clone2)
+        clone1 = tuple(_integer_at_least("clone mode", m, 0) for m in self.clone1)
+        clone2 = tuple(_integer_at_least("clone mode", m, 0) for m in self.clone2)
         if self.state.num_modes != 4:
             raise ValueError(f"clone set needs a 4-mode state, got {self.state.num_modes}")
         if sorted(clone1 + clone2) != [0, 1, 2, 3]:
@@ -101,10 +103,19 @@ def _check_clone_symmetry(cov, clone1, clone2, where=None):
     """
     var = np.diagonal(cov, axis1=-2, axis2=-1)
     diff = np.abs(var[..., _quadratures(clone1)] - var[..., _quadratures(clone2)])
-    bad = ~(np.max(diff, axis=-1) <= VARIANCE_MATCH_TOL)
-    if np.any(bad):
-        at = f"{where(int(np.flatnonzero(bad)[0]))}: " if where is not None else ""
-        raise ValueError(f"{at}clones are not symmetric: single-mode variances differ")
+    message = "clones are not symmetric: single-mode variances differ"
+    _require(np.max(diff, axis=-1) <= VARIANCE_MATCH_TOL, message, where=where)
+
+
+def _naming_v_s(v, gain=None):
+    """The ``where`` of ``_require`` on a stack over the v_s ``v``: "v_s = ...",
+    then the gain unless it is None."""
+
+    def where(i):
+        at = f"v_s = {float(np.ravel(v)[i])!r}"
+        return at if gain is None else f"{at}, gain = {gain!r}"
+
+    return where
 
 
 def clone_state(clone_set, which=1):
@@ -200,9 +211,7 @@ def _source_blocks(v):
     with np.errstate(over="ignore", invalid="ignore"):
         blocks = _epr_blocks(np.sqrt(v))
     finite = np.isfinite(blocks).all(axis=(-3, -2, -1))
-    if not finite.all():
-        at = float(v.flat[np.argmin(finite)])
-        raise ValueError(f"v_s = {at!r}: the source leaves the float range")
+    _require(finite, "the source leaves the float range", where=_naming_v_s(v))
     return blocks
 
 
@@ -274,8 +283,8 @@ def linear_cloner(state, mode, gain=UNITY_GAIN):
     names the gain where the clones' moments leave the float range.
     """
     n = state.num_modes
-    mode = int(mode)
-    if not 0 <= mode < n:
+    mode = _integer_at_least("mode", mode, 0)
+    if mode >= n:
         raise ValueError(f"mode {mode} out of range for {n} modes")
     gx, gp = _gain_pair(gain)
 
@@ -330,17 +339,13 @@ def machine_covariances(machine, v_s, gain=UNITY_GAIN):
     v = _check_v_s(v_s)
     s = np.sqrt(v)
     gx, gp = _gain_pair(gain)
-
-    def where(i):
-        return f"v_s = {float(v.flat[i])!r}"
+    where = _naming_v_s(v)
 
     source = _source_blocks(v)
     with np.errstate(over="ignore", invalid="ignore"):
         clones = _propagate(*_transfer(_machine_rows(machine, s, gx, gp), 2), source)
     finite = np.isfinite(clones).all(axis=(-3, -2, -1))
-    if not finite.all():
-        at = where(int(np.flatnonzero(~finite)[0]))
-        raise ValueError(f"{at}, gain = {gain!r}: the clones leave the float range")
+    _require(finite, "the clones leave the float range", where=_naming_v_s(v, gain))
     _check_split_covariance(clones, where)
     source, clones = _interleave(source), _interleave(clones)
     _check_clone_symmetry(clones, *CLONE_PAIRS[machine], where)

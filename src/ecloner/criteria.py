@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DegenerateInputError
-from .gaussian import _first_failing, _quadratures, _scalar_or_array
+from .gaussian import _covariance_stack, _integer_at_least, _quadratures, _require, _scalar_or_array
 
 _QUAD = {"+": 0, "-": 1}
 _MODE = {"x": 0, "y": 1}
@@ -56,14 +56,12 @@ def correlation_matrix_from_cov(cov, pair):
     any other shape raises ValueError.  The pair's block is taken as it is:
     an asymmetric one raises ValueError.
     """
-    cov = np.asarray(cov, dtype=float)
-    if cov.ndim < 2 or cov.shape[-1] != cov.shape[-2] or cov.shape[-1] % 2:
-        raise ValueError(f"covariance must be (..., 2n, 2n), got shape {cov.shape}")
-    i, j = (int(m) for m in pair)
+    cov = _covariance_stack(cov)
+    i, j = (_integer_at_least("mode index", m, 0) for m in pair)
     n = cov.shape[-1] // 2
     if i == j:
         raise ValueError(f"mode pair must be distinct, got ({i}, {j})")
-    if not (0 <= i < n and 0 <= j < n):
+    if not (i < n and j < n):
         raise ValueError(f"pair ({i}, {j}) out of range for {n} modes")
     q = _quadratures((i, j))
     return CorrelationMatrix(cov[..., q[:, None], q])
@@ -94,12 +92,9 @@ def inseparability(cm):
             + cm.entry(k, k, "y", "y")
             - 2.0 * np.abs(cm.entry(k, k, "x", "y"))
         )
-        ok = value >= 0
-        if not np.all(ok):
-            # Impossible for a positive-semidefinite second-moment matrix.
-            raise RuntimeError(
-                f"negative correlation combination {_first_failing(value, ok)} for quadrature {k}"
-            )
+        # Impossible for a positive-semidefinite second-moment matrix.
+        message = f"negative correlation combination {{value}} for quadrature {k}"
+        _require(value >= 0, message, value, error=RuntimeError)
         c.append(value)
     return _scalar_or_array(0.5 * np.sqrt(c[0] * c[1]))
 
@@ -117,8 +112,8 @@ def epr_paradox(cm):
     eps = 1.0
     for k in ("+", "-"):
         v_cond = cm.entry(k, k, "y", "y")
-        if not np.all(v_cond > 0):
-            raise DegenerateInputError(f"conditioning variance C^{k}{k}_yy is not positive")
+        message = f"conditioning variance C^{k}{k}_yy is not positive"
+        _require(v_cond > 0, message, error=DegenerateInputError)
         cross = cm.entry(k, k, "x", "y")
         eps = eps * (cm.entry(k, k, "x", "x") - np.abs(cross) ** 2 / v_cond)
     return _scalar_or_array(eps)

@@ -18,10 +18,12 @@ import numpy as np
 from .exceptions import DegenerateInputError
 from .gaussian import (
     _check_v_s,
-    _first_failing,
+    _covariance_stack,
+    _integer_at_least,
     _is_pure,
     _pure_rounding,
     _quadratures,
+    _require,
     _scalar_or_array,
 )
 
@@ -63,7 +65,7 @@ def pure_mixed_fidelity(reference, candidate, mode_map=None):
         )
     if mode_map is None:
         mode_map = range(n)
-    order = [int(m) for m in mode_map]
+    order = [_integer_at_least("mode_map entry", m, 0) for m in mode_map]
     if sorted(order) != list(range(n)):
         raise ValueError(f"mode_map must be a permutation of 0..{n - 1}, got {order}")
     q = _quadratures(order)
@@ -76,8 +78,8 @@ def fidelity_from_cov(reference_cov, candidate_cov, delta=None):
     """Overlap fidelity from covariance matrices, stacked over leading axes.
 
     ``reference_cov`` (A) must be pure and ``candidate_cov`` (B) shares its
-    size; either may be a (..., 2n, 2n) stack.  ``delta`` is the candidate
-    mean minus the reference mean, zero when None.  Every check of
+    size; either may be a (..., 2n, 2n) stack.  ``delta`` (..., 2n) is the
+    candidate mean minus the reference mean, zero when None.  Every check of
     :func:`pure_mixed_fidelity` applies to each matrix of the stack, and a
     ValueError names max|A + B| where det(A + B) leaves the float range.
 
@@ -87,33 +89,33 @@ def fidelity_from_cov(reference_cov, candidate_cov, delta=None):
         Floats for single matrices, arrays of the stack's leading shape
         otherwise.
     """
-    a = np.asarray(reference_cov, dtype=float)
-    b = np.asarray(candidate_cov, dtype=float)
+    a, b = _covariance_stack(reference_cov), _covariance_stack(candidate_cov)
+    size = a.shape[-1]
+    if b.shape[-1] != size:
+        raise ValueError(f"covariance shapes differ: reference {a.shape}, candidate {b.shape}")
+    if delta is not None:
+        delta = np.asarray(delta, dtype=float)
+        if delta.ndim < 1 or delta.shape[-1] != size:
+            raise ValueError(f"delta must be (..., {size}), got shape {delta.shape}")
     if not np.all(_is_pure(a)):
         raise ValueError("reference state must be pure")
-    n = a.shape[-1] // 2
     joint = a + b
     with np.errstate(over="ignore", invalid="ignore"):
         det_joint = np.linalg.det(joint)
     # an infinite determinant of finite matrices has overflowed; NaN is left
     # to the singular-matrix error
-    in_range = ~np.isinf(det_joint)
-    if not np.all(in_range):
-        largest = _first_failing(np.max(np.abs(joint), axis=(-2, -1)), in_range)
-        raise ValueError(f"det(A + B) leaves the float range at max|A + B| = {largest:.6g}")
+    message = "det(A + B) leaves the float range at max|A + B| = {value:.6g}"
+    _require(~np.isinf(det_joint), message, np.max(np.abs(joint), axis=(-2, -1)))
     regular = (det_joint > 0) & np.isfinite(det_joint)
-    if not np.all(regular):
-        raise DegenerateInputError(f"A + B is singular (det {_first_failing(det_joint, regular)})")
+    _require(regular, "A + B is singular (det {value})", det_joint, error=DegenerateInputError)
     exponent = 0.0
     if delta is not None:
-        delta = np.asarray(delta, dtype=float)
         solved = np.linalg.solve(joint, delta[..., None])[..., 0]
         exponent = -0.5 * np.sum(delta * solved, axis=-1)
-    value = 2.0**n / np.sqrt(det_joint) * np.exp(exponent)
+    value = 2.0 ** (size // 2) / np.sqrt(det_joint) * np.exp(exponent)
     # det(A + B) carries the rounding of the pure reference's spectrum
     inside = (value >= 0.0) & (value <= 1.0 + VALUE_TOL + _pure_rounding(a))
-    if not np.all(inside):
-        raise RuntimeError(f"fidelity {_first_failing(value, inside)} escaped [0, 1]")
+    _require(inside, "fidelity {value} escaped [0, 1]", value, error=RuntimeError)
     return FidelityResult(
         value=_scalar_or_array(value),
         joint_det=_scalar_or_array(det_joint),

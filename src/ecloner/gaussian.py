@@ -13,6 +13,7 @@ shape (..., 2n, 2n), so a whole parameter grid is checked in one call.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,7 +79,7 @@ def symplectic_eigenvalues(cov):
     non-normal i*Omega@cov eigenproblem loses many digits.  Every physical
     covariance is positive definite; any other matrix gives NaN values.
     """
-    cov = np.asarray(cov, dtype=float)
+    cov = _covariance_stack(cov)
     n = cov.shape[-1] // 2
 
     def from_cholesky(chol):
@@ -128,9 +129,38 @@ def _check_v_s(v_s):
     return v
 
 
-def _first_failing(values, ok):
-    """The first entry of ``values`` (flat order) where ``ok`` is False."""
-    return np.ravel(values)[np.flatnonzero(~np.ravel(ok))[0]]
+def _require(ok, message, values=None, where=None, error=ValueError):
+    """Raise ``error`` at the first item, in flat order, where ``ok`` is False.
+
+    ``message`` may hold ``{value}``, filled from ``values`` at that item, and
+    ``where(i)`` names the item by its flat index i, ahead of the message.
+    """
+    ok = np.asarray(ok)
+    if ok.all():
+        return
+    i = int(np.flatnonzero(~ok.ravel())[0])
+    if values is not None:
+        message = message.format(value=np.ravel(values)[i])
+    raise error(message if where is None else f"{where(i)}: {message}")
+
+
+def _integer_at_least(name, value, low):
+    """``value`` as an exact integer no smaller than ``low``, else a ValueError naming it."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}") from None
+    if value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value}")
+    return value
+
+
+def _covariance_stack(cov):
+    """``cov`` as a float array of shape (..., 2n, 2n), else a ValueError naming its shape."""
+    cov = np.asarray(cov, dtype=float)
+    if cov.ndim < 2 or cov.shape[-1] != cov.shape[-2] or cov.shape[-1] % 2:
+        raise ValueError(f"covariance must be (..., 2n, 2n), got shape {cov.shape}")
+    return cov
 
 
 def _scalar_or_array(value):
@@ -144,12 +174,12 @@ def _pure_rounding(cov):
     A ValueError names the first ``max|cov|`` of at least ``PURE_MAX_ENTRY``.
     """
     largest = np.max(np.abs(cov), axis=(-2, -1))
-    resolved = ~(largest >= PURE_MAX_ENTRY)  # NaN is left to the callers' checks
-    if not np.all(resolved):
-        raise ValueError(
-            f"purity is not resolvable in float64 at max|cov| = "
-            f"{_first_failing(largest, resolved):.6g} (limit {PURE_MAX_ENTRY:.6g})"
-        )
+    _require(
+        ~(largest >= PURE_MAX_ENTRY),  # NaN is left to the callers' checks
+        f"purity is not resolvable in float64 at max|cov| = {{value:.6g}} "
+        f"(limit {PURE_MAX_ENTRY:.6g})",
+        largest,
+    )
     return PURE_REL_TOL * largest**2
 
 
@@ -182,35 +212,17 @@ def _check_split_covariance(blocks, where=None):
 
 def _validate(cov, axes, spectrum, where):
     """The checks of ``_check_covariance`` on a stack whose ``axes`` are one covariance."""
-
-    def first(bad):
-        i = int(np.flatnonzero(bad)[0])
-        return i, (f"{where(i)}: " if where is not None else "")
-
     finite = np.isfinite(cov).all(axis=axes)
-    if not finite.all():
-        _, at = first(~finite)
-        raise ValueError(f"{at}covariance matrix has non-finite entries")
+    _require(finite, "covariance matrix has non-finite entries", where=where)
     asym = np.abs(cov - np.swapaxes(cov, -1, -2)).max(axis=axes)
-    bad = ~(asym <= SYMMETRY_TOL)
-    if bad.any():
-        i, at = first(bad)
-        raise ValueError(
-            f"{at}covariance matrix is not symmetric (max asymmetry {np.ravel(asym)[i]:.3e})"
-        )
+    message = "covariance matrix is not symmetric (max asymmetry {value:.3e})"
+    _require(asym <= SYMMETRY_TOL, message, asym, where)
     nu_min = spectrum(cov).min(axis=-1)
-    definite = ~np.isnan(nu_min)
-    if not definite.all():
-        _, at = first(~definite)
-        raise UncertaintyViolation(f"{at}covariance matrix is not positive definite")
+    message = "covariance matrix is not positive definite"
+    _require(~np.isnan(nu_min), message, where=where, error=UncertaintyViolation)
     tol = SPECTRAL_TOL + SPECTRAL_REL_TOL * np.abs(cov).max(axis=axes)
-    bad = ~(nu_min >= 1.0 - tol)
-    if bad.any():
-        i, at = first(bad)
-        raise UncertaintyViolation(
-            f"{at}covariance violates the uncertainty bound: "
-            f"min symplectic eigenvalue {np.ravel(nu_min)[i]}"
-        )
+    message = "covariance violates the uncertainty bound: min symplectic eigenvalue {value}"
+    _require(nu_min >= 1.0 - tol, message, nu_min, where, UncertaintyViolation)
 
 
 @dataclass(frozen=True)
@@ -272,15 +284,14 @@ class SymplecticOp:
 
     def __post_init__(self):
         matrix = np.array(self.matrix, dtype=float)
-        modes = tuple(int(m) for m in np.atleast_1d(self.mode_indices))
+        modes = np.atleast_1d(self.mode_indices).tolist()
+        modes = tuple(_integer_at_least("mode index", m, 0) for m in modes)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or matrix.shape[0] % 2 != 0:
             raise ValueError(f"matrix must be square with even size, got {matrix.shape}")
         if len(modes) != matrix.shape[0] // 2:
             raise ValueError("mode_indices length does not match matrix size")
         if len(set(modes)) != len(modes):
             raise ValueError(f"mode indices must be distinct, got {modes}")
-        if any(m < 0 for m in modes):
-            raise ValueError(f"mode indices must be nonnegative, got {modes}")
         _require_finite("matrix", matrix)
         omega = symplectic_form(len(modes))
         defect = np.max(np.abs(matrix.T @ omega @ matrix - omega))
@@ -304,9 +315,7 @@ class SymplecticOp:
 
 def vacuum(n):
     """The n-mode vacuum: zero mean, identity covariance (a pure state)."""
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"need at least one mode, got {n}")
+    n = _integer_at_least("number of modes", n, 1)
     return GaussianState(np.zeros(2 * n), np.eye(2 * n))
 
 
@@ -404,9 +413,7 @@ def displace(state, delta):
 
 def append_vacuum(state, k):
     """Tensor k fresh vacuum modes onto the end of the mode list."""
-    k = int(k)
-    if k < 0:
-        raise ValueError(f"cannot append {k} modes")
+    k = _integer_at_least("number of modes to append", k, 0)
     if k == 0:
         return state
     n_old, n_new = 2 * state.num_modes, 2 * (state.num_modes + k)
@@ -419,11 +426,11 @@ def append_vacuum(state, k):
 
 def discard_modes(state, indices):
     """Drop the listed modes (Gaussian partial trace over them)."""
-    indices = [int(i) for i in np.atleast_1d(indices)]
+    indices = [_integer_at_least("mode index", i, 0) for i in np.atleast_1d(indices).tolist()]
     n = state.num_modes
     if len(set(indices)) != len(indices):
         raise ValueError(f"duplicate mode indices: {indices}")
-    if any(i < 0 or i >= n for i in indices):
+    if any(i >= n for i in indices):
         raise ValueError(f"mode indices {indices} out of range for {n} modes")
     if len(indices) == n:
         raise ValueError("cannot discard every mode")

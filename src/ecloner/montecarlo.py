@@ -51,15 +51,14 @@ from a master seed by the same replica.  A pass of fewer than
 """
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
-from .circuits import CLONE_PAIRS, UNITY_GAIN, _gain_pair
+from .circuits import CLONE_PAIRS, UNITY_GAIN, _gain_pair, _naming_v_s
 from .criteria import correlation_matrix_from_cov, epr_paradox, inseparability
-from .gaussian import _check_v_s
+from .gaussian import _check_v_s, _integer_at_least, _require
 
 RNG_ALGORITHM = "numpy.random.default_rng (PCG64)"
 NUM_BATCHES = 20
@@ -77,22 +76,26 @@ def _check_moments(v_s, shots, mean, cov, standard_errors, mean_standard_errors)
     Every argument but ``shots`` has a leading run axis; the first failing
     run raises.
     """
-
-    def require(ok, message):
-        ok = np.reshape(ok, (len(v_s), -1)).all(axis=1)
-        if not ok.all():
-            raise ValueError(f"run at v_s = {float(v_s[np.argmin(ok)])!r}: {message}")
-
-    asym = np.abs(cov - np.swapaxes(cov, -1, -2))
-    require(asym <= 1e-12, "estimated covariance must be symmetric")
-    require(np.isfinite(mean), "estimated mean must be finite")
+    checks = [
+        (np.abs(cov - np.swapaxes(cov, -1, -2)) <= 1e-12, "estimated covariance must be symmetric"),
+        (np.isfinite(mean), "estimated mean must be finite"),
+    ]
     if shots >= 2:
         for name, value in (
             ("standard_errors", standard_errors),
             ("mean_standard_errors", mean_standard_errors),
         ):
             message = f"{name} must be finite and positive for shots >= 2"
-            require(np.isfinite(value) & (value > 0), message)
+            checks.append((np.isfinite(value) & (value > 0), message))
+    for ok, message in checks:
+        _require(np.reshape(ok, (len(v_s), -1)).all(axis=1), message, where=_naming_runs(v_s))
+
+
+def _naming_runs(v_s, gain=None):
+    """The ``where`` of ``_require`` on a stack of runs at ``v_s``: "run at
+    v_s = ...", then the gain unless it is None."""
+    at = _naming_v_s(v_s, gain)
+    return lambda i: f"run at {at(i)}"
 
 
 @dataclass(frozen=True)
@@ -139,17 +142,6 @@ class CriteriaEstimate:
     epr_paradox_err: float
     pair: tuple
     batches: int
-
-
-def _integer_at_least(name, value, low):
-    """``value`` as an exact integer no smaller than ``low``, else a ValueError naming it."""
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}") from None
-    if value < low:
-        raise ValueError(f"{name} must be an integer >= {low}, got {value}")
-    return value
 
 
 def _check_inputs(machine, v_s, displacement_variance, shots, seeds):
@@ -306,14 +298,6 @@ def _draw_run(rng, state, dof, row):
     rng.standard_normal(out=row[_NORMALS + len(dof) :])
 
 
-def _raise_out_of_range(v_s, gain, bad, what="its covariance leaves"):
-    """Name the first run flagged in ``bad`` by its v_s, and by ``gain`` unless None."""
-    if np.any(bad):
-        at = f"v_s = {float(v_s[np.argmax(bad)])!r}"
-        at += f", gain = {gain!r}" if gain is not None else ""
-        raise ValueError(f"run at {at}: {what} the float range")
-
-
 class _Blocks:
     """The shot layout of a pass and the buffers its blocks reuse.
 
@@ -405,7 +389,8 @@ class _Blocks:
             covs *= 0.5
             means = np.concatenate([mean[:, None], means], axis=1) @ factors
             means += offset[:, None]
-        _raise_out_of_range(v_s, gain, drawn & ~np.isfinite(covs).all(axis=(1, 2, 3)))
+        in_range = np.isfinite(covs).all(axis=(1, 2, 3)) | ~drawn
+        _require(in_range, "its covariance leaves the float range", where=_naming_runs(v_s, gain))
         cov = covs[:, 0]
         roots = np.sqrt(np.diagonal(cov, axis1=1, axis2=2))
         # Gaussian law (Isserlis): Var(C_ij) = (C_ii C_jj + C_ij^2) / shots
@@ -429,7 +414,8 @@ def _block_moments(blocks, machine, v_s, displacement_variance, states, gain):
     # An entry of M past the float range puts its output's variance there too.
     with np.errstate(over="ignore", invalid="ignore"):
         transfer, response = _kernels.affine_map(machine, v_s, gx, gp)
-    _raise_out_of_range(v_s, gain, ~np.isfinite(transfer).all(axis=(1, 2)))
+    in_range = np.isfinite(transfer).all(axis=(1, 2))
+    _require(in_range, "its covariance leaves the float range", where=_naming_runs(v_s, gain))
     # transfer = Q @ factor with orthonormal Q, and u @ Q ~ N(0, I_8) for
     # u ~ N(0, I_18): 8 unit normals e give outputs e @ factor + offset
     # with the exact law of the 18-column circuit.
@@ -454,7 +440,8 @@ def _criteria_block(v_s, gain, covs, pair):
         for per_matrix in (inseparability(cm), epr_paradox(cm)):
             values += [per_matrix[:, 0], per_matrix[:, 1:].std(axis=1, ddof=1) / root_n]
     values = np.array(values)
-    _raise_out_of_range(v_s, gain, ~np.isfinite(values).all(axis=0), "its criteria leave")
+    in_range = np.isfinite(values).all(axis=0)
+    _require(in_range, "its criteria leave the float range", where=_naming_runs(v_s, gain))
     return values
 
 

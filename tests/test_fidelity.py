@@ -136,6 +136,21 @@ def test_fidelity_rejects_bad_inputs():
         pure_mixed_fidelity(vacuum(2), vacuum(2), mode_map=(0, 0))
 
 
+@pytest.mark.parametrize(
+    "a, b, delta, message",
+    [
+        (np.eye(4), np.eye(6), None, r"shapes differ: reference \(4, 4\), candidate \(6, 6\)$"),
+        (np.eye(3), np.eye(3), None, r"^covariance must be \(\.\.\., 2n, 2n\), got shape \(3, 3\)$"),
+        (np.eye(2), np.ones(2), None, r"^covariance must be \(\.\.\., 2n, 2n\), got shape \(2,\)$"),
+        (np.eye(2), np.eye(2), np.zeros(3), r"^delta must be \(\.\.\., 2\), got shape \(3,\)$"),
+        (np.eye(4), np.eye(4), 0.0, r"^delta must be \(\.\.\., 4\), got shape \(\)$"),
+    ],
+)
+def test_fidelity_from_cov_rejects_mismatched_shapes(a, b, delta, message):
+    with pytest.raises(ValueError, match=message):
+        fidelity_from_cov(a, b, delta)
+
+
 @pytest.mark.filterwarnings("error")
 def test_determinant_past_the_float_range_is_reported_as_such():
     # det(A + B) of finite matrices overflows: no escaped warning, and no

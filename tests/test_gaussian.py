@@ -8,17 +8,22 @@ import pytest
 from conftest import apply_all, random_ops
 
 from ecloner import (
+    CloneSet,
     GaussianState,
     SymplecticOp,
     UncertaintyViolation,
     append_vacuum,
     apply,
     beamsplitter,
+    correlation_matrix_from_cov,
     discard_modes,
     displace,
     epr_source,
     fidelity_from_cov,
+    linear_cloner,
+    local_ecloner,
     phase_rotation,
+    pure_mixed_fidelity,
     squeeze_gate,
     squeezed_vacuum,
     symplectic_eigenvalues,
@@ -33,6 +38,7 @@ from ecloner.gaussian import (
     SPECTRAL_TOL,
     _check_covariance,
     _is_pure,
+    _require,
 )
 
 
@@ -327,6 +333,54 @@ def test_stacked_validation_names_the_offending_matrix():
     with pytest.raises(ValueError, match="point 2: .*not symmetric"):
         _check_covariance(asym, lambda i: f"point {i}")
     _check_covariance(np.array([np.eye(2), 2.0 * np.eye(2)]))
+
+
+def test_require_raises_at_the_first_failing_item_in_flat_order():
+    ok = np.ones((2, 3), dtype=bool)
+    ok[1, 1:] = False  # flat indices 4 and 5
+    values = np.arange(6.0).reshape(2, 3) / 8
+    named = []
+
+    def where(i):
+        named.append(i)
+        return f"item {i}"
+
+    with pytest.raises(UncertaintyViolation, match=r"^item 4: value 0\.5 \{not a field\}$"):
+        _require(ok, "value {value} {{not a field}}", values, where, UncertaintyViolation)
+    assert named == [4]
+    with pytest.raises(ValueError, match=r"^no {value} here$"):
+        _require(ok, "no {value} here")
+    _require(np.ones((2, 3), dtype=bool), "unused", values, where)
+    assert named == [4]
+
+
+@pytest.mark.parametrize("cov", [1.0, np.ones(4), np.eye(3), np.ones((2, 4, 6))])
+def test_symplectic_eigenvalues_reject_a_shape_that_is_not_a_covariance_stack(cov):
+    message = rf"^covariance must be \(\.\.\., 2n, 2n\), got shape {re.escape(str(np.shape(cov)))}$"
+    with pytest.raises(ValueError, match=message):
+        symplectic_eigenvalues(cov)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda index: vacuum(index),
+        lambda index: append_vacuum(vacuum(1), index),
+        lambda index: discard_modes(vacuum(3), [index]),
+        lambda index: SymplecticOp(np.eye(2), (index,)),
+        lambda index: linear_cloner(vacuum(2), index),
+        lambda index: CloneSet(local_ecloner(vacuum(2)).state, (0, 3), (2, index), "local", 1.0),
+        lambda index: CloneSet(local_ecloner(vacuum(2)).state, (0, 3), (index, 2), "local", 1.0),
+        lambda index: correlation_matrix_from_cov(np.eye(6), (0, index)),
+        lambda index: pure_mixed_fidelity(vacuum(2), vacuum(2), [index, 0]),
+    ],
+)
+def test_mode_indices_and_counts_must_be_integers(call):
+    call(np.int64(1))
+    for index in (1.0, 1.5, 0.7, "1"):
+        message = rf"must be an integer >= \d, got {re.escape(repr(index))}$"
+        with pytest.raises(ValueError, match=message):
+            call(index)
 
 
 def test_stacked_symplectic_eigenvalues_match_per_matrix_calls():
