@@ -18,9 +18,10 @@ combinations of the input quadratures followed by those of the vacuum
 ancillas.  Axis -3 is the quadrature, x then p, because no gate of these
 circuits mixes x with p: a 50/50 beamsplitter acts alike on both, a
 squeezer scales the x rows by f and the p rows by 1/f, and the feedforward
-adds the n2 readout to x and the n1 readout to p.  With T = K[..., :d] and
-N = K[..., d:] K[..., d:]^T the circuit maps a d-mode input (mean, cov) to
-(T mean, T cov T^T + N) per quadrature.  A machine is a 2 x 4 x 8 K (two
+adds the n2 readout to x and the n1 readout to p.  One map,
+``gaussian._propagate(K, cov)`` = K [cov, 0; 0, 1] K^T, takes a d-mode input
+covariance through every circuit, the source's included (its two inputs are
+vacuum); the mean goes to K[..., :d] mean.  A machine is a 2 x 4 x 8 K (two
 input modes, six ancillas); the squeezing variance may be an array, which
 stacks K over a grid.  ``machine_covariances`` propagates and validates
 the x and p blocks and interleaves them into (x1, p1, ...) order at its
@@ -38,6 +39,7 @@ from .gaussian import (
     _check_split_covariance,
     _check_v_s,
     _integer_at_least,
+    _propagate,
     _quadratures,
     _require,
 )
@@ -164,18 +166,6 @@ def _interleave(blocks):
     return out.reshape(*lead, 2 * n, 2 * m)
 
 
-def _transfer(k, d_in):
-    """(T, N) of a Heisenberg matrix whose columns past ``d_in`` are vacuum."""
-    t, ancillas = k[..., :d_in], k[..., d_in:]
-    return t, ancillas @ np.swapaxes(ancillas, -1, -2)
-
-
-def _propagate(t, n, cov):
-    """T cov T^T + N, symmetrized; stacks broadcast over leading axes."""
-    out = t @ cov @ np.swapaxes(t, -1, -2) + n
-    return 0.5 * (out + np.swapaxes(out, -1, -2))
-
-
 def _output_state(rows, state, at):
     """The validated state a Heisenberg stack makes of ``state``.
 
@@ -184,32 +174,23 @@ def _output_state(rows, state, at):
     """
     k = _interleave(rows)
     with np.errstate(over="ignore", invalid="ignore"):
-        t, n = _transfer(k, 2 * state.num_modes)
-        mean, cov = t @ state.mean, _propagate(t, n, state.cov)
+        mean, cov = k[:, : state.mean.size] @ state.mean, _propagate(k, state.cov)
     if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
         raise ValueError(f"{at}: the clones leave the float range")
     return GaussianState(mean, cov)
 
 
-def _epr_blocks(s):
-    """x and p blocks (..., 2, 2, 2) of epr_source's covariance at s = sqrt(v_s)."""
-    rows = _identity(np.shape(s), 2)
-    _squeeze(rows, 0, _squeeze_factors(s))
-    _squeeze(rows, 1, _squeeze_factors(1.0 / s))
-    _beamsplit(rows, 0, 1)
-    return _propagate(rows, 0.0, np.eye(2))  # both inputs are vacuum
-
-
-def _epr_cov(s):
-    """Covariance of epr_source at squeeze factor s = sqrt(v_s), stacked like s."""
-    return _interleave(_epr_blocks(s))
-
-
 def _source_blocks(v):
-    """``_epr_blocks`` at the validated v_s ``v``; a ValueError names the first
-    v_s where the source, whose entries grow as 1/v_s, leaves the float range."""
+    """x and p blocks (..., 2, 2, 2) of epr_source's covariance at the validated
+    v_s ``v``, stacked like v; a ValueError names the first v_s where the
+    source, whose entries grow as 1/v_s, leaves the float range."""
+    s = np.sqrt(v)
+    rows = _identity(np.shape(s), 2)
     with np.errstate(over="ignore", invalid="ignore"):
-        blocks = _epr_blocks(np.sqrt(v))
+        _squeeze(rows, 0, _squeeze_factors(s))
+        _squeeze(rows, 1, _squeeze_factors(1.0 / s))
+        _beamsplit(rows, 0, 1)
+        blocks = _propagate(rows, np.eye(2))  # both inputs are vacuum
     finite = np.isfinite(blocks).all(axis=(-3, -2, -1))
     _require(finite, "the source leaves the float range", where=_naming_v_s(v))
     return blocks
@@ -343,7 +324,7 @@ def machine_covariances(machine, v_s, gain=UNITY_GAIN):
 
     source = _source_blocks(v)
     with np.errstate(over="ignore", invalid="ignore"):
-        clones = _propagate(*_transfer(_machine_rows(machine, s, gx, gp), 2), source)
+        clones = _propagate(_machine_rows(machine, s, gx, gp), source)
     finite = np.isfinite(clones).all(axis=(-3, -2, -1))
     _require(finite, "the clones leave the float range", where=_naming_v_s(v, gain))
     _check_split_covariance(clones, where)
@@ -361,10 +342,13 @@ def _infer_epr_variance(state):
     its largest entry, so a mixed state near a source gets no label.
     """
     if state.num_modes == 2:
-        c = min(state.cov[0, 2], 0.0)  # rounding leaves c ~ +1e-17 at v_s = 1
+        c = min(float(state.cov[0, 2]), 0.0)  # rounding leaves c ~ +1e-17 at v_s = 1
         v_s = 1.0 / (math.hypot(1.0, c) - c)
         if v_s > 0:
-            source = _epr_cov(math.sqrt(v_s))
+            try:
+                source = _interleave(_source_blocks(v_s))
+            except ValueError:  # a source this squeezed leaves the float range
+                return math.nan
             tol = 1e-12 * np.max(np.abs(source))
             if np.allclose(state.cov, source, rtol=0.0, atol=tol):
                 return v_s

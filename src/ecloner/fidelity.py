@@ -97,6 +97,11 @@ def fidelity_from_cov(reference_cov, candidate_cov, delta=None):
         delta = np.asarray(delta, dtype=float)
         if delta.ndim < 1 or delta.shape[-1] != size:
             raise ValueError(f"delta must be (..., {size}), got shape {delta.shape}")
+    try:
+        np.broadcast_shapes(a.shape[:-2], b.shape[:-2], () if delta is None else delta.shape[:-1])
+    except ValueError:
+        shapes = f"reference {a.shape}, candidate {b.shape}, delta {getattr(delta, 'shape', None)}"
+        raise ValueError(f"stacks do not broadcast: {shapes}") from None
     if not np.all(_is_pure(a)):
         raise ValueError("reference state must be pure")
     joint = a + b
@@ -104,8 +109,9 @@ def fidelity_from_cov(reference_cov, candidate_cov, delta=None):
         det_joint = np.linalg.det(joint)
     # an infinite determinant of finite matrices has overflowed; NaN is left
     # to the singular-matrix error
-    message = "det(A + B) leaves the float range at max|A + B| = {value:.6g}"
-    _require(~np.isinf(det_joint), message, np.max(np.abs(joint), axis=(-2, -1)))
+    if np.isinf(det_joint).any():
+        message = "det(A + B) leaves the float range at max|A + B| = {value:.6g}"
+        _require(~np.isinf(det_joint), message, np.max(np.abs(joint), axis=(-2, -1)))
     regular = (det_joint > 0) & np.isfinite(det_joint)
     _require(regular, "A + B is singular (det {value})", det_joint, error=DegenerateInputError)
     exponent = 0.0

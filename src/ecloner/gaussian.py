@@ -381,6 +381,14 @@ def phase_rotation(theta, mode):
     return SymplecticOp(np.array([[c, s], [-s, c]]), (mode,))
 
 
+def _propagate(k, cov):
+    """K [cov, 0; 0, 1] K^T, symmetrized: what a Heisenberg matrix K makes of ``cov``
+    on its first columns and vacuum on the rest; stacks broadcast over leading axes."""
+    t, ancillas = k[..., : cov.shape[-1]], k[..., cov.shape[-1] :]
+    out = t @ cov @ np.swapaxes(t, -1, -2) + ancillas @ np.swapaxes(ancillas, -1, -2)
+    return 0.5 * (out + np.swapaxes(out, -1, -2))
+
+
 def apply(op, state):
     """Apply a symplectic op to a state, returning the transformed state.
 
@@ -390,9 +398,7 @@ def apply(op, state):
     n = state.num_modes
     full = op.expand(n)
     with np.errstate(over="ignore", invalid="ignore"):
-        mean = full @ state.mean
-        cov = full @ state.cov @ full.T
-        cov = 0.5 * (cov + cov.T)
+        mean, cov = full @ state.mean, _propagate(full, state.cov)
     if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
         raise ValueError(
             f"gate {op.matrix.tolist()} on modes {op.mode_indices} takes the {n}-mode state "
@@ -406,7 +412,7 @@ def displace(state, delta):
     """Shift the mean by delta (length 2n); second moments are untouched."""
     delta = np.asarray(delta, dtype=float)
     if delta.shape != state.mean.shape:
-        raise ValueError(f"displacement length {delta.size} != {state.mean.size}")
+        raise ValueError(f"displacement must have shape {state.mean.shape}, got {delta.shape}")
     _require_finite("displacement", delta)
     return GaussianState(state.mean + delta, state.cov)
 

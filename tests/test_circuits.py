@@ -448,3 +448,25 @@ def test_source_past_the_float_range_is_named_as_the_cause(machine):
     # Just above, the source is finite and the clones are what fail.
     with pytest.raises(ValueError, match=r"^v_s = 5\.6e-309(: covariance|, gain = )"):
         machine_covariances(machine, 5.6e-309)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "arm, cross",
+    [(1e308, -9.5e307), (0.9 * np.finfo(float).max, -0.5 * np.finfo(float).max)],
+    ids=["overflowing-label", "source-past-the-range"],
+)
+def test_ecloners_on_a_source_pattern_past_the_float_range_raise_naming_the_clones(arm, cross):
+    # A valid state in the source's pattern whose inferred v_s either
+    # overflows to 0 (1/(hypot(1, c) - c)) or is 1/max_float, where the
+    # rebuilt source leaves the float range: the label is NaN, no warning
+    # escapes, and the machines blame the clones.
+    x, p = [[arm, cross], [cross, arm]], [[arm, -cross], [-cross, arm]]
+    cov = np.zeros((4, 4))
+    cov[0::2, 0::2], cov[1::2, 1::2] = x, p
+    state = GaussianState(np.zeros(4), cov)
+    gain = re.escape(repr(UNITY_GAIN))
+    with pytest.raises(ValueError, match=rf"^v_s = nan, gain = {gain}: the clones leave"):
+        local_ecloner(state)
+    with pytest.raises(ValueError, match=rf"^v_s = 0\.5, gain = {gain}: the clones leave"):
+        global_ecloner(state, 0.5)

@@ -136,6 +136,11 @@ def test_fidelity_rejects_bad_inputs():
         pure_mixed_fidelity(vacuum(2), vacuum(2), mode_map=(0, 0))
 
 
+def test_mode_map_error_names_the_range_it_must_permute():
+    with pytest.raises(ValueError, match=r"^mode_map must be a permutation of 0\.\.1, got \[0, 0\]$"):
+        pure_mixed_fidelity(vacuum(2), vacuum(2), mode_map=(0, 0))
+
+
 @pytest.mark.parametrize(
     "a, b, delta, message",
     [
@@ -144,6 +149,19 @@ def test_fidelity_rejects_bad_inputs():
         (np.eye(2), np.ones(2), None, r"^covariance must be \(\.\.\., 2n, 2n\), got shape \(2,\)$"),
         (np.eye(2), np.eye(2), np.zeros(3), r"^delta must be \(\.\.\., 2\), got shape \(3,\)$"),
         (np.eye(4), np.eye(4), 0.0, r"^delta must be \(\.\.\., 4\), got shape \(\)$"),
+        (
+            np.broadcast_to(np.eye(4), (3, 4, 4)),
+            np.broadcast_to(np.eye(4), (2, 4, 4)),
+            None,
+            r"^stacks do not broadcast: reference \(3, 4, 4\), candidate \(2, 4, 4\), delta None$",
+        ),
+        (
+            np.broadcast_to(np.eye(4), (3, 4, 4)),
+            np.broadcast_to(np.eye(4), (3, 4, 4)),
+            np.zeros((2, 4)),
+            r"^stacks do not broadcast: reference \(3, 4, 4\), candidate \(3, 4, 4\), "
+            r"delta \(2, 4\)$",
+        ),
     ],
 )
 def test_fidelity_from_cov_rejects_mismatched_shapes(a, b, delta, message):

@@ -30,7 +30,7 @@ from ecloner import (
     symplectic_form,
     vacuum,
 )
-from ecloner.circuits import _epr_cov
+from ecloner.circuits import _interleave, _source_blocks
 from ecloner.gaussian import (
     PURE_MAX_ENTRY,
     PURE_REL_TOL,
@@ -75,6 +75,13 @@ def test_squeezed_vacuum_without_squeezing_is_vacuum():
 def test_squeezed_vacuum_rejects_uncertainty_violation():
     with pytest.raises(UncertaintyViolation):
         squeezed_vacuum(0.5, 1.0)
+
+
+def test_squeezed_vacuum_allows_a_product_exactly_one_tolerance_short():
+    # the bound is strict: a product of exactly 1 - SPECTRAL_TOL builds
+    assert squeezed_vacuum(1.0, 1.0 - SPECTRAL_TOL).cov[1, 1] == 1.0 - SPECTRAL_TOL
+    with pytest.raises(UncertaintyViolation, match="variance product"):
+        squeezed_vacuum(1.0, 1.0 - 1.5 * SPECTRAL_TOL)
 
 
 @pytest.mark.parametrize("v_plus, v_minus", [(0.0, 1.0), (-1.0, 2.0), (1.0, -0.5)])
@@ -222,6 +229,11 @@ def test_displace_never_touches_second_moments():
 def test_displace_rejects_wrong_length():
     with pytest.raises(ValueError):
         displace(vacuum(2), (1.0, 2.0))
+
+
+def test_displace_names_both_shapes():
+    with pytest.raises(ValueError, match=r"^displacement must have shape \(2,\), got \(1, 2\)$"):
+        displace(vacuum(1), np.zeros((1, 2)))
 
 
 def test_append_vacuum_matches_larger_vacuum():
@@ -464,8 +476,8 @@ def test_purity_beyond_float64_resolution_raises_naming_the_largest_entry():
     assert PURE_MAX_ENTRY == PURE_REL_TOL**-0.5
     cases = [
         (np.diag([2e8, 1e-8]), "2e+08"),
-        (_epr_cov(np.sqrt(1e-20)), "5e+19"),
-        (_epr_cov(np.sqrt(1e-300)), "5e+299"),
+        (_interleave(_source_blocks(1e-20)), "5e+19"),
+        (_interleave(_source_blocks(1e-300)), "5e+299"),
     ]
     with pytest.raises(UncertaintyViolation, match="not positive definite"):
         epr_source(1e-20)
