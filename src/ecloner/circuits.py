@@ -39,6 +39,7 @@ from .gaussian import (
     _check_split_covariance,
     _check_v_s,
     _integer_at_least,
+    _map_state,
     _propagate,
     _quadratures,
     _require,
@@ -166,20 +167,6 @@ def _interleave(blocks):
     return out.reshape(*lead, 2 * n, 2 * m)
 
 
-def _output_state(rows, state, at):
-    """The validated state a Heisenberg stack makes of ``state``.
-
-    Where the moments leave the float range, a ValueError names the
-    circuit's parameters by the phrase ``at``.
-    """
-    k = _interleave(rows)
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean, cov = k[:, : state.mean.size] @ state.mean, _propagate(k, state.cov)
-    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
-        raise ValueError(f"{at}: the clones leave the float range")
-    return GaussianState(mean, cov)
-
-
 def _source_blocks(v):
     """x and p blocks (..., 2, 2, 2) of epr_source's covariance at the validated
     v_s ``v``, stacked like v; a ValueError names the first v_s where the
@@ -275,7 +262,8 @@ def linear_cloner(state, mode, gain=UNITY_GAIN):
     # The feedforward row is not symplectic, so the moments are only
     # meaningful once the consumed measurement modes are dropped.
     keep = [i for i in range(n + 3) if i not in (n, n + 1)]
-    return _output_state(rows[:, keep], state, f"gain = {gain!r}")
+    k = _interleave(rows[:, keep])
+    return _map_state(k, state, lambda: f"gain = {gain!r}: the clones leave the float range")
 
 
 def _machine_rows(machine, s, gx, gp):
@@ -312,21 +300,28 @@ def machine_covariances(machine, v_s, gain=UNITY_GAIN):
     blocks are propagated apart, and only the outputs are validated (finite,
     symmetric, uncertainty bound, clone symmetry), once for the whole stack;
     an error names the offending v_s, and the gain too where the clones
-    leave the float range.  Below v_s of about 5.6e-309 (subnormal) the
-    source itself leaves the float range, and the error says so.
+    fail.  Below v_s of about 5.6e-309 (subnormal) the source itself leaves
+    the float range, and the error says so.
+
+    ``gain`` is any finite number or (x, p) pair; 0 turns the feedforward
+    off, and the CLI caps it at ``cli.MAX_GAIN``.  Rounding at entries of
+    about gain^2/v_s makes validation reject clones from gain 9.48e4 (the
+    global machine at v_s = 1.02e-3; 301 log-spaced gains in [1e4, 1e5] on
+    8000 v_s in [1e-3, 1], 4000 of them in [1e-3, 2e-3]).  The local machine
+    passes that whole probe, but fails at gain 1e8 from v_s = 0.01.
     """
     if machine not in CLONE_PAIRS:
         raise ValueError(f"unknown machine {machine!r}")
     v = _check_v_s(v_s)
     s = np.sqrt(v)
     gx, gp = _gain_pair(gain)
-    where = _naming_v_s(v)
+    where = _naming_v_s(v, gain)
 
     source = _source_blocks(v)
     with np.errstate(over="ignore", invalid="ignore"):
         clones = _propagate(_machine_rows(machine, s, gx, gp), source)
     finite = np.isfinite(clones).all(axis=(-3, -2, -1))
-    _require(finite, "the clones leave the float range", where=_naming_v_s(v, gain))
+    _require(finite, "the clones leave the float range", where=where)
     _check_split_covariance(clones, where)
     source, clones = _interleave(source), _interleave(clones)
     _check_clone_symmetry(clones, *CLONE_PAIRS[machine], where)
@@ -363,13 +358,9 @@ def _clone_set(machine, epr, s, gain, v_s):
     clone1, clone2 = CLONE_PAIRS[machine]
     with np.errstate(over="ignore", invalid="ignore"):
         rows = _machine_rows(machine, s, gx, gp)
-    return CloneSet(
-        state=_output_state(rows, epr, f"v_s = {float(v_s)!r}, gain = {gain!r}"),
-        clone1=clone1,
-        clone2=clone2,
-        machine=machine,
-        v_s=v_s,
-    )
+    at = _naming_v_s(v_s, gain)
+    state = _map_state(_interleave(rows), epr, lambda: f"{at(0)}: the clones leave the float range")
+    return CloneSet(state=state, clone1=clone1, clone2=clone2, machine=machine, v_s=v_s)
 
 
 def local_ecloner(epr, gain=UNITY_GAIN):

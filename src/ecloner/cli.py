@@ -109,12 +109,16 @@ def _criteria(machine, v_s, gain):
 def _analytic_records(grid, gain):
     """The analytic columns in CSV_HEADER order, each from one stacked evaluation."""
     table = {"v_s": grid.tolist(), "squeezing_db": [squeezing_db(v_s) for v_s in grid]}
+    clones = []
     for name in ("local", "global"):
         source, cm = _criteria(name, grid, gain)
         table[f"i_{name}"] = inseparability(cm).tolist()
         table[f"eps_{name}"] = epr_paradox(cm).tolist()
         # the pair's correlation matrix is the clone's reduced covariance
-        table[f"f_{name}"] = fidelity_from_cov(source, cm.matrix).value.tolist()
+        clones.append(cm.matrix)
+    # both machines share the source: one call checks its purity once
+    fidelities = fidelity_from_cov(source, np.stack(clones)).value.tolist()
+    table["f_local"], table["f_global"] = fidelities
     return {key: table[key] for key in CSV_HEADER.split(",")}
 
 

@@ -35,12 +35,11 @@ class CorrelationMatrix:
         matrix = np.array(self.matrix, dtype=float)
         if matrix.shape[-2:] != (4, 4):
             raise ValueError(f"correlation matrix must be 4x4, got {matrix.shape}")
-        if not np.all(np.isfinite(matrix)):
-            raise ValueError("correlation matrix has non-finite entries")
-        if not np.all(np.abs(matrix - np.swapaxes(matrix, -1, -2)) <= 1e-10):
-            raise ValueError("correlation matrix must be symmetric")
-        if not np.all(np.diagonal(matrix, axis1=-2, axis2=-1) >= 0):
-            raise ValueError("diagonal entries are variances and cannot be negative")
+        _require(np.isfinite(matrix), "correlation matrix has non-finite entries")
+        symmetric = np.abs(matrix - np.swapaxes(matrix, -1, -2)) <= 1e-10
+        _require(symmetric, "correlation matrix must be symmetric")
+        variances = np.diagonal(matrix, axis1=-2, axis2=-1)
+        _require(variances >= 0, "diagonal entries are variances and cannot be negative")
         matrix.flags.writeable = False
         object.__setattr__(self, "matrix", matrix)
 

@@ -102,8 +102,7 @@ def fidelity_from_cov(reference_cov, candidate_cov, delta=None):
     except ValueError:
         shapes = f"reference {a.shape}, candidate {b.shape}, delta {getattr(delta, 'shape', None)}"
         raise ValueError(f"stacks do not broadcast: {shapes}") from None
-    if not np.all(_is_pure(a)):
-        raise ValueError("reference state must be pure")
+    _require(_is_pure(a), "reference state must be pure")
     joint = a + b
     with np.errstate(over="ignore", invalid="ignore"):
         det_joint = np.linalg.det(joint)

@@ -113,19 +113,10 @@ def _quadratures(modes):
     return np.array([q for m in modes for q in (2 * m, 2 * m + 1)], dtype=int)
 
 
-def _require_finite(name, value):
-    """Reject NaN or infinite input, naming it; returns the float array."""
-    value = np.asarray(value, dtype=float)
-    if not np.all(np.isfinite(value)):
-        raise ValueError(f"{name} must be finite, got {value}")
-    return value
-
-
 def _check_v_s(v_s):
-    """Reject a squeezing variance outside (0, 1] (NaN too), entrywise; returns the array."""
+    """``v_s`` as a float array; a ValueError names its first entry outside (0, 1] (NaN too)."""
     v = np.asarray(v_s, dtype=float)
-    if not np.all((v > 0.0) & (v <= 1.0)):
-        raise ValueError(f"squeezing variance must lie in (0, 1], got {v_s}")
+    _require((v > 0.0) & (v <= 1.0), "squeezing variance must lie in (0, 1], got {value}", v)
     return v
 
 
@@ -245,7 +236,7 @@ class GaussianState:
             raise ValueError(f"mean must be a flat vector of even length, got shape {mean.shape}")
         if cov.shape != (mean.size, mean.size):
             raise ValueError(f"cov shape {cov.shape} does not match mean length {mean.size}")
-        _require_finite("mean", mean)
+        _require(np.isfinite(mean), "mean must be finite, got {value}", mean)
         _check_covariance(cov)
         mean.flags.writeable = False
         cov.flags.writeable = False
@@ -292,7 +283,7 @@ class SymplecticOp:
             raise ValueError("mode_indices length does not match matrix size")
         if len(set(modes)) != len(modes):
             raise ValueError(f"mode indices must be distinct, got {modes}")
-        _require_finite("matrix", matrix)
+        _require(np.isfinite(matrix), "matrix must be finite, got {value}", matrix)
         omega = symplectic_form(len(modes))
         defect = np.max(np.abs(matrix.T @ omega @ matrix - omega))
         if not defect <= SYMPLECTIC_TOL:
@@ -376,7 +367,8 @@ def squeeze_gate(s_plus, mode):
 
 def phase_rotation(theta, mode):
     """Phase-space rotation by theta on one mode; pi/2 swaps x and p."""
-    theta = float(_require_finite("theta", theta))
+    theta = float(theta)
+    _require(np.isfinite(theta), "theta must be finite, got {value}", theta)
     c, s = np.cos(theta), np.sin(theta)
     return SymplecticOp(np.array([[c, s], [-s, c]]), (mode,))
 
@@ -389,6 +381,17 @@ def _propagate(k, cov):
     return 0.5 * (out + np.swapaxes(out, -1, -2))
 
 
+def _map_state(k, state, naming):
+    """The validated state a Heisenberg matrix K makes of ``state``: mean K[:, :d] @ mean,
+    covariance ``_propagate(K, cov)``.  Where these leave the float range, a
+    ValueError carries the message ``naming()``, built only then."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, cov = k[:, : state.mean.size] @ state.mean, _propagate(k, state.cov)
+    if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+        raise ValueError(naming())
+    return GaussianState(mean, cov)
+
+
 def apply(op, state):
     """Apply a symplectic op to a state, returning the transformed state.
 
@@ -396,16 +399,15 @@ def apply(op, state):
     past the float range; that raises a ValueError naming both.
     """
     n = state.num_modes
-    full = op.expand(n)
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean, cov = full @ state.mean, _propagate(full, state.cov)
-    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
-        raise ValueError(
+
+    def naming():
+        return (
             f"gate {op.matrix.tolist()} on modes {op.mode_indices} takes the {n}-mode state "
             f"with max |cov| {np.max(np.abs(state.cov)):.3g} and max |mean| "
             f"{np.max(np.abs(state.mean)):.3g} past the float range"
         )
-    return GaussianState(mean, cov)
+
+    return _map_state(op.expand(n), state, naming)
 
 
 def displace(state, delta):
@@ -413,7 +415,7 @@ def displace(state, delta):
     delta = np.asarray(delta, dtype=float)
     if delta.shape != state.mean.shape:
         raise ValueError(f"displacement must have shape {state.mean.shape}, got {delta.shape}")
-    _require_finite("displacement", delta)
+    _require(np.isfinite(delta), "displacement must be finite, got {value}", delta)
     return GaussianState(state.mean + delta, state.cov)
 
 

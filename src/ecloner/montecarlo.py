@@ -58,7 +58,7 @@ import numpy as np
 from . import _kernels
 from .circuits import CLONE_PAIRS, UNITY_GAIN, _gain_pair, _naming_v_s
 from .criteria import correlation_matrix_from_cov, epr_paradox, inseparability
-from .gaussian import _check_v_s, _integer_at_least, _require
+from .gaussian import SYMMETRY_TOL, _check_v_s, _integer_at_least, _require
 
 RNG_ALGORITHM = "numpy.random.default_rng (PCG64)"
 NUM_BATCHES = 20
@@ -76,8 +76,9 @@ def _check_moments(v_s, shots, mean, cov, standard_errors, mean_standard_errors)
     Every argument but ``shots`` has a leading run axis; the first failing
     run raises.
     """
+    asymmetry = np.abs(cov - np.swapaxes(cov, -1, -2))
     checks = [
-        (np.abs(cov - np.swapaxes(cov, -1, -2)) <= 1e-12, "estimated covariance must be symmetric"),
+        (asymmetry <= SYMMETRY_TOL, "estimated covariance must be symmetric"),
         (np.isfinite(mean), "estimated mean must be finite"),
     ]
     if shots >= 2:

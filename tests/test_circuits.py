@@ -10,6 +10,7 @@ from ecloner import (
     CloneSet,
     GaussianState,
     UNITY_GAIN,
+    UncertaintyViolation,
     apply,
     beamsplitter,
     clone_state,
@@ -142,6 +143,12 @@ def test_linear_cloner_rejects_bad_mode_and_gain():
     for bad in (np.inf, (1.0, 2.0, 3.0), np.ones((2, 2))):
         with pytest.raises(ValueError, match="gain"):
             linear_cloner(vacuum(1), 0, gain=bad)
+
+
+def test_linear_cloner_rejects_the_mode_one_past_the_last():
+    # mode == num_modes must fail the range check, not a later gate
+    with pytest.raises(ValueError, match="out of range"):
+        linear_cloner(vacuum(2), mode=2)
 
 
 def test_local_ecloner_matches_expected_output_at_half():
@@ -448,6 +455,13 @@ def test_source_past_the_float_range_is_named_as_the_cause(machine):
     # Just above, the source is finite and the clones are what fail.
     with pytest.raises(ValueError, match=r"^v_s = 5\.6e-309(: covariance|, gain = )"):
         machine_covariances(machine, 5.6e-309)
+
+
+def test_clone_validation_errors_name_the_gain():
+    # rounding at entries ~gain^2/v_s is what fails, so the gain is named too
+    message = r"^v_s = 0\.01, gain = 100000000\.0: covariance matrix is not positive definite$"
+    with pytest.raises(UncertaintyViolation, match=message):
+        machine_covariances("local", np.geomspace(0.01, 1.0, 50), 1e8)
 
 
 @pytest.mark.filterwarnings("error")

@@ -83,6 +83,20 @@ def test_in_memory_record_invariants_are_tight():
         assert abs(f_global - 4.0 / 9.0) < 1e-12
 
 
+def test_analytic_records_check_the_shared_source_for_purity_once(monkeypatch):
+    from ecloner import fidelity
+
+    is_pure, shapes = fidelity._is_pure, []
+
+    def spy(cov):
+        shapes.append(np.shape(cov))
+        return is_pure(cov)
+
+    monkeypatch.setattr(fidelity, "_is_pure", spy)
+    cli._analytic_records(np.geomspace(0.01, 1.0, 9), UNITY_GAIN)
+    assert shapes == [(9, 4, 4)]
+
+
 @pytest.mark.parametrize("gain", [math.sqrt(2.0), 1.0])
 def test_stacked_records_match_the_scalar_api(gain):
     from ecloner import (

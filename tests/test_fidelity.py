@@ -31,6 +31,11 @@ def test_identical_pure_states_have_unit_fidelity():
     assert pure_mixed_fidelity(state, state).value == pytest.approx(1.0, abs=1e-12)
 
 
+def test_identical_three_mode_vacua_have_unit_fidelity():
+    # the normalization 2**n differs from 2 * n only from three modes on
+    assert pure_mixed_fidelity(vacuum(3), vacuum(3)).value == pytest.approx(1.0, abs=1e-12)
+
+
 def test_coherent_state_clone_fidelity_is_two_thirds():
     clone = discard_modes(linear_cloner(vacuum(1), 0), [1])
     result = pure_mixed_fidelity(vacuum(1), clone)

@@ -105,6 +105,12 @@ def test_fully_transmissive_beamsplitter_flips_second_mode():
     assert np.allclose(out.cov, np.eye(4), atol=1e-15)
 
 
+def test_opaque_beamsplitter_swaps_the_modes():
+    # t = 0 is the closed lower end of the transmittance range
+    swap = np.array([[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]])
+    assert np.array_equal(beamsplitter(0.0, (0, 1)).matrix, swap)
+
+
 def test_beamsplitter_is_symplectic():
     op = beamsplitter(0.3, (0, 1))
     omega = symplectic_form(2)
@@ -155,6 +161,15 @@ def test_squeeze_gate_at_the_edge_of_its_range_applies_without_warnings(s_plus):
         warnings.simplefilter("error")
         out = apply(squeeze_gate(s_plus, 0), vacuum(1))
     assert np.array_equal(np.diag(out.cov), [s_plus * s_plus, 1.0 / (s_plus * s_plus)])
+
+
+@pytest.mark.parametrize("s_plus, outward", [(2.0**-511, 0.0), (2.0**511, np.inf)])
+def test_squeeze_gate_range_ends_where_s_plus_squared_is_tiny_or_its_inverse(s_plus, outward):
+    tiny = np.finfo(float).tiny
+    assert s_plus * s_plus in (tiny, 1.0 / tiny)
+    squeeze_gate(s_plus, 0)
+    with pytest.raises(ValueError, match="s_plus"):
+        squeeze_gate(np.nextafter(s_plus, outward), 0)
 
 
 def test_phase_rotation_by_half_pi_swaps_quadratures():

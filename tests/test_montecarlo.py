@@ -288,6 +288,16 @@ def test_a_pass_needs_one_seed_per_v_s():
             montecarlo.sample_criteria("local", v_s, seeds, 1000)
 
 
+def test_a_bad_v_s_in_a_grid_is_named_alone():
+    grid = np.geomspace(0.01, 1.0, 200)
+    grid[57] = 1.5
+    message = r"^squeezing variance must lie in \(0, 1\], got 1\.5$"
+    with pytest.raises(ValueError, match=message):
+        circuits.machine_covariances("global", grid)
+    with pytest.raises(ValueError, match=message):
+        montecarlo.sample_criteria("global", grid, range(200), 1000)
+
+
 def _wishart_moment_bounds(m, samples):
     """5-sigma bounds on the sample mean and variance of each entry of W ~ Wishart_8(I, m).
 
