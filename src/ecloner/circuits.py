@@ -23,9 +23,14 @@ adds the n2 readout to x and the n1 readout to p.  One map,
 covariance through every circuit, the source's included (its two inputs are
 vacuum); the mean goes to K[..., :d] mean.  A machine is a 2 x 4 x 8 K (two
 input modes, six ancillas); the squeezing variance may be an array, which
-stacks K over a grid.  ``machine_covariances`` propagates and validates
-the x and p blocks and interleaves them into (x1, p1, ...) order at its
-return; the gate-object API and the CloneSets interleave K itself.
+stacks K over a grid.
+
+Inside the package the x and p blocks are the one format: ``_machine_blocks``
+returns the validated (..., 2, 2, 2) source blocks and (..., 2, 4, 4) clone
+blocks, and the CLI's criteria, fidelity and threshold search read them as
+they are.  Only the public API interleaves, into (x1, p1, ...) order:
+``machine_covariances`` and ``epr_source`` their blocks at return, the
+gate-object API and the CloneSets K itself.
 """
 
 import math
@@ -41,6 +46,7 @@ from .gaussian import (
     _integer_at_least,
     _map_state,
     _propagate,
+    _quadrature_blocks,
     _quadratures,
     _require,
 )
@@ -92,22 +98,23 @@ class CloneSet:
             raise ValueError(f"clone pairs {clone1}, {clone2} must partition the 4 modes")
         if self.machine not in CLONE_PAIRS:
             raise ValueError(f"unknown machine tag {self.machine!r}")
-        _check_clone_symmetry(self.state.cov, clone1, clone2)
+        _check_clone_symmetry(_quadrature_blocks(self.state.cov), clone1, clone2)
         object.__setattr__(self, "clone1", clone1)
         object.__setattr__(self, "clone2", clone2)
         object.__setattr__(self, "v_s", float(self.v_s))
 
 
-def _check_clone_symmetry(cov, clone1, clone2, where=None):
+def _check_clone_symmetry(blocks, clone1, clone2, where=None):
     """Matching modes of the two clones must carry equal x and p variances.
 
-    ``cov`` may be a (..., 8, 8) stack; ``where`` names the first offending
-    matrix by its flat stack index, as in ``_check_covariance``.
+    ``blocks`` holds the (..., 2, 4, 4) x and p blocks of the output
+    covariances; ``where`` names the first offending one by its flat stack
+    index, as in ``_check_covariance``.
     """
-    var = np.diagonal(cov, axis1=-2, axis2=-1)
-    diff = np.abs(var[..., _quadratures(clone1)] - var[..., _quadratures(clone2)])
+    var = np.diagonal(blocks, axis1=-2, axis2=-1)
+    diff = np.abs(var[..., list(clone1)] - var[..., list(clone2)])
     message = "clones are not symmetric: single-mode variances differ"
-    _require(np.max(diff, axis=-1) <= VARIANCE_MATCH_TOL, message, where=where)
+    _require(np.max(diff, axis=(-2, -1)) <= VARIANCE_MATCH_TOL, message, where=where)
 
 
 def _naming_v_s(v, gain=None):
@@ -298,10 +305,11 @@ def machine_covariances(machine, v_s, gain=UNITY_GAIN):
     ``v_s`` may be an array, whose shape then leads both results, so a whole
     grid is one stacked evaluation of the compiled machine.  The x and p
     blocks are propagated apart, and only the outputs are validated (finite,
-    symmetric, uncertainty bound, clone symmetry), once for the whole stack;
-    an error names the offending v_s, and the gain too where the clones
-    fail.  Below v_s of about 5.6e-309 (subnormal) the source itself leaves
-    the float range, and the error says so.
+    symmetric, uncertainty bound, clone symmetry), once for the whole stack,
+    before the blocks are interleaved; an error names the offending v_s, and
+    the gain too where the clones fail.  Below v_s of about 5.6e-309
+    (subnormal) the source itself leaves the float range, and the error says
+    so.
 
     ``gain`` is any finite number or (x, p) pair; 0 turns the feedforward
     off, and the CLI caps it at ``cli.MAX_GAIN``.  Rounding at entries of
@@ -310,20 +318,27 @@ def machine_covariances(machine, v_s, gain=UNITY_GAIN):
     8000 v_s in [1e-3, 1], 4000 of them in [1e-3, 2e-3]).  The local machine
     passes that whole probe, but fails at gain 1e8 from v_s = 0.01.
     """
+    return tuple(_interleave(blocks) for blocks in _machine_blocks(machine, v_s, gain))
+
+
+def _machine_blocks(machine, v_s, gain, source=None):
+    """``machine_covariances`` as x and p blocks: the (..., 2, 2, 2) source
+    and the validated (..., 2, 4, 4) clones, with its checks and errors.
+    ``source``, where given, is ``_source_blocks`` of the same v_s, so that
+    machines on one grid share it."""
     if machine not in CLONE_PAIRS:
         raise ValueError(f"unknown machine {machine!r}")
     v = _check_v_s(v_s)
-    s = np.sqrt(v)
     gx, gp = _gain_pair(gain)
     where = _naming_v_s(v, gain)
 
-    source = _source_blocks(v)
+    if source is None:
+        source = _source_blocks(v)
     with np.errstate(over="ignore", invalid="ignore"):
-        clones = _propagate(_machine_rows(machine, s, gx, gp), source)
+        clones = _propagate(_machine_rows(machine, np.sqrt(v), gx, gp), source)
     finite = np.isfinite(clones).all(axis=(-3, -2, -1))
     _require(finite, "the clones leave the float range", where=where)
     _check_split_covariance(clones, where)
-    source, clones = _interleave(source), _interleave(clones)
     _check_clone_symmetry(clones, *CLONE_PAIRS[machine], where)
     return source, clones
 

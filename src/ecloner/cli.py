@@ -18,9 +18,9 @@ from contextlib import nullcontext
 import numpy as np
 
 from . import montecarlo
-from .circuits import CLONE_PAIRS, UNITY_GAIN, machine_covariances
-from .criteria import correlation_matrix_from_cov, epr_paradox, inseparability, squeezing_db
-from .fidelity import fidelity_from_cov
+from .circuits import CLONE_PAIRS, UNITY_GAIN, _machine_blocks, _source_blocks
+from .criteria import _epr_paradox, _inseparability, _pair_blocks, squeezing_db
+from .fidelity import _fidelity
 
 CSV_HEADER = "v_s,squeezing_db,i_local,i_global,eps_local,eps_global,f_local,f_global"
 BISECTION_TOL = 1e-9
@@ -100,24 +100,21 @@ def _validate(parser, args):
         parser.error(f"--gain must lie in (0, {MAX_GAIN:g}], got {args.gain}")
 
 
-def _criteria(machine, v_s, gain):
-    """Stacked source covariance and clone-1 correlation matrix of a machine."""
-    source, clones = machine_covariances(machine, v_s, gain)
-    return source, correlation_matrix_from_cov(clones, CLONE_PAIRS[machine][0])
-
-
 def _analytic_records(grid, gain):
-    """The analytic columns in CSV_HEADER order, each from one stacked evaluation."""
+    """The analytic columns in CSV_HEADER order, each from one stacked evaluation
+    on the engine's x and p blocks."""
     table = {"v_s": grid.tolist(), "squeezing_db": [squeezing_db(v_s) for v_s in grid]}
+    source = _source_blocks(grid)
     clones = []
     for name in ("local", "global"):
-        source, cm = _criteria(name, grid, gain)
-        table[f"i_{name}"] = inseparability(cm).tolist()
-        table[f"eps_{name}"] = epr_paradox(cm).tolist()
-        # the pair's correlation matrix is the clone's reduced covariance
-        clones.append(cm.matrix)
+        _, blocks = _machine_blocks(name, grid, gain, source)
+        # clone 1's blocks: its reduced covariance, and the criteria's input
+        pair = _pair_blocks(blocks, CLONE_PAIRS[name][0])
+        table[f"i_{name}"] = _inseparability(pair).tolist()
+        table[f"eps_{name}"] = _epr_paradox(pair).tolist()
+        clones.append(pair)
     # both machines share the source: one call checks its purity once
-    fidelities = fidelity_from_cov(source, np.stack(clones)).value.tolist()
+    fidelities = _fidelity(source, np.stack(clones), None, split=True).value.tolist()
     table["f_local"], table["f_global"] = fidelities
     return {key: table[key] for key in CSV_HEADER.split(",")}
 
@@ -151,8 +148,9 @@ def _bisect_crossing(lo, hi, gain):
     """
 
     def excess(v_s):  # rows: criterion; columns: points
-        _, cm = _criteria("global", v_s, gain)
-        return np.stack([inseparability(cm), epr_paradox(cm)]) - 1.0
+        _, blocks = _machine_blocks("global", v_s, gain)
+        pair = _pair_blocks(blocks, CLONE_PAIRS["global"][0])
+        return np.stack([_inseparability(pair), _epr_paradox(pair)]) - 1.0
 
     f_lo, f_hi = excess([lo, hi]).T
     crossing = f_lo * f_hi <= 0
@@ -165,7 +163,7 @@ def _bisect_crossing(lo, hi, gain):
     # rounding can leave the brackets' widths apart: each stops on its own
     j = 0
     while (active := crossing & (hi - lo > BISECTION_TOL)).any():
-        if j == n_max:
+        if j >= n_max:
             raise RuntimeError(
                 f"threshold search on {bracket} at gain {gain!r} did not end in {n_max} steps"
             )

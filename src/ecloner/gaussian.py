@@ -108,6 +108,23 @@ def _split_symplectic_eigenvalues(blocks):
     return _spectrum(blocks, 3, blocks.shape[-1], from_cholesky)
 
 
+def _layout(split):
+    """(axes of one covariance, its symplectic spectrum) in a stack of
+    interleaved (..., 2n, 2n) covariances or, when ``split``, of their
+    (..., 2, n, n) x and p blocks."""
+    if split:
+        return (-3, -2, -1), _split_symplectic_eigenvalues
+    return (-2, -1), symplectic_eigenvalues
+
+
+def _quadrature_blocks(cov):
+    """The (..., 2, n, n) x and p blocks of (..., 2n, 2n) covariances in
+    (x1, p1, ...) order, as a view; axis -3 is the quadrature."""
+    n = cov.shape[-1] // 2
+    modes = cov.reshape(cov.shape[:-2] + (n, 2, n, 2))
+    return np.moveaxis(np.diagonal(modes, axis1=-3, axis2=-1), -1, -3)
+
+
 def _quadratures(modes):
     """Row indices (x, p) of the listed modes, in order."""
     return np.array([q for m in modes for q in (2 * m, 2 * m + 1)], dtype=int)
@@ -159,12 +176,13 @@ def _scalar_or_array(value):
     return float(value) if np.ndim(value) == 0 else value
 
 
-def _pure_rounding(cov):
-    """Per matrix of a stack: the rounding allowed a pure state's spectrum.
+def _pure_rounding(cov, axes=(-2, -1)):
+    """Per matrix of a stack whose ``axes`` are one covariance: the rounding
+    allowed a pure state's spectrum.
 
     A ValueError names the first ``max|cov|`` of at least ``PURE_MAX_ENTRY``.
     """
-    largest = np.max(np.abs(cov), axis=(-2, -1))
+    largest = np.max(np.abs(cov), axis=axes)
     _require(
         ~(largest >= PURE_MAX_ENTRY),  # NaN is left to the callers' checks
         f"purity is not resolvable in float64 at max|cov| = {{value:.6g}} "
@@ -174,11 +192,13 @@ def _pure_rounding(cov):
     return PURE_REL_TOL * largest**2
 
 
-def _is_pure(cov):
+def _is_pure(cov, split=False):
     """Per matrix of a stack: every symplectic eigenvalue equals 1 within
-    ``SPECTRAL_TOL`` plus ``PURE_REL_TOL * max|cov|**2``."""
-    allowed = SPECTRAL_TOL + _pure_rounding(cov)
-    deviation = np.abs(symplectic_eigenvalues(cov) - 1.0)
+    ``SPECTRAL_TOL`` plus ``PURE_REL_TOL * max|cov|**2``.  ``split`` takes
+    the (..., 2, n, n) x and p blocks of covariances that never mix x with p."""
+    axes, spectrum = _layout(split)
+    allowed = SPECTRAL_TOL + _pure_rounding(cov, axes)
+    deviation = np.abs(spectrum(cov) - 1.0)
     return np.all(deviation <= allowed[..., None], axis=-1)
 
 
@@ -191,18 +211,19 @@ def _check_covariance(cov, where=None):
     the flat stack index of the first offending matrix to a phrase naming it
     in the error, for example the grid value the matrix was built from.
     """
-    _validate(cov, (-2, -1), symplectic_eigenvalues, where)
+    _validate(cov, False, where)
 
 
 def _check_split_covariance(blocks, where=None):
     """``_check_covariance`` for covariances that never mix x with p, given
     as their (..., 2, n, n) x and p blocks: the same checks, tolerances and
     messages, with the spectrum of :func:`_split_symplectic_eigenvalues`."""
-    _validate(blocks, (-3, -2, -1), _split_symplectic_eigenvalues, where)
+    _validate(blocks, True, where)
 
 
-def _validate(cov, axes, spectrum, where):
-    """The checks of ``_check_covariance`` on a stack whose ``axes`` are one covariance."""
+def _validate(cov, split, where):
+    """The checks of ``_check_covariance`` on a stack in the layout ``split`` (``_layout``)."""
+    axes, spectrum = _layout(split)
     finite = np.isfinite(cov).all(axis=axes)
     _require(finite, "covariance matrix has non-finite entries", where=where)
     asym = np.abs(cov - np.swapaxes(cov, -1, -2)).max(axis=axes)

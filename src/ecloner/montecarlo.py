@@ -57,8 +57,8 @@ import numpy as np
 
 from . import _kernels
 from .circuits import CLONE_PAIRS, UNITY_GAIN, _gain_pair, _naming_v_s
-from .criteria import correlation_matrix_from_cov, epr_paradox, inseparability
-from .gaussian import SYMMETRY_TOL, _check_v_s, _integer_at_least, _require
+from .criteria import _check_pair, _epr_paradox, _inseparability, _pair_moments
+from .gaussian import SYMMETRY_TOL, _check_v_s, _integer_at_least, _quadrature_blocks, _require
 
 RNG_ALGORITHM = "numpy.random.default_rng (PCG64)"
 NUM_BATCHES = 20
@@ -430,15 +430,19 @@ def _criteria_block(v_s, gain, covs, pair):
     """Both criteria and their batch-means errors over a stack of runs, as (4, runs).
 
     ``covs`` is (runs, 1 + batches, 2n, 2n): along axis 1, element 0 is the
-    whole run, elements 1.. its batches.  A ValueError names the first run,
-    by ``v_s`` and ``gain`` (unless None), where a criterion or its error
-    leaves the float range.
+    whole run, elements 1.. its batches.  The pair's 4x4 moments get every
+    check of a ``CorrelationMatrix``, since a ``SampleRun`` may be built by
+    hand, and the criteria read their x and p blocks.  A ValueError names
+    the first run, by ``v_s`` and ``gain`` (unless None), where a criterion
+    or its error leaves the float range.
     """
     root_n = np.sqrt(covs.shape[1] - 1)
-    cm = correlation_matrix_from_cov(covs, pair)
+    moments = _pair_moments(covs, pair)
+    _check_pair(moments)
+    blocks = _quadrature_blocks(moments)
     values = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for per_matrix in (inseparability(cm), epr_paradox(cm)):
+        for per_matrix in (_inseparability(blocks), _epr_paradox(blocks)):
             values += [per_matrix[:, 0], per_matrix[:, 1:].std(axis=1, ddof=1) / root_n]
     values = np.array(values)
     in_range = np.isfinite(values).all(axis=0)

@@ -25,7 +25,11 @@ from ecloner import (
     vacuum,
 )
 from ecloner.circuits import _check_clone_symmetry, machine_covariances
-from ecloner.gaussian import _split_symplectic_eigenvalues, symplectic_eigenvalues
+from ecloner.gaussian import (
+    _quadrature_blocks,
+    _split_symplectic_eigenvalues,
+    symplectic_eigenvalues,
+)
 
 GRID = np.geomspace(0.02, 1.0, 50)
 
@@ -389,7 +393,8 @@ def test_stacked_clone_symmetry_check_names_the_offending_point():
     bad = good.copy()
     bad[0, 0] += 1e-6
     with pytest.raises(ValueError, match="point 2: clones are not symmetric"):
-        _check_clone_symmetry(np.array([good, good, bad]), (0, 3), (2, 1), lambda i: f"point {i}")
+        blocks = _quadrature_blocks(np.array([good, good, bad]))
+        _check_clone_symmetry(blocks, (0, 3), (2, 1), lambda i: f"point {i}")
 
 
 # Every gate of both machines keeps x apart from p, so the engine solves an

@@ -88,13 +88,49 @@ def test_analytic_records_check_the_shared_source_for_purity_once(monkeypatch):
 
     is_pure, shapes = fidelity._is_pure, []
 
-    def spy(cov):
+    def spy(cov, *layout):
         shapes.append(np.shape(cov))
-        return is_pure(cov)
+        return is_pure(cov, *layout)
 
     monkeypatch.setattr(fidelity, "_is_pure", spy)
     cli._analytic_records(np.geomspace(0.01, 1.0, 9), UNITY_GAIN)
-    assert shapes == [(9, 4, 4)]
+    assert shapes == [(9, 2, 2, 2)]  # the source's x and p blocks
+
+
+def _count_calls(monkeypatch, module, name, counts):
+    """Replace ``module.name`` by a wrapper that counts its calls in ``counts[name]``."""
+    real = getattr(module, name)
+    counts[name] = 0
+
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_analytic_path_reads_the_engine_blocks_as_they_are(monkeypatch):
+    # No interleaved matrix and no correlation-matrix copy between the
+    # engine's x and p blocks and the criteria, the fidelity and the search.
+    from ecloner import circuits, criteria
+
+    counts = {}
+    _count_calls(monkeypatch, circuits, "_interleave", counts)
+    _count_calls(monkeypatch, criteria.CorrelationMatrix, "__post_init__", counts)
+    cli._analytic_records(np.geomspace(0.01, 1.0, 9), UNITY_GAIN)
+    cli._bisect_crossing(cli.V_MIN_FLOOR, 1.0, UNITY_GAIN)
+    assert counts == {"_interleave": 0, "__post_init__": 0}
+
+
+def test_analytic_records_build_the_source_once_per_sweep(monkeypatch):
+    from ecloner import circuits
+
+    counts = {}
+    _count_calls(monkeypatch, circuits, "_source_blocks", counts)
+    # the sweep's own call and any inside the engine count alike
+    monkeypatch.setattr(cli, "_source_blocks", circuits._source_blocks, raising=False)
+    cli._analytic_records(np.geomspace(0.01, 1.0, 9), UNITY_GAIN)
+    assert counts == {"_source_blocks": 1}
 
 
 @pytest.mark.parametrize("gain", [math.sqrt(2.0), 1.0])
@@ -229,23 +265,24 @@ def _patch_excess(monkeypatch, excess, calls):
     """Make the threshold search see ``excess(v_s)`` as both criteria minus 1,
     appending to ``calls`` at each evaluation."""
 
-    def criteria(machine, v_s, gain):
+    def machine_blocks(machine, v_s, gain):
         calls.append(machine)
-        return None, np.asarray(v_s, dtype=float)
+        v = np.asarray(v_s, dtype=float)
+        return None, np.broadcast_to(v[..., None, None, None], v.shape + (2, 4, 4))
 
-    monkeypatch.setattr(cli, "_criteria", criteria)
-    for name in ("inseparability", "epr_paradox"):
-        monkeypatch.setattr(cli, name, lambda v_s: excess(v_s) + 1.0)
+    monkeypatch.setattr(cli, "_machine_blocks", machine_blocks)
+    for name in ("_inseparability", "_epr_paradox"):
+        monkeypatch.setattr(cli, name, lambda blocks: excess(blocks[..., 0, 0, 0]) + 1.0)
 
 
 def test_threshold_search_takes_few_global_evaluations(monkeypatch):
-    calls, real = [], cli._criteria
+    calls, real = [], cli._machine_blocks
 
-    def counted(machine, v_s, gain):
+    def counted(machine, *args):
         calls.append(machine)
-        return real(machine, v_s, gain)
+        return real(machine, *args)
 
-    monkeypatch.setattr(cli, "_criteria", counted)
+    monkeypatch.setattr(cli, "_machine_blocks", counted)
     for gain in THRESHOLD_GAINS:
         for lo, hi in THRESHOLD_BRACKETS:
             calls.clear()
@@ -271,8 +308,8 @@ def test_threshold_search_takes_few_global_evaluations(monkeypatch):
 def test_threshold_search_stops_past_its_step_cap(monkeypatch):
     # Adjacent floats near 1e8 lie 1.5e-8 apart, so no bracket there gets
     # narrower than BISECTION_TOL: without its cap the search never ends.
-    _patch_excess(monkeypatch, lambda v_s: v_s - (1e8 + 0.3), [])
-    errors = []
+    calls, errors = [], []
+    _patch_excess(monkeypatch, lambda v_s: v_s - (1e8 + 0.3), calls)
 
     def search():
         try:
@@ -285,6 +322,7 @@ def test_threshold_search_stops_past_its_step_cap(monkeypatch):
     thread.join(timeout=60)
     message = "threshold search on [100000000.0, 100000001.0] at gain 2.0 did not end in 31 steps"
     assert errors == [message]
+    assert len(calls) == 1 + 31  # the ends, then exactly the 31 steps the message names
 
 
 @pytest.mark.parametrize("gain", [5.8, 8.0, 20.0, 40.0])

@@ -1,6 +1,7 @@
 """Correlation matrix plus inseparability and conditional-variance criteria."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -263,3 +264,50 @@ def test_squeezing_db_convention():
     assert squeezing_db(1.0) == 0.0
     with pytest.raises(ValueError):
         squeezing_db(0.0)
+
+
+def test_correlation_matrix_accepts_an_asymmetry_of_exactly_the_tolerance():
+    matrix = np.eye(4)
+    matrix[1, 0] = 1e-10  # |C - C^T| is exactly 1e-10 at (0, 1) and (1, 0)
+    assert CorrelationMatrix(matrix).matrix[1, 0] == 1e-10
+    matrix[1, 0] = np.nextafter(1e-10, 1.0)
+    with pytest.raises(ValueError, match="correlation matrix must be symmetric"):
+        CorrelationMatrix(matrix)
+
+
+@pytest.mark.parametrize("pair", [(0, 2), (2, 0)])
+def test_correlation_matrix_from_cov_rejects_a_mode_index_equal_to_the_mode_count(pair):
+    with pytest.raises(ValueError, match=rf"pair \({pair[0]}, {pair[1]}\) out of range for 2 modes"):
+        correlation_matrix_from_cov(np.eye(4), pair)
+
+
+@pytest.mark.parametrize("v_s", [0.0, math.inf])
+def test_squeezing_db_names_a_variance_at_either_end_of_its_domain(v_s):
+    with pytest.raises(ValueError, match=f"positive and finite, got {v_s}"):
+        squeezing_db(v_s)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "criterion, scale",
+    [(inseparability, 1e154), (inseparability, 1e308), (epr_paradox, 1e155)],
+    ids=["inseparability-multiply", "inseparability-add", "epr_paradox"],
+)
+def test_criteria_past_the_float_range_name_the_largest_entry(criterion, scale):
+    # Under -W error: a ValueError, no escaped overflow warning.
+    message = f"{criterion.__name__} leaves the float range at max|C| = {scale:.6g}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        criterion(CorrelationMatrix(scale * np.eye(4)))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        criterion(CorrelationMatrix(np.array([np.eye(4), scale * np.eye(4)])))
+
+
+@pytest.mark.filterwarnings("error")
+def test_criteria_just_inside_the_float_range_keep_their_value():
+    # C+ C- = 4e306 and the product of the conditional variances, 1e308,
+    # stay in range, so the values are exact.
+    assert inseparability(CorrelationMatrix(1e153 * np.eye(4))) == 1e153
+    assert epr_paradox(CorrelationMatrix(1e154 * np.eye(4))) == 1e154 * 1e154
+    cross = np.eye(4)
+    cross[0, 2] = cross[2, 0] = 0.5
+    assert inseparability(CorrelationMatrix(cross)) == 0.5 * math.sqrt(1.0 * 2.0)

@@ -754,6 +754,14 @@ def test_estimate_criteria_needs_enough_batches():
         estimate_criteria(run, clone=3)
 
 
+def test_estimate_criteria_names_a_bad_clone_pair_of_a_hand_built_run():
+    run = sample_circuit("global", 0.5, 0.0, 1000, seed=51)
+    with pytest.raises(ValueError, match=r"^pair \(0, 9\) out of range for 4 modes$"):
+        estimate_criteria(dataclasses.replace(run, clone1=(0, 9)))
+    with pytest.raises(ValueError, match=r"^mode pair must be distinct, got \(1, 1\)$"):
+        estimate_criteria(dataclasses.replace(run, clone1=(1, 1)))
+
+
 def _per_matrix_criteria(run, pair):
     """The criteria estimate by one scalar call per matrix."""
     values = []
