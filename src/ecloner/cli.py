@@ -2,10 +2,10 @@
 
 Writes one record per grid point with the entanglement criteria and clone
 fidelities of both machines, all derived from the circuit outputs, plus a
-threshold report locating where the whole-state machine's criteria cross 1.
-Optionally cross-checks the criteria with the sampling oracle: one run per
-point and machine, sampled by one ``montecarlo.sample_criteria`` pass per
-machine.
+threshold report locating where the whole-state machine's criteria cross 1,
+by a bracketed secant search.  Optionally cross-checks the criteria
+with the sampling oracle: one run per point and machine, all sampled in one
+``montecarlo`` pass, the local machine's runs first.
 """
 
 import argparse
@@ -24,6 +24,10 @@ from .fidelity import _fidelity
 
 CSV_HEADER = "v_s,squeezing_db,i_local,i_global,eps_local,eps_global,f_local,f_global"
 BISECTION_TOL = 1e-9
+# The threshold search's first points, and its probes about a bracket's regula-falsi point
+# x_f: x_f and x_f +- BISECTION_TOL * (1/256, 1/2, 1e3, 1e6)
+_SEARCH_GRID = 9
+_PROBE_OFFSETS = [0.0] + [s * BISECTION_TOL * k for k in (1 / 256, 0.5, 1e3, 1e6) for s in (-1, 1)]
 V_MIN_FLOOR = 0.001
 # Largest --gain accepted, a decade below the smallest gain measured to fail:
 # over 3000 log-spaced gains in [1e3, 1e5] and 8000 v_s in [1e-3, 1] (4000
@@ -120,13 +124,26 @@ def _analytic_records(grid, gain):
 
 
 def _sample_records(table, gain, mc_shots, master_seed):
-    """Append the mc columns from one oracle run, with its own seed, per (point, machine)."""
+    """Append the mc columns of one seeded oracle run per (point, machine), all in one pass."""
     names = ("mc_i_{}", "mc_i_{}_err", "mc_eps_{}", "mc_eps_{}_err")
-    for m, machine in enumerate(("local", "global")):
-        seeds = montecarlo.spawn_seeds(master_seed, len(table["v_s"]), m)
-        values = montecarlo.sample_criteria(machine, table["v_s"], seeds, mc_shots, gain)
-        for name, column in zip(names, values.tolist()):
+    machines, v_s = ("local", "global"), table["v_s"]
+    seeds = (montecarlo.spawn_seeds(master_seed, len(v_s), m) for m in range(2))
+    values = montecarlo._criteria_pass(list(zip(machines, (v_s, v_s), seeds)), mc_shots, gain)
+    for machine, one_machine in zip(machines, np.split(values, 2, axis=1)):
+        for name, column in zip(names, one_machine.tolist()):
             table[name.format(machine)] = column
+
+
+def _fan(a, f_a, b, f_b):
+    """A step's sorted points in the bracket (a, b): its midpoint and the probes in it."""
+    # regula falsi; a bracket's ends hold equal values only where both are roots
+    x_f = a + (f_a / (f_a - f_b) if f_a != f_b else 0.5) * (b - a)
+    return sorted([0.5 * (a + b)] + [x for d in _PROBE_OFFSETS if a < (x := x_f + d) < b])
+
+
+def _sign_change(points):
+    """The first neighbours among sorted ``(x, f)`` points across which f changes sign."""
+    return next((p, q) for p, q in zip(points, points[1:]) if p[1] * q[1] <= 0)
 
 
 def _bisect_crossing(lo, hi, gain):
@@ -134,64 +151,47 @@ def _bisect_crossing(lo, hi, gain):
 
     Returns ``(inseparability_root, epr_paradox_root)``, None where the
     criterion does not change sign.  Each root is the midpoint of a bracket
-    no wider than ``BISECTION_TOL``, as a bisection would return, but the
-    brackets shrink by ITP steps (interpolate, truncate, project: Oliveira &
-    Takahashi, ACM Trans. Math. Softw. 47(1), 5, 2020).  A step takes the
-    regula-falsi point, moves it toward the midpoint by
-    ``kappa1 * width**kappa2`` and keeps it within
-    ``tol/2 * 2**(n_max - j) - width/2`` of the midpoint, so no bracket takes
-    more than ``n0`` steps beyond the bisection's.  After one stacked
-    evaluation of the global machine at the brackets' ends, each step is one
-    stacked evaluation at both brackets' points.  A search that has not
-    ended after ``n_max`` steps raises a RuntimeError naming the gain and
-    the bracket.
+    no wider than ``BISECTION_TOL``, found by bracketed interpolation (Brent,
+    *Algorithms for Minimization without Derivatives*, 1973) on many points
+    per stacked evaluation of the global machine: first a grid, then per
+    step every open bracket's ``_fan``.  Its midpoint keeps a bisection's
+    worst case; its probes about the regula-falsi point x_f end the search
+    once x_f is within ``BISECTION_TOL / 2`` of the root.  A bracket's next
+    is the first sign change among its points, which depend on it alone.
+    A search still open after ``n_max`` steps, a bisection's count plus one,
+    raises a RuntimeError naming the gain and the bracket.
     """
 
     def excess(v_s):  # rows: criterion; columns: points
         _, blocks = _machine_blocks("global", v_s, gain)
         pair = _pair_blocks(blocks, CLONE_PAIRS["global"][0])
-        return np.stack([_inseparability(pair), _epr_paradox(pair)]) - 1.0
+        return (np.stack([_inseparability(pair), _epr_paradox(pair)]) - 1.0).tolist()
 
-    f_lo, f_hi = excess([lo, hi]).T
-    crossing = f_lo * f_hi <= 0
-    # measured on the tests' gains and brackets: kappa2 = 1.7 takes 8-11
-    # evaluations, 1.5 takes 9-13, and 2 stalls to 31-32 at gains 0.5 and 1
-    kappa1, kappa2, n0 = 0.2 / (hi - lo), 1.7, 1
-    n_max = math.ceil(math.log2((hi - lo) / BISECTION_TOL)) + n0
-    bracket = f"[{lo!r}, {hi!r}]"
-    lo, hi = np.full(2, lo), np.full(2, hi)
-    # rounding can leave the brackets' widths apart: each stops on its own
-    j = 0
-    while (active := crossing & (hi - lo > BISECTION_TOL)).any():
-        if j >= n_max:
+    x = np.linspace(lo, hi, _SEARCH_GRID).tolist()
+    # each crossing criterion's bracket, as its (x, f) ends
+    brackets = {c: _sign_change([*zip(x, f)]) for c, f in enumerate(excess(x)) if f[0] * f[-1] <= 0}
+    n_max = math.ceil(math.log2((hi - lo) / BISECTION_TOL)) + 1
+    for step in range(n_max + 1):
+        active = [c for c, (a, b) in brackets.items() if b[0] - a[0] > BISECTION_TOL]
+        if not active:
+            break
+        if step == n_max:
             raise RuntimeError(
-                f"threshold search on {bracket} at gain {gain!r} did not end in {n_max} steps"
+                f"threshold search on [{lo!r}, {hi!r}] at gain {gain!r} "
+                f"did not end in {n_max} steps"
             )
-        mid, width = 0.5 * (lo + hi), hi - lo
-        # interpolate: regula falsi, which divides 0 by 0 only if both ends are roots
-        frac = np.divide(f_lo, f_lo - f_hi, out=np.full(2, 0.5), where=f_lo != f_hi)
-        x_f = lo + frac * width
-        # truncate: step kappa1 * width**kappa2 from it toward the midpoint
-        toward = np.sign(mid - x_f)
-        delta = kappa1 * width**kappa2
-        x_t = np.where(delta <= np.abs(mid - x_f), x_f + toward * delta, mid)
-        # project: stay near enough to the midpoint to keep bisection's worst case
-        radius = 0.5 * BISECTION_TOL * 2.0 ** (n_max - j) - 0.5 * width
-        x = np.where(np.abs(x_t - mid) <= radius, x_t, mid - toward * radius)
-        # an inactive bracket is evaluated at its midpoint and left as it is
-        x = np.where(active, x, mid)
-        f_x = np.diagonal(excess(x))
-        left = active & (f_lo * f_x <= 0)
-        right = active & ~left
-        hi, f_hi = np.where(left, x, hi), np.where(left, f_x, f_hi)
-        lo, f_lo = np.where(right, x, lo), np.where(right, f_x, f_lo)
-        j += 1
-    roots = 0.5 * (lo + hi)
-    return tuple(float(root) if ok else None for root, ok in zip(roots, crossing))
+        fans = [_fan(*brackets[c][0], *brackets[c][1]) for c in active]
+        values, start = excess([v for fan in fans for v in fan]), 0
+        for c, fan in zip(active, fans):
+            f = values[c][start : start + len(fan)]
+            brackets[c] = _sign_change([brackets[c][0], *zip(fan, f), brackets[c][1]])
+            start += len(fan)
+    roots = {c: 0.5 * (a[0] + b[0]) for c, (a, b) in brackets.items()}
+    return roots.get(0), roots.get(1)
 
 
 def _threshold_lines(gain):
-    lines = [f"thresholds for the global machine (ITP search to {BISECTION_TOL:g})"]
+    lines = [f"thresholds for the global machine (bracketed secant search to {BISECTION_TOL:g})"]
     for root, label, literature in zip(
         _bisect_crossing(V_MIN_FLOOR, 1.0, gain),
         ("inseparability", "epr_paradox"),

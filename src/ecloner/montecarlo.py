@@ -227,7 +227,7 @@ def sample_circuit(machine, v_s, displacement_variance, shots, seed, gain=UNITY_
         machine, v_s, displacement_variance, shots, [seed]
     )
     states = _pcg64_states(seeds)
-    moments = _block_moments(_Blocks(shots, 1), machine, v_s, displacement_variance, states, gain)
+    moments = _block_moments(_Blocks(shots, 1), [machine], v_s, displacement_variance, states, gain)
     clone1, clone2 = CLONE_PAIRS[machine]
     return SampleRun(
         machine=machine,
@@ -253,17 +253,35 @@ def sample_criteria(machine, v_s, seeds, shots, gain=UNITY_GAIN):
     runs are sampled in consecutive blocks of ``BLOCK_RUNS``, in order, so
     the first failing run raises and no block behind it is drawn.
     """
-    v_s, _, shots, seeds = _check_inputs(machine, v_s, 0.0, shots, seeds)
-    pair = CLONE_PAIRS[machine][0]
+    return _criteria_pass([(machine, v_s, seeds)], shots, gain)
+
+
+def _criteria_pass(segments, shots, gain):
+    """``sample_criteria`` of each ``(machine, v_s, seeds)`` of ``segments``, side by side,
+    from one pass whose blocks may straddle two segments.  A segment's PCG64
+    states are computed apart, so one under ``_REPLICA_SEEDS`` runs takes numpy's."""
+    machines, v_s, states = [], np.empty(0), []
+    for machine, one_v_s, seeds in segments:
+        one_v_s, _, shots, seeds = _check_inputs(machine, one_v_s, 0.0, shots, seeds)
+        machines += [machine] * len(one_v_s)
+        v_s = np.append(v_s, one_v_s)
+        states += _pcg64_states(seeds)
     values = np.empty((4, len(v_s)))
     blocks = _Blocks(shots, min(BLOCK_RUNS, len(v_s)))
-    states = _pcg64_states(seeds)
     for start in range(0, len(v_s), BLOCK_RUNS):
         block = slice(start, start + BLOCK_RUNS)
-        _block_moments(blocks, machine, v_s[block], 0.0, states[block], gain)
-        covs = blocks.covs[: len(v_s[block])]
-        values[:, block] = _criteria_block(v_s[block], gain, covs, pair)
+        _block_moments(blocks, machines[block], v_s[block], 0.0, states[block], gain)
+        for machine, stretch in _stretches(machines[block]):
+            pair, covs = CLONE_PAIRS[machine][0], blocks.covs[stretch]
+            runs = slice(start + stretch.start, start + stretch.stop)
+            values[:, runs] = _criteria_block(v_s[runs], gain, covs, pair)
     return values
+
+
+def _stretches(machines):
+    """``(machine, slice)`` of each stretch of one machine's runs in ``machines``."""
+    cuts = [k for k in range(1, len(machines)) if machines[k] != machines[k - 1]]
+    return [(machines[a], slice(a, b)) for a, b in zip([0, *cuts], [*cuts, len(machines)])]
 
 
 def _batch_sizes(shots):
@@ -408,13 +426,14 @@ class _Blocks:
         }
 
 
-def _block_moments(blocks, machine, v_s, displacement_variance, states, gain):
-    """The ``SampleRun`` arrays of runs at ``v_s[k]`` from PCG64 state ``states[k]``,
-    stacked on axis 0."""
+def _block_moments(blocks, machines, v_s, displacement_variance, states, gain):
+    """The ``SampleRun`` arrays of runs of ``machines[k]`` at ``v_s[k]`` from PCG64
+    state ``states[k]``, stacked on axis 0; one affine map per ``_stretches``."""
     gx, gp = _gain_pair(gain)
     # An entry of M past the float range puts its output's variance there too.
     with np.errstate(over="ignore", invalid="ignore"):
-        transfer, response = _kernels.affine_map(machine, v_s, gx, gp)
+        maps = [_kernels.affine_map(m, v_s[runs], gx, gp) for m, runs in _stretches(machines)]
+    transfer, response = (np.concatenate(parts) for parts in zip(*maps))
     in_range = np.isfinite(transfer).all(axis=(1, 2))
     _require(in_range, "its covariance leaves the float range", where=_naming_runs(v_s, gain))
     # transfer = Q @ factor with orthonormal Q, and u @ Q ~ N(0, I_8) for

@@ -215,8 +215,9 @@ def test_threshold_roots_match_closed_forms(gain, bracket):
             assert root is None
 
 
-def _scalar_itp(criterion, lo, hi, gain):
-    """One criterion's crossing, one 1-point machine evaluation per ITP step.
+def _scalar_search(criterion, lo, hi, gain):
+    """One criterion's crossing by the threshold search, each point a 1-point
+    machine evaluation of its own.
 
     A 1-point stack, not a 0-d v_s: the stacked path agrees with itself
     column for column, but only to an ulp with the scalar one.
@@ -227,27 +228,23 @@ def _scalar_itp(criterion, lo, hi, gain):
         cm = correlation_matrix_from_cov(clones, CLONE_PAIRS["global"][0])
         return float(criterion(cm)[0]) - 1.0
 
-    f_lo, f_hi = excess(lo), excess(hi)
-    if f_lo * f_hi > 0:
+    def first_sign_change(points):
+        for (x, fx), (y, fy) in zip(points, points[1:]):
+            if fx * fy <= 0:
+                return x, fx, y, fy
+
+    grid = [float(x) for x in np.linspace(lo, hi, cli._SEARCH_GRID)]
+    points = [(x, excess(x)) for x in grid]
+    if points[0][1] * points[-1][1] > 0:
         return None
-    kappa1, kappa2 = 0.2 / (hi - lo), 1.7
-    n_max = math.ceil(math.log2((hi - lo) / cli.BISECTION_TOL)) + 1
-    j = 0
-    while hi - lo > cli.BISECTION_TOL:
-        mid, width = 0.5 * (lo + hi), hi - lo
-        x_f = lo + (f_lo / (f_lo - f_hi) if f_lo != f_hi else 0.5) * width
-        toward = np.sign(mid - x_f)
-        delta = kappa1 * np.power(width, kappa2)
-        x_t = x_f + toward * delta if delta <= abs(mid - x_f) else mid
-        radius = 0.5 * cli.BISECTION_TOL * 2.0 ** (n_max - j) - 0.5 * width
-        x = x_t if abs(x_t - mid) <= radius else mid - toward * radius
-        f_x = excess(x)
-        if f_lo * f_x <= 0:
-            hi, f_hi = x, f_x
-        else:
-            lo, f_lo = x, f_x
-        j += 1
-    return 0.5 * (lo + hi)
+    a, f_a, b, f_b = first_sign_change(points)
+    while b - a > cli.BISECTION_TOL:
+        x_f = a + (f_a / (f_a - f_b) if f_a != f_b else 0.5) * (b - a)
+        probes = [x_f + d for d in cli._PROBE_OFFSETS]
+        inner = sorted([0.5 * (a + b)] + [x for x in probes if a < x < b])
+        points = [(a, f_a)] + [(x, excess(x)) for x in inner] + [(b, f_b)]
+        a, f_a, b, f_b = first_sign_change(points)
+    return 0.5 * (a + b)
 
 
 @pytest.mark.parametrize("gain", [UNITY_GAIN, 0.5, 1.0, 2.5, 8.0])
@@ -257,7 +254,7 @@ def _scalar_itp(criterion, lo, hi, gain):
     [(1e-3, 1.0), (0.25, 0.5), (0.3, 1.0), (0.6, 1.0)],
 )
 def test_lockstep_roots_equal_one_criterion_at_a_time(gain, bracket):
-    expected = tuple(_scalar_itp(c, *bracket, gain) for c in (inseparability, epr_paradox))
+    expected = tuple(_scalar_search(c, *bracket, gain) for c in (inseparability, epr_paradox))
     assert cli._bisect_crossing(*bracket, gain) == expected
 
 
@@ -288,14 +285,14 @@ def test_threshold_search_takes_few_global_evaluations(monkeypatch):
             calls.clear()
             cli._bisect_crossing(lo, hi, gain)
             assert set(calls) == {"global"}
-            # ITP never takes more than n0 = 1 step beyond the bisection's
+            # the grid, then at most one step beyond the bisection's count
             n_max = math.ceil(math.log2((hi - lo) / cli.BISECTION_TOL)) + 1
             assert len(calls) <= 1 + n_max, (gain, lo, hi, len(calls))
     calls.clear()
     cli._bisect_crossing(cli.V_MIN_FLOOR, 1.0, UNITY_GAIN)
-    assert len(calls) <= 10  # a bisection to 1e-9 takes 31
-    # A steep excess stalls regula falsi at one end; there the projection
-    # acts and holds the search to the bound, which it reaches (32 = 1 + 31).
+    assert len(calls) <= 4  # a bisection to 1e-9 takes 31, the ITP search took 10
+    # A steep excess stalls regula falsi at one end; each step's midpoint
+    # still holds the search to the bound (these take 6 and 9 evaluations).
     for steepness in (20.0, 200.0):
         calls.clear()
         _patch_excess(monkeypatch, lambda v_s: np.expm1(steepness * (v_s - 0.9)), calls)
@@ -303,6 +300,14 @@ def test_threshold_search_takes_few_global_evaluations(monkeypatch):
         n_max = math.ceil(math.log2(1.0 / cli.BISECTION_TOL)) + 1
         assert len(calls) <= 1 + n_max, (steepness, len(calls))
         assert all(abs(root - 0.9) <= cli.BISECTION_TOL for root in roots)
+
+
+def test_threshold_search_finds_a_root_at_either_end(monkeypatch):
+    # an excess of exactly 0 at an end of the bracket crosses there
+    for root in (0.0, 1.0):
+        _patch_excess(monkeypatch, lambda v_s, root=root: v_s - root, [])
+        roots = cli._bisect_crossing(0.0, 1.0, UNITY_GAIN)
+        assert None not in roots and all(abs(r - root) <= cli.BISECTION_TOL / 2 for r in roots)
 
 
 def test_threshold_search_stops_past_its_step_cap(monkeypatch):

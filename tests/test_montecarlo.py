@@ -225,9 +225,9 @@ def test_block_plan_covers_every_run_once_in_order(monkeypatch, points, segments
     # each run's seed, known by its generator state
     seed_of = {np.random.PCG64(k).state["state"]["state"]: k for k in range(points * segments)}
 
-    def spy(run_blocks, machine, v_s, displacement_variance, states, gain):
-        plan.append((machine, [seed_of[state] for state, _ in states]))
-        return real(run_blocks, machine, v_s, displacement_variance, states, gain)
+    def spy(run_blocks, machines, v_s, displacement_variance, states, gain):
+        plan.append((set(machines), [seed_of[state] for state, _ in states]))
+        return real(run_blocks, machines, v_s, displacement_variance, states, gain)
 
     monkeypatch.setattr(montecarlo, "_block_moments", spy)
 
@@ -245,11 +245,95 @@ def test_block_plan_covers_every_run_once_in_order(monkeypatch, points, segments
     assert len(plan_seen) == blocks
     assert [k for _, block in plan_seen for k in block] == list(range(len(machines)))
     for machine, block in plan_seen:
-        assert {machines[k] for k in block} == {machine}
+        assert {machines[k] for k in block} == machine
         assert 0 < len(block) <= montecarlo.BLOCK_RUNS
     assert blocks_of(["local", "global", "local"], 1) == [
-        ("local", [0]), ("global", [1]), ("local", [2])
+        ({"local"}, [0]), ({"global"}, [1]), ({"local"}, [2])
     ]
+
+
+def _two_machine_segments(v_s, first_seed):
+    """The local then the global machine's runs at ``v_s``, with consecutive seeds."""
+    seeds = range(first_seed, first_seed + 2 * len(v_s))
+    return [("local", v_s, seeds[: len(v_s)]), ("global", v_s, seeds[len(v_s) :])]
+
+
+# One two-machine pass: its blocks take BLOCK_RUNS runs in order whatever
+# machine they belong to, so one block straddles the machines unless the
+# local runs fill whole blocks (32 points).
+@pytest.mark.parametrize("points", [2, 5, 16, 29, 32, 40, 200])
+def test_a_two_machine_pass_takes_every_run_once_in_blocks(monkeypatch, points):
+    real, plan, criteria = montecarlo._block_moments, [], []
+    seed_of = {np.random.PCG64(k).state["state"]["state"]: k for k in range(2 * points)}
+
+    def spy(run_blocks, machines, v_s, displacement_variance, states, gain):
+        plan.append((list(machines), [seed_of[state] for state, _ in states]))
+        return real(run_blocks, machines, v_s, displacement_variance, states, gain)
+
+    def criteria_spy(v_s, gain, covs, pair):
+        criteria.append((pair, len(v_s)))
+        return real_criteria(v_s, gain, covs, pair)
+
+    real_criteria = montecarlo._criteria_block
+    monkeypatch.setattr(montecarlo, "_block_moments", spy)
+    monkeypatch.setattr(montecarlo, "_criteria_block", criteria_spy)
+    segments = _two_machine_segments(np.full(points, 0.5), 0)
+    assert montecarlo._criteria_pass(segments, 100, UNITY_GAIN).shape == (4, 2 * points)
+    assert len(plan) == math.ceil(2 * points / montecarlo.BLOCK_RUNS)
+    assert [k for _, block in plan for k in block] == list(range(2 * points))
+    machine_of = ["local"] * points + ["global"] * points
+    expected_criteria = []
+    for machines, block in plan:
+        assert machines == [machine_of[k] for k in block]
+        assert 0 < len(block) <= montecarlo.BLOCK_RUNS
+        # the block's criteria: once per machine's stretch of it
+        for machine in ("local", "global"):
+            if machine in machines:
+                pair = montecarlo.CLONE_PAIRS[machine][0]
+                expected_criteria.append((pair, machines.count(machine)))
+    assert criteria == expected_criteria
+
+
+def test_a_block_straddling_the_machines_gives_each_run_its_own_bits():
+    # BLOCK_RUNS - 3 points: the first block holds every local run and the
+    # global machine's first 3.
+    points, shots = montecarlo.BLOCK_RUNS - 3, 2017
+    v_s = np.geomspace(0.05, 1.0, points)
+    segments = _two_machine_segments(v_s, 400)
+    values = montecarlo._criteria_pass(segments, shots, UNITY_GAIN)
+    assert values.shape == (4, 2 * points)
+    for (machine, _, seeds), one_machine in zip(segments, np.split(values, 2, axis=1)):
+        for k, (one_v_s, seed) in enumerate(zip(v_s, seeds)):
+            est = estimate_criteria(sample_circuit(machine, one_v_s, 0.0, shots, seed))
+            assert one_machine[:, k].tolist() == [
+                est.inseparability, est.inseparability_err, est.epr_paradox, est.epr_paradox_err
+            ]
+
+
+def test_a_two_machine_pass_raises_at_its_first_failing_run(monkeypatch):
+    # A NaN draw in a global run of the straddling first block, and one in
+    # the second block: the first raises, naming its v_s, and the second
+    # block is never drawn.
+    points = montecarlo.BLOCK_RUNS - 3
+    local_v_s, global_v_s = np.full(points, 0.5), np.full(points, 0.5)
+    global_v_s[1] = 0.3
+    seeds = list(range(5, 5 + 2 * points))
+    segments = [("local", local_v_s, seeds[:points]), ("global", global_v_s, seeds[points:])]
+    failing = (seeds[points + 1], seeds[-1])
+    real, drawn = montecarlo._draw_run, []
+    by_state = {np.random.PCG64(seed).state["state"]["state"]: seed for seed in seeds}
+
+    def draw(rng, state, dof, row):
+        seed = by_state[state[0]]
+        drawn.append(seed)
+        real(rng, state, dof, row)
+        if seed in failing:
+            row[2 : montecarlo._NORMALS] = np.nan  # the batch means
+
+    monkeypatch.setattr(montecarlo, "_draw_run", draw)
+    with pytest.raises(ValueError, match=r"^run at v_s = 0\.3: estimated covariance"):
+        montecarlo._criteria_pass(segments, 1000, UNITY_GAIN)
+    assert drawn == seeds[: montecarlo.BLOCK_RUNS]
 
 
 @pytest.mark.parametrize("machine", ["local", "global"])
@@ -354,8 +438,8 @@ def test_stacked_runs_are_bit_identical_to_single_runs(
 ):
     v_s, seeds = [0.02, 0.3, 1.0], [5, 6, 7]
     stacked = montecarlo._block_moments(
-        montecarlo._Blocks(shots, len(v_s)), machine, np.array(v_s), displacement_variance,
-        _seeding.pcg64_states(seeds), gain,
+        montecarlo._Blocks(shots, len(v_s)), [machine] * len(v_s), np.array(v_s),
+        displacement_variance, _seeding.pcg64_states(seeds), gain,
     )
     criteria = montecarlo.sample_criteria(machine, v_s, seeds, shots, gain)
     for k, (one_v_s, seed) in enumerate(zip(v_s, seeds)):
