@@ -41,9 +41,10 @@ import numpy as np
 from .gaussian import (
     GaussianState,
     _beamsplitter_matrix,
-    _check_split_covariance,
+    _check_covariance,
     _check_v_s,
     _integer_at_least,
+    _interleave,
     _map_state,
     _propagate,
     _quadrature_blocks,
@@ -163,15 +164,6 @@ def _squeeze_factors(f):
     factors[..., 0, 0] = f
     factors[..., 1, 0] = 1.0 / f
     return factors
-
-
-def _interleave(blocks):
-    """The (..., 2n, 2m) matrix, in (x1, p1, ...) order, of (..., 2, n, m) x and p blocks."""
-    *lead, _, n, m = blocks.shape
-    out = np.zeros((*lead, n, 2, m, 2))
-    for q in (0, 1):
-        out[..., :, q, :, q] = blocks[..., q, :, :]
-    return out.reshape(*lead, 2 * n, 2 * m)
 
 
 def _source_blocks(v):
@@ -338,7 +330,7 @@ def _machine_blocks(machine, v_s, gain, source=None):
         clones = _propagate(_machine_rows(machine, np.sqrt(v), gx, gp), source)
     finite = np.isfinite(clones).all(axis=(-3, -2, -1))
     _require(finite, "the clones leave the float range", where=where)
-    _check_split_covariance(clones, where)
+    _check_covariance(clones, where, split=True)
     _check_clone_symmetry(clones, *CLONE_PAIRS[machine], where)
     return source, clones
 

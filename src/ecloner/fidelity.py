@@ -19,11 +19,11 @@ import numpy as np
 
 from .exceptions import DegenerateInputError
 from .gaussian import (
+    _axes,
     _check_v_s,
     _covariance_stack,
     _integer_at_least,
     _is_pure,
-    _layout,
     _pure_rounding,
     _quadratures,
     _require,
@@ -111,8 +111,7 @@ def fidelity_from_cov(reference_cov, candidate_cov, delta=None):
 def _fidelity(a, b, delta, split):
     """The fidelity and the checks of ``fidelity_from_cov`` on checked stacks:
     interleaved (..., 2n, 2n) covariances or, when ``split``, (..., 2, n, n)
-    x and p blocks (``gaussian._layout``) with ``delta`` None."""
-    axes = _layout(split)[0]
+    x and p blocks (``gaussian._axes``) with ``delta`` None."""
     _require(_is_pure(a, split), "reference state must be pure")
     joint = a + b
     with np.errstate(over="ignore", invalid="ignore"):
@@ -123,7 +122,7 @@ def _fidelity(a, b, delta, split):
     # to the singular-matrix error
     if np.isinf(det_joint).any():
         message = "det(A + B) leaves the float range at max|A + B| = {value:.6g}"
-        _require(~np.isinf(det_joint), message, np.max(np.abs(joint), axis=axes))
+        _require(~np.isinf(det_joint), message, np.max(np.abs(joint), axis=_axes(split)))
     regular = (det_joint > 0) & np.isfinite(det_joint)
     _require(regular, "A + B is singular (det {value})", det_joint, error=DegenerateInputError)
     exponent = 0.0
@@ -133,7 +132,7 @@ def _fidelity(a, b, delta, split):
     modes = a.shape[-1] if split else a.shape[-1] // 2
     value = 2.0**modes / np.sqrt(det_joint) * np.exp(exponent)
     # det(A + B) carries the rounding of the pure reference's spectrum
-    inside = (value >= 0.0) & (value <= 1.0 + VALUE_TOL + _pure_rounding(a, axes))
+    inside = (value >= 0.0) & (value <= 1.0 + VALUE_TOL + _pure_rounding(a, split))
     _require(inside, "fidelity {value} escaped [0, 1]", value, error=RuntimeError)
     return FidelityResult(
         value=_scalar_or_array(value),

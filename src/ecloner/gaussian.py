@@ -10,6 +10,10 @@ squeezers, phase rotations) act as symplectic matrices S via
 Everything here is an immutable value; all operations are pure functions.
 Covariance validation and the symplectic spectrum also accept stacks of
 shape (..., 2n, 2n), so a whole parameter grid is checked in one call.
+Inside the package both also take covariances that never mix x with p as
+their (..., 2, n, n) x and p blocks (``_axes``); ``_quadrature_blocks`` and
+``_interleave`` convert between the two layouts.  Either way the spectrum is
+one real SVD.
 """
 
 import math
@@ -27,12 +31,13 @@ SYMPLECTIC_TOL = 1e-12
 SPECTRAL_TOL = 1e-9
 # Rounding leaves a physical state's smallest symplectic eigenvalue short of
 # 1 by up to about 1.2e3 eps times its largest entry (both machines, 120
-# gains in [0.05, 40], 4000 v_s in [1e-3, 1]; 1.23e3 eps for the 2n-dim
-# spectrum and the split one alike); the uncertainty bound allows this much
-# more per unit of max|cov|, about 8x that deficit.
+# evenly spaced gains in [0.05, 40], 4000 v_s in [1e-3, 1]; 1.23e3 eps for
+# the 2n-dim spectrum and the split one alike, 1.43e3 eps on 120 log-spaced
+# gains); the uncertainty bound allows this much more per unit of max|cov|,
+# about 7-8x that deficit.
 SPECTRAL_REL_TOL = 1e4 * np.finfo(float).eps
 # A pure state's covariance has condition number about max|cov|^2, and
-# rounding moves its symplectic eigenvalues off 1 by up to 3.4 eps times
+# rounding moves its symplectic eigenvalues off 1 by up to 3.0 eps times
 # that, and its fidelity with itself by up to 4.0 eps times that (the
 # sources of both machines, 4000 v_s in [1e-7, 1] and [1e-4, 1]).  Purity
 # and the fidelity's upper bound allow 16 eps * max|cov|^2 more.
@@ -51,18 +56,39 @@ def symplectic_form(num_modes):
     return omega
 
 
-def _spectrum(cov, core, n, from_cholesky):
-    """``from_cholesky`` of the Cholesky factors of a stack whose last ``core``
-    axes are one item; n NaN values for an item without a factor."""
+def _axes(split):
+    """The axes of one covariance in a stack of interleaved (..., 2n, 2n)
+    covariances or, when ``split``, of their (..., 2, n, n) x and p blocks."""
+    return (-3, -2, -1) if split else (-2, -1)
+
+
+def _spectrum(cov, split=False):
+    """The symplectic spectrum, ascending, of each covariance of a stack in the
+    layout ``split`` (``_axes``): (..., n) values, NaN for an item without a
+    Cholesky factor or with a non-finite one.
+
+    With the Cholesky factor L of an interleaved covariance, the values are
+    the singular values of the real antisymmetric L^T Omega L, each of which
+    appears twice.  Covariances that never mix x with p are given as their x
+    and p blocks, with factors L_x and L_p; the spectrum is then the square
+    root of that of cov_x cov_p, which is sigma(L_p^T L_x).  Either way one
+    real SVD gives it.
+    """
     try:
         chol = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
+        if split:
+            lx, lp = chol[..., 0, :, :], chol[..., 1, :, :]
+            return np.linalg.svd(np.swapaxes(lp, -1, -2) @ lx, compute_uv=False)[..., ::-1]
+        form = np.swapaxes(chol, -1, -2) @ symplectic_form(cov.shape[-1] // 2) @ chol
+        return np.linalg.svd(form, compute_uv=False)[..., ::-2]
+    except np.linalg.LinAlgError:  # no Cholesky factor, or a NaN one: its SVD fails
+        core = len(_axes(split))
+        n = cov.shape[-1] if split else cov.shape[-1] // 2
         if cov.ndim == core:
             return np.full(n, np.nan)
         flat = cov.reshape((-1,) + cov.shape[-core:])
-        values = np.array([_spectrum(item, core, n, from_cholesky) for item in flat])
+        values = np.array([_spectrum(item, split) for item in flat])
         return values.reshape(cov.shape[:-core] + (n,))
-    return from_cholesky(chol)
 
 
 def symplectic_eigenvalues(cov):
@@ -73,48 +99,15 @@ def symplectic_eigenvalues(cov):
     describes a physical state iff every value is >= 1; it is pure iff every
     value equals 1.  A stack of shape (..., 2n, 2n) gives (..., n).
 
-    For positive-definite input with Cholesky factor L the same spectrum is
-    obtained from the Hermitian matrix i L^T Omega L, which the symmetric
-    eigensolver handles backward-stably even for strong squeezing, where the
-    non-normal i*Omega@cov eigenproblem loses many digits.  Every physical
-    covariance is positive definite; any other matrix gives NaN values.
+    For positive-definite input with Cholesky factor L, Omega@cov is similar
+    to the real antisymmetric L^T Omega L, whose eigenvalues are +-i times
+    the spectrum.  An antisymmetric matrix is normal, so its singular values
+    are those moduli, each twice; a real SVD computes them backward-stably
+    even for strong squeezing, where the non-normal i*Omega@cov eigenproblem
+    loses many digits.  Every physical covariance is positive definite; any
+    other matrix gives NaN values.
     """
-    cov = _covariance_stack(cov)
-    n = cov.shape[-1] // 2
-
-    def from_cholesky(chol):
-        eigs = np.linalg.eigvalsh(1j * np.swapaxes(chol, -1, -2) @ symplectic_form(n) @ chol)
-        return np.sort(np.abs(eigs), axis=-1)[..., ::2]
-
-    return _spectrum(cov, 2, n, from_cholesky)
-
-
-def _split_symplectic_eigenvalues(blocks):
-    """Symplectic spectrum of covariances that never mix x with p, ascending.
-
-    ``blocks`` (..., 2, n, n) holds each covariance's x block and p block
-    (axis -3); the result is (..., n), as :func:`symplectic_eigenvalues` gives
-    for the interleaved (..., 2n, 2n) matrices.  With Cholesky factors L_x
-    and L_p the spectrum is the square root of that of cov_x cov_p, so it is
-    sigma(L_p^T L_x): a real n x n SVD, no complex Hermitian eigensolve.  A
-    block that is not positive definite gives NaN values.
-    """
-    blocks = np.asarray(blocks, dtype=float)
-
-    def from_cholesky(chol):
-        lx, lp = chol[..., 0, :, :], chol[..., 1, :, :]
-        return np.linalg.svd(np.swapaxes(lp, -1, -2) @ lx, compute_uv=False)[..., ::-1]
-
-    return _spectrum(blocks, 3, blocks.shape[-1], from_cholesky)
-
-
-def _layout(split):
-    """(axes of one covariance, its symplectic spectrum) in a stack of
-    interleaved (..., 2n, 2n) covariances or, when ``split``, of their
-    (..., 2, n, n) x and p blocks."""
-    if split:
-        return (-3, -2, -1), _split_symplectic_eigenvalues
-    return (-2, -1), symplectic_eigenvalues
+    return _spectrum(_covariance_stack(cov))
 
 
 def _quadrature_blocks(cov):
@@ -123,6 +116,16 @@ def _quadrature_blocks(cov):
     n = cov.shape[-1] // 2
     modes = cov.reshape(cov.shape[:-2] + (n, 2, n, 2))
     return np.moveaxis(np.diagonal(modes, axis1=-3, axis2=-1), -1, -3)
+
+
+def _interleave(blocks):
+    """The (..., 2n, 2m) matrix, in (x1, p1, ...) order, of (..., 2, n, m) x
+    and p blocks; the inverse of ``_quadrature_blocks``."""
+    *lead, _, n, m = blocks.shape
+    out = np.zeros((*lead, n, 2, m, 2))
+    for q in (0, 1):
+        out[..., :, q, :, q] = blocks[..., q, :, :]
+    return out.reshape(*lead, 2 * n, 2 * m)
 
 
 def _quadratures(modes):
@@ -176,13 +179,13 @@ def _scalar_or_array(value):
     return float(value) if np.ndim(value) == 0 else value
 
 
-def _pure_rounding(cov, axes=(-2, -1)):
-    """Per matrix of a stack whose ``axes`` are one covariance: the rounding
-    allowed a pure state's spectrum.
+def _pure_rounding(cov, split=False):
+    """Per covariance of a stack in the layout ``split`` (``_axes``): the
+    rounding allowed a pure state's spectrum.
 
     A ValueError names the first ``max|cov|`` of at least ``PURE_MAX_ENTRY``.
     """
-    largest = np.max(np.abs(cov), axis=axes)
+    largest = np.max(np.abs(cov), axis=_axes(split))
     _require(
         ~(largest >= PURE_MAX_ENTRY),  # NaN is left to the callers' checks
         f"purity is not resolvable in float64 at max|cov| = {{value:.6g}} "
@@ -193,17 +196,17 @@ def _pure_rounding(cov, axes=(-2, -1)):
 
 
 def _is_pure(cov, split=False):
-    """Per matrix of a stack: every symplectic eigenvalue equals 1 within
-    ``SPECTRAL_TOL`` plus ``PURE_REL_TOL * max|cov|**2``.  ``split`` takes
-    the (..., 2, n, n) x and p blocks of covariances that never mix x with p."""
-    axes, spectrum = _layout(split)
-    allowed = SPECTRAL_TOL + _pure_rounding(cov, axes)
-    deviation = np.abs(spectrum(cov) - 1.0)
+    """Per covariance of a stack in the layout ``split`` (``_axes``): every
+    symplectic eigenvalue equals 1 within ``SPECTRAL_TOL`` plus
+    ``PURE_REL_TOL * max|cov|**2``."""
+    allowed = SPECTRAL_TOL + _pure_rounding(cov, split)
+    deviation = np.abs(_spectrum(cov, split) - 1.0)
     return np.all(deviation <= allowed[..., None], axis=-1)
 
 
-def _check_covariance(cov, where=None):
-    """Validate a covariance matrix or a (..., 2n, 2n) stack of them.
+def _check_covariance(cov, where=None, split=False):
+    """Validate a covariance matrix or a stack of them in the layout ``split``
+    (``_axes``): (..., 2n, 2n) interleaved or (..., 2, n, n) x and p blocks.
 
     Every entry must be finite, every matrix symmetric within SYMMETRY_TOL
     and positive definite, and its symplectic eigenvalues >= 1 within
@@ -211,25 +214,13 @@ def _check_covariance(cov, where=None):
     the flat stack index of the first offending matrix to a phrase naming it
     in the error, for example the grid value the matrix was built from.
     """
-    _validate(cov, False, where)
-
-
-def _check_split_covariance(blocks, where=None):
-    """``_check_covariance`` for covariances that never mix x with p, given
-    as their (..., 2, n, n) x and p blocks: the same checks, tolerances and
-    messages, with the spectrum of :func:`_split_symplectic_eigenvalues`."""
-    _validate(blocks, True, where)
-
-
-def _validate(cov, split, where):
-    """The checks of ``_check_covariance`` on a stack in the layout ``split`` (``_layout``)."""
-    axes, spectrum = _layout(split)
+    axes = _axes(split)
     finite = np.isfinite(cov).all(axis=axes)
     _require(finite, "covariance matrix has non-finite entries", where=where)
     asym = np.abs(cov - np.swapaxes(cov, -1, -2)).max(axis=axes)
     message = "covariance matrix is not symmetric (max asymmetry {value:.3e})"
     _require(asym <= SYMMETRY_TOL, message, asym, where)
-    nu_min = spectrum(cov).min(axis=-1)
+    nu_min = _spectrum(cov, split).min(axis=-1)
     message = "covariance matrix is not positive definite"
     _require(~np.isnan(nu_min), message, where=where, error=UncertaintyViolation)
     tol = SPECTRAL_TOL + SPECTRAL_REL_TOL * np.abs(cov).max(axis=axes)

@@ -24,12 +24,8 @@ from ecloner import (
     squeezed_vacuum,
     vacuum,
 )
-from ecloner.circuits import _check_clone_symmetry, machine_covariances
-from ecloner.gaussian import (
-    _quadrature_blocks,
-    _split_symplectic_eigenvalues,
-    symplectic_eigenvalues,
-)
+from ecloner.circuits import VARIANCE_MATCH_TOL, _check_clone_symmetry, machine_covariances
+from ecloner.gaussian import _quadrature_blocks, _spectrum, symplectic_eigenvalues
 
 GRID = np.geomspace(0.02, 1.0, 50)
 
@@ -280,6 +276,18 @@ def test_clone_state_orders_modes_by_pair():
     assert np.allclose(second.mean, [1.0, 0.0, -2.0, 0.0], atol=1e-12)
 
 
+def test_clone_state_takes_the_pair_it_names():
+    # clone 1 is an EPR pair, clone 2 a thermal pair of the same variances
+    v_s = 0.3
+    cov = np.zeros((8, 8))
+    cov[:4, :4] = epr_source(v_s).cov
+    cov[4:, 4:] = 0.5 * (v_s + 1.0 / v_s) * np.eye(4)
+    state = GaussianState(np.zeros(8), cov)
+    clones = CloneSet(state=state, clone1=(0, 1), clone2=(2, 3), machine="global", v_s=v_s)
+    assert clone_state(clones, 1).cov[0, 2] == pytest.approx(0.5 * (v_s - 1.0 / v_s), rel=1e-12)
+    assert clone_state(clones, 2).cov[0, 2] == 0.0
+
+
 def test_local_ecloner_v_s_is_nan_for_non_epr_input():
     clones = local_ecloner(GaussianState(np.zeros(4), 2.0 * np.eye(4)))
     assert np.isnan(clones.v_s)
@@ -397,6 +405,15 @@ def test_stacked_clone_symmetry_check_names_the_offending_point():
         _check_clone_symmetry(blocks, (0, 3), (2, 1), lambda i: f"point {i}")
 
 
+def test_clone_symmetry_tolerance_is_inclusive():
+    blocks = np.zeros((2, 4, 4))
+    blocks[0, 0, 0] = VARIANCE_MATCH_TOL  # x variance of clone 1's first mode
+    _check_clone_symmetry(blocks, (0, 1), (2, 3))
+    blocks[0, 0, 0] = np.nextafter(VARIANCE_MATCH_TOL, 1.0)
+    with pytest.raises(ValueError, match="clones are not symmetric"):
+        _check_clone_symmetry(blocks, (0, 1), (2, 3))
+
+
 # Every gate of both machines keeps x apart from p, so the engine solves an
 # x problem and a p problem; the bound on the split spectrum, fixed before
 # the run, is 1e3 eps of the largest entry (measured worst: 114 eps, global
@@ -411,7 +428,7 @@ def test_machines_never_mix_x_with_p(machine, gain):
     for cov in machine_covariances(machine, v_s, gain):
         assert np.all(cov[..., ::2, 1::2] == 0.0) and np.all(cov[..., 1::2, ::2] == 0.0)
         blocks = np.stack([cov[..., ::2, ::2], cov[..., 1::2, 1::2]], axis=-3)
-        split = _split_symplectic_eigenvalues(blocks)
+        split = _spectrum(blocks, split=True)
         deviation = np.max(np.abs(split - symplectic_eigenvalues(cov)), axis=-1)
         assert np.all(deviation <= SPLIT_SPECTRUM_REL_TOL * np.max(np.abs(cov), axis=(-2, -1)))
 
@@ -420,7 +437,7 @@ def test_split_spectrum_gives_nan_for_a_block_that_is_not_positive_definite():
     good = np.stack([np.diag([4.0, 0.25]), np.diag([0.25, 4.0])])
     bad = good.copy()
     bad[1, 1, 1] = -1.0
-    nu = _split_symplectic_eigenvalues(np.array([good, bad]))
+    nu = _spectrum(np.array([good, bad]), split=True)
     assert np.array_equal(nu[0], [1.0, 1.0]) and np.isnan(nu[1]).all()
 
 

@@ -452,9 +452,11 @@ def test_gain_flag_changes_the_records():
         ["--points", "1"],
         ["--v-min", "0"],
         ["--v-min", "1.2"],
+        ["--v-min", "1"],
         ["--format", "yaml"],
         ["--mc-shots", "50"],
         ["--gain", "-2"],
+        ["--gain", "0"],
         ["--points", "many"],
         ["--points", "3", "--seed", "-1"],
         ["--points", "3", "--mc-shots", "100", "--seed", "-1"],

@@ -19,6 +19,7 @@ from ecloner import (
     squeezed_vacuum,
     vacuum,
 )
+from ecloner import fidelity
 from ecloner.circuits import machine_covariances
 from ecloner.fidelity import VALUE_TOL, fidelity_from_cov
 from ecloner.gaussian import PURE_REL_TOL
@@ -105,6 +106,15 @@ def test_displacement_term_matters_for_mismatched_means():
     moved = displace(vacuum(1), (3.0, 0.0))
     expected = np.exp(-abs((1.0 - 3.0) / 2.0) ** 2)
     assert pure_mixed_fidelity(reference, moved).value == pytest.approx(expected, abs=1e-12)
+
+
+def test_fidelity_bounds_are_inclusive(monkeypatch):
+    # 0: a displacement far enough for exp to underflow
+    assert fidelity_from_cov(np.eye(2), np.eye(2), np.array([100.0, 0.0])).value == 0.0
+    # 1: identical vacua, with the rounding allowance set so the bound is exactly 1
+    allowance = 1.0 - (1.0 + VALUE_TOL)
+    monkeypatch.setattr(fidelity, "_pure_rounding", lambda cov, split=False: allowance)
+    assert fidelity_from_cov(np.eye(2), np.eye(2)).value == 1.0
 
 
 def test_unity_gain_clone_fidelity_ignores_input_displacement():

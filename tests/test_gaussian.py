@@ -8,6 +8,7 @@ import pytest
 from conftest import apply_all, random_ops
 
 from ecloner import (
+    UNITY_GAIN,
     CloneSet,
     GaussianState,
     SymplecticOp,
@@ -30,15 +31,19 @@ from ecloner import (
     symplectic_form,
     vacuum,
 )
-from ecloner.circuits import _interleave, _source_blocks
+from ecloner.circuits import _interleave, _source_blocks, machine_covariances
+from ecloner import gaussian
 from ecloner.gaussian import (
     PURE_MAX_ENTRY,
     PURE_REL_TOL,
     SPECTRAL_REL_TOL,
     SPECTRAL_TOL,
+    SYMMETRY_TOL,
+    SYMPLECTIC_TOL,
     _check_covariance,
     _is_pure,
     _require,
+    _spectrum,
 )
 
 
@@ -80,14 +85,21 @@ def test_squeezed_vacuum_rejects_uncertainty_violation():
 def test_squeezed_vacuum_allows_a_product_exactly_one_tolerance_short():
     # the bound is strict: a product of exactly 1 - SPECTRAL_TOL builds
     assert squeezed_vacuum(1.0, 1.0 - SPECTRAL_TOL).cov[1, 1] == 1.0 - SPECTRAL_TOL
-    with pytest.raises(UncertaintyViolation, match="variance product"):
-        squeezed_vacuum(1.0, 1.0 - 1.5 * SPECTRAL_TOL)
+    short = 1.0 - 1.5 * SPECTRAL_TOL
+    with pytest.raises(UncertaintyViolation, match=f"^variance product {short} below"):
+        squeezed_vacuum(1.0, short)
 
 
-@pytest.mark.parametrize("v_plus, v_minus", [(0.0, 1.0), (-1.0, 2.0), (1.0, -0.5)])
+@pytest.mark.parametrize("v_plus, v_minus", [(0.0, 1.0), (-1.0, 2.0), (1.0, -0.5), (1.0, 0.0)])
 def test_squeezed_vacuum_rejects_nonpositive_variance(v_plus, v_minus):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^variances must be positive and finite"):
         squeezed_vacuum(v_plus, v_minus)
+
+
+def test_squeezed_vacuum_names_an_infinite_variance():
+    for v_plus, v_minus in ((np.inf, 1.0), (1.0, np.inf)):
+        with pytest.raises(ValueError, match="^variances must be positive and finite"):
+            squeezed_vacuum(v_plus, v_minus)
 
 
 def test_balanced_beamsplitter_forms_sum_and_difference():
@@ -348,6 +360,40 @@ def test_uncertainty_tolerance_scales_with_the_largest_entry():
     assert SPECTRAL_REL_TOL * 10.0 < 0.1 * SPECTRAL_TOL
 
 
+def test_tolerances_are_inclusive(monkeypatch):
+    # symmetry: an asymmetry of exactly SYMMETRY_TOL passes
+    cov = np.array([[2.0, 0.0], [SYMMETRY_TOL, 2.0]])
+    _check_covariance(cov)
+    cov[1, 0] = np.nextafter(SYMMETRY_TOL, 1.0)
+    with pytest.raises(ValueError, match="not symmetric"):
+        _check_covariance(cov)
+    # symplecticity: a defect of exactly SYMPLECTIC_TOL (the x2 column of p1)
+    matrix = np.eye(4)
+    matrix[1, 2] = SYMPLECTIC_TOL
+    SymplecticOp(matrix, (0, 1))
+    matrix[1, 2] = np.nextafter(SYMPLECTIC_TOL, 1.0)
+    with pytest.raises(ValueError, match="not symplectic"):
+        SymplecticOp(matrix, (0, 1))
+    # purity is unresolvable from max|cov| = PURE_MAX_ENTRY on, that entry included
+    with pytest.raises(ValueError, match="purity is not resolvable"):
+        _is_pure(np.diag([PURE_MAX_ENTRY, 1.0 / PURE_MAX_ENTRY]))
+    # the uncertainty bound, with the spectrum set on it and just below it
+    def spectrum_at(value):
+        monkeypatch.setattr(gaussian, "_spectrum", lambda cov, split=False: np.array([value]))
+
+    bound = 1.0 - (SPECTRAL_TOL + SPECTRAL_REL_TOL * 1.0)
+    spectrum_at(bound)
+    _check_covariance(np.eye(2))
+    spectrum_at(np.nextafter(bound, 0.0))
+    with pytest.raises(UncertaintyViolation, match="uncertainty bound"):
+        _check_covariance(np.eye(2))
+    monkeypatch.undo()
+    # purity, with an allowance that cancels SPECTRAL_TOL: |1 - 1| <= 0
+    no_rounding = np.asarray(-SPECTRAL_TOL)
+    monkeypatch.setattr(gaussian, "_pure_rounding", lambda cov, split=False: no_rounding)
+    assert _spectrum(np.eye(2)) == 1.0 and _is_pure(np.eye(2))
+
+
 def test_stacked_validation_names_the_offending_matrix():
     stack = np.array([np.eye(2), 2.0 * np.eye(2), 0.5 * np.eye(2)])
     with pytest.raises(UncertaintyViolation, match="point 2: .* 0.5"):
@@ -426,6 +472,53 @@ def test_stacked_symplectic_eigenvalues_match_per_matrix_calls():
     mixed = symplectic_eigenvalues(np.array([covs[0], indefinite]))
     assert np.array_equal(mixed[0], symplectic_eigenvalues(covs[0]))
     assert np.isnan(mixed[1]).all() and np.isnan(symplectic_eigenvalues(indefinite)).all()
+    # so does a matrix with non-finite entries, whose factor is NaN
+    unknown = np.full((6, 6), np.nan)
+    mixed = symplectic_eigenvalues(np.array([covs[0], unknown]))
+    assert np.array_equal(mixed[0], symplectic_eigenvalues(covs[0]))
+    assert np.isnan(mixed[1]).all() and np.isnan(symplectic_eigenvalues(unknown)).all()
+
+
+def _hermitian_spectrum(cov):
+    """The reference spectrum: the moduli of the eigenvalues of the complex
+    Hermitian i L^T Omega L, one per degenerate pair."""
+    chol = np.linalg.cholesky(cov)
+    form = np.swapaxes(chol, -1, -2) @ symplectic_form(cov.shape[-1] // 2) @ chol
+    return np.sort(np.abs(np.linalg.eigvalsh(1j * form)), axis=-1)[..., ::2]
+
+
+# The real SVD against the Hermitian eigensolve; the bound, fixed before the
+# run, is 64 eps of each matrix's largest entry.
+REFERENCE_SPECTRUM_REL_TOL = 64 * np.finfo(float).eps
+
+
+def _assert_matches_the_hermitian_spectrum(covs):
+    deviation = np.max(np.abs(symplectic_eigenvalues(covs) - _hermitian_spectrum(covs)), axis=-1)
+    scale = np.max(np.abs(covs), axis=(-2, -1))
+    assert np.all(deviation <= REFERENCE_SPECTRUM_REL_TOL * scale)
+
+
+@pytest.mark.parametrize(
+    "gain", [UNITY_GAIN, 1.0, 0.5, (1.1, 1.7), 8.0], ids=["unity", "one", "half", "pair", "eight"]
+)
+@pytest.mark.parametrize("machine", ["local", "global"])
+def test_spectrum_matches_the_hermitian_reference_on_both_machines(machine, gain):
+    for covs in machine_covariances(machine, np.geomspace(1e-3, 1.0, 400), gain):
+        _assert_matches_the_hermitian_spectrum(covs)
+
+
+def test_spectrum_matches_the_hermitian_reference_on_random_states():
+    rng = np.random.default_rng(27)
+    by_modes = {n: [] for n in range(1, 5)}
+    for _ in range(2000):
+        n = int(rng.integers(1, 5))
+        s = np.eye(2 * n)
+        for op in random_ops(rng, n, depth=3 * n):
+            s = op.expand(n) @ s
+        cov = s @ np.diag(np.repeat(rng.uniform(1.0, 3.0, n), 2)) @ s.T
+        by_modes[n].append(0.5 * (cov + cov.T))
+    for covs in by_modes.values():
+        _assert_matches_the_hermitian_spectrum(np.array(covs))
 
 
 def test_covariance_that_is_not_positive_definite_is_rejected():

@@ -22,6 +22,7 @@ from ecloner import (
 from ecloner import _kernels, _seeding, circuits, montecarlo
 from ecloner.circuits import UNITY_GAIN
 from ecloner.criteria import correlation_matrix_from_cov, epr_paradox, inseparability
+from ecloner.gaussian import SYMMETRY_TOL
 
 SHOTS = 100_000
 # Unequal batches: with 61_237 shots each of the 20 holds 3061 or 3062 shots.
@@ -171,6 +172,33 @@ def test_a_run_draws_the_stream_of_default_rng(seed):
         ]
     )
     assert np.array_equal(row, expected)
+
+
+# One run's draws at 1000 shots from the PCG64 state of seed 2027, as numpy
+# 2.4.6 gives them: the first three normals, the first chi^2, the last normal.
+_CANARY_STATE = (55611647304757323001292636426646955892, 120608724771122158120179303604584792733)
+_CANARY_DRAWS = {
+    "first normals": [0.11091035840930463, -0.08375769594672197, -0.8041596859989614],
+    "first chi^2": [51.10518874058889],
+    "last normal": [-0.49150457278834225],
+}
+
+
+def test_the_oracle_stream_is_the_one_the_golden_files_were_drawn_from():
+    blocks = montecarlo._Blocks(1000, 1)
+    row = np.empty(blocks.stream)
+    montecarlo._draw_run(blocks.rng, _CANARY_STATE, blocks.dof, row)
+    drawn = {
+        "first normals": row[:3],
+        "first chi^2": row[montecarlo._NORMALS : montecarlo._NORMALS + 1],
+        "last normal": row[-1:],
+    }
+    for name, expected in _CANARY_DRAWS.items():
+        assert np.allclose(drawn[name], expected, rtol=1e-12, atol=0.0), (
+            f"{name}: drew {drawn[name].tolist()}, expected {expected}.  The likely cause is "
+            f"numpy {np.__version__}: its Generator.standard_normal or Generator.chisquare "
+            "stream on PCG64 differs from the one every mc_* golden field was drawn from"
+        )
 
 
 def test_bartlett_squares_are_the_factors_gram_matrices():
@@ -912,3 +940,15 @@ def test_sample_run_invariants():
         for bad in (np.nan, np.inf, 0.0, -1.0):
             with pytest.raises(ValueError, match=name):
                 dataclasses.replace(run, **{name: np.full(shape, bad)})
+    # a single shot has no error bars: zero ones pass there, not from 2 shots
+    zero = {"standard_errors": np.zeros((8, 8)), "mean_standard_errors": np.zeros(8)}
+    dataclasses.replace(run, shots=1, **zero)
+    with pytest.raises(ValueError, match="standard_errors must be finite and positive"):
+        dataclasses.replace(run, shots=2, **zero)
+    # the symmetry tolerance is inclusive
+    cov = run.estimated_cov.copy()
+    cov[0, 1], cov[1, 0] = 0.0, SYMMETRY_TOL
+    dataclasses.replace(run, estimated_cov=cov)
+    cov[1, 0] = np.nextafter(SYMMETRY_TOL, 1.0)
+    with pytest.raises(ValueError, match="estimated covariance must be symmetric"):
+        dataclasses.replace(run, estimated_cov=cov)
