@@ -42,12 +42,11 @@ its shot layout, block buffers and one generator once (``_Blocks``), and
 every block works in them in place.
 
 A run's stream is still ``numpy.random.default_rng(seed)``'s, but numpy
-does not build a generator per run: ``_pcg64_states`` computes the states
-of all of a pass's seeds at once, with a replica of numpy's seeding
-(``_seeding``) that the tests check against numpy, and each run sets its
+does not build a generator per run: one call of a replica of numpy's
+seeding (``_seeding``), which the tests check against numpy's own classes,
+computes the PCG64 states of all of a pass's seeds, and each run sets its
 state on the pass's generator.  ``spawn_seeds`` derives a pass's run seeds
-from a master seed by the same replica.  A pass of fewer than
-``_REPLICA_SEEDS`` runs takes numpy's own classes, cheaper at that size.
+from a master seed by the same replica.
 """
 
 import math
@@ -66,7 +65,7 @@ MIN_SHOTS = 100
 # Runs whose draws, moments and criteria are one stacked evaluation.  A
 # pass holds two (BLOCK_RUNS, NUM_BATCHES + 1, 8, 8) float stacks, 344 KB
 # each at 32: the largest size tried (8 to 32) that keeps the CLI's peak
-# RSS within 1% of 8-run blocks with per-block arrays (README).
+# RSS within 1% of 8-run blocks with per-block arrays (BENCH_20.json).
 BLOCK_RUNS = 32
 
 
@@ -162,10 +161,12 @@ def _check_inputs(machine, v_s, displacement_variance, shots, seeds):
     return v_s, displacement_variance, shots, seeds
 
 
-# Fewer seeds than this are cheaper to hash with numpy's own SeedSequence and
-# PCG64, one object per seed (12-14 us each), than with one evaluation of the
-# replica (60-80 us at any count up to 16), on the machine of BENCH_21.json
-_REPLICA_SEEDS = 8
+def _replica():
+    """``_seeding``, imported on first use: with no bytecode cache, compiling
+    it at import raised the peak RSS of a sweep that samples nothing by 0.2 MB."""
+    from . import _seeding
+
+    return _seeding
 
 
 def spawn_seeds(master_seed, count, key):
@@ -175,24 +176,7 @@ def spawn_seeds(master_seed, count, key):
     master_seed = _integer_at_least("master_seed", master_seed, 0)
     count = _integer_at_least("count", count, 0)
     key = _integer_at_least("key", key, 0)
-    if count < _REPLICA_SEEDS:
-        sequences = (np.random.SeedSequence(master_seed, spawn_key=(i, key)) for i in range(count))
-        return [int(sequence.generate_state(1, np.uint64)[0]) for sequence in sequences]
-    from . import _seeding  # see _pcg64_states
-
-    return _seeding.spawn_seeds(master_seed, count, key)
-
-
-def _pcg64_states(seeds):
-    """The ``(state, inc)`` of ``np.random.PCG64(seed)`` for each seed.  The
-    replica is imported on first use: with no bytecode cache, compiling it
-    at import raised the peak RSS of a sweep that samples nothing by 0.2 MB."""
-    if len(seeds) < _REPLICA_SEEDS:
-        states = (np.random.PCG64(seed).state["state"] for seed in seeds)
-        return [(state["state"], state["inc"]) for state in states]
-    from . import _seeding
-
-    return _seeding.pcg64_states(seeds)
+    return _replica().spawn_seeds(master_seed, count, key)
 
 
 def sample_circuit(machine, v_s, displacement_variance, shots, seed, gain=UNITY_GAIN):
@@ -226,7 +210,7 @@ def sample_circuit(machine, v_s, displacement_variance, shots, seed, gain=UNITY_
     v_s, displacement_variance, shots, seeds = _check_inputs(
         machine, v_s, displacement_variance, shots, [seed]
     )
-    states = _pcg64_states(seeds)
+    states = _replica().pcg64_states(seeds)
     moments = _block_moments(_Blocks(shots, 1), [machine], v_s, displacement_variance, states, gain)
     clone1, clone2 = CLONE_PAIRS[machine]
     return SampleRun(
@@ -258,14 +242,14 @@ def sample_criteria(machine, v_s, seeds, shots, gain=UNITY_GAIN):
 
 def _criteria_pass(segments, shots, gain):
     """``sample_criteria`` of each ``(machine, v_s, seeds)`` of ``segments``, side by side,
-    from one pass whose blocks may straddle two segments.  A segment's PCG64
-    states are computed apart, so one under ``_REPLICA_SEEDS`` runs takes numpy's."""
-    machines, v_s, states = [], np.empty(0), []
-    for machine, one_v_s, seeds in segments:
-        one_v_s, _, shots, seeds = _check_inputs(machine, one_v_s, 0.0, shots, seeds)
+    from one pass whose blocks may straddle two segments."""
+    machines, v_s, seeds = [], np.empty(0), []
+    for machine, one_v_s, one_seeds in segments:
+        one_v_s, _, shots, one_seeds = _check_inputs(machine, one_v_s, 0.0, shots, one_seeds)
         machines += [machine] * len(one_v_s)
         v_s = np.append(v_s, one_v_s)
-        states += _pcg64_states(seeds)
+        seeds += one_seeds
+    states = _replica().pcg64_states(seeds)
     values = np.empty((4, len(v_s)))
     blocks = _Blocks(shots, min(BLOCK_RUNS, len(v_s)))
     for start in range(0, len(v_s), BLOCK_RUNS):
@@ -354,7 +338,7 @@ class _Blocks:
         self.rng = np.random.default_rng(0)
 
     def draw(self, states):
-        """Draw a run per PCG64 state (``_pcg64_states``); returns
+        """Draw a run per PCG64 ``(state, inc)`` pair; returns
         each run's 2 displacement normals and its batches' means of ``e``,
         and leaves their scatters in rows 1..NUM_BATCHES of ``e_covs``."""
         n = len(states)

@@ -130,6 +130,8 @@ def test_concurrent_runs_are_bit_identical_to_sequential_ones():
 # more 32-bit words (a spawned sequence pads its entropy to four).
 MASTER_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**100 + 5, 2**130 + 9]
 RUN_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+# Seed counts of a pass: none, one, the oracle workload's 5 per machine, and more
+SEED_COUNTS = [0, 1, 5, 7, 8, 50]
 
 
 @pytest.mark.parametrize("master_seed", MASTER_SEEDS)
@@ -139,9 +141,7 @@ def test_spawned_seeds_are_numpy_seed_sequence_children(master_seed, key):
         int(np.random.SeedSequence(master_seed, spawn_key=(i, key)).generate_state(1, np.uint64)[0])
         for i in range(50)
     ]
-    assert _seeding.spawn_seeds(master_seed, 50, key) == expected
-    # numpy's own classes below _REPLICA_SEEDS, the replica from there up
-    for count in (0, montecarlo._REPLICA_SEEDS - 1, montecarlo._REPLICA_SEEDS, 50):
+    for count in SEED_COUNTS:
         assert montecarlo.spawn_seeds(master_seed, count, key) == expected[:count]
 
 
@@ -151,8 +151,8 @@ def test_generator_states_are_numpy_pcg64_states():
     expected = [np.random.PCG64(seed).state["state"] for seed in seeds]
     expected = [(state["state"], state["inc"]) for state in expected]
     assert _seeding.pcg64_states(seeds) == expected
-    for count in (montecarlo._REPLICA_SEEDS - 1, montecarlo._REPLICA_SEEDS):
-        assert montecarlo._pcg64_states(seeds[:count]) == expected[:count]
+    for count in SEED_COUNTS:
+        assert montecarlo._replica().pcg64_states(seeds[:count]) == expected[:count]
 
 
 @pytest.mark.parametrize("seed", RUN_SEEDS + [2**130 + 9])
@@ -284,6 +284,22 @@ def _two_machine_segments(v_s, first_seed):
     """The local then the global machine's runs at ``v_s``, with consecutive seeds."""
     seeds = range(first_seed, first_seed + 2 * len(v_s))
     return [("local", v_s, seeds[: len(v_s)]), ("global", v_s, seeds[len(v_s) :])]
+
+
+@pytest.mark.parametrize("points", [5, 40])
+def test_a_two_machine_pass_hashes_its_generator_states_in_one_call(monkeypatch, points):
+    real, calls = _seeding.pcg64_states, []
+
+    def spy(seeds):
+        calls.append(list(seeds))
+        return real(seeds)
+
+    monkeypatch.setattr(_seeding, "pcg64_states", spy)
+    segments = _two_machine_segments(np.geomspace(0.05, 1.0, points), 11)
+    values = montecarlo._criteria_pass(segments, 1000, UNITY_GAIN)
+    assert calls == [list(range(11, 11 + 2 * points))]
+    alone = [montecarlo.sample_criteria(machine, v_s, seeds, 1000) for machine, v_s, seeds in segments]
+    assert np.array_equal(values, np.hstack(alone))
 
 
 # One two-machine pass: its blocks take BLOCK_RUNS runs in order whatever
