@@ -57,7 +57,7 @@ from .montecarlo import (
     sample_circuit,
 )
 
-__version__ = "0.8.0"
+__version__ = "0.8.1"
 
 __all__ = [
     "CloneSet",

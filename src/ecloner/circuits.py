@@ -305,10 +305,10 @@ def machine_covariances(machine, v_s, gain=UNITY_GAIN):
 
     ``gain`` is any finite number or (x, p) pair; 0 turns the feedforward
     off, and the CLI caps it at ``cli.MAX_GAIN``.  Rounding at entries of
-    about gain^2/v_s makes validation reject clones from gain 9.48e4 (the
-    global machine at v_s = 1.02e-3; 301 log-spaced gains in [1e4, 1e5] on
-    8000 v_s in [1e-3, 1], 4000 of them in [1e-3, 2e-3]).  The local machine
-    passes that whole probe, but fails at gain 1e8 from v_s = 0.01.
+    about gain^2/v_s makes validation reject the global machine's clones
+    from the smallest failing gain measured in the comment on
+    ``cli.MAX_GAIN``.  The local machine passes that whole probe, but fails
+    at gain 1e8 from v_s = 0.01.
     """
     return tuple(_interleave(blocks) for blocks in _machine_blocks(machine, v_s, gain))
 

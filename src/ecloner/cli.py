@@ -191,25 +191,27 @@ def _bisect_crossing(lo, hi, gain):
 
 
 def _threshold_lines(gain):
+    """The threshold block; the literature values and the note on them hold at unity gain only."""
+    unity = gain == UNITY_GAIN
     lines = [f"thresholds for the global machine (bracketed secant search to {BISECTION_TOL:g})"]
     for root, label, literature in zip(
         _bisect_crossing(V_MIN_FLOOR, 1.0, gain),
         ("inseparability", "epr_paradox"),
-        ("literature: 3 dB", "literature: 5.7 dB"),
+        ("; literature: 3 dB", "; literature: 5.7 dB"),
     ):
         if root is None:
             lines.append(
                 f"{label} = 1: no crossing for v_s in [{V_MIN_FLOOR:g}, 1] at gain {gain:.12g}"
             )
         else:
-            lines.append(
-                f"{label} = 1 at v_s = {root:.9f} ({squeezing_db(root):.4f} dB); {literature}"
-            )
-    lines.append(
-        "note: the v_s = 0.67 sometimes quoted for the epr_paradox crossing is "
-        "inconsistent with 5.7 dB (0.67 is 1.74 dB); the analytic root is "
-        "v_s = 2 - sqrt(3) = 0.2679"
-    )
+            line = f"{label} = 1 at v_s = {root:.9f} ({squeezing_db(root):.4f} dB)"
+            lines.append(line + literature if unity else line)
+    if unity:
+        lines.append(
+            "note: the v_s = 0.67 sometimes quoted for the epr_paradox crossing is "
+            "inconsistent with 5.7 dB (0.67 is 1.74 dB); the analytic root is "
+            "v_s = 2 - sqrt(3) = 0.2679"
+        )
     return lines
 
 

@@ -35,9 +35,10 @@ and their standard errors are the Gaussian (Isserlis / Wishart) ones, taken
 from the run's own estimate.
 
 A block of runs (``_block_moments``) shares one stacked evaluation of the
-maps, QR factors, moments and checks; only a run's generator calls
+maps, QR factors and covariances; only a run's generator calls
 (``_draw_run``) are its own, so a run has the same bits alone
-(``sample_circuit``) or in any block (``sample_criteria``).  A pass sets up
+(``sample_circuit``, the one caller that maps the means, adds the
+displacement and takes standard errors) or in any block (``sample_criteria``).  A pass sets up
 its shot layout, block buffers and one generator once (``_Blocks``), and
 every block works in them in place.
 
@@ -69,26 +70,20 @@ MIN_SHOTS = 100
 BLOCK_RUNS = 32
 
 
-def _check_moments(v_s, shots, mean, cov, standard_errors, mean_standard_errors):
-    """Reject a run's estimates that no sampled run gives, naming its v_s.
-
-    Every argument but ``shots`` has a leading run axis; the first failing
-    run raises.
-    """
-    asymmetry = np.abs(cov - np.swapaxes(cov, -1, -2))
+def _check_moments(run):
+    """Reject a ``SampleRun``'s estimates that no sampled run gives, naming its v_s."""
+    cov = run.estimated_cov
     checks = [
-        (asymmetry <= SYMMETRY_TOL, "estimated covariance must be symmetric"),
-        (np.isfinite(mean), "estimated mean must be finite"),
+        (np.abs(cov - cov.T) <= SYMMETRY_TOL, "estimated covariance must be symmetric"),
+        (np.isfinite(run.estimated_mean), "estimated mean must be finite"),
     ]
-    if shots >= 2:
-        for name, value in (
-            ("standard_errors", standard_errors),
-            ("mean_standard_errors", mean_standard_errors),
-        ):
+    if run.shots >= 2:
+        for name in ("standard_errors", "mean_standard_errors"):
+            value = getattr(run, name)
             message = f"{name} must be finite and positive for shots >= 2"
             checks.append((np.isfinite(value) & (value > 0), message))
     for ok, message in checks:
-        _require(np.reshape(ok, (len(v_s), -1)).all(axis=1), message, where=_naming_runs(v_s))
+        _require(ok.all(), message, where=_naming_runs([run.v_s]))
 
 
 def _naming_runs(v_s, gain=None):
@@ -127,9 +122,7 @@ class SampleRun:
     clone2: tuple
 
     def __post_init__(self):
-        checked = (self.estimated_mean, self.estimated_cov)
-        checked += (self.standard_errors, self.mean_standard_errors)
-        _check_moments([self.v_s], self.shots, *(value[None] for value in checked))
+        _check_moments(self)
 
 
 @dataclass(frozen=True)
@@ -211,7 +204,16 @@ def sample_circuit(machine, v_s, displacement_variance, shots, seed, gain=UNITY_
         machine, v_s, displacement_variance, shots, [seed]
     )
     states = _replica().pcg64_states(seeds)
-    moments = _block_moments(_Blocks(shots, 1), [machine], v_s, displacement_variance, states, gain)
+    blocks = _Blocks(shots, 1)
+    factors, response, displacement, means = _block_moments(blocks, [machine], v_s, states, gain)
+    offset = displacement[:, None] * np.sqrt(displacement_variance) @ response
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = (means @ factors)[0]
+        means += offset[0]
+    cov = blocks.covs[0, 0]
+    roots = np.sqrt(np.diagonal(cov))
+    # Gaussian law (Isserlis): Var(C_ij) = (C_ii C_jj + C_ij^2) / shots
+    standard_errors = np.hypot(roots[:, None] * roots, cov) / math.sqrt(shots)
     clone1, clone2 = CLONE_PAIRS[machine]
     return SampleRun(
         machine=machine,
@@ -220,9 +222,14 @@ def sample_circuit(machine, v_s, displacement_variance, shots, seed, gain=UNITY_
         shots=shots,
         seed=seeds[0],
         rng_algorithm=RNG_ALGORITHM,
+        estimated_mean=means[0],
+        estimated_cov=cov,
+        standard_errors=standard_errors,
+        mean_standard_errors=roots / math.sqrt(shots),
+        batch_means=means[1:],
+        batch_covs=blocks.covs[0, 1:],
         clone1=clone1,
         clone2=clone2,
-        **{name: value[0] for name, value in moments.items()},
     )
 
 
@@ -254,11 +261,11 @@ def _criteria_pass(segments, shots, gain):
     blocks = _Blocks(shots, min(BLOCK_RUNS, len(v_s)))
     for start in range(0, len(v_s), BLOCK_RUNS):
         block = slice(start, start + BLOCK_RUNS)
-        _block_moments(blocks, machines[block], v_s[block], 0.0, states[block], gain)
+        _block_moments(blocks, machines[block], v_s[block], states[block], gain)
         for machine, stretch in _stretches(machines[block]):
-            pair, covs = CLONE_PAIRS[machine][0], blocks.covs[stretch]
+            moments = _pair_moments(blocks.covs[stretch], CLONE_PAIRS[machine][0])
             runs = slice(start + stretch.start, start + stretch.stop)
-            values[:, runs] = _criteria_block(v_s[runs], gain, covs, pair)
+            values[:, runs] = _criteria_block(v_s[runs], gain, moments)
     return values
 
 
@@ -362,14 +369,16 @@ class _Blocks:
             np.matmul(np.swapaxes(copy, -1, -2), bartlett[chunk], out=scatters[chunk])
         return displacement, means
 
-    def assemble(self, v_s, gain, factors, offset, means):
-        """The ``SampleRun`` arrays of runs from the batch moments of their 8 normals ``e``.
+    def assemble(self, v_s, gain, factors, means):
+        """Leave in ``covs`` the covariances of ``z`` of runs from the batch moments of
+        their 8 normals ``e``; returns the (runs, NUM_BATCHES + 1, 8) means of ``e``.
 
         ``means`` (runs, NUM_BATCHES, 8) holds each batch's mean of ``e``,
         and rows 1..NUM_BATCHES of ``e_covs`` its scatter, the sum of
         (e - mean)^T (e - mean) over the batch's shots.  The moments of
         ``e`` are combined first; ``z = e @ factors[k]`` then has means
-        ``mean @ factors[k]`` and covariances ``factors[k]^T C factors[k]``.
+        ``mean @ factors[k]`` and covariances ``factors[k]^T C factors[k]``,
+        which a ValueError naming ``v_s`` and ``gain`` rejects past the float range.
         """
         n, counts, shots = len(means), self.counts, self.shots
         e_covs, covs = self.e_covs[:n], self.covs[:n]
@@ -382,37 +391,22 @@ class _Blocks:
         scatter += np.swapaxes(spread, 1, 2) @ (counts[:, None] * spread)
         entries = e_covs.reshape(n, -1)
         entries /= self.divisors
-        # A finite draw whose image is not finite has left the float range; a
-        # NaN draw is left to the moment checks.
-        drawn = np.isfinite(e_covs).all(axis=(1, 2, 3))
+        # A finite draw whose image is not finite has left the float range.
         with np.errstate(over="ignore", invalid="ignore"):
             np.matmul(np.swapaxes(factors, 1, 2)[:, None], e_covs, out=covs)
             np.matmul(covs, factors[:, None], out=e_covs)
             np.add(e_covs, np.swapaxes(e_covs, -1, -2), out=covs)
             covs *= 0.5
-            means = np.concatenate([mean[:, None], means], axis=1) @ factors
-            means += offset[:, None]
-        in_range = np.isfinite(covs).all(axis=(1, 2, 3)) | ~drawn
+        in_range = np.isfinite(covs).all(axis=(1, 2, 3))
         _require(in_range, "its covariance leaves the float range", where=_naming_runs(v_s, gain))
-        cov = covs[:, 0]
-        roots = np.sqrt(np.diagonal(cov, axis1=1, axis2=2))
-        # Gaussian law (Isserlis): Var(C_ij) = (C_ii C_jj + C_ij^2) / shots
-        standard_errors = np.hypot(roots[:, :, None] * roots[:, None, :], cov) / math.sqrt(shots)
-        mean_standard_errors = roots / math.sqrt(shots)
-        _check_moments(v_s, shots, means[:, 0], cov, standard_errors, mean_standard_errors)
-        return {
-            "estimated_mean": means[:, 0],
-            "estimated_cov": cov,
-            "standard_errors": standard_errors,
-            "mean_standard_errors": mean_standard_errors,
-            "batch_means": means[:, 1:],
-            "batch_covs": covs[:, 1:],
-        }
+        return np.concatenate([mean[:, None], means], axis=1)
 
 
-def _block_moments(blocks, machines, v_s, displacement_variance, states, gain):
-    """The ``SampleRun`` arrays of runs of ``machines[k]`` at ``v_s[k]`` from PCG64
-    state ``states[k]``, stacked on axis 0; one affine map per ``_stretches``."""
+def _block_moments(blocks, machines, v_s, states, gain):
+    """Leave in ``blocks.covs`` the covariances of ``z`` of runs of ``machines[k]`` at
+    ``v_s[k]`` from PCG64 state ``states[k]``; returns their QR factors, displacement
+    responses, displacement normals and means of ``e``, stacked on axis 0.  One
+    affine map per ``_stretches``."""
     gx, gp = _gain_pair(gain)
     # An entry of M past the float range puts its output's variance there too.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -425,23 +419,19 @@ def _block_moments(blocks, machines, v_s, displacement_variance, states, gain):
     # with the exact law of the 18-column circuit.
     factors = np.linalg.qr(transfer, mode="r")
     displacement, means = blocks.draw(states)
-    offset = (displacement[:, None] * np.sqrt(displacement_variance) @ response)[:, 0]
-    return blocks.assemble(v_s, gain, factors, offset, means)
+    return factors, response, displacement, blocks.assemble(v_s, gain, factors, means)
 
 
-def _criteria_block(v_s, gain, covs, pair):
+def _criteria_block(v_s, gain, moments):
     """Both criteria and their batch-means errors over a stack of runs, as (4, runs).
 
-    ``covs`` is (runs, 1 + batches, 2n, 2n): along axis 1, element 0 is the
-    whole run, elements 1.. its batches.  The pair's 4x4 moments get every
-    check of a ``CorrelationMatrix``, since a ``SampleRun`` may be built by
-    hand, and the criteria read their x and p blocks.  A ValueError names
-    the first run, by ``v_s`` and ``gain`` (unless None), where a criterion
-    or its error leaves the float range.
+    ``moments`` is a clone pair's (runs, 1 + batches, 4, 4) moments: along
+    axis 1, element 0 is the whole run, elements 1.. its batches; the
+    criteria read their x and p blocks.  A ValueError names the first run,
+    by ``v_s`` and ``gain`` (unless None), where a criterion or its error
+    leaves the float range.
     """
-    root_n = np.sqrt(covs.shape[1] - 1)
-    moments = _pair_moments(covs, pair)
-    _check_pair(moments)
+    root_n = np.sqrt(moments.shape[1] - 1)
     blocks = _quadrature_blocks(moments)
     values = []
     with np.errstate(over="ignore", invalid="ignore"):
@@ -471,7 +461,10 @@ def estimate_criteria(run, clone=1):
         raise ValueError(f"clone index must be 1 or 2, got {clone}")
     pair = run.clone1 if clone == 1 else run.clone2
     covs = np.concatenate([run.estimated_cov[None], run.batch_covs])
-    values = _criteria_block([run.v_s], None, covs[None], pair)
+    # a hand-built run's moments get every check of a CorrelationMatrix
+    moments = _pair_moments(covs[None], pair)
+    _check_pair(moments)
+    values = _criteria_block([run.v_s], None, moments)
     i, i_err, eps, eps_err = (float(value) for value in values[:, 0])
     return CriteriaEstimate(
         inseparability=i,

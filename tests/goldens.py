@@ -52,8 +52,8 @@ CASES = {
     "gain_8": ["--points", "3", "--gain", "8"],
     "gain_40": ["--points", "3", "--gain", "40"],
     "mc_1m": ["--points", "5", "--mc-shots", "1000000", "--seed", "3"],
-    # 2^128 + 1: a master seed of five 32-bit words; 9 runs per machine, so
-    # that the seeds are hashed by montecarlo's replica of SeedSequence
+    # 2^128 + 1: a master seed of five 32-bit words, whose uint32 products
+    # wrap in the seed hash
     "mc_seed_2_128": [
         "--points", "9", "--mc-shots", "1000", "--seed", "340282366920938463463374607431768211457"
     ],

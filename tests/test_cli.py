@@ -191,6 +191,17 @@ def test_threshold_block_reports_both_crossings():
     assert "2 - sqrt(3)" in block
 
 
+def test_literature_values_are_printed_at_unity_gain_only(capsys):
+    # At gain 8 the roots are 0.0303 and 0.0152: the 3 dB and 5.7 dB of the
+    # literature and the note on 2 - sqrt(3) hold at unity gain alone.
+    assert main(["--points", "3", "--gain", "8"]) == 0
+    comments = [line for line in capsys.readouterr().out.splitlines() if line.startswith("#")]
+    assert len(comments) == 3  # the header and the two roots
+    assert comments[1].endswith("(15.1851 dB)") and comments[2].endswith("(18.1944 dB)")
+    block = "\n".join(comments)
+    assert "literature" not in block and "note:" not in block and "sqrt(3)" not in block
+
+
 def _closed_form_roots(gain):
     # I* = 2 / (2 + g^2); eps crosses at the smaller root of v + 1/v = 2 + g^2,
     # written as 1 / (larger root) so that it cancels no digits at large gains

@@ -19,7 +19,7 @@ from ecloner import (
     local_ecloner,
     sample_circuit,
 )
-from ecloner import _kernels, _seeding, circuits, montecarlo
+from ecloner import _kernels, _seeding, circuits, cli, criteria, montecarlo
 from ecloner.circuits import UNITY_GAIN
 from ecloner.criteria import correlation_matrix_from_cov, epr_paradox, inseparability
 from ecloner.gaussian import SYMMETRY_TOL
@@ -253,9 +253,9 @@ def test_block_plan_covers_every_run_once_in_order(monkeypatch, points, segments
     # each run's seed, known by its generator state
     seed_of = {np.random.PCG64(k).state["state"]["state"]: k for k in range(points * segments)}
 
-    def spy(run_blocks, machines, v_s, displacement_variance, states, gain):
+    def spy(run_blocks, machines, v_s, states, gain):
         plan.append((set(machines), [seed_of[state] for state, _ in states]))
-        return real(run_blocks, machines, v_s, displacement_variance, states, gain)
+        return real(run_blocks, machines, v_s, states, gain)
 
     monkeypatch.setattr(montecarlo, "_block_moments", spy)
 
@@ -307,19 +307,27 @@ def test_a_two_machine_pass_hashes_its_generator_states_in_one_call(monkeypatch,
 # local runs fill whole blocks (32 points).
 @pytest.mark.parametrize("points", [2, 5, 16, 29, 32, 40, 200])
 def test_a_two_machine_pass_takes_every_run_once_in_blocks(monkeypatch, points):
-    real, plan, criteria = montecarlo._block_moments, [], []
+    real, plan, gathered, criteria = montecarlo._block_moments, [], [], []
     seed_of = {np.random.PCG64(k).state["state"]["state"]: k for k in range(2 * points)}
 
-    def spy(run_blocks, machines, v_s, displacement_variance, states, gain):
+    def spy(run_blocks, machines, v_s, states, gain):
         plan.append((list(machines), [seed_of[state] for state, _ in states]))
-        return real(run_blocks, machines, v_s, displacement_variance, states, gain)
+        return real(run_blocks, machines, v_s, states, gain)
 
-    def criteria_spy(v_s, gain, covs, pair):
+    def pair_spy(covs, pair):
+        gathered.append((pair, real_pair(covs, pair)))
+        return gathered[-1][1]
+
+    def criteria_spy(v_s, gain, moments):
+        # the criteria read the moments of the pair gathered just before
+        pair, last = gathered[-1]
+        assert moments is last
         criteria.append((pair, len(v_s)))
-        return real_criteria(v_s, gain, covs, pair)
+        return real_criteria(v_s, gain, moments)
 
-    real_criteria = montecarlo._criteria_block
+    real_pair, real_criteria = montecarlo._pair_moments, montecarlo._criteria_block
     monkeypatch.setattr(montecarlo, "_block_moments", spy)
+    monkeypatch.setattr(montecarlo, "_pair_moments", pair_spy)
     monkeypatch.setattr(montecarlo, "_criteria_block", criteria_spy)
     segments = _two_machine_segments(np.full(points, 0.5), 0)
     assert montecarlo._criteria_pass(segments, 100, UNITY_GAIN).shape == (4, 2 * points)
@@ -354,10 +362,17 @@ def test_a_block_straddling_the_machines_gives_each_run_its_own_bits():
             ]
 
 
+# A run whose draws hold a NaN fails the covariances' range check.
+_NAN_RUN_AT_0_3 = (
+    rf"^run at v_s = 0\.3, gain = {re.escape(repr(UNITY_GAIN))}: "
+    r"its covariance leaves the float range$"
+)
+
+
 def test_a_two_machine_pass_raises_at_its_first_failing_run(monkeypatch):
     # A NaN draw in a global run of the straddling first block, and one in
-    # the second block: the first raises, naming its v_s, and the second
-    # block is never drawn.
+    # the second block: the first raises the range check, naming its v_s,
+    # and the second block is never drawn.
     points = montecarlo.BLOCK_RUNS - 3
     local_v_s, global_v_s = np.full(points, 0.5), np.full(points, 0.5)
     global_v_s[1] = 0.3
@@ -375,7 +390,7 @@ def test_a_two_machine_pass_raises_at_its_first_failing_run(monkeypatch):
             row[2 : montecarlo._NORMALS] = np.nan  # the batch means
 
     monkeypatch.setattr(montecarlo, "_draw_run", draw)
-    with pytest.raises(ValueError, match=r"^run at v_s = 0\.3: estimated covariance"):
+    with pytest.raises(ValueError, match=_NAN_RUN_AT_0_3):
         montecarlo._criteria_pass(segments, 1000, UNITY_GAIN)
     assert drawn == seeds[: montecarlo.BLOCK_RUNS]
 
@@ -478,20 +493,32 @@ def test_stacked_affine_map_is_bit_identical_to_per_point_calls(machine, gain):
 @pytest.mark.parametrize("gain", [UNITY_GAIN, (1.1, 1.7)], ids=["unity", "pair"])
 @pytest.mark.parametrize("displacement_variance", [0.0, 3.0])
 def test_stacked_runs_are_bit_identical_to_single_runs(
-    shots, machine, gain, displacement_variance
+    monkeypatch, shots, machine, gain, displacement_variance
 ):
     v_s, seeds = [0.02, 0.3, 1.0], [5, 6, 7]
+    blocks = montecarlo._Blocks(shots, len(v_s))
     stacked = montecarlo._block_moments(
-        montecarlo._Blocks(shots, len(v_s)), [machine] * len(v_s), np.array(v_s),
-        displacement_variance, _seeding.pcg64_states(seeds), gain,
+        blocks, [machine] * len(v_s), np.array(v_s), _seeding.pcg64_states(seeds), gain
     )
     criteria = montecarlo.sample_criteria(machine, v_s, seeds, shots, gain)
+
+    def run_k_of_the_block(k):
+        # sample_circuit on the stacked block's covariances and outputs for run k
+        def block_moments(run_blocks, *args):
+            run_blocks.covs[0] = blocks.covs[k]
+            return tuple(value[k : k + 1] for value in stacked)
+
+        return block_moments
+
     for k, (one_v_s, seed) in enumerate(zip(v_s, seeds)):
         run = sample_circuit(machine, one_v_s, displacement_variance, shots, seed, gain=gain)
+        with monkeypatch.context() as patch:
+            patch.setattr(montecarlo, "_block_moments", run_k_of_the_block(k))
+            from_block = sample_circuit(machine, one_v_s, displacement_variance, shots, seed, gain)
         fields = _array_fields(run)
-        assert fields.keys() == stacked.keys()
+        assert len(fields) == 6
         for name, value in fields.items():
-            assert np.array_equal(value, stacked[name][k]), name
+            assert np.array_equal(value, getattr(from_block, name)), name
         est = estimate_criteria(run)
         expected = [est.inseparability, est.inseparability_err]
         expected += [est.epr_paradox, est.epr_paradox_err]
@@ -538,7 +565,7 @@ def test_stacked_criteria_on_threads_match_the_serial_pass():
 
 def test_stacked_error_names_the_first_failing_run(monkeypatch):
     # A NaN draw in the first block and one in the second: the first block
-    # raises its moment check, and the second block is never drawn.
+    # raises its range check, and the second block is never drawn.
     v_s = [0.02, 0.3] + [0.5] * montecarlo.BLOCK_RUNS
     seeds = list(range(5, 5 + len(v_s)))
     real, drawn = montecarlo._draw_run, []
@@ -553,8 +580,7 @@ def test_stacked_error_names_the_first_failing_run(monkeypatch):
             row[2 : montecarlo._NORMALS] = np.nan  # the batch means
 
     monkeypatch.setattr(montecarlo, "_draw_run", draw)
-    first_failure = r"^run at v_s = 0\.3: estimated covariance"
-    with pytest.raises(ValueError, match=first_failure):
+    with pytest.raises(ValueError, match=_NAN_RUN_AT_0_3):
         montecarlo.sample_criteria("global", v_s, seeds, 1000)
     assert drawn == seeds[: montecarlo.BLOCK_RUNS]
     with pytest.raises(ValueError, match="unknown machine 'sideways'"):
@@ -565,25 +591,25 @@ def test_stacked_error_names_the_first_failing_run(monkeypatch):
 
 @pytest.mark.parametrize("machine", ["local", "global"])
 @pytest.mark.parametrize("displacement_variance", [0.0, 1e4])
-def test_streamed_moments_match_two_pass_definition(machine, displacement_variance):
+def test_streamed_moments_match_two_pass_definition(monkeypatch, machine, displacement_variance):
     # An explicit (shots, 8) array of normals: its batches' e-space means and
-    # scatters, merged by the assembly code, against the moments of the
-    # same array pushed through the literal circuit.
+    # scatters, merged by the assembly code and mapped by sample_circuit,
+    # against the moments of the same array pushed through the literal circuit.
     shots, v_s = UNEQUAL_SHOTS, 0.3
     rng = np.random.default_rng(71)
-    displacement = rng.standard_normal(2) * np.sqrt(displacement_variance)
+    normals = rng.standard_normal(2)
+    displacement = normals * np.sqrt(displacement_variance)
     drawn = rng.standard_normal((shots, 8))
     batches = np.split(drawn, np.cumsum(montecarlo._batch_sizes(shots))[:-1])
     means = np.array([batch.mean(axis=0) for batch in batches])
     scatters = np.array([(batch - mean).T @ (batch - mean) for batch, mean in zip(batches, means)])
-    transfer, response = _kernels.affine_map(machine, np.array([v_s]), UNITY_GAIN, UNITY_GAIN)
-    factors = np.linalg.qr(transfer, mode="r")
-    blocks = montecarlo._Blocks(shots, 1)
-    blocks.e_covs[0, 1:] = scatters
-    moments = blocks.assemble(
-        np.array([v_s]), UNITY_GAIN, factors, displacement @ response, means[None]
-    )
-    run = {name: value[0] for name, value in moments.items()}
+
+    def draw(blocks, states):
+        blocks.e_covs[0, 1:] = scatters
+        return normals[None], means[None]
+
+    monkeypatch.setattr(montecarlo._Blocks, "draw", draw)
+    run = _array_fields(sample_circuit(machine, v_s, displacement_variance, shots, seed=0))
     expected = _two_pass_moments(machine, v_s, displacement, drawn)
     assert run.keys() == expected.keys()
     for name, value in run.items():
@@ -938,6 +964,37 @@ def test_stacked_criteria_check_every_batch_matrix(batch):
         estimate_criteria(with_batch_cov(nan_entry))
     with pytest.raises(DegenerateInputError):
         estimate_criteria(with_batch_cov(zero_conditioning_variance))
+
+
+def test_moments_are_checked_once_per_run_and_never_in_the_cli_pass(monkeypatch, tmp_path):
+    # sample_circuit checks its run once, as a SampleRun; estimate_criteria
+    # checks a run's pair moments, which may be built by hand; the CLI's
+    # pass, whose covariances are range-checked and symmetric by
+    # construction, calls neither check.
+    calls = []
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def counted(*args):
+            calls.append(f"{module.__name__}.{name}")
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    spy(montecarlo, "_check_moments")
+    spy(montecarlo, "_check_pair")
+    spy(criteria, "_check_pair")  # a CorrelationMatrix's check
+    run = sample_circuit("global", 0.5, 1.0, 1000, seed=3)
+    assert calls == ["ecloner.montecarlo._check_moments"]
+    estimate_criteria(run)
+    assert calls == ["ecloner.montecarlo._check_moments", "ecloner.montecarlo._check_pair"]
+    # both machines, each over two blocks
+    calls.clear()
+    points = str(montecarlo.BLOCK_RUNS + 3)
+    argv = ["--points", points, "--mc-shots", "1000", "--output", str(tmp_path / "out.csv")]
+    assert cli.main(argv) == 0
+    assert calls == []
 
 
 def test_sample_run_invariants():
