@@ -5,7 +5,7 @@ fidelities of both machines, all derived from the circuit outputs, plus a
 threshold report locating where the whole-state machine's criteria cross 1,
 by a bracketed secant search.  Optionally cross-checks the criteria
 with the sampling oracle: one run per point and machine, all sampled in one
-``montecarlo`` pass, the local machine's runs first.
+``montecarlo.sample_criteria`` pass, the local machine's runs first.
 """
 
 import argparse
@@ -127,8 +127,9 @@ def _sample_records(table, gain, mc_shots, master_seed):
     """Append the mc columns of one seeded oracle run per (point, machine), all in one pass."""
     names = ("mc_i_{}", "mc_i_{}_err", "mc_eps_{}", "mc_eps_{}_err")
     machines, v_s = ("local", "global"), table["v_s"]
-    seeds = (montecarlo.spawn_seeds(master_seed, len(v_s), m) for m in range(2))
-    values = montecarlo._criteria_pass(list(zip(machines, (v_s, v_s), seeds)), mc_shots, gain)
+    seeds = [montecarlo.spawn_seeds(master_seed, len(v_s), m) for m in range(2)]
+    runs = [(machines[m], x, seed) for m in range(2) for x, seed in zip(v_s, seeds[m])]
+    values = montecarlo.sample_criteria(runs, mc_shots, gain)
     for machine, one_machine in zip(machines, np.split(values, 2, axis=1)):
         for name, column in zip(names, one_machine.tolist()):
             table[name.format(machine)] = column

@@ -83,8 +83,10 @@ def fidelity_from_cov(reference_cov, candidate_cov, delta=None):
     ``reference_cov`` (A) must be pure and ``candidate_cov`` (B) shares its
     size; either may be a (..., 2n, 2n) stack.  ``delta`` (..., 2n) is the
     candidate mean minus the reference mean, zero when None.  Every check of
-    :func:`pure_mixed_fidelity` applies to each matrix of the stack, and a
-    ValueError names max|A + B| where det(A + B) leaves the float range.
+    :func:`pure_mixed_fidelity` applies to each matrix of the stack.  A
+    ValueError names an argument that holds a NaN or an infinite entry, and
+    max|A + B| where det(A + B) leaves the float range.  A finite ``delta``
+    whose exponent leaves the float range gives fidelity 0.
 
     Returns
     -------
@@ -105,6 +107,9 @@ def fidelity_from_cov(reference_cov, candidate_cov, delta=None):
     except ValueError:
         shapes = f"reference {a.shape}, candidate {b.shape}, delta {getattr(delta, 'shape', None)}"
         raise ValueError(f"stacks do not broadcast: {shapes}") from None
+    for name, value in (("reference_cov", a), ("candidate_cov", b), ("delta", delta)):
+        if value is not None:
+            _require(np.isfinite(value), name + " must be finite, got {value}", value)
     return _fidelity(a, b, delta, split=False)
 
 
@@ -127,8 +132,13 @@ def _fidelity(a, b, delta, split):
     _require(regular, "A + B is singular (det {value})", det_joint, error=DegenerateInputError)
     exponent = 0.0
     if delta is not None:
-        solved = np.linalg.solve(joint, delta[..., None])[..., 0]
-        exponent = -0.5 * np.sum(delta * solved, axis=-1)
+        # delta / scale, with scale a power of 2 (exact), has entries below 2: only the
+        # last factor can leave the float range, and a far delta's exponent is -inf
+        scale = np.ldexp(1.0, np.frexp(np.max(np.abs(delta), axis=-1))[1] - 1)
+        unit = delta / scale[..., None]
+        solved = np.linalg.solve(joint, unit[..., None])[..., 0]
+        with np.errstate(over="ignore"):
+            exponent = -0.5 * np.sum(unit * solved, axis=-1) * scale * scale
     modes = a.shape[-1] if split else a.shape[-1] // 2
     value = 2.0**modes / np.sqrt(det_joint) * np.exp(exponent)
     # det(A + B) carries the rounding of the pure reference's spectrum

@@ -428,7 +428,10 @@ def displace(state, delta):
     if delta.shape != state.mean.shape:
         raise ValueError(f"displacement must have shape {state.mean.shape}, got {delta.shape}")
     _require(np.isfinite(delta), "displacement must be finite, got {value}", delta)
-    return GaussianState(state.mean + delta, state.cov)
+    # a mean past the float range is the state's error, not a warning
+    with np.errstate(over="ignore"):
+        mean = state.mean + delta
+    return GaussianState(mean, state.cov)
 
 
 def append_vacuum(state, k):

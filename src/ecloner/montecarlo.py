@@ -137,21 +137,26 @@ class CriteriaEstimate:
     batches: int
 
 
-def _check_inputs(machine, v_s, displacement_variance, shots, seeds):
-    """The validated ``(v_s, displacement_variance, shots, seeds)``; ValueError names a bad one."""
-    if machine not in CLONE_PAIRS:
-        raise ValueError(f"unknown machine {machine!r}")
-    v_s = np.ravel(_check_v_s(v_s))
-    displacement_variance = float(displacement_variance)
-    if not (math.isfinite(displacement_variance) and displacement_variance >= 0):
-        raise ValueError(
-            f"displacement_variance must be finite and non-negative, got {displacement_variance}"
-        )
+def _check_runs(runs, shots):
+    """The validated ``(machines, v_s, shots, seeds)`` of ``(machine, v_s, seed)``
+    ``runs``, ``v_s`` an array; a ValueError names the first bad run or input."""
+    machines, v_s, seeds = [], [], []
+    for run in runs:
+        try:
+            machine, one_v_s, seed = run
+        except (TypeError, ValueError):
+            raise ValueError(f"a run must be a (machine, v_s, seed) triple, got {run!r}") from None
+        if not isinstance(machine, str) or machine not in CLONE_PAIRS:
+            raise ValueError(f"unknown machine {machine!r}")
+        if np.ndim(one_v_s) != 0:
+            raise ValueError(f"v_s must be one number, got {one_v_s!r}")
+        machines.append(machine)
+        v_s.append(one_v_s)
+        seeds.append(seed)
+    v_s = _check_v_s(np.array(v_s, dtype=float))
     shots = _integer_at_least("shots", shots, MIN_SHOTS)
     seeds = [_integer_at_least("seed", seed, 0) for seed in seeds]
-    if len(seeds) != len(v_s):
-        raise ValueError(f"need one seed per v_s, got {len(seeds)} seeds for {len(v_s)} v_s")
-    return v_s, displacement_variance, shots, seeds
+    return machines, v_s, shots, seeds
 
 
 def _replica():
@@ -200,12 +205,14 @@ def sample_circuit(machine, v_s, displacement_variance, shots, seed, gain=UNITY_
         Mode ordering matches the analytic machines: (1A, 2A, 1B, 2B) for
         the local machine, (1A, 1B, 2A, 2B) for the global one.
     """
-    v_s, displacement_variance, shots, seeds = _check_inputs(
-        machine, v_s, displacement_variance, shots, [seed]
-    )
+    machines, v_s, shots, seeds = _check_runs([(machine, v_s, seed)], shots)
+    displacement_variance = float(displacement_variance)
+    in_domain = math.isfinite(displacement_variance) and displacement_variance >= 0
+    message = "displacement_variance must be finite and non-negative, got {value}"
+    _require(in_domain, message, displacement_variance)
     states = _replica().pcg64_states(seeds)
     blocks = _Blocks(shots, 1)
-    factors, response, displacement, means = _block_moments(blocks, [machine], v_s, states, gain)
+    factors, response, displacement, means = _block_moments(blocks, machines, v_s, states, gain)
     offset = displacement[:, None] * np.sqrt(displacement_variance) @ response
     with np.errstate(over="ignore", invalid="ignore"):
         means = (means @ factors)[0]
@@ -233,29 +240,19 @@ def sample_circuit(machine, v_s, displacement_variance, shots, seed, gain=UNITY_
     )
 
 
-def sample_criteria(machine, v_s, seeds, shots, gain=UNITY_GAIN):
-    """Both criteria of one run of ``machine`` per ``(v_s[k], seeds[k])``.
+def sample_criteria(runs, shots, gain=UNITY_GAIN):
+    """Both criteria of each ``(machine, v_s, seed)`` of ``runs``, from one pass.
 
-    Returns a (4, len(v_s)) array: the fields ``inseparability``,
+    Returns a (4, len(runs)) array: the fields ``inseparability``,
     ``inseparability_err``, ``epr_paradox`` and ``epr_paradox_err`` of
-    ``estimate_criteria(sample_circuit(machine, v_s[k], displacement_variance,
-    shots, seeds[k], gain))`` for each run, with the same bits at any
+    ``estimate_criteria(sample_circuit(machine, v_s, displacement_variance,
+    shots, seed, gain))`` for each run, with the same bits at any
     displacement variance, which the covariance estimates never see.  The
-    runs are sampled in consecutive blocks of ``BLOCK_RUNS``, in order, so
-    the first failing run raises and no block behind it is drawn.
+    runs are sampled in consecutive blocks of ``BLOCK_RUNS``, in order,
+    which may hold runs of both machines, so the first failing run raises
+    and no block behind it is drawn.
     """
-    return _criteria_pass([(machine, v_s, seeds)], shots, gain)
-
-
-def _criteria_pass(segments, shots, gain):
-    """``sample_criteria`` of each ``(machine, v_s, seeds)`` of ``segments``, side by side,
-    from one pass whose blocks may straddle two segments."""
-    machines, v_s, seeds = [], np.empty(0), []
-    for machine, one_v_s, one_seeds in segments:
-        one_v_s, _, shots, one_seeds = _check_inputs(machine, one_v_s, 0.0, shots, one_seeds)
-        machines += [machine] * len(one_v_s)
-        v_s = np.append(v_s, one_v_s)
-        seeds += one_seeds
+    machines, v_s, shots, seeds = _check_runs(runs, shots)
     states = _replica().pcg64_states(seeds)
     values = np.empty((4, len(v_s)))
     blocks = _Blocks(shots, min(BLOCK_RUNS, len(v_s)))
@@ -264,8 +261,8 @@ def _criteria_pass(segments, shots, gain):
         _block_moments(blocks, machines[block], v_s[block], states[block], gain)
         for machine, stretch in _stretches(machines[block]):
             moments = _pair_moments(blocks.covs[stretch], CLONE_PAIRS[machine][0])
-            runs = slice(start + stretch.start, start + stretch.stop)
-            values[:, runs] = _criteria_block(v_s[runs], gain, moments)
+            columns = slice(start + stretch.start, start + stretch.stop)
+            values[:, columns] = _criteria_block(v_s[columns], gain, moments)
     return values
 
 

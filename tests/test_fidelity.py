@@ -195,6 +195,35 @@ def test_determinant_past_the_float_range_is_reported_as_such():
         fidelity_from_cov(np.eye(2), np.array([np.eye(2), 1e300 * np.eye(2)]))
 
 
+@pytest.mark.parametrize("argument", ["reference_cov", "candidate_cov", "delta"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_fidelity_from_cov_names_a_non_finite_argument(argument, bad):
+    # in the second matrix of a stack; a NaN would read as a singular A + B,
+    # an impure reference or an escaped fidelity further on
+    arguments = {
+        "reference_cov": np.stack([np.eye(4)] * 2),
+        "candidate_cov": np.stack([np.eye(4)] * 2),
+        "delta": np.zeros((2, 4)),
+    }
+    arguments[argument][1, ..., 2] = bad
+    with pytest.raises(ValueError, match=rf"^{argument} must be finite, got {bad}$"):
+        fidelity_from_cov(**arguments)
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_far_displacement_has_fidelity_zero():
+    # d^T (A + B)^-1 d overflows; no escaped warning
+    assert fidelity_from_cov(np.eye(2), np.eye(2), (1e160, 0.0)).value == 0.0
+    far = displace(vacuum(1), (1e160, 0.0))
+    assert pure_mixed_fidelity(vacuum(1), far).value == 0.0
+    # correlated modes whose terms d_i ((A + B)^-1 d)_i overflow with opposite
+    # signs, which summed term by term give NaN
+    epr = epr_source(0.1).cov
+    assert fidelity_from_cov(epr, epr, (1e160, 0.0, -1e155, 0.0)).value == 0.0
+    # at the largest finite displacements, of either sign
+    assert fidelity_from_cov(np.eye(2), np.eye(2), (1.7e308, -1.7e308)).value == 0.0
+
+
 def test_closed_form_domain_checks():
     for fn in (local_fidelity, global_fidelity):
         for bad in (0.0, 1.2, 1.5, np.nan):

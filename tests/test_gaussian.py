@@ -347,6 +347,15 @@ def test_validation_rejects_non_finite_input(build):
         build()
 
 
+@pytest.mark.filterwarnings("error")
+def test_a_mean_displaced_past_the_float_range_is_the_states_error():
+    far = displace(vacuum(1), (1e308, 0.0))
+    with pytest.raises(ValueError, match=r"^mean must be finite, got inf$"):
+        displace(far, (1e308, 0.0))
+    with pytest.raises(ValueError, match=r"^mean must be finite, got -inf$"):
+        displace(displace(vacuum(1), (0.0, -1e308)), (0.0, -1e308))
+
+
 def test_uncertainty_tolerance_scales_with_the_largest_entry():
     nu = 1.0 - 5.0 * SPECTRAL_TOL  # symplectic eigenvalue of both matrices below
     # at unit scale the deficit is far beyond rounding and is rejected

@@ -238,6 +238,11 @@ def test_a_run_past_2_pow_53_shots_estimates_its_exact_law():
     assert np.all(np.abs(run.estimated_cov - transfer.T @ transfer) <= 5.0 * run.standard_errors)
 
 
+def _runs(machine, v_s, seeds):
+    """The ``(machine, v_s, seed)`` runs of ``machine`` at ``v_s[k]`` from ``seeds[k]``."""
+    return [(machine, one_v_s, seed) for one_v_s, seed in zip(v_s, seeds)]
+
+
 # (runs per segment, segments, blocks): the runs alternate machines in
 # segments, one pass per segment; blocks are of one machine, each of at most
 # BLOCK_RUNS runs.
@@ -265,7 +270,7 @@ def test_block_plan_covers_every_run_once_in_order(monkeypatch, points, segments
         for start in range(0, len(machines), points):
             segment = slice(start, start + points)
             v_s = np.full(len(machines[segment]), 0.5)
-            montecarlo.sample_criteria(machines[start], v_s, seeds[segment], 100)
+            montecarlo.sample_criteria(_runs(machines[start], v_s, seeds[segment]), 100)
         return list(plan)
 
     machines = [("local", "global")[s % 2] for s in range(segments) for _ in range(points)]
@@ -280,10 +285,10 @@ def test_block_plan_covers_every_run_once_in_order(monkeypatch, points, segments
     ]
 
 
-def _two_machine_segments(v_s, first_seed):
+def _two_machine_runs(v_s, first_seed):
     """The local then the global machine's runs at ``v_s``, with consecutive seeds."""
     seeds = range(first_seed, first_seed + 2 * len(v_s))
-    return [("local", v_s, seeds[: len(v_s)]), ("global", v_s, seeds[len(v_s) :])]
+    return _runs("local", v_s, seeds[: len(v_s)]) + _runs("global", v_s, seeds[len(v_s) :])
 
 
 @pytest.mark.parametrize("points", [5, 40])
@@ -295,10 +300,11 @@ def test_a_two_machine_pass_hashes_its_generator_states_in_one_call(monkeypatch,
         return real(seeds)
 
     monkeypatch.setattr(_seeding, "pcg64_states", spy)
-    segments = _two_machine_segments(np.geomspace(0.05, 1.0, points), 11)
-    values = montecarlo._criteria_pass(segments, 1000, UNITY_GAIN)
+    runs = _two_machine_runs(np.geomspace(0.05, 1.0, points), 11)
+    values = montecarlo.sample_criteria(runs, 1000)
     assert calls == [list(range(11, 11 + 2 * points))]
-    alone = [montecarlo.sample_criteria(machine, v_s, seeds, 1000) for machine, v_s, seeds in segments]
+    alone = [montecarlo.sample_criteria(runs[:points], 1000)]
+    alone.append(montecarlo.sample_criteria(runs[points:], 1000))
     assert np.array_equal(values, np.hstack(alone))
 
 
@@ -329,8 +335,8 @@ def test_a_two_machine_pass_takes_every_run_once_in_blocks(monkeypatch, points):
     monkeypatch.setattr(montecarlo, "_block_moments", spy)
     monkeypatch.setattr(montecarlo, "_pair_moments", pair_spy)
     monkeypatch.setattr(montecarlo, "_criteria_block", criteria_spy)
-    segments = _two_machine_segments(np.full(points, 0.5), 0)
-    assert montecarlo._criteria_pass(segments, 100, UNITY_GAIN).shape == (4, 2 * points)
+    runs = _two_machine_runs(np.full(points, 0.5), 0)
+    assert montecarlo.sample_criteria(runs, 100).shape == (4, 2 * points)
     assert len(plan) == math.ceil(2 * points / montecarlo.BLOCK_RUNS)
     assert [k for _, block in plan for k in block] == list(range(2 * points))
     machine_of = ["local"] * points + ["global"] * points
@@ -351,15 +357,14 @@ def test_a_block_straddling_the_machines_gives_each_run_its_own_bits():
     # global machine's first 3.
     points, shots = montecarlo.BLOCK_RUNS - 3, 2017
     v_s = np.geomspace(0.05, 1.0, points)
-    segments = _two_machine_segments(v_s, 400)
-    values = montecarlo._criteria_pass(segments, shots, UNITY_GAIN)
+    runs = _two_machine_runs(v_s, 400)
+    values = montecarlo.sample_criteria(runs, shots)
     assert values.shape == (4, 2 * points)
-    for (machine, _, seeds), one_machine in zip(segments, np.split(values, 2, axis=1)):
-        for k, (one_v_s, seed) in enumerate(zip(v_s, seeds)):
-            est = estimate_criteria(sample_circuit(machine, one_v_s, 0.0, shots, seed))
-            assert one_machine[:, k].tolist() == [
-                est.inseparability, est.inseparability_err, est.epr_paradox, est.epr_paradox_err
-            ]
+    for k, (machine, one_v_s, seed) in enumerate(runs):
+        est = estimate_criteria(sample_circuit(machine, one_v_s, 0.0, shots, seed))
+        assert values[:, k].tolist() == [
+            est.inseparability, est.inseparability_err, est.epr_paradox, est.epr_paradox_err
+        ]
 
 
 # A run whose draws hold a NaN fails the covariances' range check.
@@ -377,7 +382,7 @@ def test_a_two_machine_pass_raises_at_its_first_failing_run(monkeypatch):
     local_v_s, global_v_s = np.full(points, 0.5), np.full(points, 0.5)
     global_v_s[1] = 0.3
     seeds = list(range(5, 5 + 2 * points))
-    segments = [("local", local_v_s, seeds[:points]), ("global", global_v_s, seeds[points:])]
+    runs = _runs("local", local_v_s, seeds[:points]) + _runs("global", global_v_s, seeds[points:])
     failing = (seeds[points + 1], seeds[-1])
     real, drawn = montecarlo._draw_run, []
     by_state = {np.random.PCG64(seed).state["state"]["state"]: seed for seed in seeds}
@@ -391,7 +396,7 @@ def test_a_two_machine_pass_raises_at_its_first_failing_run(monkeypatch):
 
     monkeypatch.setattr(montecarlo, "_draw_run", draw)
     with pytest.raises(ValueError, match=_NAN_RUN_AT_0_3):
-        montecarlo._criteria_pass(segments, 1000, UNITY_GAIN)
+        montecarlo.sample_criteria(runs, 1000)
     assert drawn == seeds[: montecarlo.BLOCK_RUNS]
 
 
@@ -400,7 +405,7 @@ def test_a_pass_samples_every_run_once_in_order_across_blocks(machine):
     # Three blocks, the last of 3 runs: every column is its own single run.
     runs = 2 * montecarlo.BLOCK_RUNS + 3
     v_s, seeds = np.geomspace(0.05, 1.0, runs), range(200, 200 + runs)
-    values = montecarlo.sample_criteria(machine, v_s, seeds, 2017)
+    values = montecarlo.sample_criteria(_runs(machine, v_s, seeds), 2017)
     assert values.shape == (4, runs)
     for k, (one_v_s, seed) in enumerate(zip(v_s, seeds)):
         est = estimate_criteria(sample_circuit(machine, one_v_s, 0.0, 2017, seed))
@@ -419,16 +424,26 @@ def test_criteria_do_not_depend_on_the_block_size(monkeypatch, shots):
     machines, passes = ("local", "global"), []
     for size in (1, 3, montecarlo.BLOCK_RUNS, runs + 1):
         monkeypatch.setattr(montecarlo, "BLOCK_RUNS", size)
-        passes.append([montecarlo.sample_criteria(m, v_s, seeds, shots) for m in machines])
+        passes.append([montecarlo.sample_criteria(_runs(m, v_s, seeds), shots) for m in machines])
     for values in passes:
         for one_machine, want in zip(values, passes[0]):
             assert one_machine.shape == (4, runs) and np.array_equal(one_machine, want)
 
 
-def test_a_pass_needs_one_seed_per_v_s():
-    for v_s, seeds in (([0.5, 0.6], [1]), ([0.5], [1, 2]), ([], [1])):
-        with pytest.raises(ValueError, match="one seed per v_s"):
-            montecarlo.sample_criteria("local", v_s, seeds, 1000)
+def test_a_run_is_one_machine_v_s_and_seed():
+    # sample_circuit samples one run: a list of v_s is named as the bad v_s
+    for bad in ([0.5, 0.3], np.array([0.5]), [[0.5]]):
+        with pytest.raises(ValueError, match=r"^v_s must be one number, got "):
+            sample_circuit("global", bad, 0.0, 1000, 1)
+        with pytest.raises(ValueError, match=r"^v_s must be one number, got "):
+            montecarlo.sample_criteria([("local", 0.5, 1), ("global", bad, 2)], 1000)
+    # a run of a pass is a (machine, v_s, seed) triple
+    for bad in (("local", 0.5), ("local", 0.5, 1, 2), 0.5, None):
+        message = rf"^a run must be a \(machine, v_s, seed\) triple, got {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=message):
+            montecarlo.sample_criteria([("local", 0.5, 1), bad], 1000)
+    # no runs, no criteria
+    assert montecarlo.sample_criteria([], 1000).shape == (4, 0)
 
 
 def test_a_bad_v_s_in_a_grid_is_named_alone():
@@ -438,7 +453,7 @@ def test_a_bad_v_s_in_a_grid_is_named_alone():
     with pytest.raises(ValueError, match=message):
         circuits.machine_covariances("global", grid)
     with pytest.raises(ValueError, match=message):
-        montecarlo.sample_criteria("global", grid, range(200), 1000)
+        montecarlo.sample_criteria(_runs("global", grid, range(200)), 1000)
 
 
 def _wishart_moment_bounds(m, samples):
@@ -500,7 +515,7 @@ def test_stacked_runs_are_bit_identical_to_single_runs(
     stacked = montecarlo._block_moments(
         blocks, [machine] * len(v_s), np.array(v_s), _seeding.pcg64_states(seeds), gain
     )
-    criteria = montecarlo.sample_criteria(machine, v_s, seeds, shots, gain)
+    criteria = montecarlo.sample_criteria(_runs(machine, v_s, seeds), shots, gain)
 
     def run_k_of_the_block(k):
         # sample_circuit on the stacked block's covariances and outputs for run k
@@ -532,7 +547,8 @@ def test_stacked_criteria_on_threads_match_the_serial_pass():
     seeds = range(100, 100 + len(v_s))
 
     def both_passes():
-        passes = [montecarlo.sample_criteria(m, v_s, seeds, 2017) for m in ("local", "global")]
+        runs = [_runs(machine, v_s, seeds) for machine in ("local", "global")]
+        passes = [montecarlo.sample_criteria(one_machine, 2017) for one_machine in runs]
         return np.concatenate(passes, axis=1)
 
     serial = both_passes()
@@ -581,10 +597,10 @@ def test_stacked_error_names_the_first_failing_run(monkeypatch):
 
     monkeypatch.setattr(montecarlo, "_draw_run", draw)
     with pytest.raises(ValueError, match=_NAN_RUN_AT_0_3):
-        montecarlo.sample_criteria("global", v_s, seeds, 1000)
+        montecarlo.sample_criteria(_runs("global", v_s, seeds), 1000)
     assert drawn == seeds[: montecarlo.BLOCK_RUNS]
     with pytest.raises(ValueError, match="unknown machine 'sideways'"):
-        montecarlo.sample_criteria("sideways", [0.5], [9], 1000)
+        montecarlo.sample_criteria([("sideways", 0.5, 9)], 1000)
     with pytest.raises(ValueError, match="unknown machine 'sideways'"):
         _kernels.affine_map("sideways", 0.5, UNITY_GAIN, UNITY_GAIN)
 
@@ -834,8 +850,9 @@ def test_estimate_criteria_on_second_clone_pair():
 def test_sample_circuit_input_validation():
     with pytest.raises(ValueError):
         sample_circuit("local", 0.5, 0.0, 99, seed=1)
-    with pytest.raises(ValueError):
-        sample_circuit("sideways", 0.5, 0.0, 1000, seed=1)
+    for bad in ("sideways", ["local"], None):
+        with pytest.raises(ValueError, match=rf"^unknown machine {re.escape(repr(bad))}$"):
+            sample_circuit(bad, 0.5, 0.0, 1000, seed=1)
     for bad in (0.0, 1.5, np.nan):
         with pytest.raises(ValueError, match="squeezing variance"):
             sample_circuit("local", bad, 0.0, 1000, seed=1)
@@ -862,7 +879,7 @@ def test_covariance_past_the_float_range_raises_naming_gain(machine, gain):
     with pytest.raises(ValueError, match=message):
         sample_circuit(machine, 0.5, 0.0, 5000, 1, gain=gain)
     with pytest.raises(ValueError, match=message):
-        montecarlo.sample_criteria(machine, [0.5], [1], 5000, gain)
+        montecarlo.sample_criteria([(machine, 0.5, 1)], 5000, gain)
 
 
 @pytest.mark.filterwarnings("error")
@@ -884,7 +901,7 @@ def test_criteria_past_the_float_range_raise_naming_gain(gain):
     # grows as the fourth power of the gain, or the criteria are not.
     message = rf"^run at v_s = 0\.5, gain = {re.escape(repr(gain))}: its criteria leave"
     with pytest.raises(ValueError, match=message):
-        montecarlo.sample_criteria("local", [0.5], [1], 5000, gain)
+        montecarlo.sample_criteria([("local", 0.5, 1)], 5000, gain)
     run = sample_circuit("local", 0.5, 0.0, 5000, 1, gain=gain)
     with pytest.raises(ValueError, match=r"^run at v_s = 0\.5: its criteria leave"):
         estimate_criteria(run)
