@@ -72,9 +72,9 @@ def pure_mixed_fidelity(reference, candidate, mode_map=None):
     if sorted(order) != list(range(n)):
         raise ValueError(f"mode_map must be a permutation of 0..{n - 1}, got {order}")
     q = _quadratures(order)
-    return fidelity_from_cov(
-        reference.cov, candidate.cov[np.ix_(q, q)], candidate.mean[q] - reference.mean
-    )
+    with np.errstate(over="ignore"):  # means a float range apart: clamped, fidelity 0
+        delta = np.nan_to_num(candidate.mean[q] - reference.mean)
+    return fidelity_from_cov(reference.cov, candidate.cov[np.ix_(q, q)], delta)
 
 
 def fidelity_from_cov(reference_cov, candidate_cov, delta=None):

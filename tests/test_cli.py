@@ -16,9 +16,8 @@ import numpy as np
 import pytest
 
 from ecloner import cli, montecarlo
-from ecloner.circuits import CLONE_PAIRS, UNITY_GAIN, machine_covariances
+from ecloner.circuits import UNITY_GAIN
 from ecloner.cli import CSV_HEADER, build_parser, main, run_sweep
-from ecloner.criteria import correlation_matrix_from_cov, epr_paradox, inseparability
 
 
 def _run(argv, tmp_path=None):
@@ -226,47 +225,34 @@ def test_threshold_roots_match_closed_forms(gain, bracket):
             assert root is None
 
 
-def _scalar_search(criterion, lo, hi, gain):
-    """One criterion's crossing by the threshold search, each point a 1-point
-    machine evaluation of its own.
-
-    A 1-point stack, not a 0-d v_s: the stacked path agrees with itself
-    column for column, but only to an ulp with the scalar one.
-    """
-
-    def excess(v_s):
-        _, clones = machine_covariances("global", [v_s], gain)
-        cm = correlation_matrix_from_cov(clones, CLONE_PAIRS["global"][0])
-        return float(criterion(cm)[0]) - 1.0
-
-    def first_sign_change(points):
-        for (x, fx), (y, fy) in zip(points, points[1:]):
-            if fx * fy <= 0:
-                return x, fx, y, fy
-
-    grid = [float(x) for x in np.linspace(lo, hi, cli._SEARCH_GRID)]
-    points = [(x, excess(x)) for x in grid]
-    if points[0][1] * points[-1][1] > 0:
-        return None
-    a, f_a, b, f_b = first_sign_change(points)
-    while b - a > cli.BISECTION_TOL:
-        x_f = a + (f_a / (f_a - f_b) if f_a != f_b else 0.5) * (b - a)
-        probes = [x_f + d for d in cli._PROBE_OFFSETS]
-        inner = sorted([0.5 * (a + b)] + [x for x in probes if a < x < b])
-        points = [(a, f_a)] + [(x, excess(x)) for x in inner] + [(b, f_b)]
-        a, f_a, b, f_b = first_sign_change(points)
-    return 0.5 * (a + b)
-
-
 @pytest.mark.parametrize("gain", [UNITY_GAIN, 0.5, 1.0, 2.5, 8.0])
 @pytest.mark.parametrize(
     "bracket",
     # (0.3, 1): epr_paradox does not cross there; (0.6, 1): neither criterion does
     [(1e-3, 1.0), (0.25, 0.5), (0.3, 1.0), (0.6, 1.0)],
 )
-def test_lockstep_roots_equal_one_criterion_at_a_time(gain, bracket):
-    expected = tuple(_scalar_search(c, *bracket, gain) for c in (inseparability, epr_paradox))
-    assert cli._bisect_crossing(*bracket, gain) == expected
+def test_lockstep_roots_equal_one_criterion_at_a_time(gain, bracket, monkeypatch):
+    # each criterion's root is the same when the other never crosses 1
+    together = cli._bisect_crossing(*bracket, gain)
+    alone = []
+    for c, other in enumerate(("_epr_paradox", "_inseparability")):
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, other, lambda pair: np.full(pair.shape[:-3], 2.0))
+            alone.append(cli._bisect_crossing(*bracket, gain)[c])
+    assert together == tuple(alone)
+
+
+@pytest.mark.parametrize("gain", np.geomspace(0.05, 40.0, 120).tolist())
+def test_threshold_roots_lie_within_5e_12_of_closed_forms(gain):
+    # the closed forms themselves err by a few ulps; the roots miss them by
+    # at most 4.3e-13 over these gains
+    for lo, hi in THRESHOLD_BRACKETS:
+        roots = cli._bisect_crossing(lo, hi, gain)
+        for root, exact in zip(roots, _closed_form_roots(gain)):
+            if lo <= exact <= hi:
+                assert root is not None and abs(root - exact) <= 5e-12, (lo, hi, root, exact)
+            else:
+                assert root is None, (lo, hi, root, exact)
 
 
 def _patch_excess(monkeypatch, excess, calls):
@@ -295,22 +281,8 @@ def test_threshold_search_takes_few_global_evaluations(monkeypatch):
         for lo, hi in THRESHOLD_BRACKETS:
             calls.clear()
             cli._bisect_crossing(lo, hi, gain)
-            assert set(calls) == {"global"}
-            # the grid, then at most one step beyond the bisection's count
-            n_max = math.ceil(math.log2((hi - lo) / cli.BISECTION_TOL)) + 1
-            assert len(calls) <= 1 + n_max, (gain, lo, hi, len(calls))
-    calls.clear()
-    cli._bisect_crossing(cli.V_MIN_FLOOR, 1.0, UNITY_GAIN)
-    assert len(calls) <= 4  # a bisection to 1e-9 takes 31, the ITP search took 10
-    # A steep excess stalls regula falsi at one end; each step's midpoint
-    # still holds the search to the bound (these take 6 and 9 evaluations).
-    for steepness in (20.0, 200.0):
-        calls.clear()
-        _patch_excess(monkeypatch, lambda v_s: np.expm1(steepness * (v_s - 0.9)), calls)
-        roots = cli._bisect_crossing(0.0, 1.0, UNITY_GAIN)
-        n_max = math.ceil(math.log2(1.0 / cli.BISECTION_TOL)) + 1
-        assert len(calls) <= 1 + n_max, (steepness, len(calls))
-        assert all(abs(root - 0.9) <= cli.BISECTION_TOL for root in roots)
+            # the fit, then the certification
+            assert calls == ["global", "global"], (gain, lo, hi)
 
 
 def test_threshold_search_finds_a_root_at_either_end(monkeypatch):
@@ -321,24 +293,28 @@ def test_threshold_search_finds_a_root_at_either_end(monkeypatch):
         assert None not in roots and all(abs(r - root) <= cli.BISECTION_TOL / 2 for r in roots)
 
 
-def test_threshold_search_stops_past_its_step_cap(monkeypatch):
-    # Adjacent floats near 1e8 lie 1.5e-8 apart, so no bracket there gets
-    # narrower than BISECTION_TOL: without its cap the search never ends.
-    calls, errors = [], []
-    _patch_excess(monkeypatch, lambda v_s: v_s - (1e8 + 0.3), calls)
+def test_threshold_search_finds_a_falling_root_at_either_end(monkeypatch):
+    # as epr_paradox does, the excess falls through 0, here exactly at an end
+    for root in (0.0, 1.0):
+        _patch_excess(monkeypatch, lambda v_s, root=root: root - v_s, [])
+        roots = cli._bisect_crossing(0.0, 1.0, UNITY_GAIN)
+        assert None not in roots and all(abs(r - root) <= cli.BISECTION_TOL / 2 for r in roots)
 
-    def search():
-        try:
-            cli._bisect_crossing(1e8, 1e8 + 1.0, 2.0)
-        except RuntimeError as exc:
-            errors.append(str(exc))
 
-    thread = threading.Thread(target=search, daemon=True)
-    thread.start()
-    thread.join(timeout=60)
-    message = "threshold search on [100000000.0, 100000001.0] at gain 2.0 did not end in 31 steps"
-    assert errors == [message]
-    assert len(calls) == 1 + 31  # the ends, then exactly the 31 steps the message names
+@pytest.mark.parametrize("shift", [0.2, 1.5 * cli.BISECTION_TOL / 2])
+def test_an_uncertified_root_raises_naming_the_gain_and_the_root(shift, monkeypatch):
+    # the fit sees both criteria cross at 0.5, the certifying evaluation at
+    # 0.5 + shift: the engine still changes sign on the bracket, but not
+    # within BISECTION_TOL / 2 of the root
+    calls = []
+    _patch_excess(monkeypatch, lambda v_s: v_s - (0.5 if len(calls) == 1 else 0.5 + shift), calls)
+    message = (
+        r"^inseparability root 0\.5 at gain 2\.0 is not certified: "
+        r"the engine's inseparability - 1 keeps its sign within 5e-10 of it$"
+    )
+    with pytest.raises(RuntimeError, match=message):
+        cli._bisect_crossing(0.1, 1.0, 2.0)
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("gain", [5.8, 8.0, 20.0, 40.0])

@@ -224,6 +224,15 @@ def test_a_far_displacement_has_fidelity_zero():
     assert fidelity_from_cov(np.eye(2), np.eye(2), (1.7e308, -1.7e308)).value == 0.0
 
 
+@pytest.mark.filterwarnings("error")
+def test_means_a_float_range_apart_have_fidelity_zero():
+    # their difference overflows; no escaped warning, no error naming a delta
+    # the caller never passed
+    near, far = displace(vacuum(1), (1e308, 0.0)), displace(vacuum(1), (-1e308, 0.0))
+    assert pure_mixed_fidelity(near, far).value == 0.0
+    assert pure_mixed_fidelity(far, near).value == 0.0
+
+
 def test_closed_form_domain_checks():
     for fn in (local_fidelity, global_fidelity):
         for bad in (0.0, 1.2, 1.5, np.nan):
