@@ -57,7 +57,7 @@ from .montecarlo import (
     sample_circuit,
 )
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"
 
 __all__ = [
     "CloneSet",

@@ -37,6 +37,14 @@ V_MIN_FLOOR = 0.001
 # covariance at v_s = 1.003e-3 without a Cholesky factor; from there up
 # the failures are erratic (3e7 fails at v_s = 0.01 already).
 MAX_GAIN = 9e3
+# Smallest --gain accepted, a decade above the largest gain measured to
+# fail: over 30001 log-spaced gains in [1e-6, 1e-4] (and 501 in [1e-9,
+# 1e-4]) the last failure is at 1.37e-6.  There the epr_paradox root nears
+# v_s = 1, where the criterion's slope is of order the gain, so rounding
+# moves the engine's sign change more than BISECTION_TOL / 2 from the
+# fitted root and its certification raises.  Over 3001 log-spaced gains in
+# [1e-5, 1e-2] every root lies within 8.3e-11 of its closed form.
+MIN_GAIN = 2e-5
 # 128 + SIGPIPE: the status a shell reports for a writer killed by SIGPIPE
 EXIT_BROKEN_PIPE = 141
 
@@ -80,7 +88,7 @@ def build_parser():
         help=(
             "expert: cloner feedforward gain (default sqrt(2), the unity-gain "
             "setting that copies clone amplitudes exactly; other values bias "
-            f"the clones and break the fixed-fidelity records); at most {MAX_GAIN:g}"
+            f"the clones and break the fixed-fidelity records); in [{MIN_GAIN:g}, {MAX_GAIN:g}]"
         ),
     )
     return parser
@@ -101,8 +109,8 @@ def _validate(parser, args):
     # checked with sampling off too, so a flag's validity never depends on another
     if args.seed < 0:
         parser.error(f"--seed must be a non-negative integer, got {args.seed}")
-    if not 0 < args.gain <= MAX_GAIN:  # NaN fails too
-        parser.error(f"--gain must lie in (0, {MAX_GAIN:g}], got {args.gain}")
+    if not MIN_GAIN <= args.gain <= MAX_GAIN:  # NaN fails too
+        parser.error(f"--gain must lie in [{MIN_GAIN:g}, {MAX_GAIN:g}], got {args.gain}")
 
 
 def _analytic_records(grid, gain):
@@ -152,8 +160,9 @@ def _bisect_crossing(lo, hi, gain):
     in [0.05, 40] each root lies within 4.3e-13 of its closed form.  At tiny
     gains the epr_paradox root nears v_s = 1, where the engine's own
     criterion loses digits: the miss is 5.4e-10 at gain 1e-6 and 3.1e-8 at
-    1e-8 (4.7e-10 and 3.5e-8 for the secant search this replaced); the
-    engine still changes sign there, so the root is certified.
+    1e-8 (4.7e-10 and 3.5e-8 for the secant search this replaced), and at
+    some gains below 1.4e-6 a root is not certified; the CLI takes no gain
+    below ``MIN_GAIN``.
     """
 
     def clone_pair(v_s):
@@ -220,8 +229,9 @@ def _fmt(value):
 
 def _write_csv(stream, table, threshold_lines):
     stream.write(",".join(table) + "\n")
+    row_format = ",".join(["%.12g"] * len(table)) + "\n"  # _fmt's format, one row at a time
     for row in zip(*table.values()):
-        stream.write(",".join(map(_fmt, row)) + "\n")
+        stream.write(row_format % row)
     for line in threshold_lines:
         stream.write(f"# {line}\n")
 

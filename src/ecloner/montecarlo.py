@@ -25,22 +25,34 @@ the upper-trapezoidal T, for i < min(n - 1, 8), holds sqrt(chi^2(n - 1 - i))
 on the diagonal and unit normals right of it; its other rows are zero.
 The run's moments of ``e`` follow exactly from its batches' (Chan, Golub &
 LeVeque, 1979), and ``z = e @ R`` has the means ``mean @ R`` and the
-covariances ``R^T C R`` of the means and covariances C of ``e``.  A run's
-random stream is its 2 displacement normals, the 8 normals of each batch
-mean in batch order, the chi^2 draws in (batch, row) order, then the
-off-diagonal normals in (batch, row, column) order: 882 numbers at any
-shot count from 180 up.  ``z`` never sees the
-displacement, so the covariance estimates are exactly independent of it,
-and their standard errors are the Gaussian (Isserlis / Wishart) ones, taken
-from the run's own estimate.
+covariances ``R^T C R`` of the means and covariances C of ``e``.  ``z``
+never sees the displacement, so the covariance estimates are exactly
+independent of it, and their standard errors are the Gaussian (Isserlis /
+Wishart) ones, taken from the run's own estimate.
 
-A block of runs (``_block_moments``) shares one stacked evaluation of the
-maps, QR factors and covariances; only a run's generator calls
-(``_draw_run``) are its own, so a run has the same bits alone
-(``sample_circuit``, the one caller that maps the means, adds the
-displacement and takes standard errors) or in any block (``sample_criteria``).  A pass sets up
-its shot layout, block buffers and one generator once (``_Blocks``), and
-every block works in them in place.
+The columns of ``M`` are put in pair-first order before the QR: clone pair
+1's four quadratures (in ``_quadratures`` order), then the other four.
+``R`` and every Bartlett factor are upper triangular, and the merge of the
+leading 4x4 block reads only the leading 4 mean components, so the pair's
+run and batch covariances are ``R11^T C11 R11`` of the leading 4x4 blocks
+and depend on those draws alone.  A run's random stream is two segments of
+three generator calls each, every list in (batch, row, column) order:
+
+- the pair segment: the 2 displacement normals with each batch's 4
+  leading mean normals, the chi^2 of the 4 leading Bartlett rows, and the 6
+  off-diagonal normals among them: 282 numbers from 100 shots up;
+- the rest segment: each batch's other 4 mean normals, the other chi^2
+  draws, and the other off-diagonal normals: 600 numbers from 180 shots up
+  (fewer below, where a batch's last rows are zero).
+
+``sample_criteria`` draws only the pair segment of each run and works on
+(runs, NUM_BATCHES + 1, 4, 4) stacks.  ``sample_circuit`` draws both and
+takes the pair block of its covariances from the same function
+(``_block_moments``), so ``estimate_criteria`` of its run gives the pass's
+bits by construction.  A block of runs shares one stacked evaluation of the
+maps, QR factors and moments; only a run's generator calls (``_draw_run``)
+are its own, so a run has the same bits alone or in any block.  A pass sets
+up its shot layout, stream order and one generator once (``_Blocks``).
 
 A run's stream is still ``numpy.random.default_rng(seed)``'s, but numpy
 does not build a generator per run: one call of a replica of numpy's
@@ -58,16 +70,27 @@ import numpy as np
 from . import _kernels
 from .circuits import CLONE_PAIRS, UNITY_GAIN, _gain_pair, _naming_v_s
 from .criteria import _check_pair, _epr_paradox, _inseparability, _pair_moments
-from .gaussian import SYMMETRY_TOL, _check_v_s, _integer_at_least, _quadrature_blocks, _require
+from .gaussian import (
+    SYMMETRY_TOL,
+    _check_v_s,
+    _integer_at_least,
+    _quadrature_blocks,
+    _quadratures,
+    _require,
+)
 
 RNG_ALGORITHM = "numpy.random.default_rng (PCG64)"
 NUM_BATCHES = 20
 MIN_SHOTS = 100
-# Runs whose draws, moments and criteria are one stacked evaluation.  A
-# pass holds two (BLOCK_RUNS, NUM_BATCHES + 1, 8, 8) float stacks, 344 KB
-# each at 32: the largest size tried (8 to 32) that keeps the CLI's peak
-# RSS within 1% of 8-run blocks with per-block arrays (BENCH_20.json).
+# Runs whose draws, moments and criteria are one stacked evaluation; a
+# block's (BLOCK_RUNS, NUM_BATCHES + 1, 4, 4) float stacks are 86 KB each.
+# 64 ran the 400-run pass of a 5000-shot CLI sweep 5-11% faster than 32
+# (128 and 400 no faster than 64) but raised its peak RSS by 1.1 MB, where
+# 32 keeps it at the level of the 8x8 blocks before.
 BLOCK_RUNS = 32
+# The components of each run's e-space that the pass draws: clone pair 1's
+# four quadratures, which lead it
+_PAIR = 4
 
 
 def _check_moments(run):
@@ -211,13 +234,19 @@ def sample_circuit(machine, v_s, displacement_variance, shots, seed, gain=UNITY_
     message = "displacement_variance must be finite and non-negative, got {value}"
     _require(in_domain, message, displacement_variance)
     states = _replica().pcg64_states(seeds)
-    blocks = _Blocks(shots, 1)
-    factors, response, displacement, means = _block_moments(blocks, machines, v_s, states, gain)
+    blocks = _Blocks(shots, full=True)
+    factors, response, draws, pair = _block_moments(blocks, machines, v_s, states, gain)
+    displacement, means, bartlett = draws
+    covs, means = blocks.moments(means, bartlett, factors, v_s, gain)
+    # the pass's bits for the clone pair, so that estimate_criteria gives them
+    covs[:, :, :_PAIR, :_PAIR] = pair
+    order = np.argsort(_pair_first(machine))  # back to (x1, p1, ..., x4, p4)
+    covs = covs[0][:, order[:, None], order]
     offset = displacement[:, None] * np.sqrt(displacement_variance) @ response
     with np.errstate(over="ignore", invalid="ignore"):
-        means = (means @ factors)[0]
+        means = (means @ factors)[0][:, order]
         means += offset[0]
-    cov = blocks.covs[0, 0]
+    cov = covs[0]
     roots = np.sqrt(np.diagonal(cov))
     # Gaussian law (Isserlis): Var(C_ij) = (C_ii C_jj + C_ij^2) / shots
     standard_errors = np.hypot(roots[:, None] * roots, cov) / math.sqrt(shots)
@@ -234,7 +263,7 @@ def sample_circuit(machine, v_s, displacement_variance, shots, seed, gain=UNITY_
         standard_errors=standard_errors,
         mean_standard_errors=roots / math.sqrt(shots),
         batch_means=means[1:],
-        batch_covs=blocks.covs[0, 1:],
+        batch_covs=covs[1:],
         clone1=clone1,
         clone2=clone2,
     )
@@ -247,22 +276,22 @@ def sample_criteria(runs, shots, gain=UNITY_GAIN):
     ``inseparability_err``, ``epr_paradox`` and ``epr_paradox_err`` of
     ``estimate_criteria(sample_circuit(machine, v_s, displacement_variance,
     shots, seed, gain))`` for each run, with the same bits at any
-    displacement variance, which the covariance estimates never see.  The
-    runs are sampled in consecutive blocks of ``BLOCK_RUNS``, in order,
-    which may hold runs of both machines, so the first failing run raises
-    and no block behind it is drawn.
+    displacement variance, which the covariance estimates never see.  A
+    run draws only its pair segment (282 numbers, see the module
+    docstring), and every block's algebra, from the Bartlett squares to
+    the range check, is on the clone pair's 4x4 blocks.  The runs are
+    sampled in consecutive blocks of ``BLOCK_RUNS``, in order, which may
+    hold runs of both machines, so the first failing run raises and no
+    block behind it is drawn.
     """
     machines, v_s, shots, seeds = _check_runs(runs, shots)
     states = _replica().pcg64_states(seeds)
     values = np.empty((4, len(v_s)))
-    blocks = _Blocks(shots, min(BLOCK_RUNS, len(v_s)))
+    blocks = _Blocks(shots)
     for start in range(0, len(v_s), BLOCK_RUNS):
         block = slice(start, start + BLOCK_RUNS)
-        _block_moments(blocks, machines[block], v_s[block], states[block], gain)
-        for machine, stretch in _stretches(machines[block]):
-            moments = _pair_moments(blocks.covs[stretch], CLONE_PAIRS[machine][0])
-            columns = slice(start + stretch.start, start + stretch.stop)
-            values[:, columns] = _criteria_block(v_s[columns], gain, moments)
+        *_, pair = _block_moments(blocks, machines[block], v_s[block], states[block], gain)
+        values[:, block] = _criteria_block(v_s[block], gain, pair)
     return values
 
 
@@ -272,6 +301,13 @@ def _stretches(machines):
     return [(machines[a], slice(a, b)) for a, b in zip([0, *cuts], [*cuts, len(machines)])]
 
 
+def _pair_first(machine):
+    """The 8 output quadratures of ``machine`` in pair-first order: clone pair
+    1's four, in ``_quadratures`` order, then the others in order."""
+    lead = _quadratures(CLONE_PAIRS[machine][0]).tolist()
+    return np.array(lead + [q for q in range(8) if q not in lead])
+
+
 def _batch_sizes(shots):
     """Shots per batch: batch b holds shots ``b * shots // NUM_BATCHES`` up to
     ``(b + 1) * shots // NUM_BATCHES``, in exact integer arithmetic."""
@@ -279,20 +315,12 @@ def _batch_sizes(shots):
     return [hi - lo for lo, hi in zip(bounds, bounds[1:])]
 
 
-# A run's stream starts with its 2 displacement normals and the batch means'
-# NUM_BATCHES * 8 normals, one generator call for both.
-_NORMALS = 2 + NUM_BATCHES * 8
-# Runs whose Bartlett factors are copied at a time, so that their squares
-# take numpy's gemm route: its syrk route for T^T T costs 3-4x as much.  4
-# (a 41 KB copy) costs 30 us more per 32-run block than 8, whose 82 KB copy
-# raised the CLI's peak RSS by 0.2 MB more (BENCH_21.json).
-_SQUARE_RUNS = 4
-
-
-def _draw_run(rng, state, dof, row):
+def _draw_run(rng, state, calls, row):
     """Set ``rng``'s PCG64 to ``state``, a ``(state, inc)`` pair, and write
-    the run's generator calls into ``row`` in stream order: the ``_NORMALS``
-    normals, chi^2(``dof``), then unit normals to the row's end."""
+    the run's generator calls into ``row`` in stream order: for each
+    ``(normals, chi2, dof, upper)`` of ``calls``, unit normals into
+    ``row[normals]``, chi^2(``dof``) into ``row[chi2]``, then unit normals
+    into ``row[upper]``."""
     lcg_state, inc = state
     rng.bit_generator.state = {
         "bit_generator": "PCG64",
@@ -300,85 +328,95 @@ def _draw_run(rng, state, dof, row):
         "has_uint32": 0,
         "uinteger": 0,
     }
-    rng.standard_normal(out=row[:_NORMALS])
-    row[_NORMALS : _NORMALS + len(dof)] = rng.chisquare(dof)
-    rng.standard_normal(out=row[_NORMALS + len(dof) :])
+    for normals, chi2, dof, upper in calls:
+        rng.standard_normal(out=row[normals])
+        row[chi2] = rng.chisquare(dof)
+        rng.standard_normal(out=row[upper])
 
 
 class _Blocks:
-    """The shot layout of a pass and the buffers its blocks reuse.
+    """The shot layout of a pass, the order of its runs' streams and its generator.
 
-    Set up once per pass for blocks of at most ``runs`` runs; a block of
-    ``n`` runs works in the first ``n`` rows of every buffer and reads
-    nothing an earlier block left behind.  ``e_covs`` and ``covs`` are
-    (runs, NUM_BATCHES + 1, 8, 8) stacks, row 0 of axis 1 the whole run and
-    rows 1..NUM_BATCHES its batches.  ``covs`` ends a block holding the
-    run's and its batches' covariances of ``z``.  ``factor_copy`` holds
-    ``_SQUARE_RUNS`` runs' Bartlett factors at a time, and ``rng`` is the
-    pass's one generator.
+    A run's stream is its pair segment, and for ``full`` blocks its rest
+    segment after it; each segment is one ``(normals, chi2, dof, upper)``
+    of ``calls``, the spans of a run's row that its three generator calls
+    fill (``_draw_run``).  ``draw`` gives each run's batch means and
+    Bartlett factors of ``width`` components of ``e``, the pair's 4 or all
+    8, and ``moments`` their covariances.  ``rng`` is the pass's one
+    generator.
     """
 
-    def __init__(self, shots, runs):
+    def __init__(self, shots, full=False):
         self.shots = shots
         self.counts = np.array(_batch_sizes(shots), dtype=float)
+        self.width = width = 8 if full else _PAIR
         # Row i of a batch's Bartlett factor is drawn where its chi^2 has
-        # n - 1 - i > 0 degrees of freedom; the rows below are zero.
-        dof = np.subtract.outer(self.counts - 1.0, np.arange(8))
-        rows = dof > 0
-        self.dof = dof[rows]
-        # (batch, row, column) indices of the drawn entries, in stream order
-        self.diagonal = np.nonzero(rows[..., None] & np.eye(8, dtype=bool))
-        self.upper = np.nonzero(rows[..., None] & np.triu(np.ones((8, 8), dtype=bool), 1))
-        # The degrees of freedom of the run's scatter and of its batches',
-        # one per entry of a run's (NUM_BATCHES + 1, 8, 8) stack
-        self.divisors = np.repeat(np.append(float(shots - 1), self.counts - 1.0), 8 * 8)
-        # A run's stream: 882 numbers from 180 shots up, fewer below
-        self.stream = _NORMALS + len(self.dof) + len(self.upper[0])
-        self.e_covs = np.empty((runs, NUM_BATCHES + 1, 8, 8))
-        self.covs = np.empty_like(self.e_covs)
-        self.factor_copy = np.empty((min(runs, _SQUARE_RUNS), NUM_BATCHES, 8, 8))
+        # n - 1 - i > 0 degrees of freedom, every pair row from MIN_SHOTS up;
+        # the rows below are zero.
+        dof = np.subtract.outer(self.counts - 1.0, np.arange(width))
+        dof = np.broadcast_to(dof[..., None], dof.shape + (width,))
+        diagonal = (dof > 0) & np.eye(width, dtype=bool)
+        upper = (dof > 0) & np.triu(np.ones((width, width), dtype=bool), 1)
+        lead = np.arange(width) < _PAIR
+        pair = lead[:, None] & lead
+        # Per segment, in stream order: the flat cells of a run's (NUM_BATCHES,
+        # width) means and (NUM_BATCHES, width, width) Bartlett factors its
+        # three calls draw (mean components, diagonals, entries right of
+        # them) and the spans of the run's row they fill, after the 2
+        # displacement normals.
+        self.calls, self.takes, at = [], [], 2
+        for columns, entries in [(lead, pair), (~lead, ~pair)][: 1 + full]:
+            cells = [np.flatnonzero(np.broadcast_to(columns, dof.shape[:2]))]
+            cells += [np.flatnonzero(drawn & entries) for drawn in (diagonal, upper)]
+            spans = []
+            for drawn in cells:
+                spans.append(slice(at, at + len(drawn)))
+                at += len(drawn)
+            normals = slice(0 if not self.calls else spans[0].start, spans[0].stop)
+            self.calls.append((normals, spans[1], dof[diagonal & entries], spans[2]))
+            self.takes.append(list(zip(spans, cells)))
+        self.stream = at
         # every run sets its own state; numpy.random is imported here, not
         # with the package
         self.rng = np.random.default_rng(0)
 
     def draw(self, states):
-        """Draw a run per PCG64 ``(state, inc)`` pair; returns
-        each run's 2 displacement normals and its batches' means of ``e``,
-        and leaves their scatters in rows 1..NUM_BATCHES of ``e_covs``."""
-        n = len(states)
-        # A run's stream is drawn into its own rows of e_covs (1344 numbers),
-        # which the scatters overwrite once it is read; the Bartlett factors
-        # are built in rows 1..NUM_BATCHES of covs.
-        draws = self.e_covs[:n].reshape(n, -1)[:, : self.stream]
-        bartlett, scatters = self.covs[:n, 1:], self.e_covs[:n, 1:]
-        for state, row in zip(states, draws):
-            _draw_run(self.rng, state, self.dof, row)
-        displacement = draws[:, :2].copy()
-        means = draws[:, 2:_NORMALS].reshape(n, NUM_BATCHES, 8) / np.sqrt(self.counts)[:, None]
-        chi2 = draws[:, _NORMALS : _NORMALS + len(self.dof)]
-        bartlett[...] = 0.0
-        bartlett[(slice(None),) + self.diagonal] = np.sqrt(chi2, out=chi2)
-        bartlett[(slice(None),) + self.upper] = draws[:, _NORMALS + len(self.dof) :]
-        for start in range(0, n, _SQUARE_RUNS):
-            chunk = slice(start, start + _SQUARE_RUNS)
-            copy = self.factor_copy[: len(bartlett[chunk])]
-            np.copyto(copy, bartlett[chunk])
-            np.matmul(np.swapaxes(copy, -1, -2), bartlett[chunk], out=scatters[chunk])
-        return displacement, means
+        """Draw a run per PCG64 ``(state, inc)`` pair; returns each run's 2
+        displacement normals, its batches' means of ``e`` and their Bartlett
+        factors, stacked on axis 0."""
+        n, width = len(states), self.width
+        rows = np.empty((n, self.stream))
+        for state, row in zip(states, rows):
+            _draw_run(self.rng, state, self.calls, row)
+        means = np.empty((n, NUM_BATCHES * width))
+        bartlett = np.zeros((n, NUM_BATCHES * width * width))
+        for (mean_at, mean_cells), (chi2_at, diagonal), (upper_at, upper) in self.takes:
+            means[:, mean_cells] = rows[:, mean_at]
+            bartlett[:, diagonal] = np.sqrt(rows[:, chi2_at])
+            bartlett[:, upper] = rows[:, upper_at]
+        means = means.reshape(n, NUM_BATCHES, width) / np.sqrt(self.counts)[:, None]
+        return rows[:, :2], means, bartlett.reshape(n, NUM_BATCHES, width, width)
 
-    def assemble(self, v_s, gain, factors, means):
-        """Leave in ``covs`` the covariances of ``z`` of runs from the batch moments of
-        their 8 normals ``e``; returns the (runs, NUM_BATCHES + 1, 8) means of ``e``.
+    def moments(self, means, bartlett, factors, v_s, gain):
+        """The covariances of ``z = e @ factors[k]`` of runs and their batches,
+        and the means of ``e``, from their batches' moments of ``e``.
 
-        ``means`` (runs, NUM_BATCHES, 8) holds each batch's mean of ``e``,
-        and rows 1..NUM_BATCHES of ``e_covs`` its scatter, the sum of
-        (e - mean)^T (e - mean) over the batch's shots.  The moments of
-        ``e`` are combined first; ``z = e @ factors[k]`` then has means
-        ``mean @ factors[k]`` and covariances ``factors[k]^T C factors[k]``,
-        which a ValueError naming ``v_s`` and ``gain`` rejects past the float range.
+        ``means`` (runs, NUM_BATCHES, w) holds each batch's mean of ``e``
+        and ``bartlett`` (runs, NUM_BATCHES, w, w) its Bartlett factor T,
+        whose T^T T is the batch's scatter, the sum of (e - mean)^T (e -
+        mean) over its shots.  Returns (runs, NUM_BATCHES + 1, w, w)
+        covariances of ``z`` and (runs, NUM_BATCHES + 1, w) means of ``e``,
+        along axis 1 the run, then its batches.  The moments of ``e`` are
+        combined first; ``z`` then has covariances ``factors[k]^T C
+        factors[k]``, which a ValueError naming ``v_s`` and ``gain`` rejects
+        past the float range.
         """
-        n, counts, shots = len(means), self.counts, self.shots
-        e_covs, covs = self.e_covs[:n], self.covs[:n]
+        counts, shots = self.counts, self.shots
+        n, width = means.shape[0], means.shape[-1]
+        e_covs = np.empty((n, NUM_BATCHES + 1, width, width))
+        # T^T T on a transposed copy, so that numpy takes its gemm route: its
+        # syrk route for a matrix times its own transpose costs 3x as much
+        np.matmul(np.swapaxes(bartlett, -1, -2).copy(), bartlett, out=e_covs[:, 1:])
         mean = counts @ means / float(shots)
         # Chan, Golub & LeVeque, in e-space, where no entry exceeds the shot
         # count: the run's scatter is the sum of its batches' plus the
@@ -386,37 +424,54 @@ class _Blocks:
         spread = means - mean[:, None]
         scatter = np.sum(e_covs[:, 1:], axis=1, out=e_covs[:, 0])
         scatter += np.swapaxes(spread, 1, 2) @ (counts[:, None] * spread)
-        entries = e_covs.reshape(n, -1)
-        entries /= self.divisors
+        e_covs /= np.append(float(shots - 1), counts - 1.0)[:, None, None]
         # A finite draw whose image is not finite has left the float range.
         with np.errstate(over="ignore", invalid="ignore"):
-            np.matmul(np.swapaxes(factors, 1, 2)[:, None], e_covs, out=covs)
-            np.matmul(covs, factors[:, None], out=e_covs)
-            np.add(e_covs, np.swapaxes(e_covs, -1, -2), out=covs)
+            # R^T C R as (C R)^T R, C symmetric: each a product of a run's
+            # stacked matrices, one BLAS call per run, not one per matrix
+            half = e_covs.reshape(n, -1, width) @ factors
+            half = np.swapaxes(half.reshape(e_covs.shape), -1, -2).reshape(n, -1, width) @ factors
+            covs = half.reshape(e_covs.shape)
+            covs = covs + np.swapaxes(covs, -1, -2)
             covs *= 0.5
         in_range = np.isfinite(covs).all(axis=(1, 2, 3))
         _require(in_range, "its covariance leaves the float range", where=_naming_runs(v_s, gain))
-        return np.concatenate([mean[:, None], means], axis=1)
+        return covs, np.concatenate([mean[:, None], means], axis=1)
 
 
 def _block_moments(blocks, machines, v_s, states, gain):
-    """Leave in ``blocks.covs`` the covariances of ``z`` of runs of ``machines[k]`` at
-    ``v_s[k]`` from PCG64 state ``states[k]``; returns their QR factors, displacement
-    responses, displacement normals and means of ``e``, stacked on axis 0.  One
-    affine map per ``_stretches``."""
+    """Draw runs of ``machines[k]`` at ``v_s[k]`` from PCG64 state ``states[k]``.
+
+    Returns their QR factors in pair-first order, their displacement
+    responses, their draws (``_Blocks.draw``) and the (runs, NUM_BATCHES +
+    1, 4, 4) covariances of ``z`` of their clone pair 1, stacked on axis
+    0.  One affine map per ``_stretches``.
+    """
     gx, gp = _gain_pair(gain)
+    stretches = _stretches(machines)
     # An entry of M past the float range puts its output's variance there too.
     with np.errstate(over="ignore", invalid="ignore"):
-        maps = [_kernels.affine_map(m, v_s[runs], gx, gp) for m, runs in _stretches(machines)]
-    transfer, response = (np.concatenate(parts) for parts in zip(*maps))
+        maps = [_kernels.affine_map(m, v_s[runs], gx, gp) for m, runs in stretches]
+    transfer = np.concatenate([t[..., _pair_first(m)] for (m, _), (t, _) in zip(stretches, maps)])
+    response = np.concatenate([r for _, r in maps])
     in_range = np.isfinite(transfer).all(axis=(1, 2))
     _require(in_range, "its covariance leaves the float range", where=_naming_runs(v_s, gain))
     # transfer = Q @ factor with orthonormal Q, and u @ Q ~ N(0, I_8) for
     # u ~ N(0, I_18): 8 unit normals e give outputs e @ factor + offset
     # with the exact law of the 18-column circuit.
     factors = np.linalg.qr(transfer, mode="r")
-    displacement, means = blocks.draw(states)
-    return factors, response, displacement, blocks.assemble(v_s, gain, factors, means)
+    draws = blocks.draw(states)
+    _, means, bartlett = draws
+    # the pair's leading blocks, laid out as a pass's own whatever the width
+    # drawn, so that every run's pair has the pass's bits
+    pair, _ = blocks.moments(
+        np.ascontiguousarray(means[..., :_PAIR]),
+        np.ascontiguousarray(bartlett[..., :_PAIR, :_PAIR]),
+        factors[:, :_PAIR, :_PAIR],
+        v_s,
+        gain,
+    )
+    return factors, response, draws, pair
 
 
 def _criteria_block(v_s, gain, moments):

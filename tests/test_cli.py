@@ -349,6 +349,20 @@ def test_the_largest_gain_accepted_runs_over_the_whole_v_s_domain(capsys):
     assert line in capsys.readouterr().out
 
 
+@pytest.mark.filterwarnings("error")
+def test_the_smallest_gain_accepted_prints_roots_within_their_tolerance(capsys):
+    # Below cli.MIN_GAIN the epr_paradox root nears v_s = 1, where the
+    # engine's criterion loses the digits that certify it; at the floor both
+    # printed roots still match their closed forms.
+    argv = ["--points", "50", "--v-min", str(cli.V_MIN_FLOOR), "--mc-shots", "100"]
+    assert main(argv + ["--gain", repr(cli.MIN_GAIN)]) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines() if "= 1 at v_s" in line]
+    printed = [float(re.search(r"at v_s = ([0-9.]+)", line).group(1)) for line in lines]
+    assert len(printed) == 2
+    for value, exact in zip(printed, _closed_form_roots(cli.MIN_GAIN)):
+        assert abs(value - exact) <= 1e-9
+
+
 def _package_env():
     """The environment of a fresh interpreter that imports this package."""
     paths = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
@@ -465,6 +479,9 @@ def test_gain_flag_changes_the_records():
         ["--points", "3", "--seed", "-1"],
         ["--points", "3", "--mc-shots", "100", "--seed", "-1"],
         ["--points", "3", "--gain", "9000.001"],
+        # just below the smallest gain accepted, and a gain whose root failed to certify
+        ["--points", "3", "--gain", repr(float(np.nextafter(cli.MIN_GAIN, 0.0)))],
+        ["--points", "3", "--gain", "1e-7"],
         ["--points", "3", "--gain", "nan"],
     ],
 )
@@ -556,12 +573,12 @@ def test_failing_run_raises_as_serially_and_cancels_pending_runs(monkeypatch):
 
 
 def test_oracle_pass_memory_does_not_grow_with_points():
-    # The bound, fixed before any run: four of the (runs, NUM_BATCHES + 1,
-    # 8, 8) float stacks of one block, 1.38 MB, twice the two block buffers
-    # a pass holds and above the traced peak of one block alone (1.07 MB).
-    # Measured growth is 0.09-0.12 MB, most of it the output columns the
-    # pass leaves in the table; an unblocked pass would hold every run's
-    # stacks at once, 12.5 times a block at 400 points.
+    # The bound, fixed before any run: four (BLOCK_RUNS, NUM_BATCHES + 1, 8,
+    # 8) float stacks, 1.38 MB, above the traced peak of one block alone
+    # (0.66 MB, on the clone pair's 4x4 stacks).  Measured growth is 0.25
+    # MB, most of it the output columns the pass leaves in the table; an
+    # unblocked pass would hold every run's stacks at once, 12.5 times a
+    # block at 400 points.
     block_bytes = 4 * montecarlo.BLOCK_RUNS * (montecarlo.NUM_BATCHES + 1) * 8 * 8 * 8
     shots = 5000
     cli._sample_records({"v_s": [0.5, 1.0]}, UNITY_GAIN, shots, 1)  # one-time set-up

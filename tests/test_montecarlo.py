@@ -52,12 +52,13 @@ def _two_pass_moments(machine, v_s, displacement, drawn):
     """The moments of a run by their definitions, on a whole noise array.
 
     ``drawn`` holds 8 normals ``e`` per shot; ``e @ Q.T``, with ``Q`` the
-    orthonormal factor of the run's map ``M = Q R``, lifts them to the 18
-    inputs of the literal circuit, where ``e @ Q.T @ M = e @ R``.
+    orthonormal factor of the run's map in pair-first order ``M = Q R``,
+    lifts them to the 18 inputs of the literal circuit, where ``e @ Q.T @ M =
+    e @ R``.
     """
     shots = len(drawn)
     transfer, _ = _kernels.affine_map(machine, v_s, UNITY_GAIN, UNITY_GAIN)
-    noise = drawn @ np.linalg.qr(transfer)[0].T
+    noise = drawn @ np.linalg.qr(transfer[:, montecarlo._pair_first(machine)])[0].T
     noise[:, 0:4] *= np.sqrt([v_s, 1.0 / v_s, 1.0 / v_s, v_s])
     noise[:, 4:6] = displacement
     outputs = _kernels.literal_circuit(machine, noise, np.sqrt(v_s), UNITY_GAIN, UNITY_GAIN)
@@ -155,23 +156,89 @@ def test_generator_states_are_numpy_pcg64_states():
         assert montecarlo._replica().pcg64_states(seeds[:count]) == expected[:count]
 
 
+def _segment_dofs(shots):
+    """The chi^2 degrees of freedom of a run's pair and rest segments, in
+    (batch, row) order: row i of a batch of n shots has n - 1 - i, drawn
+    where positive, and the pair's rows are the first 4."""
+    dofs = [[n - 1.0 - i for i in range(8)] for n in montecarlo._batch_sizes(shots)]
+    pair = [dof for rows in dofs for dof in rows[:4]]
+    return pair, [dof for rows in dofs for dof in rows[4:] if dof > 0]
+
+
 @pytest.mark.parametrize("seed", RUN_SEEDS + [2**130 + 9])
 def test_a_run_draws_the_stream_of_default_rng(seed):
-    # The pass's generator has a 32-bit draw buffered from an earlier run;
-    # setting the state must drop it.
-    blocks = montecarlo._Blocks(2017, 1)
+    # Six generator calls: the pair segment (2 displacement normals and 80
+    # leading mean normals, 80 chi^2, 120 normals), then the rest segment
+    # (80 mean normals, 80 chi^2, 440 normals).  The pass's generator has a
+    # 32-bit draw buffered from an earlier run; setting the state must drop it.
+    blocks = montecarlo._Blocks(2017, full=True)
     blocks.rng.integers(2**32, dtype=np.uint32)
     row = np.empty(blocks.stream)
-    montecarlo._draw_run(blocks.rng, _seeding.pcg64_states([seed])[0], blocks.dof, row)
+    montecarlo._draw_run(blocks.rng, _seeding.pcg64_states([seed])[0], blocks.calls, row)
+    pair_dof, rest_dof = _segment_dofs(2017)
     rng = np.random.default_rng(seed)
     expected = np.concatenate(
         [
-            rng.standard_normal(montecarlo._NORMALS),
-            rng.chisquare(blocks.dof),
-            rng.standard_normal(blocks.stream - montecarlo._NORMALS - len(blocks.dof)),
+            rng.standard_normal(2 + 80),
+            rng.chisquare(pair_dof),
+            rng.standard_normal(120),
+            rng.standard_normal(80),
+            rng.chisquare(rest_dof),
+            rng.standard_normal(440),
         ]
     )
-    assert np.array_equal(row, expected)
+    assert len(row) == 882 and np.array_equal(row, expected)
+
+
+@pytest.mark.parametrize("shots", [100, 2017, 5000])
+def test_a_pass_draws_exactly_each_runs_pair_segment(monkeypatch, shots):
+    # After each run the pass's generator is where default_rng(seed) is
+    # after the pair segment's three calls, 282 numbers: nothing of the
+    # rest segment is drawn.
+    seeds = [3, 2**64 - 1, 2**130 + 9]
+    real, after = montecarlo._draw_run, []
+
+    def draw(rng, state, calls, row):
+        real(rng, state, calls, row)
+        after.append((len(row), rng.bit_generator.state["state"]))
+
+    monkeypatch.setattr(montecarlo, "_draw_run", draw)
+    montecarlo.sample_criteria([("local", 0.5, seed) for seed in seeds], shots)
+    pair_dof, _ = _segment_dofs(shots)
+    for seed, (drawn, state) in zip(seeds, after):
+        rng = np.random.default_rng(seed)
+        rng.standard_normal(2 + 80)
+        rng.chisquare(pair_dof)
+        rng.standard_normal(120)
+        assert drawn == 282 and state == rng.bit_generator.state["state"]
+    assert len(after) == len(seeds)
+
+
+@pytest.mark.parametrize("machine", ["local", "global"])
+@pytest.mark.parametrize("shots", [100, 2017])
+def test_a_runs_rest_segment_leaves_its_pair_and_criteria_alone(monkeypatch, machine, shots):
+    # The rest segment redrawn from another PCG64 state moves the run's other
+    # moments but not one bit of its clone pair's or of its criteria.
+    real, other = montecarlo._draw_run, _seeding.pcg64_states([99])[0]
+
+    def redraw_rest(rng, state, calls, row):
+        real(rng, state, calls[:1], row)
+        real(rng, other, calls[1:], row)
+
+    run = sample_circuit(machine, 0.3, 0.0, shots, seed=8)
+    with monkeypatch.context() as patch:
+        patch.setattr(montecarlo, "_draw_run", redraw_rest)
+        redrawn = sample_circuit(machine, 0.3, 0.0, shots, seed=8)
+    pair = montecarlo.CLONE_PAIRS[machine][0]
+    covs = [np.concatenate([r.estimated_cov[None], r.batch_covs]) for r in (run, redrawn)]
+    assert np.array_equal(*(criteria._pair_moments(c, pair) for c in covs))
+    assert not np.array_equal(*covs)
+    est = estimate_criteria(redrawn)
+    values = montecarlo.sample_criteria([(machine, 0.3, 8)], shots)[:, 0]
+    assert values.tolist() == [
+        est.inseparability, est.inseparability_err, est.epr_paradox, est.epr_paradox_err
+    ]
+    assert estimate_criteria(run) == est
 
 
 # One run's draws at 1000 shots from the PCG64 state of seed 2027, as numpy
@@ -179,18 +246,19 @@ def test_a_run_draws_the_stream_of_default_rng(seed):
 _CANARY_STATE = (55611647304757323001292636426646955892, 120608724771122158120179303604584792733)
 _CANARY_DRAWS = {
     "first normals": [0.11091035840930463, -0.08375769594672197, -0.8041596859989614],
-    "first chi^2": [51.10518874058889],
-    "last normal": [-0.49150457278834225],
+    "first chi^2": [55.70904875942323],
+    "last normal": [-1.413101290996026],
 }
 
 
 def test_the_oracle_stream_is_the_one_the_golden_files_were_drawn_from():
-    blocks = montecarlo._Blocks(1000, 1)
+    blocks = montecarlo._Blocks(1000, full=True)
     row = np.empty(blocks.stream)
-    montecarlo._draw_run(blocks.rng, _CANARY_STATE, blocks.dof, row)
+    montecarlo._draw_run(blocks.rng, _CANARY_STATE, blocks.calls, row)
+    first_chi2 = blocks.calls[0][1].start
     drawn = {
         "first normals": row[:3],
-        "first chi^2": row[montecarlo._NORMALS : montecarlo._NORMALS + 1],
+        "first chi^2": row[first_chi2 : first_chi2 + 1],
         "last normal": row[-1:],
     }
     for name, expected in _CANARY_DRAWS.items():
@@ -202,20 +270,22 @@ def test_the_oracle_stream_is_the_one_the_golden_files_were_drawn_from():
 
 
 def test_bartlett_squares_are_the_factors_gram_matrices():
-    # The scatters are T^T T of the drawn factors T, squared in chunks of
-    # _SQUARE_RUNS on a copy, for a block size that is no multiple of it.
-    # Each entry is a dot product of 8 terms, so any two summation orders
-    # differ by at most 2 * 8 eps |T_i| |T_j| (Cauchy-Schwarz); with
-    # OpenBLAS the gemm and syrk routes agree exactly.
+    # With identity QR factors the batch covariances are those of e, T^T T /
+    # (n - 1) of the drawn factors T.  Each entry of T^T T is a dot product of
+    # 8 terms, so any two summation orders differ by at most 2 * 8 eps |T_i|
+    # |T_j| (Cauchy-Schwarz); the division adds one rounding.
     seeds = list(range(11))
-    blocks = montecarlo._Blocks(2017, len(seeds))
-    blocks.draw(_seeding.pcg64_states(seeds))
-    factors, scatters = blocks.covs[:, 1:], blocks.e_covs[:, 1:]
-    reference = np.einsum("...ki,...kj->...ij", factors, factors)
+    blocks = montecarlo._Blocks(2017, full=True)
+    _, means, factors = blocks.draw(_seeding.pcg64_states(seeds))
+    identity = np.broadcast_to(np.eye(8), (len(seeds), 8, 8))
+    covs, _ = blocks.moments(means, factors, identity, np.full(len(seeds), 0.5), UNITY_GAIN)
+    divisors = (blocks.counts - 1.0)[:, None, None]
+    reference = np.einsum("...ki,...kj->...ij", factors, factors) / divisors
     norms = np.sqrt(np.einsum("...ki,...ki->...i", factors, factors))
-    bound = 16 * np.finfo(float).eps * norms[..., :, None] * norms[..., None, :]
-    assert np.all(np.abs(scatters - reference) <= bound)
-    assert np.array_equal(scatters, np.swapaxes(scatters, -1, -2))
+    eps = np.finfo(float).eps
+    bound = 16 * eps * norms[..., :, None] * norms[..., None, :] / divisors
+    assert np.all(np.abs(covs[:, 1:] - reference) <= bound + eps * np.abs(reference))
+    assert np.array_equal(covs, np.swapaxes(covs, -1, -2))
 
 
 # 2**60 + 3: past 2**53, where a float grid of batch bounds drops shots.
@@ -313,43 +383,33 @@ def test_a_two_machine_pass_hashes_its_generator_states_in_one_call(monkeypatch,
 # local runs fill whole blocks (32 points).
 @pytest.mark.parametrize("points", [2, 5, 16, 29, 32, 40, 200])
 def test_a_two_machine_pass_takes_every_run_once_in_blocks(monkeypatch, points):
-    real, plan, gathered, criteria = montecarlo._block_moments, [], [], []
+    real, plan, pairs, criteria = montecarlo._block_moments, [], [], []
     seed_of = {np.random.PCG64(k).state["state"]["state"]: k for k in range(2 * points)}
 
     def spy(run_blocks, machines, v_s, states, gain):
         plan.append((list(machines), [seed_of[state] for state, _ in states]))
-        return real(run_blocks, machines, v_s, states, gain)
-
-    def pair_spy(covs, pair):
-        gathered.append((pair, real_pair(covs, pair)))
-        return gathered[-1][1]
+        pairs.append(real(run_blocks, machines, v_s, states, gain)[-1])
+        return (None, None, None, pairs[-1])
 
     def criteria_spy(v_s, gain, moments):
-        # the criteria read the moments of the pair gathered just before
-        pair, last = gathered[-1]
-        assert moments is last
-        criteria.append((pair, len(v_s)))
+        # the criteria read the clone pair's moments of the block just drawn
+        assert moments is pairs[-1]
+        criteria.append(len(v_s))
         return real_criteria(v_s, gain, moments)
 
-    real_pair, real_criteria = montecarlo._pair_moments, montecarlo._criteria_block
+    real_criteria = montecarlo._criteria_block
     monkeypatch.setattr(montecarlo, "_block_moments", spy)
-    monkeypatch.setattr(montecarlo, "_pair_moments", pair_spy)
     monkeypatch.setattr(montecarlo, "_criteria_block", criteria_spy)
     runs = _two_machine_runs(np.full(points, 0.5), 0)
     assert montecarlo.sample_criteria(runs, 100).shape == (4, 2 * points)
     assert len(plan) == math.ceil(2 * points / montecarlo.BLOCK_RUNS)
     assert [k for _, block in plan for k in block] == list(range(2 * points))
     machine_of = ["local"] * points + ["global"] * points
-    expected_criteria = []
     for machines, block in plan:
         assert machines == [machine_of[k] for k in block]
         assert 0 < len(block) <= montecarlo.BLOCK_RUNS
-        # the block's criteria: once per machine's stretch of it
-        for machine in ("local", "global"):
-            if machine in machines:
-                pair = montecarlo.CLONE_PAIRS[machine][0]
-                expected_criteria.append((pair, machines.count(machine)))
-    assert criteria == expected_criteria
+    # one stacked evaluation of the criteria per block, whatever its machines
+    assert criteria == [len(block) for _, block in plan]
 
 
 def test_a_block_straddling_the_machines_gives_each_run_its_own_bits():
@@ -387,12 +447,12 @@ def test_a_two_machine_pass_raises_at_its_first_failing_run(monkeypatch):
     real, drawn = montecarlo._draw_run, []
     by_state = {np.random.PCG64(seed).state["state"]["state"]: seed for seed in seeds}
 
-    def draw(rng, state, dof, row):
+    def draw(rng, state, calls, row):
         seed = by_state[state[0]]
         drawn.append(seed)
-        real(rng, state, dof, row)
+        real(rng, state, calls, row)
         if seed in failing:
-            row[2 : montecarlo._NORMALS] = np.nan  # the batch means
+            row[2 : calls[0][0].stop] = np.nan  # the batch means
 
     monkeypatch.setattr(montecarlo, "_draw_run", draw)
     with pytest.raises(ValueError, match=_NAN_RUN_AT_0_3):
@@ -479,10 +539,10 @@ def test_batch_scatters_follow_the_wishart_law(shots, m):
     seeds = range(500)
     samples = len(seeds) * montecarlo.NUM_BATCHES
     mean, variance, mean_bound, variance_bound = _wishart_moment_bounds(m, samples)
-    blocks = montecarlo._Blocks(shots, len(seeds))
-    displacement, means = blocks.draw(_seeding.pcg64_states(seeds))
+    blocks = montecarlo._Blocks(shots, full=True)
+    displacement, means, factors = blocks.draw(_seeding.pcg64_states(seeds))
     assert displacement.shape == (len(seeds), 2) and means.shape == (len(seeds), 20, 8)
-    w = blocks.e_covs[:, 1:].reshape(samples, 8, 8)
+    w = np.einsum("...ki,...kj->...ij", factors, factors).reshape(samples, 8, 8)
     assert np.array_equal(w, np.swapaxes(w, 1, 2))
     assert np.all(np.abs(w.mean(axis=0) - mean) <= mean_bound)
     assert np.all(np.abs(w.var(axis=0, ddof=1) - variance) <= variance_bound)
@@ -511,19 +571,19 @@ def test_stacked_runs_are_bit_identical_to_single_runs(
     monkeypatch, shots, machine, gain, displacement_variance
 ):
     v_s, seeds = [0.02, 0.3, 1.0], [5, 6, 7]
-    blocks = montecarlo._Blocks(shots, len(v_s))
-    stacked = montecarlo._block_moments(
-        blocks, [machine] * len(v_s), np.array(v_s), _seeding.pcg64_states(seeds), gain
+    factors, response, draws, pair = montecarlo._block_moments(
+        montecarlo._Blocks(shots, full=True),
+        [machine] * len(v_s),
+        np.array(v_s),
+        _seeding.pcg64_states(seeds),
+        gain,
     )
     criteria = montecarlo.sample_criteria(_runs(machine, v_s, seeds), shots, gain)
 
     def run_k_of_the_block(k):
-        # sample_circuit on the stacked block's covariances and outputs for run k
-        def block_moments(run_blocks, *args):
-            run_blocks.covs[0] = blocks.covs[k]
-            return tuple(value[k : k + 1] for value in stacked)
-
-        return block_moments
+        # sample_circuit on the stacked block's maps, draws and pair covariances for run k
+        row = slice(k, k + 1)
+        return lambda *args: (factors[row], response[row], [d[row] for d in draws], pair[row])
 
     for k, (one_v_s, seed) in enumerate(zip(v_s, seeds)):
         run = sample_circuit(machine, one_v_s, displacement_variance, shots, seed, gain=gain)
@@ -588,12 +648,12 @@ def test_stacked_error_names_the_first_failing_run(monkeypatch):
     # each run is known by its generator state
     by_state = {np.random.PCG64(seed).state["state"]["state"]: seed for seed in seeds}
 
-    def draw(rng, state, dof, row):
+    def draw(rng, state, calls, row):
         seed = by_state[state[0]]
         drawn.append(seed)
-        real(rng, state, dof, row)
+        real(rng, state, calls, row)
         if seed in (6, seeds[-1]):
-            row[2 : montecarlo._NORMALS] = np.nan  # the batch means
+            row[2 : calls[0][0].stop] = np.nan  # the batch means
 
     monkeypatch.setattr(montecarlo, "_draw_run", draw)
     with pytest.raises(ValueError, match=_NAN_RUN_AT_0_3):
@@ -609,8 +669,9 @@ def test_stacked_error_names_the_first_failing_run(monkeypatch):
 @pytest.mark.parametrize("displacement_variance", [0.0, 1e4])
 def test_streamed_moments_match_two_pass_definition(monkeypatch, machine, displacement_variance):
     # An explicit (shots, 8) array of normals: its batches' e-space means and
-    # scatters, merged by the assembly code and mapped by sample_circuit,
-    # against the moments of the same array pushed through the literal circuit.
+    # scatters, the latter as T^T T of their upper Cholesky factors T, merged
+    # and mapped by sample_circuit, against the moments of the same array
+    # pushed through the literal circuit.
     shots, v_s = UNEQUAL_SHOTS, 0.3
     rng = np.random.default_rng(71)
     normals = rng.standard_normal(2)
@@ -621,8 +682,7 @@ def test_streamed_moments_match_two_pass_definition(monkeypatch, machine, displa
     scatters = np.array([(batch - mean).T @ (batch - mean) for batch, mean in zip(batches, means)])
 
     def draw(blocks, states):
-        blocks.e_covs[0, 1:] = scatters
-        return normals[None], means[None]
+        return normals[None], means[None], np.swapaxes(np.linalg.cholesky(scatters), -1, -2)[None]
 
     monkeypatch.setattr(montecarlo._Blocks, "draw", draw)
     run = _array_fields(sample_circuit(machine, v_s, displacement_variance, shots, seed=0))
