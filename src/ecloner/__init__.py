@@ -5,7 +5,8 @@ ordered (x1, p1, ..., xn, pn).  The package builds an entangled two-mode
 source and two cloning machines out of beamsplitters, homodyne feedforward,
 and squeeze gates, evaluates inseparability / conditional-variance
 entanglement criteria and overlap fidelities on the clones, and validates
-the analytic engine against a trajectory-sampling oracle.
+the analytic engine against a trajectory-sampling oracle, which is imported
+only when one of its names is first used.
 """
 
 from .circuits import (
@@ -49,15 +50,31 @@ from .gaussian import (
     symplectic_form,
     vacuum,
 )
-from .montecarlo import (
-    RNG_ALGORITHM,
-    CriteriaEstimate,
-    SampleRun,
-    estimate_criteria,
-    sample_circuit,
+
+__version__ = "0.11.0"
+
+# The sampling oracle's public names, served on first use (PEP 562): a run
+# that samples nothing never imports or compiles the oracle.
+_ORACLE_NAMES = (
+    "RNG_ALGORITHM",
+    "CriteriaEstimate",
+    "SampleRun",
+    "estimate_criteria",
+    "sample_circuit",
 )
 
-__version__ = "0.10.0"
+
+def __getattr__(name):
+    if name in _ORACLE_NAMES:
+        from . import montecarlo
+
+        return getattr(montecarlo, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_ORACLE_NAMES))
+
 
 __all__ = [
     "CloneSet",

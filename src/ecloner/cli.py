@@ -2,14 +2,19 @@
 
 Writes one record per grid point with the entanglement criteria and clone
 fidelities of both machines, all derived from the circuit outputs, plus a
-threshold report locating where the whole-state machine's criteria cross 1,
-on a 3-point Laurent fit of its clone blocks, each root certified by the
-engine.  Optionally cross-checks the criteria with the sampling oracle: one
-run per point and machine, all sampled in one ``montecarlo.sample_criteria``
-pass, the local machine's runs first.
+threshold report locating where the whole-state machine's criteria cross 1.
+Each run compiles the source and both machines once, as Laurent
+polynomials in s = sqrt(v_s), and certifies them once: the source pure at
+every v_s, each machine a Gaussian channel at the run's gain.  Every
+analytic column and the threshold search then evaluate that compiled form
+(``_Compiled``), with no gate building or spectral validation per point.
+Optionally cross-checks the criteria with the sampling oracle, imported
+only then: one run per point and machine, all sampled in one
+``montecarlo.sample_criteria`` pass, the local machine's runs first.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -17,33 +22,59 @@ from contextlib import nullcontext
 
 import numpy as np
 
-from . import montecarlo
-from .circuits import CLONE_PAIRS, UNITY_GAIN, _machine_blocks, _source_blocks
-from .criteria import _epr_paradox, _inseparability, _pair_blocks, squeezing_db
-from .fidelity import _fidelity
+from .circuits import (
+    CLONE_PAIRS,
+    UNITY_GAIN,
+    _certify_channel,
+    _certify_source,
+    _check_clone_symmetry,
+    _compile,
+    _evaluate,
+    _gain_pair,
+    _minors,
+    _naming_v_s,
+    _product,
+    _source_rows,
+    _widened,
+)
+from .criteria import _epr_paradox, _inseparability, squeezing_db
+from .exceptions import DegenerateInputError
+from .fidelity import VALUE_TOL
+from .gaussian import _require
 
 CSV_HEADER = "v_s,squeezing_db,i_local,i_global,eps_local,eps_global,f_local,f_global"
 BISECTION_TOL = 1e-9
-# The threshold search: a fit of the global machine's clone blocks at
-# _FIT_POINTS, then _REFINEMENTS cuts of each bracket on a _GRID-point grid
-_FIT_POINTS = (0.25, 0.5, 1.0)
+# The threshold search: _REFINEMENTS cuts of each bracket on a _GRID-point
+# grid of the global machine's compiled clone blocks
 _GRID = 65
 _REFINEMENTS = 5
+# Smallest --v-min accepted.  The compiled columns keep their digits far
+# below it.  At unity gain, against exact closed forms: every column within
+# 1.8e-15 relative from v_s = 1e-8 to 1; below that the local machine's stay
+# there, while the global machine's lose to rounding residue in a combined
+# row's 1/s coefficient, 1.6e-13 at 1e-10 and 1.5e-9 at 1e-12.  The 0.10.0
+# engine, which formed the criteria from covariance entries of size 1/v_s,
+# lost 1.1e-10 at 1e-3.  The floor stays where the public constructors,
+# which still validate each state, accept every source (ROADMAP item 4).
 V_MIN_FLOOR = 0.001
-# Largest --gain accepted, a decade below the smallest gain measured to fail:
-# over 3000 log-spaced gains in [1e3, 1e5] and 8000 v_s in [1e-3, 1] (4000
-# of them in [1e-3, 2e-3]), the first failure is at gain 9.4e4, where
-# rounding at entries ~gain^2/v_s leaves the global machine's clone
-# covariance at v_s = 1.003e-3 without a Cholesky factor; from there up
-# the failures are erratic (3e7 fails at v_s = 0.01 already).
+# Largest --gain accepted, a decade below the smallest gain measured to fail
+# the per-point validation the sweep ran up to 0.10.0, which
+# machine_covariances still runs: over 3000 log-spaced gains in [1e3, 1e5]
+# and 8000 v_s in [1e-3, 1] (4000 of them in [1e-3, 2e-3]), the first
+# failure is at gain 9.4e4, where rounding at entries ~gain^2/v_s leaves the
+# global machine's clone covariance at v_s = 1.003e-3 without a Cholesky
+# factor; from there up the failures are erratic (3e7 fails at v_s = 0.01
+# already).  The cap keeps every printed column reproducible through
+# machine_covariances.
 MAX_GAIN = 9e3
 # Smallest --gain accepted, a decade above the largest gain measured to
-# fail: over 30001 log-spaced gains in [1e-6, 1e-4] (and 501 in [1e-9,
-# 1e-4]) the last failure is at 1.37e-6.  There the epr_paradox root nears
-# v_s = 1, where the criterion's slope is of order the gain, so rounding
-# moves the engine's sign change more than BISECTION_TOL / 2 from the
-# fitted root and its certification raises.  Over 3001 log-spaced gains in
-# [1e-5, 1e-2] every root lies within 8.3e-11 of its closed form.
+# fail with the 0.10.0 engine: over 30001 log-spaced gains in [1e-6, 1e-4]
+# (and 501 in [1e-9, 1e-4]) the last failure is at 1.37e-6.  There the
+# epr_paradox root nears v_s = 1, where the criterion's slope is of order
+# the gain, so rounding moved the engine's sign change more than
+# BISECTION_TOL / 2 from the fitted root and its certification raised.
+# Over 3001 log-spaced gains in [1e-5, 1e-2] every root lies within 8.3e-11
+# of its closed form.
 MIN_GAIN = 2e-5
 # 128 + SIGPIPE: the status a shell reports for a writer killed by SIGPIPE
 EXIT_BROKEN_PIPE = 141
@@ -97,15 +128,13 @@ def build_parser():
 def _validate(parser, args):
     if args.points < 2:
         parser.error(f"--points must be at least 2, got {args.points}")
-    # the global machine's criteria are computed from covariance entries of
-    # size 1/v_s, so their relative error grows as 1/v_s^2 (2e-9 at 1e-4);
-    # the spectral validation rejects some states below 1e-4
     if not V_MIN_FLOOR <= args.v_min < 1.0:
         parser.error(f"--v-min must lie in [{V_MIN_FLOOR}, 1), got {args.v_min}")
-    if args.mc_shots != 0 and args.mc_shots < montecarlo.MIN_SHOTS:
-        parser.error(
-            f"--mc-shots must be 0 or at least {montecarlo.MIN_SHOTS}, got {args.mc_shots}"
-        )
+    if args.mc_shots != 0:
+        from .montecarlo import MIN_SHOTS
+
+        if args.mc_shots < MIN_SHOTS:
+            parser.error(f"--mc-shots must be 0 or at least {MIN_SHOTS}, got {args.mc_shots}")
     # checked with sampling off too, so a flag's validity never depends on another
     if args.seed < 0:
         parser.error(f"--seed must be a non-negative integer, got {args.seed}")
@@ -113,27 +142,113 @@ def _validate(parser, args):
         parser.error(f"--gain must lie in [{MIN_GAIN:g}, {MAX_GAIN:g}], got {args.gain}")
 
 
-def _analytic_records(grid, gain):
-    """The analytic columns in CSV_HEADER order, each from one stacked evaluation
-    on the engine's x and p blocks."""
+class _Compiled:
+    """One machine fed by the EPR source at one gain, compiled and certified once.
+
+    Every quantity the sweep reads is a set of Laurent coefficients in
+    s = sqrt(v_s), formed once here; a grid costs one matrix product for all
+    of them (``circuits._evaluate``).  With F the output factor of source and
+    machine (``rows``, from ``circuits._compile``), F_a and F_b clone 1's
+    rows and S the source's:
+
+    - ``variances``, ||F_k||^2 of each output k, a polynomial of
+      nonnegative terms: the clone symmetry check and C_bb;
+    - ``combined``, F_a - F_b and F_a + F_b: the inseparability's
+      C_aa + C_bb - 2|C_ab| is the smaller squared norm, ||F_a - sigma F_b||^2
+      with sigma the sign of C_ab;
+    - ``conditional``, the 2 x 2 minors of (F_a, F_b): by the Lagrange
+      identity their squares sum to C_aa C_bb - C_ab^2, the epr_paradox's
+      conditional variance times C_bb;
+    - ``joint``, the minors of ([S_a | F_a], [S_b | F_b]): by Cauchy-Binet
+      their squares sum to det(A + B) of the source and the clone pair, so
+      the fidelity needs no per-point purity check.
+
+    Each value is a sum of squares, and the global machine's s and 1/s
+    cancel as exponents, so every column is exact to rounding.
+    """
+
+    def __init__(self, machine, gain, source):
+        gx, gp = _gain_pair(gain)
+        self.machine, self.gain = machine, gain
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.rows = _compile(machine, gx, gp, source)
+            # at v_s = 1 the source is a 50/50, symplectic: the machine's certificate
+            _certify_channel(_evaluate(self.rows, 1.0), machine, gain)
+            n = max(len(self.rows), len(source)) // 2
+            pair = _widened(self.rows, n)[:, :, list(CLONE_PAIRS[machine][0])]
+            (f_a, f_b), (s_a, s_b) = np.moveaxis(pair, 2, 0), np.moveaxis(_widened(source, n), 2, 0)
+            self.variances = _product(self.rows, self.rows).sum(axis=-1)
+            self.combined = np.stack([f_a - f_b, f_a + f_b], axis=-2)
+            self.conditional = _minors(f_a, f_b)
+            self.joint = _minors(np.concatenate([s_a, f_a], -1), np.concatenate([s_b, f_b], -1))
+
+    @functools.cached_property
+    def _table(self):
+        """The sets on one (powers, entries) matrix, less its columns of zeros,
+        and where each sum of squares starts in it: 4 combined rows, then 2
+        conditional and 2 joint determinants, x before p; then the 8 variances,
+        already squared."""
+        sets = (self.combined, self.conditional, self.joint, self.variances[..., None])
+        n = max(len(coef) for coef in sets) // 2
+        flat = [_widened(coef, n).reshape(2 * n + 1, -1) for coef in sets]
+        ends = np.cumsum([f.shape[1] for f in flat])
+        starts = np.concatenate(
+            [np.arange(e - f.shape[1], e, c.shape[-1]) for e, f, c in zip(ends, flat, sets)]
+        )
+        coef = np.concatenate(flat, axis=1)
+        keep = coef.any(axis=0)
+        keep[starts] = True  # every sum keeps a column, if only one of zeros
+        return coef[:, keep], (np.cumsum(keep) - 1)[starts], np.sum(keep[: ends[-2]])
+
+    def columns(self, v):
+        """(inseparability, epr_paradox, fidelity) of clone 1 at the v_s ``v``,
+        each stacked like v.  Checked per point, each error naming the v_s
+        and the gain: the float range, clone symmetry, a positive
+        conditioning variance and a fidelity within [0, 1]."""
+        coef, starts, squared = self._table
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = _evaluate(coef, v)
+            values[..., :squared] **= 2  # in place: a second array this size costs more
+            sums = np.add.reduceat(values, starts, axis=-1)
+        c = np.min(sums[..., :4].reshape(np.shape(v) + (2, 2)), axis=-1)
+        conditional, joint = sums[..., 4:6], sums[..., 6:8]
+        var = sums[..., 8:].reshape(np.shape(v) + (2, 4))
+        where = _naming_v_s(v, self.gain)
+        _require(np.isfinite(sums).all(axis=-1), "the clones leave the float range", where=where)
+        _check_clone_symmetry(var, *CLONE_PAIRS[self.machine], where)
+        v_cond = var[..., CLONE_PAIRS[self.machine][0][1]]
+        message = "the conditioning variance of the epr_paradox is not positive"
+        _require((v_cond > 0).all(axis=-1), message, where=where, error=DegenerateInputError)
+        inseparability = 0.5 * np.sqrt(c[..., 0] * c[..., 1])
+        epr_paradox = conditional[..., 0] / v_cond[..., 0] * (conditional[..., 1] / v_cond[..., 1])
+        fidelity = 4.0 / np.sqrt(joint[..., 0] * joint[..., 1])
+        inside = (fidelity >= 0.0) & (fidelity <= 1.0 + VALUE_TOL)
+        _require(inside, "fidelity {value} escaped [0, 1]", fidelity, where, RuntimeError)
+        return inseparability, epr_paradox, fidelity
+
+
+def _compile_run(gain, machines=tuple(CLONE_PAIRS)):
+    """The ``machines`` (both by default) at ``gain``, compiled and certified
+    once for a run, on one source certified once."""
+    source = _source_rows()
+    _certify_source(source, f"{' and '.join(machines)} machines at gain {gain!r}")
+    return {name: _Compiled(name, gain, source) for name in machines}
+
+
+def _analytic_records(grid, machines):
+    """The analytic columns in CSV_HEADER order, from the run's compiled
+    ``machines`` (``_compile_run``), each column one stacked evaluation."""
     table = {"v_s": grid.tolist(), "squeezing_db": [squeezing_db(v_s) for v_s in grid]}
-    source = _source_blocks(grid)
-    clones = []
-    for name in ("local", "global"):
-        _, blocks = _machine_blocks(name, grid, gain, source)
-        # clone 1's blocks: its reduced covariance, and the criteria's input
-        pair = _pair_blocks(blocks, CLONE_PAIRS[name][0])
-        table[f"i_{name}"] = _inseparability(pair).tolist()
-        table[f"eps_{name}"] = _epr_paradox(pair).tolist()
-        clones.append(pair)
-    # both machines share the source: one call checks its purity once
-    fidelities = _fidelity(source, np.stack(clones), None, split=True).value.tolist()
-    table["f_local"], table["f_global"] = fidelities
+    for name, machine in machines.items():
+        for key, column in zip(("i", "eps", "f"), machine.columns(grid)):
+            table[f"{key}_{name}"] = column.tolist()
     return {key: table[key] for key in CSV_HEADER.split(",")}
 
 
 def _sample_records(table, gain, mc_shots, master_seed):
     """Append the mc columns of one seeded oracle run per (point, machine), all in one pass."""
+    from . import montecarlo
+
     names = ("mc_i_{}", "mc_i_{}_err", "mc_eps_{}", "mc_eps_{}_err")
     machines, v_s = ("local", "global"), table["v_s"]
     seeds = [montecarlo.spawn_seeds(master_seed, len(v_s), m) for m in range(2)]
@@ -144,49 +259,60 @@ def _sample_records(table, gain, mc_shots, master_seed):
             table[name.format(machine)] = column
 
 
-def _bisect_crossing(lo, hi, gain):
+def _bisect_crossing(lo, hi, gain, machine=None):
     """Roots of inseparability = 1 and epr_paradox = 1 on [lo, hi], found together.
 
     Returns ``(inseparability_root, epr_paradox_root)``, None where the
-    engine's criterion does not change sign between ``lo`` and ``hi``.  The
-    global machine's clone blocks are exactly A v_s + B + C / v_s at any
-    gain, so one engine evaluation at ``_FIT_POINTS`` fixes them.  On that
-    model, ``_REFINEMENTS`` times, each criterion's bracket shrinks to the
-    first cell of a ``_GRID``-point grid with a sign change (the first cell
-    where none has one); one regula-falsi step then gives the root.  A
-    second engine evaluation certifies it: a crossing criterion must change
-    sign within ``BISECTION_TOL / 2`` of the root (clipped to [lo, hi]), or
-    a RuntimeError names the gain and the root.  Over 400 log-spaced gains
-    in [0.05, 40] each root lies within 4.3e-13 of its closed form.  At tiny
-    gains the epr_paradox root nears v_s = 1, where the engine's own
-    criterion loses digits: the miss is 5.4e-10 at gain 1e-6 and 3.1e-8 at
-    1e-8 (4.7e-10 and 3.5e-8 for the secant search this replaced), and at
-    some gains below 1.4e-6 a root is not certified; the CLI takes no gain
-    below ``MIN_GAIN``.
+    global machine's compiled criterion does not change sign between ``lo``
+    and ``hi``.  ``machine`` is the run's compiled global machine, compiled
+    here when None.  Its clone blocks are exactly A v_s + B + C / v_s at any
+    gain, and the model reads them from the compiled pair rows as the
+    Laurent product F_pair F_pair^T (``_find_roots`` does the search).  Over
+    400 log-spaced gains in [0.05, 40] each root lies within 4.3e-13 of its
+    closed form.  At tiny gains the epr_paradox root nears v_s = 1, where
+    the criterion's slope is of order the gain; the CLI takes no gain below
+    ``MIN_GAIN``.
     """
+    if machine is None:
+        machine = _compile_run(gain, ("global",))["global"]
+    pair = machine.rows[:, :, list(CLONE_PAIRS["global"][0])]
+    blocks = _product(pair[:, :, :, None], pair[:, :, None, :]).sum(axis=-1)
 
-    def clone_pair(v_s):
-        return _pair_blocks(_machine_blocks("global", v_s, gain)[1], CLONE_PAIRS["global"][0])
+    def model(v):  # leading axis: criterion
+        pair_blocks = _evaluate(blocks, v)
+        return np.stack([_inseparability(pair_blocks), _epr_paradox(pair_blocks)]) - 1.0
 
-    def excess(pair):  # leading axis: criterion
-        return np.stack([_inseparability(pair), _epr_paradox(pair)]) - 1.0
+    def engine(v):
+        return np.stack(machine.columns(v)[:2]) - 1.0
 
-    def laurent(v):
-        return np.stack([v, np.ones_like(v), 1.0 / v], axis=-1)
+    return _find_roots(lo, hi, gain, model, engine)
 
-    fit = np.array(_FIT_POINTS)
-    coef = np.linalg.solve(laurent(fit), clone_pair(fit).reshape(len(fit), -1))
+
+def _find_roots(lo, hi, gain, model, engine):
+    """The threshold search on [lo, hi] for two criteria at once.
+
+    ``model(v)`` and ``engine(v)`` give both criteria minus 1 (leading axis:
+    criterion) at an array of v_s.  On the model, ``_REFINEMENTS`` times,
+    each criterion's bracket shrinks to the first cell of a ``_GRID``-point
+    grid with a sign change (the first cell where none has one); one
+    regula-falsi step then gives the root.  One engine evaluation certifies
+    it: a criterion that crosses must change sign within ``BISECTION_TOL /
+    2`` of the root (clipped to [lo, hi]), or a RuntimeError names the gain
+    and the root.  Returns the roots, None where the engine's criterion does
+    not change sign between lo and hi.
+    """
     rows, a, b = [0, 1], np.full(2, float(lo)), np.full(2, float(hi))
-    with np.errstate(divide="ignore", invalid="ignore"):  # a model has no value at 0
+    with np.errstate(divide="ignore", invalid="ignore"):  # a model may have no value at 0
         for _ in range(_REFINEMENTS):
-            x = np.linspace(a, b, _GRID, axis=-1)  # rows: criterion
-            f = excess((laurent(x) @ coef).reshape(x.shape + (2, 2, 2)))[rows, rows]
+            x = a[:, None] + np.arange(_GRID) * ((b - a) / (_GRID - 1))[:, None]  # rows: criterion
+            x[:, -1] = b  # as numpy.linspace
+            f = model(x)[rows, rows]
             k = np.argmax(f[:, :-1] * f[:, 1:] <= 0, axis=-1)
             a, b, f_a, f_b = x[rows, k], x[rows, k + 1], f[rows, k], f[rows, k + 1]
         # regula falsi; a NaN step (no value at a, or both ends 0) keeps a
         roots = a + np.fmin(np.fmax(f_a / (f_a - f_b), 0.0), 1.0) * (b - a)
     half = BISECTION_TOL / 2  # columns of f: lo, hi, then the roots - half, the roots + half
-    f = excess(clone_pair(np.clip(np.concatenate([[lo, hi], roots - half, roots + half]), lo, hi)))
+    f = engine(np.clip(np.concatenate([[lo, hi], roots - half, roots + half]), lo, hi))
     crosses = f[:, 0] * f[:, 1] <= 0
     for c, name in enumerate(("inseparability", "epr_paradox")):
         if crosses[c] and f[c, 2 + c] * f[c, 4 + c] > 0:
@@ -197,13 +323,15 @@ def _bisect_crossing(lo, hi, gain):
     return tuple(float(r) if crossing else None for r, crossing in zip(roots, crosses))
 
 
-def _threshold_lines(gain):
-    """The threshold block; the literature values and the note on them hold at unity gain only."""
+def _threshold_lines(machine):
+    """The threshold block of the compiled global ``machine``; the literature
+    values and the note on them hold at unity gain only."""
+    gain = machine.gain
     unity = gain == UNITY_GAIN
-    method = f"3-point Laurent fit, certified to {BISECTION_TOL:g}"
+    method = f"compiled Laurent form, certified to {BISECTION_TOL:g}"
     lines = [f"thresholds for the global machine ({method})"]
     for root, label, literature in zip(
-        _bisect_crossing(V_MIN_FLOOR, 1.0, gain),
+        _bisect_crossing(V_MIN_FLOOR, 1.0, gain, machine),
         ("inseparability", "epr_paradox"),
         ("; literature: 3 dB", "; literature: 5.7 dB"),
     ):
@@ -256,10 +384,11 @@ def run_sweep(args, stdout=None, stderr=None):
     with sink as stream:
         grid = np.geomspace(args.v_min, 1.0, args.points)
         grid[-1] = 1.0
-        table = _analytic_records(grid, args.gain)
+        machines = _compile_run(args.gain)
+        table = _analytic_records(grid, machines)
         if args.mc_shots:
             _sample_records(table, args.gain, args.mc_shots, args.seed)
-        threshold_lines = _threshold_lines(args.gain)
+        threshold_lines = _threshold_lines(machines["global"])
         if args.format == "csv":
             _write_csv(stream, table, threshold_lines)
         else:

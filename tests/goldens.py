@@ -42,6 +42,9 @@ GOLDEN = Path(__file__).parent / "golden"
 
 CASES = {
     "sweep": ["--points", "200"],
+    # the smallest --v-min accepted (cli.V_MIN_FLOOR), where the 0.10.0 engine
+    # lost the most digits (3.4e-11 in i_global, 1.1e-10 in eps_global)
+    "vmin_floor": ["--points", "200", "--v-min", "0.001"],
     "mc_5000": ["--points", "200", "--mc-shots", "5000", "--seed", "1"],
     "mc_2017": ["--points", "7", "--mc-shots", "2017", "--seed", "3"],
     "mc_100": ["--points", "20", "--mc-shots", "100", "--seed", "5"],

@@ -75,25 +75,11 @@ def test_every_record_satisfies_schema_invariants():
 def test_in_memory_record_invariants_are_tight():
     from ecloner.cli import _analytic_records
 
-    table = _analytic_records(np.array([0.013, 0.37, 0.81, 1.0]), math.sqrt(2.0))
+    table = _analytic_records(np.array([0.013, 0.37, 0.81, 1.0]), cli._compile_run(UNITY_GAIN))
     assert list(table) == CSV_HEADER.split(",")
     for v_s, db, f_global in zip(table["v_s"], table["squeezing_db"], table["f_global"]):
         assert abs(db - (-10.0 * math.log10(v_s))) < 1e-12
         assert abs(f_global - 4.0 / 9.0) < 1e-12
-
-
-def test_analytic_records_check_the_shared_source_for_purity_once(monkeypatch):
-    from ecloner import fidelity
-
-    is_pure, shapes = fidelity._is_pure, []
-
-    def spy(cov, *layout):
-        shapes.append(np.shape(cov))
-        return is_pure(cov, *layout)
-
-    monkeypatch.setattr(fidelity, "_is_pure", spy)
-    cli._analytic_records(np.geomspace(0.01, 1.0, 9), UNITY_GAIN)
-    assert shapes == [(9, 2, 2, 2)]  # the source's x and p blocks
 
 
 def _count_calls(monkeypatch, module, name, counts):
@@ -116,20 +102,44 @@ def test_analytic_path_reads_the_engine_blocks_as_they_are(monkeypatch):
     counts = {}
     _count_calls(monkeypatch, circuits, "_interleave", counts)
     _count_calls(monkeypatch, criteria.CorrelationMatrix, "__post_init__", counts)
-    cli._analytic_records(np.geomspace(0.01, 1.0, 9), UNITY_GAIN)
-    cli._bisect_crossing(cli.V_MIN_FLOOR, 1.0, UNITY_GAIN)
+    machines = cli._compile_run(UNITY_GAIN)
+    cli._analytic_records(np.geomspace(0.01, 1.0, 9), machines)
+    cli._threshold_lines(machines["global"])
     assert counts == {"_interleave": 0, "__post_init__": 0}
 
 
+def _counted_runs(monkeypatch, names):
+    """The calls each of ``names`` ((module, name) pairs) gets in one default
+    run of 3 points and one of 200."""
+    counts, runs = {}, []
+    for module, name in names:
+        _count_calls(monkeypatch, module, name, counts)
+    for points in ("3", "200"):
+        counts.update((name, 0) for _, name in names)
+        assert _run(["--points", points])[0] == 0
+        runs.append(dict(counts))
+    return runs
+
+
+def test_analytic_records_check_the_shared_source_for_purity_once(monkeypatch):
+    # the source is certified pure once per run, as a Laurent identity; no
+    # state of the sweep is validated point by point
+    from ecloner import fidelity, gaussian
+
+    names = ((cli, "_certify_source"), (gaussian, "_spectrum"), (fidelity, "_is_pure"))
+    expected = {"_certify_source": 1, "_spectrum": 0, "_is_pure": 0}
+    assert _counted_runs(monkeypatch, names) == [expected] * 2
+
+
 def test_analytic_records_build_the_source_once_per_sweep(monkeypatch):
+    # one compiled source per run, whatever the grid; each machine compiled
+    # once, fed the source, and certified once on that compiled form
     from ecloner import circuits
 
-    counts = {}
-    _count_calls(monkeypatch, circuits, "_source_blocks", counts)
-    # the sweep's own call and any inside the engine count alike
-    monkeypatch.setattr(cli, "_source_blocks", circuits._source_blocks, raising=False)
-    cli._analytic_records(np.geomspace(0.01, 1.0, 9), UNITY_GAIN)
-    assert counts == {"_source_blocks": 1}
+    names = ((cli, "_source_rows"), (cli, "_certify_channel"), (circuits, "_compile"))
+    monkeypatch.setattr(cli, "_compile", lambda *args: circuits._compile(*args))
+    expected = {"_source_rows": 1, "_certify_channel": 2, "_compile": 2}
+    assert _counted_runs(monkeypatch, names) == [expected] * 2
 
 
 @pytest.mark.parametrize("gain", [math.sqrt(2.0), 1.0])
@@ -146,8 +156,11 @@ def test_stacked_records_match_the_scalar_api(gain):
     )
     from ecloner.cli import _analytic_records
 
-    grid = np.geomspace(0.001, 1.0, 25)
-    table = _analytic_records(grid, gain)
+    # from 1e-2 up: below it the scalar API's criteria, computed from
+    # covariance entries of size 1/v_s, lose more than 1e-12 (up to 5.2e-11
+    # at v_s = 1e-3), while the compiled columns keep theirs (test_compiled.py)
+    grid = np.geomspace(0.01, 1.0, 25)
+    table = _analytic_records(grid, cli._compile_run(gain))
     for idx, v_s in enumerate(grid):
         epr = epr_source(v_s)
         for name, clones in (
@@ -232,12 +245,20 @@ def test_threshold_roots_match_closed_forms(gain, bracket):
     [(1e-3, 1.0), (0.25, 0.5), (0.3, 1.0), (0.6, 1.0)],
 )
 def test_lockstep_roots_equal_one_criterion_at_a_time(gain, bracket, monkeypatch):
-    # each criterion's root is the same when the other never crosses 1
+    # each criterion's root is the same when the other never crosses 1, on
+    # the model and in the certifying evaluation alike
     together = cli._bisect_crossing(*bracket, gain)
-    alone = []
+    columns, alone = cli._Compiled.columns, []
     for c, other in enumerate(("_epr_paradox", "_inseparability")):
+
+        def one_criterion(machine, v, c=c):
+            values = list(columns(machine, v))
+            values[1 - c] = np.full(np.shape(v), 2.0)
+            return tuple(values)
+
         with monkeypatch.context() as patch:
             patch.setattr(cli, other, lambda pair: np.full(pair.shape[:-3], 2.0))
+            patch.setattr(cli._Compiled, "columns", one_criterion)
             alone.append(cli._bisect_crossing(*bracket, gain)[c])
     assert together == tuple(alone)
 
@@ -255,66 +276,70 @@ def test_threshold_roots_lie_within_5e_12_of_closed_forms(gain):
                 assert root is None, (lo, hi, root, exact)
 
 
-def _patch_excess(monkeypatch, excess, calls):
-    """Make the threshold search see ``excess(v_s)`` as both criteria minus 1,
-    appending to ``calls`` at each evaluation."""
+def _both(excess, calls=None):
+    """Both criteria minus 1 as ``excess(v_s)``, for ``cli._find_roots``;
+    each evaluation appends its v_s to ``calls``."""
 
-    def machine_blocks(machine, v_s, gain):
-        calls.append(machine)
-        v = np.asarray(v_s, dtype=float)
-        return None, np.broadcast_to(v[..., None, None, None], v.shape + (2, 4, 4))
+    def criteria(v_s):
+        if calls is not None:
+            calls.append(v_s)
+        return np.stack([excess(v_s)] * 2)
 
-    monkeypatch.setattr(cli, "_machine_blocks", machine_blocks)
-    for name in ("_inseparability", "_epr_paradox"):
-        monkeypatch.setattr(cli, name, lambda blocks: excess(blocks[..., 0, 0, 0]) + 1.0)
+    return criteria
 
 
 def test_threshold_search_takes_few_global_evaluations(monkeypatch):
-    calls, real = [], cli._machine_blocks
+    # the model's grid refinement, then one certifying engine evaluation
+    calls, columns = [], cli._Compiled.columns
 
-    def counted(machine, *args):
-        calls.append(machine)
-        return real(machine, *args)
+    def counted(machine, v):
+        calls.append(machine.machine)
+        return columns(machine, v)
 
-    monkeypatch.setattr(cli, "_machine_blocks", counted)
+    monkeypatch.setattr(cli._Compiled, "columns", counted)
     for gain in THRESHOLD_GAINS:
         for lo, hi in THRESHOLD_BRACKETS:
             calls.clear()
             cli._bisect_crossing(lo, hi, gain)
-            # the fit, then the certification
-            assert calls == ["global", "global"], (gain, lo, hi)
+            assert calls == ["global"], (gain, lo, hi)
 
 
-def test_threshold_search_finds_a_root_at_either_end(monkeypatch):
+def test_threshold_search_finds_a_root_at_either_end():
     # an excess of exactly 0 at an end of the bracket crosses there
     for root in (0.0, 1.0):
-        _patch_excess(monkeypatch, lambda v_s, root=root: v_s - root, [])
-        roots = cli._bisect_crossing(0.0, 1.0, UNITY_GAIN)
+        criteria = _both(lambda v_s, root=root: v_s - root)
+        roots = cli._find_roots(0.0, 1.0, UNITY_GAIN, criteria, criteria)
         assert None not in roots and all(abs(r - root) <= cli.BISECTION_TOL / 2 for r in roots)
 
 
-def test_threshold_search_finds_a_falling_root_at_either_end(monkeypatch):
+def test_threshold_search_finds_a_falling_root_at_either_end():
     # as epr_paradox does, the excess falls through 0, here exactly at an end
     for root in (0.0, 1.0):
-        _patch_excess(monkeypatch, lambda v_s, root=root: root - v_s, [])
-        roots = cli._bisect_crossing(0.0, 1.0, UNITY_GAIN)
+        criteria = _both(lambda v_s, root=root: root - v_s)
+        roots = cli._find_roots(0.0, 1.0, UNITY_GAIN, criteria, criteria)
         assert None not in roots and all(abs(r - root) <= cli.BISECTION_TOL / 2 for r in roots)
+
+
+def test_threshold_search_reports_no_root_where_nothing_crosses():
+    criteria = _both(lambda v_s: v_s + 0.5)
+    assert cli._find_roots(0.1, 1.0, UNITY_GAIN, criteria, criteria) == (None, None)
 
 
 @pytest.mark.parametrize("shift", [0.2, 1.5 * cli.BISECTION_TOL / 2])
-def test_an_uncertified_root_raises_naming_the_gain_and_the_root(shift, monkeypatch):
-    # the fit sees both criteria cross at 0.5, the certifying evaluation at
+def test_an_uncertified_root_raises_naming_the_gain_and_the_root(shift):
+    # the model sees both criteria cross at 0.5, the certifying evaluation at
     # 0.5 + shift: the engine still changes sign on the bracket, but not
     # within BISECTION_TOL / 2 of the root
     calls = []
-    _patch_excess(monkeypatch, lambda v_s: v_s - (0.5 if len(calls) == 1 else 0.5 + shift), calls)
+    model = _both(lambda v_s: v_s - 0.5)
+    engine = _both(lambda v_s: v_s - (0.5 + shift), calls)
     message = (
         r"^inseparability root 0\.5 at gain 2\.0 is not certified: "
         r"the engine's inseparability - 1 keeps its sign within 5e-10 of it$"
     )
     with pytest.raises(RuntimeError, match=message):
-        cli._bisect_crossing(0.1, 1.0, 2.0)
-    assert len(calls) == 2
+        cli._find_roots(0.1, 1.0, 2.0, model, engine)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("gain", [5.8, 8.0, 20.0, 40.0])
@@ -395,10 +420,11 @@ def test_importing_the_cli_leaves_the_thread_pool_unimported():
 
 
 def test_importing_the_cli_leaves_the_oracle_set_up_unimported():
-    # numpy 2 imports numpy.random lazily, and the oracle builds its
-    # generator and imports its seeding replica on first use, so a sweep
-    # without --mc-shots pays for neither (numpy 1 imports numpy.random).
-    modules = "{'numpy.random', 'ecloner._seeding'}"
+    # numpy 2 imports numpy.random lazily, the CLI imports the oracle only
+    # where --mc-shots is set, and the oracle builds its generator and
+    # imports its seeding replica on first use, so a sweep without
+    # --mc-shots pays for none of them (numpy 1 imports numpy.random).
+    modules = "{'numpy.random', 'ecloner._seeding', 'ecloner.montecarlo', 'ecloner._kernels'}"
     code = f"import sys, ecloner.cli; print(sorted({modules} & set(sys.modules)))"
     done = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=_package_env()
@@ -408,10 +434,10 @@ def test_importing_the_cli_leaves_the_oracle_set_up_unimported():
 
 
 def test_a_default_sweep_leaves_the_oracle_set_up_unimported():
-    # A sweep without --mc-shots must not compile the seeding replica, which
-    # raised its peak RSS by 0.2 MB with no bytecode cache, nor, on numpy 2,
-    # import numpy.random.
-    modules = "{'numpy.random', 'ecloner._seeding'}"
+    # A sweep without --mc-shots must not compile the oracle or its seeding
+    # replica, each of which raised its peak RSS with no bytecode cache, nor,
+    # on numpy 2, import numpy.random.
+    modules = "{'numpy.random', 'ecloner._seeding', 'ecloner.montecarlo', 'ecloner._kernels'}"
     code = (
         "import sys; from ecloner.cli import main; code = main(['--points', '3'])\n"
         f"print(code, sorted({modules} & set(sys.modules)), file=sys.stderr)"
@@ -422,6 +448,22 @@ def test_a_default_sweep_leaves_the_oracle_set_up_unimported():
     loaded = [] if int(np.__version__.split(".")[0]) >= 2 else ["numpy.random"]
     assert (done.returncode, done.stderr) == (0, f"0 {loaded}\n")
     assert done.stdout.startswith(CSV_HEADER)
+
+
+def test_the_package_serves_the_oracle_names_on_first_use():
+    # PEP 562: the five oracle names resolve to montecarlo's own objects, are
+    # listed by dir(), and a star import still binds every name of __all__
+    import ecloner
+
+    assert ecloner.sample_circuit is montecarlo.sample_circuit
+    assert ecloner.RNG_ALGORITHM == montecarlo.RNG_ALGORITHM
+    assert set(ecloner._ORACLE_NAMES) <= set(dir(ecloner))
+    namespace = {}
+    exec("from ecloner import *", namespace)
+    assert set(ecloner.__all__) <= set(namespace)
+    assert namespace["estimate_criteria"] is montecarlo.estimate_criteria
+    with pytest.raises(AttributeError, match="has no attribute 'sample_circuits'"):
+        ecloner.sample_circuits
 
 
 def test_json_mode_sends_thresholds_to_stderr():
