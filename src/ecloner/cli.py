@@ -37,7 +37,7 @@ from .circuits import (
     _source_rows,
     _widened,
 )
-from .criteria import _epr_paradox, _inseparability, squeezing_db
+from .criteria import squeezing_db
 from .exceptions import DegenerateInputError
 from .fidelity import VALUE_TOL
 from .gaussian import _require
@@ -45,7 +45,7 @@ from .gaussian import _require
 CSV_HEADER = "v_s,squeezing_db,i_local,i_global,eps_local,eps_global,f_local,f_global"
 BISECTION_TOL = 1e-9
 # The threshold search: _REFINEMENTS cuts of each bracket on a _GRID-point
-# grid of the global machine's compiled clone blocks
+# grid of the global machine's compiled criteria
 _GRID = 65
 _REFINEMENTS = 5
 # Smallest --v-min accepted.  The compiled columns keep their digits far
@@ -147,7 +147,7 @@ class _Compiled:
 
     Every quantity the sweep reads is a set of Laurent coefficients in
     s = sqrt(v_s), formed once here; a grid costs one matrix product for all
-    of them (``circuits._evaluate``).  With F the output factor of source and
+    of them (``_sums``).  With F the output factor of source and
     machine (``rows``, from ``circuits._compile``), F_a and F_b clone 1's
     rows and S the source's:
 
@@ -170,6 +170,7 @@ class _Compiled:
     def __init__(self, machine, gain, source):
         gx, gp = _gain_pair(gain)
         self.machine, self.gain = machine, gain
+        self._conditioning = CLONE_PAIRS[machine][0][1]  # clone 1's mode conditioned on
         with np.errstate(over="ignore", invalid="ignore"):
             self.rows = _compile(machine, gx, gp, source)
             # at v_s = 1 the source is a 50/50, symplectic: the machine's certificate
@@ -184,47 +185,79 @@ class _Compiled:
 
     @functools.cached_property
     def _table(self):
-        """The sets on one (powers, entries) matrix, less its columns of zeros,
-        and where each sum of squares starts in it: 4 combined rows, then 2
-        conditional and 2 joint determinants, x before p; then the 8 variances,
-        already squared."""
-        sets = (self.combined, self.conditional, self.joint, self.variances[..., None])
-        n = max(len(coef) for coef in sets) // 2
-        flat = [_widened(coef, n).reshape(2 * n + 1, -1) for coef in sets]
-        ends = np.cumsum([f.shape[1] for f in flat])
-        starts = np.concatenate(
-            [np.arange(e - f.shape[1], e, c.shape[-1]) for e, f, c in zip(ends, flat, sets)]
-        )
-        coef = np.concatenate(flat, axis=1)
-        keep = coef.any(axis=0)
-        keep[starts] = True  # every sum keeps a column, if only one of zeros
-        return coef[:, keep], (np.cumsum(keep) - 1)[starts], np.sum(keep[: ends[-2]])
+        """``_tabulate`` of every set: 4 combined rows, 2 conditional and 2
+        joint determinants, then the variances."""
+        return _tabulate((self.combined, self.conditional, self.joint, self.variances[..., None]))
+
+    @functools.cached_property
+    def _model_table(self):
+        """``_tabulate`` of the sets the criteria read: no joint determinants."""
+        return _tabulate((self.combined, self.conditional, self.variances[..., None]))
+
+    def _criteria(self, sums):
+        """(inseparability, epr_paradox) of clone 1 from either table's sums, unchecked."""
+        c = np.minimum(sums[..., 0:4:2], sums[..., 1:4:2])  # per quadrature: F_a -/+ F_b
+        ratio = sums[..., 4:6] / sums[..., self._conditioning - 8 :: 4]  # over its variances
+        return 0.5 * np.sqrt(c[..., 0] * c[..., 1]), ratio[..., 0] * ratio[..., 1]
+
+    def criteria(self, v):
+        """``columns``' criteria without the checks: the threshold search's model."""
+        return self._criteria(_sums(self._model_table, v))
 
     def columns(self, v):
         """(inseparability, epr_paradox, fidelity) of clone 1 at the v_s ``v``,
         each stacked like v.  Checked per point, each error naming the v_s
         and the gain: the float range, clone symmetry, a positive
         conditioning variance and a fidelity within [0, 1]."""
-        coef, starts, squared = self._table
-        with np.errstate(over="ignore", invalid="ignore"):
-            values = _evaluate(coef, v)
-            values[..., :squared] **= 2  # in place: a second array this size costs more
-            sums = np.add.reduceat(values, starts, axis=-1)
-        c = np.min(sums[..., :4].reshape(np.shape(v) + (2, 2)), axis=-1)
-        conditional, joint = sums[..., 4:6], sums[..., 6:8]
+        sums = _sums(self._table, v)
         var = sums[..., 8:].reshape(np.shape(v) + (2, 4))
         where = _naming_v_s(v, self.gain)
         _require(np.isfinite(sums).all(axis=-1), "the clones leave the float range", where=where)
         _check_clone_symmetry(var, *CLONE_PAIRS[self.machine], where)
-        v_cond = var[..., CLONE_PAIRS[self.machine][0][1]]
         message = "the conditioning variance of the epr_paradox is not positive"
-        _require((v_cond > 0).all(axis=-1), message, where=where, error=DegenerateInputError)
-        inseparability = 0.5 * np.sqrt(c[..., 0] * c[..., 1])
-        epr_paradox = conditional[..., 0] / v_cond[..., 0] * (conditional[..., 1] / v_cond[..., 1])
-        fidelity = 4.0 / np.sqrt(joint[..., 0] * joint[..., 1])
+        positive = (var[..., self._conditioning] > 0).all(axis=-1)
+        _require(positive, message, where=where, error=DegenerateInputError)
+        inseparability, epr_paradox = self._criteria(sums)
+        fidelity = 4.0 / np.sqrt(sums[..., 6] * sums[..., 7])
         inside = (fidelity >= 0.0) & (fidelity <= 1.0 + VALUE_TOL)
         _require(inside, "fidelity {value} escaped [0, 1]", fidelity, where, RuntimeError)
         return inseparability, epr_paradox, fidelity
+
+
+def _tabulate(sets):
+    """Laurent coefficient sets as one (entries, powers) matrix, less its
+    entries of zeros and the powers of s no entry has, for ``_sums``.
+
+    Returns the matrix, the exponents of its powers, where each sum of
+    squares starts among its entries, and how many leading entries are
+    squared: each set's last axis is summed, x before p, and the last set,
+    the variances, is already squared.
+    """
+    n = max(len(coef) for coef in sets) // 2
+    flat = [_widened(coef, n).reshape(2 * n + 1, -1) for coef in sets]
+    ends = np.cumsum([f.shape[1] for f in flat])
+    starts = np.concatenate(
+        [np.arange(e - f.shape[1], e, c.shape[-1]) for e, f, c in zip(ends, flat, sets)]
+    )
+    coef = np.concatenate(flat, axis=1)
+    keep = coef.any(axis=0)
+    keep[starts] = True  # every sum keeps a column, if only one of zeros
+    used = np.flatnonzero(coef.any(axis=1))
+    entries = np.ascontiguousarray(coef[np.ix_(used, keep)].T)
+    return entries, used - float(n), (np.cumsum(keep) - 1)[starts], np.sum(keep[: ends[-2]])
+
+
+def _sums(table, v):
+    """The sums of squares of a ``_tabulate`` table at the v_s ``v``, stacked
+    like v: one matrix product with the powers of s = sqrt(v), then each
+    sum adds whole rows, one per entry, over every point at once."""
+    entries, exponents, starts, squared = table
+    s = np.sqrt(np.ravel(v))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        values = entries @ s ** exponents[:, None]  # rows: entries
+        values[:squared] **= 2  # in place: a second array this size costs more
+        sums = np.add.reduceat(values, starts, axis=0)
+    return sums.T.reshape(np.shape(v) + (len(starts),))
 
 
 def _compile_run(gain, machines=tuple(CLONE_PAIRS)):
@@ -265,27 +298,21 @@ def _bisect_crossing(lo, hi, gain, machine=None):
     Returns ``(inseparability_root, epr_paradox_root)``, None where the
     global machine's compiled criterion does not change sign between ``lo``
     and ``hi``.  ``machine`` is the run's compiled global machine, compiled
-    here when None.  Its clone blocks are exactly A v_s + B + C / v_s at any
-    gain, and the model reads them from the compiled pair rows as the
-    Laurent product F_pair F_pair^T (``_find_roots`` does the search).  Over
-    400 log-spaced gains in [0.05, 40] each root lies within 4.3e-13 of its
-    closed form.  At tiny gains the epr_paradox root nears v_s = 1, where
-    the criterion's slope is of order the gain; the CLI takes no gain below
-    ``MIN_GAIN``.
+    here when None.  The model is its compiled criteria unchecked
+    (``_Compiled.criteria``), the certifying engine the same criteria with
+    the per-point checks (``_Compiled.columns``); ``_find_roots`` does the
+    search.  Over 400 log-spaced gains in [0.05, 40] each root lies within
+    1.3e-14 of its closed form.  At tiny gains the epr_paradox root nears
+    v_s = 1, where the criterion's slope is of order the gain; the CLI
+    takes no gain below ``MIN_GAIN``.
     """
     if machine is None:
         machine = _compile_run(gain, ("global",))["global"]
-    pair = machine.rows[:, :, list(CLONE_PAIRS["global"][0])]
-    blocks = _product(pair[:, :, :, None], pair[:, :, None, :]).sum(axis=-1)
 
-    def model(v):  # leading axis: criterion
-        pair_blocks = _evaluate(blocks, v)
-        return np.stack([_inseparability(pair_blocks), _epr_paradox(pair_blocks)]) - 1.0
+    def excess(criteria):  # both criteria minus 1, leading axis: criterion
+        return lambda v: np.stack(criteria(v)[:2]) - 1.0
 
-    def engine(v):
-        return np.stack(machine.columns(v)[:2]) - 1.0
-
-    return _find_roots(lo, hi, gain, model, engine)
+    return _find_roots(lo, hi, gain, excess(machine.criteria), excess(machine.columns))
 
 
 def _find_roots(lo, hi, gain, model, engine):
@@ -304,8 +331,7 @@ def _find_roots(lo, hi, gain, model, engine):
     rows, a, b = [0, 1], np.full(2, float(lo)), np.full(2, float(hi))
     with np.errstate(divide="ignore", invalid="ignore"):  # a model may have no value at 0
         for _ in range(_REFINEMENTS):
-            x = a[:, None] + np.arange(_GRID) * ((b - a) / (_GRID - 1))[:, None]  # rows: criterion
-            x[:, -1] = b  # as numpy.linspace
+            x = np.linspace(a, b, _GRID, axis=-1)  # rows: criterion
             f = model(x)[rows, rows]
             k = np.argmax(f[:, :-1] * f[:, 1:] <= 0, axis=-1)
             a, b, f_a, f_b = x[rows, k], x[rows, k + 1], f[rows, k], f[rows, k + 1]

@@ -10,10 +10,12 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
 import pytest
+from closed_forms import exact_columns
 
 from ecloner import cli, montecarlo
 from ecloner.circuits import UNITY_GAIN
@@ -156,10 +158,12 @@ def test_stacked_records_match_the_scalar_api(gain):
     )
     from ecloner.cli import _analytic_records
 
-    # from 1e-2 up: below it the scalar API's criteria, computed from
-    # covariance entries of size 1/v_s, lose more than 1e-12 (up to 5.2e-11
-    # at v_s = 1e-3), while the compiled columns keep theirs (test_compiled.py)
-    grid = np.geomspace(0.01, 1.0, 25)
+    # Every point is held to the exact closed forms.  The scalar API's
+    # criteria, formed from covariance entries of size 1/v_s, err by up to
+    # about eps / v_s^2 against them (5.2e-11 at v_s = 1e-3, 1.25e-12 at
+    # 0.0133), so they are the reference too from v_s = 0.02 up, where that
+    # stays below 5.5e-13.
+    grid = np.geomspace(0.001, 1.0, 25)
     table = _analytic_records(grid, cli._compile_run(gain))
     for idx, v_s in enumerate(grid):
         epr = epr_source(v_s)
@@ -168,13 +172,16 @@ def test_stacked_records_match_the_scalar_api(gain):
             ("global", global_ecloner(epr, v_s, gain)),
         ):
             cm = correlation_matrix(clones.state, clones.clone1)
-            expected = {
+            scalar = {
                 "i": inseparability(cm),
                 "eps": epr_paradox(cm),
                 "f": pure_mixed_fidelity(epr, clone_state(clones)).value,
             }
-            for key, value in expected.items():
-                assert abs(table[f"{key}_{name}"][idx] - value) <= 1e-12 * abs(value)
+            for key, exact in zip(("i", "eps", "f"), exact_columns(name, v_s, gain)):
+                value = table[f"{key}_{name}"][idx]
+                assert abs(Decimal(value) - exact) <= Decimal(1e-12) * exact, (key, name, v_s)
+                if v_s >= 0.02:
+                    assert abs(value - scalar[key]) <= 1e-12 * abs(scalar[key]), (key, name, v_s)
 
 
 def test_csv_and_json_parse_to_identical_values(tmp_path):
@@ -248,17 +255,20 @@ def test_lockstep_roots_equal_one_criterion_at_a_time(gain, bracket, monkeypatch
     # each criterion's root is the same when the other never crosses 1, on
     # the model and in the certifying evaluation alike
     together = cli._bisect_crossing(*bracket, gain)
-    columns, alone = cli._Compiled.columns, []
-    for c, other in enumerate(("_epr_paradox", "_inseparability")):
+    alone = []
+    for c in range(2):
 
-        def one_criterion(machine, v, c=c):
-            values = list(columns(machine, v))
-            values[1 - c] = np.full(np.shape(v), 2.0)
-            return tuple(values)
+        def one_criterion(evaluate, c=c):
+            def criteria(machine, v):
+                values = list(evaluate(machine, v))
+                values[1 - c] = np.full(np.shape(v), 2.0)
+                return tuple(values)
+
+            return criteria
 
         with monkeypatch.context() as patch:
-            patch.setattr(cli, other, lambda pair: np.full(pair.shape[:-3], 2.0))
-            patch.setattr(cli._Compiled, "columns", one_criterion)
+            for name in ("criteria", "columns"):
+                patch.setattr(cli._Compiled, name, one_criterion(getattr(cli._Compiled, name)))
             alone.append(cli._bisect_crossing(*bracket, gain)[c])
     assert together == tuple(alone)
 
@@ -266,7 +276,7 @@ def test_lockstep_roots_equal_one_criterion_at_a_time(gain, bracket, monkeypatch
 @pytest.mark.parametrize("gain", np.geomspace(0.05, 40.0, 120).tolist())
 def test_threshold_roots_lie_within_5e_12_of_closed_forms(gain):
     # the closed forms themselves err by a few ulps; the roots miss them by
-    # at most 4.3e-13 over these gains
+    # at most 1.3e-14 over 400 log-spaced gains in [0.05, 40]
     for lo, hi in THRESHOLD_BRACKETS:
         roots = cli._bisect_crossing(lo, hi, gain)
         for root, exact in zip(roots, _closed_form_roots(gain)):

@@ -1,10 +1,12 @@
 """The compiled form: exact analytic columns, the two certificates, and the per-point checks."""
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from closed_forms import CLOSED_FORMS, exact_columns
 
 from ecloner import (
     circuits,
@@ -17,18 +19,6 @@ from ecloner import (
 )
 from ecloner.circuits import CLONE_PAIRS, UNITY_GAIN, _certify_channel, _gain_pair, _machine_rows
 from ecloner.exceptions import DegenerateInputError, UncertaintyViolation
-
-# Exact closed forms at unity gain: every one is rational in v_s, so a
-# Fraction of the float grid value gives the exact value it should round to.
-CLOSED_FORMS = {
-    "i_local": lambda v: v + 1,
-    "i_global": lambda v: 2 * v,
-    "eps_local": lambda v: Fraction(4),
-    "eps_global": lambda v: 16 * v * v / (v * v + 1) ** 2,
-    "f_local": lambda v: 4 * v / ((v + 2) * (2 * v + 1)),
-    "f_global": lambda v: Fraction(4, 9),
-}
-
 
 def _grid(argv):
     """The grid of a CLI run, built as ``cli.run_sweep`` builds it."""
@@ -65,27 +55,20 @@ def _covariance_criteria(machine, grid, gain):
 )
 @pytest.mark.parametrize("machine", ["local", "global"])
 def test_compiled_columns_match_the_covariance_criteria(machine, gain):
-    # The covariance-form criteria subtract entries of size 1/v_s and lose
-    # about eps / v_s^2 (2.4e-12 near v_s = 0.01, against a 50-digit
-    # evaluation of the chain); from v_s = 0.02 up they keep 12 digits, and
-    # the compiled columns must agree with them there.
-    grid = np.geomspace(0.02, 1.0, 60)
+    # Every point is held to the exact closed forms.  The covariance-form
+    # criteria subtract entries of size 1/v_s and lose about eps / v_s^2
+    # (1.1e-12 at v_s = 0.01, gain 8), so they are the reference too from
+    # v_s = 0.02 up, where they keep 12 digits.
+    grid = np.geomspace(0.01, 1.0, 60)
     compiled = cli._Compiled(machine, gain, circuits._source_rows()).columns(grid)
     names = ("inseparability", "epr_paradox", "fidelity")
-    for name, value, reference in zip(names, compiled, _covariance_criteria(machine, grid, gain)):
-        assert np.all(np.abs(value - reference) <= 1e-12 * np.abs(reference)), name
-
-
-def test_below_0_02_the_difference_is_the_covariance_criteria_s_own_loss():
-    # where the two disagree by more, the compiled column is the exact one
-    grid = np.geomspace(0.01, 0.02, 60)
-    compiled = cli._Compiled("global", UNITY_GAIN, circuits._source_rows()).columns(grid)
-    covariance = _covariance_criteria("global", grid, UNITY_GAIN)
-    columns = ("i_global", "eps_global", "f_global")
-    for column, value, reference in zip(columns, compiled, covariance):
-        for v_s, x, y in zip(grid, value, reference):
-            exact = CLOSED_FORMS[column](Fraction(v_s))
-            assert abs(Fraction(x) - exact) <= abs(Fraction(y) - exact), (column, v_s)
+    covariance = _covariance_criteria(machine, grid, gain)
+    for idx, v_s in enumerate(grid):
+        exact = exact_columns(machine, v_s, gain)
+        for name, value, reference, form in zip(names, compiled, covariance, exact):
+            assert abs(Decimal(value[idx]) - form) <= Decimal(1e-12) * form, (name, v_s)
+            if v_s >= 0.02:
+                assert abs(value[idx] - reference[idx]) <= 1e-12 * reference[idx], (name, v_s)
 
 
 CHANNEL_GAINS = [0.0, cli.MIN_GAIN, 0.5, 1.0, UNITY_GAIN, 8.0, 40.0, cli.MAX_GAIN, (0.7, 1.9)]
@@ -187,17 +170,10 @@ def test_a_fidelity_outside_the_unit_interval_raises(scale, escapes):
         compiled.columns(np.array([1.0]))
 
 
-def test_the_threshold_model_is_the_compiled_clone_blocks():
-    # A v_s + B + C / v_s from the compiled pair rows equals the clone blocks
-    # that machine_covariances validates
-    grid = np.geomspace(0.01, 1.0, 30)
+def test_the_threshold_model_is_the_compiled_criteria_unchecked():
+    # the model and the certifying engine evaluate the same sums, bit for bit
+    grid = np.geomspace(0.001, 1.0, 30)
     compiled = cli._Compiled("global", UNITY_GAIN, circuits._source_rows())
-    pair = compiled.rows[:, :, list(CLONE_PAIRS["global"][0])]
-    laurent = circuits._product(pair[:, :, :, None], pair[:, :, None, :]).sum(axis=-1)
-    blocks = circuits._evaluate(laurent, grid)
-    _, clones = machine_covariances("global", grid)
-    moments = correlation_matrix_from_cov(clones, CLONE_PAIRS["global"][0]).matrix
-    expected = np.stack([moments[..., ::2, ::2], moments[..., 1::2, 1::2]], axis=1)
-    scale = np.max(np.abs(expected), axis=(1, 2, 3), keepdims=True)
-    assert np.all(np.abs(blocks - expected) <= 1e-14 * scale)
+    for model, engine in zip(compiled.criteria(grid), compiled.columns(grid)):
+        assert np.array_equal(model, engine)
     assert abs(cli._bisect_crossing(0.001, 1.0, UNITY_GAIN)[0] - 0.5) <= 5e-12
