@@ -41,10 +41,11 @@ checks N + i Omega - i T Omega T^T >= 0 for a machine at one gain, so it
 maps every valid state to a valid state (Holevo & Werner, PRA 63, 032312,
 2001).  The public constructors still validate every state they return.
 
-Inside the package the x and p blocks are the one format.  Only the public
-API interleaves, into (x1, p1, ...) order: ``machine_covariances`` and
-``epr_source`` their blocks at return, the gate-object API and the
-CloneSets K itself.
+The compiled chains, their evaluated rows and ``_propagate`` carry x and p
+blocks.  States are validated and returned interleaved, in (x1, p1, ...)
+order: ``machine_covariances`` and ``epr_source`` interleave their blocks
+before the checks, and the gate-object API and the CloneSets interleave K
+itself.
 """
 
 import itertools
@@ -439,11 +440,12 @@ def machine_covariances(machine, v_s, gain=UNITY_GAIN):
     ``v_s`` may be an array, whose shape then leads both results, so a whole
     grid is one stacked evaluation of the compiled source and machine
     (``_source_rows`` and ``_compile``).  The x and p blocks are propagated
-    apart, and only the outputs are validated (finite, symmetric,
-    uncertainty bound, clone symmetry), once for the whole stack, before the
-    blocks are interleaved; an error names the offending v_s, and the gain
-    too where the clones fail.  Below v_s of about 5.6e-309 (subnormal) the
-    source itself leaves the float range, and the error says so.
+    apart and then interleaved.  Only the outputs are validated (finite,
+    symmetric, uncertainty bound, clone symmetry), once for the whole stack,
+    by the checks every ``GaussianState`` runs; an error names the offending
+    v_s, and the gain too where the clones fail.  Below v_s of about
+    5.6e-309 (subnormal) the source itself leaves the float range, and the
+    error says so.
 
     ``gain`` is any finite number or (x, p) pair; 0 turns the feedforward
     off, and the CLI caps it at ``cli.MAX_GAIN``.  Rounding at entries of
@@ -460,13 +462,14 @@ def machine_covariances(machine, v_s, gain=UNITY_GAIN):
 
     source = _source_blocks(v)
     with np.errstate(over="ignore", invalid="ignore"):
-        clones = _propagate(_machine_rows(machine, v, gx, gp), source)
-    finite = np.isfinite(clones).all(axis=(-3, -2, -1))
+        blocks = _propagate(_machine_rows(machine, v, gx, gp), source)
+    finite = np.isfinite(blocks).all(axis=(-3, -2, -1))
     _require(finite, "the clones leave the float range", where=where)
-    _check_covariance(clones, where, split=True)
-    variances = np.diagonal(clones, axis1=-2, axis2=-1)
+    clones = _interleave(blocks)
+    _check_covariance(clones, where)
+    variances = np.diagonal(blocks, axis1=-2, axis2=-1)
     _check_clone_symmetry(variances, *CLONE_PAIRS[machine], where)
-    return _interleave(source), _interleave(clones)
+    return _interleave(source), clones
 
 
 def _infer_epr_variance(state):

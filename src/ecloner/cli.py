@@ -58,23 +58,22 @@ _REFINEMENTS = 5
 # which still validate each state, accept every source (ROADMAP item 4).
 V_MIN_FLOOR = 0.001
 # Largest --gain accepted, a decade below the smallest gain measured to fail
-# the per-point validation the sweep ran up to 0.10.0, which
-# machine_covariances still runs: over 3000 log-spaced gains in [1e3, 1e5]
-# and 8000 v_s in [1e-3, 1] (4000 of them in [1e-3, 2e-3]), the first
-# failure is at gain 9.4e4, where rounding at entries ~gain^2/v_s leaves the
-# global machine's clone covariance at v_s = 1.003e-3 without a Cholesky
-# factor; from there up the failures are erratic (3e7 fails at v_s = 0.01
-# already).  The cap keeps every printed column reproducible through
-# machine_covariances.
+# machine_covariances' validation: over 3000 log-spaced gains in [1e3, 1e5]
+# and 8000 v_s in [1e-3, 1] (4000 log-spaced in [1e-3, 2e-3), 4000 in
+# [2e-3, 1]), the first failure is at gain 9.48e4, where rounding at entries
+# ~gain^2/v_s leaves the global machine's clone covariance at v_s = 1.008e-3
+# without a Cholesky factor; from there up the failures are erratic (3e7
+# fails at v_s = 0.01 already).  The cap keeps every printed column
+# reproducible through machine_covariances.
 MAX_GAIN = 9e3
-# Smallest --gain accepted, a decade above the largest gain measured to
-# fail with the 0.10.0 engine: over 30001 log-spaced gains in [1e-6, 1e-4]
-# (and 501 in [1e-9, 1e-4]) the last failure is at 1.37e-6.  There the
-# epr_paradox root nears v_s = 1, where the criterion's slope is of order
-# the gain, so rounding moved the engine's sign change more than
-# BISECTION_TOL / 2 from the fitted root and its certification raised.
-# Over 3001 log-spaced gains in [1e-5, 1e-2] every root lies within 8.3e-11
-# of its closed form.
+# Smallest --gain accepted.  The threshold search certifies each root: the
+# compiled criterion must change sign within BISECTION_TOL / 2 of it.  None
+# fails over 30001 log-spaced gains in [1e-6, 1e-4] and 501 in [1e-9, 1e-4],
+# and over 3001 log-spaced gains in [1e-5, 1e-2] every root lies within
+# 7.2e-11 of its closed form; at tiny gains the epr_paradox root nears
+# v_s = 1, where the criterion's slope is of order the gain.  The cap is
+# the 0.10.0 engine's, whose certification failed up to gain 1.37e-6
+# (ROADMAP item 28 sets it again).
 MIN_GAIN = 2e-5
 # 128 + SIGPIPE: the status a shell reports for a writer killed by SIGPIPE
 EXIT_BROKEN_PIPE = 141
@@ -260,12 +259,12 @@ def _sums(table, v):
     return sums.T.reshape(np.shape(v) + (len(starts),))
 
 
-def _compile_run(gain, machines=tuple(CLONE_PAIRS)):
-    """The ``machines`` (both by default) at ``gain``, compiled and certified
-    once for a run, on one source certified once."""
+def _compile_run(gain):
+    """Both machines at ``gain``, compiled and certified once for a run, on
+    one source certified once."""
     source = _source_rows()
-    _certify_source(source, f"{' and '.join(machines)} machines at gain {gain!r}")
-    return {name: _Compiled(name, gain, source) for name in machines}
+    _certify_source(source, f"local and global machines at gain {gain!r}")
+    return {name: _Compiled(name, gain, source) for name in CLONE_PAIRS}
 
 
 def _analytic_records(grid, machines):
@@ -307,7 +306,7 @@ def _bisect_crossing(lo, hi, gain, machine=None):
     takes no gain below ``MIN_GAIN``.
     """
     if machine is None:
-        machine = _compile_run(gain, ("global",))["global"]
+        machine = _compile_run(gain)["global"]
 
     def excess(criteria):  # both criteria minus 1, leading axis: criterion
         return lambda v: np.stack(criteria(v)[:2]) - 1.0

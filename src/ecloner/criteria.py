@@ -4,12 +4,11 @@ Both criteria consume the second moments of the pair, never the state
 itself, so analytically propagated and sampled moments run through
 identical code.  Each criterion is a product of an x-quadrature factor and
 a p-quadrature factor, so it is written once, on the pair's (..., 2, 2, 2)
-x and p blocks (axis -3 the quadrature, the last two the modes x, y): the
-engine's blocks go in as they are, and the oracle's sampled 8 x 8 moments
-give theirs.  The public input is the interleaved 4x4 ``CorrelationMatrix``,
-or a (..., 4, 4) stack of them, whose blocks are a view of its matrix; the
-criteria then return arrays of the leading shape, and a single matrix runs
-through the same formulas.
+x and p blocks (axis -3 the quadrature, the last two the modes x, y), a
+view of interleaved moments: the public interleaved 4x4
+``CorrelationMatrix``, or a (..., 4, 4) stack of them, and the oracle's
+sampled pair moments.  A stack gives arrays of the leading shape, and a
+single matrix runs through the same formulas.
 """
 
 import math
@@ -63,12 +62,6 @@ def _check_pair(matrix):
     _require(symmetric, "correlation matrix must be symmetric")
     variances = np.diagonal(matrix, axis1=-2, axis2=-1)
     _require(variances >= 0, "diagonal entries are variances and cannot be negative")
-
-
-def _pair_blocks(blocks, pair):
-    """The (..., 2, 2, 2) x and p blocks of the mode ``pair`` of (..., 2, n, n) blocks."""
-    modes = np.array(pair)
-    return blocks[..., modes[:, None], modes]
 
 
 def correlation_matrix_from_cov(cov, pair):

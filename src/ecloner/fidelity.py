@@ -8,9 +8,7 @@ vacuum-variance-1 convention, with mean difference d over n modes,
 reproduces <psi| rho |psi>.  The normalization is pinned by two independent
 checks in the test suite: the coherent-state overlap exp(-|alpha - beta|^2)
 and a brute-force number-basis overlap for single-mode states.  The formula
-also runs on (..., 2n, 2n) stacks of covariance matrices, and, inside the
-package, on the (..., 2, n, n) x and p blocks of covariances that never mix
-x with p, where det(A + B) is the product of the blocks' determinants.
+also runs on (..., 2n, 2n) stacks of covariance matrices.
 """
 
 from dataclasses import dataclass
@@ -19,7 +17,6 @@ import numpy as np
 
 from .exceptions import DegenerateInputError
 from .gaussian import (
-    _axes,
     _check_v_s,
     _covariance_stack,
     _integer_at_least,
@@ -110,24 +107,15 @@ def fidelity_from_cov(reference_cov, candidate_cov, delta=None):
     for name, value in (("reference_cov", a), ("candidate_cov", b), ("delta", delta)):
         if value is not None:
             _require(np.isfinite(value), name + " must be finite, got {value}", value)
-    return _fidelity(a, b, delta, split=False)
-
-
-def _fidelity(a, b, delta, split):
-    """The fidelity and the checks of ``fidelity_from_cov`` on checked stacks:
-    interleaved (..., 2n, 2n) covariances or, when ``split``, (..., 2, n, n)
-    x and p blocks (``gaussian._axes``) with ``delta`` None."""
-    _require(_is_pure(a, split), "reference state must be pure")
+    _require(_is_pure(a), "reference state must be pure")
     joint = a + b
     with np.errstate(over="ignore", invalid="ignore"):
         det_joint = np.linalg.det(joint)
-        if split:
-            det_joint = det_joint[..., 0] * det_joint[..., 1]
     # an infinite determinant of finite matrices has overflowed; NaN is left
     # to the singular-matrix error
     if np.isinf(det_joint).any():
         message = "det(A + B) leaves the float range at max|A + B| = {value:.6g}"
-        _require(~np.isinf(det_joint), message, np.max(np.abs(joint), axis=_axes(split)))
+        _require(~np.isinf(det_joint), message, np.max(np.abs(joint), axis=(-2, -1)))
     regular = (det_joint > 0) & np.isfinite(det_joint)
     _require(regular, "A + B is singular (det {value})", det_joint, error=DegenerateInputError)
     exponent = 0.0
@@ -139,10 +127,9 @@ def _fidelity(a, b, delta, split):
         solved = np.linalg.solve(joint, unit[..., None])[..., 0]
         with np.errstate(over="ignore"):
             exponent = -0.5 * np.sum(unit * solved, axis=-1) * scale * scale
-    modes = a.shape[-1] if split else a.shape[-1] // 2
-    value = 2.0**modes / np.sqrt(det_joint) * np.exp(exponent)
+    value = 2.0 ** (size // 2) / np.sqrt(det_joint) * np.exp(exponent)
     # det(A + B) carries the rounding of the pure reference's spectrum
-    inside = (value >= 0.0) & (value <= 1.0 + VALUE_TOL + _pure_rounding(a, split))
+    inside = (value >= 0.0) & (value <= 1.0 + VALUE_TOL + _pure_rounding(a))
     _require(inside, "fidelity {value} escaped [0, 1]", value, error=RuntimeError)
     return FidelityResult(
         value=_scalar_or_array(value),

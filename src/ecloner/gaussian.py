@@ -9,11 +9,10 @@ squeezers, phase rotations) act as symplectic matrices S via
 
 Everything here is an immutable value; all operations are pure functions.
 Covariance validation and the symplectic spectrum also accept stacks of
-shape (..., 2n, 2n), so a whole parameter grid is checked in one call.
-Inside the package both also take covariances that never mix x with p as
-their (..., 2, n, n) x and p blocks (``_axes``); ``_quadrature_blocks`` and
-``_interleave`` convert between the two layouts.  Either way the spectrum is
-one real SVD.
+shape (..., 2n, 2n), so a whole parameter grid is checked in one call; the
+spectrum is one real SVD.  Inside the package, covariances that never mix x
+with p are also carried as their (..., 2, n, n) x and p blocks;
+``_quadrature_blocks`` and ``_interleave`` convert between the two layouts.
 """
 
 import math
@@ -31,10 +30,9 @@ SYMPLECTIC_TOL = 1e-12
 SPECTRAL_TOL = 1e-9
 # Rounding leaves a physical state's smallest symplectic eigenvalue short of
 # 1 by up to about 1.2e3 eps times its largest entry (both machines, 120
-# evenly spaced gains in [0.05, 40], 4000 v_s in [1e-3, 1]; 1.23e3 eps for
-# the 2n-dim spectrum and the split one alike, 1.43e3 eps on 120 log-spaced
-# gains); the uncertainty bound allows this much more per unit of max|cov|,
-# about 7-8x that deficit.
+# evenly spaced gains in [0.05, 40], 4000 v_s in [1e-3, 1]: 1.23e3 eps, and
+# 1.43e3 eps on 120 log-spaced gains); the uncertainty bound allows this
+# much more per unit of max|cov|, about 7-8x that deficit.
 SPECTRAL_REL_TOL = 1e4 * np.finfo(float).eps
 # A pure state's covariance has condition number about max|cov|^2, and
 # rounding moves its symplectic eigenvalues off 1 by up to 3.0 eps times
@@ -56,39 +54,25 @@ def symplectic_form(num_modes):
     return omega
 
 
-def _axes(split):
-    """The axes of one covariance in a stack of interleaved (..., 2n, 2n)
-    covariances or, when ``split``, of their (..., 2, n, n) x and p blocks."""
-    return (-3, -2, -1) if split else (-2, -1)
+def _spectrum(cov):
+    """The symplectic spectrum, ascending, of each covariance of a (..., 2n, 2n)
+    stack: (..., n) values, NaN for an item without a Cholesky factor or with
+    a non-finite one.
 
-
-def _spectrum(cov, split=False):
-    """The symplectic spectrum, ascending, of each covariance of a stack in the
-    layout ``split`` (``_axes``): (..., n) values, NaN for an item without a
-    Cholesky factor or with a non-finite one.
-
-    With the Cholesky factor L of an interleaved covariance, the values are
-    the singular values of the real antisymmetric L^T Omega L, each of which
-    appears twice.  Covariances that never mix x with p are given as their x
-    and p blocks, with factors L_x and L_p; the spectrum is then the square
-    root of that of cov_x cov_p, which is sigma(L_p^T L_x).  Either way one
-    real SVD gives it.
+    With the Cholesky factor L of a covariance, the values are the singular
+    values of the real antisymmetric L^T Omega L, each of which appears
+    twice; one real SVD gives them.
     """
     try:
         chol = np.linalg.cholesky(cov)
-        if split:
-            lx, lp = chol[..., 0, :, :], chol[..., 1, :, :]
-            return np.linalg.svd(np.swapaxes(lp, -1, -2) @ lx, compute_uv=False)[..., ::-1]
         form = np.swapaxes(chol, -1, -2) @ symplectic_form(cov.shape[-1] // 2) @ chol
         return np.linalg.svd(form, compute_uv=False)[..., ::-2]
     except np.linalg.LinAlgError:  # no Cholesky factor, or a NaN one: its SVD fails
-        core = len(_axes(split))
-        n = cov.shape[-1] if split else cov.shape[-1] // 2
-        if cov.ndim == core:
+        n = cov.shape[-1] // 2
+        if cov.ndim == 2:
             return np.full(n, np.nan)
-        flat = cov.reshape((-1,) + cov.shape[-core:])
-        values = np.array([_spectrum(item, split) for item in flat])
-        return values.reshape(cov.shape[:-core] + (n,))
+        values = np.array([_spectrum(item) for item in cov.reshape((-1,) + cov.shape[-2:])])
+        return values.reshape(cov.shape[:-2] + (n,))
 
 
 def symplectic_eigenvalues(cov):
@@ -179,13 +163,13 @@ def _scalar_or_array(value):
     return float(value) if np.ndim(value) == 0 else value
 
 
-def _pure_rounding(cov, split=False):
-    """Per covariance of a stack in the layout ``split`` (``_axes``): the
-    rounding allowed a pure state's spectrum.
+def _pure_rounding(cov):
+    """Per covariance of a (..., 2n, 2n) stack: the rounding allowed a pure
+    state's spectrum.
 
     A ValueError names the first ``max|cov|`` of at least ``PURE_MAX_ENTRY``.
     """
-    largest = np.max(np.abs(cov), axis=_axes(split))
+    largest = np.max(np.abs(cov), axis=(-2, -1))
     _require(
         ~(largest >= PURE_MAX_ENTRY),  # NaN is left to the callers' checks
         f"purity is not resolvable in float64 at max|cov| = {{value:.6g}} "
@@ -195,18 +179,16 @@ def _pure_rounding(cov, split=False):
     return PURE_REL_TOL * largest**2
 
 
-def _is_pure(cov, split=False):
-    """Per covariance of a stack in the layout ``split`` (``_axes``): every
-    symplectic eigenvalue equals 1 within ``SPECTRAL_TOL`` plus
-    ``PURE_REL_TOL * max|cov|**2``."""
-    allowed = SPECTRAL_TOL + _pure_rounding(cov, split)
-    deviation = np.abs(_spectrum(cov, split) - 1.0)
+def _is_pure(cov):
+    """Per covariance of a (..., 2n, 2n) stack: every symplectic eigenvalue
+    equals 1 within ``SPECTRAL_TOL`` plus ``PURE_REL_TOL * max|cov|**2``."""
+    allowed = SPECTRAL_TOL + _pure_rounding(cov)
+    deviation = np.abs(_spectrum(cov) - 1.0)
     return np.all(deviation <= allowed[..., None], axis=-1)
 
 
-def _check_covariance(cov, where=None, split=False):
-    """Validate a covariance matrix or a stack of them in the layout ``split``
-    (``_axes``): (..., 2n, 2n) interleaved or (..., 2, n, n) x and p blocks.
+def _check_covariance(cov, where=None):
+    """Validate a covariance matrix or a (..., 2n, 2n) stack of them.
 
     Every entry must be finite, every matrix symmetric within SYMMETRY_TOL
     and positive definite, and its symplectic eigenvalues >= 1 within
@@ -214,16 +196,15 @@ def _check_covariance(cov, where=None, split=False):
     the flat stack index of the first offending matrix to a phrase naming it
     in the error, for example the grid value the matrix was built from.
     """
-    axes = _axes(split)
-    finite = np.isfinite(cov).all(axis=axes)
+    finite = np.isfinite(cov).all(axis=(-2, -1))
     _require(finite, "covariance matrix has non-finite entries", where=where)
-    asym = np.abs(cov - np.swapaxes(cov, -1, -2)).max(axis=axes)
+    asym = np.abs(cov - np.swapaxes(cov, -1, -2)).max(axis=(-2, -1))
     message = "covariance matrix is not symmetric (max asymmetry {value:.3e})"
     _require(asym <= SYMMETRY_TOL, message, asym, where)
-    nu_min = _spectrum(cov, split).min(axis=-1)
+    nu_min = _spectrum(cov).min(axis=-1)
     message = "covariance matrix is not positive definite"
     _require(~np.isnan(nu_min), message, where=where, error=UncertaintyViolation)
-    tol = SPECTRAL_TOL + SPECTRAL_REL_TOL * np.abs(cov).max(axis=axes)
+    tol = SPECTRAL_TOL + SPECTRAL_REL_TOL * np.abs(cov).max(axis=(-2, -1))
     message = "covariance violates the uncertainty bound: min symplectic eigenvalue {value}"
     _require(nu_min >= 1.0 - tol, message, nu_min, where, UncertaintyViolation)
 

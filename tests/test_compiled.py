@@ -170,6 +170,19 @@ def test_a_fidelity_outside_the_unit_interval_raises(scale, escapes):
         compiled.columns(np.array([1.0]))
 
 
+def test_the_fidelity_bound_is_inclusive(monkeypatch):
+    # the fidelity lifted to 1 within rounding, as above, and the bound
+    # 1 + VALUE_TOL set exactly on it (f - 1 and 1 + (f - 1) are exact), then
+    # one step below it
+    compiled = _corrupted("global", "joint", lambda joint: joint.__imul__(2.0 / 3.0))
+    fidelity = compiled.columns(np.array([1.0]))[2][0]
+    monkeypatch.setattr(cli, "VALUE_TOL", fidelity - 1.0)
+    assert compiled.columns(np.array([1.0]))[2][0] == fidelity
+    monkeypatch.setattr(cli, "VALUE_TOL", np.nextafter(fidelity, 0.0) - 1.0)
+    with pytest.raises(RuntimeError, match=r"^v_s = 1\.0, gain = .*: fidelity .* escaped"):
+        compiled.columns(np.array([1.0]))
+
+
 def test_the_threshold_model_is_the_compiled_criteria_unchecked():
     # the model and the certifying engine evaluate the same sums, bit for bit
     grid = np.geomspace(0.001, 1.0, 30)

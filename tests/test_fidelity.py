@@ -113,7 +113,7 @@ def test_fidelity_bounds_are_inclusive(monkeypatch):
     assert fidelity_from_cov(np.eye(2), np.eye(2), np.array([100.0, 0.0])).value == 0.0
     # 1: identical vacua, with the rounding allowance set so the bound is exactly 1
     allowance = 1.0 - (1.0 + VALUE_TOL)
-    monkeypatch.setattr(fidelity, "_pure_rounding", lambda cov, split=False: allowance)
+    monkeypatch.setattr(fidelity, "_pure_rounding", lambda cov: allowance)
     assert fidelity_from_cov(np.eye(2), np.eye(2)).value == 1.0
 
 

@@ -388,7 +388,7 @@ def test_tolerances_are_inclusive(monkeypatch):
         _is_pure(np.diag([PURE_MAX_ENTRY, 1.0 / PURE_MAX_ENTRY]))
     # the uncertainty bound, with the spectrum set on it and just below it
     def spectrum_at(value):
-        monkeypatch.setattr(gaussian, "_spectrum", lambda cov, split=False: np.array([value]))
+        monkeypatch.setattr(gaussian, "_spectrum", lambda cov: np.array([value]))
 
     bound = 1.0 - (SPECTRAL_TOL + SPECTRAL_REL_TOL * 1.0)
     spectrum_at(bound)
@@ -399,7 +399,7 @@ def test_tolerances_are_inclusive(monkeypatch):
     monkeypatch.undo()
     # purity, with an allowance that cancels SPECTRAL_TOL: |1 - 1| <= 0
     no_rounding = np.asarray(-SPECTRAL_TOL)
-    monkeypatch.setattr(gaussian, "_pure_rounding", lambda cov, split=False: no_rounding)
+    monkeypatch.setattr(gaussian, "_pure_rounding", lambda cov: no_rounding)
     assert _spectrum(np.eye(2)) == 1.0 and _is_pure(np.eye(2))
 
 
