@@ -51,7 +51,7 @@ from .gaussian import (
     vacuum,
 )
 
-__version__ = "0.11.1"
+__version__ = "0.11.2"
 
 # The sampling oracle's public names, served on first use (PEP 562): a run
 # that samples nothing never imports or compiles the oracle.

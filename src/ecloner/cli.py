@@ -6,8 +6,9 @@ threshold report locating where the whole-state machine's criteria cross 1.
 Each run compiles the source and both machines once, as Laurent
 polynomials in s = sqrt(v_s), and certifies them once: the source pure at
 every v_s, each machine a Gaussian channel at the run's gain.  Every
-analytic column and the threshold search then evaluate that compiled form
-(``_Compiled``), with no gate building or spectral validation per point.
+analytic column evaluates that compiled form (``_Compiled``), with no gate
+building or spectral validation per point; each threshold is a real root of
+its polynomials, certified by one evaluation.
 Optionally cross-checks the criteria with the sampling oracle, imported
 only then: one run per point and machine, all sampled in one
 ``montecarlo.sample_criteria`` pass, the local machine's runs first.
@@ -44,10 +45,6 @@ from .gaussian import _require
 
 CSV_HEADER = "v_s,squeezing_db,i_local,i_global,eps_local,eps_global,f_local,f_global"
 BISECTION_TOL = 1e-9
-# The threshold search: _REFINEMENTS cuts of each bracket on a _GRID-point
-# grid of the global machine's compiled criteria
-_GRID = 65
-_REFINEMENTS = 5
 # Smallest --v-min accepted.  The compiled columns keep their digits far
 # below it.  At unity gain, against exact closed forms: every column within
 # 1.8e-15 relative from v_s = 1e-8 to 1; below that the local machine's stay
@@ -66,14 +63,12 @@ V_MIN_FLOOR = 0.001
 # fails at v_s = 0.01 already).  The cap keeps every printed column
 # reproducible through machine_covariances.
 MAX_GAIN = 9e3
-# Smallest --gain accepted.  The threshold search certifies each root: the
-# compiled criterion must change sign within BISECTION_TOL / 2 of it.  None
-# fails over 30001 log-spaced gains in [1e-6, 1e-4] and 501 in [1e-9, 1e-4],
-# and over 3001 log-spaced gains in [1e-5, 1e-2] every root lies within
-# 7.2e-11 of its closed form; at tiny gains the epr_paradox root nears
-# v_s = 1, where the criterion's slope is of order the gain.  The cap is
-# the 0.10.0 engine's, whose certification failed up to gain 1.37e-6
-# (ROADMAP item 28 sets it again).
+# Smallest --gain accepted, a decade above every gain where a threshold fails
+# certification (the compiled criterion must change sign within
+# BISECTION_TOL / 2 of its root): 100 of 801 log-spaced gains in [1e-8, 1e-4]
+# fail, all at or below 6.2e-7, each an epr_paradox root near v_s = 1, where
+# the criterion's slope is of order the gain.  Over 1201 log-spaced gains in
+# [MIN_GAIN, MAX_GAIN] every root is certified, within 4.5e-11 of its closed form.
 MIN_GAIN = 2e-5
 # 128 + SIGPIPE: the status a shell reports for a writer killed by SIGPIPE
 EXIT_BROKEN_PIPE = 141
@@ -163,7 +158,8 @@ class _Compiled:
       the fidelity needs no per-point purity check.
 
     Each value is a sum of squares, and the global machine's s and 1/s
-    cancel as exponents, so every column is exact to rounding.
+    cancel as exponents, so every column is exact to rounding.  The
+    thresholds come from the same sets (``candidate_roots``).
     """
 
     def __init__(self, machine, gain, source):
@@ -188,20 +184,20 @@ class _Compiled:
         joint determinants, then the variances."""
         return _tabulate((self.combined, self.conditional, self.joint, self.variances[..., None]))
 
-    @functools.cached_property
-    def _model_table(self):
-        """``_tabulate`` of the sets the criteria read: no joint determinants."""
-        return _tabulate((self.combined, self.conditional, self.variances[..., None]))
-
-    def _criteria(self, sums):
-        """(inseparability, epr_paradox) of clone 1 from either table's sums, unchecked."""
-        c = np.minimum(sums[..., 0:4:2], sums[..., 1:4:2])  # per quadrature: F_a -/+ F_b
-        ratio = sums[..., 4:6] / sums[..., self._conditioning - 8 :: 4]  # over its variances
-        return 0.5 * np.sqrt(c[..., 0] * c[..., 1]), ratio[..., 0] * ratio[..., 1]
-
-    def criteria(self, v):
-        """``columns``' criteria without the checks: the threshold search's model."""
-        return self._criteria(_sums(self._model_table, v))
+    def candidate_roots(self):
+        """Unchecked candidate v_s of inseparability = 1 and of epr_paradox = 1:
+        the roots of c_x c_p - 4 for each of the 4 pairs of signs sigma (c the
+        squared norm of F_a - sigma F_b; being nonnegative, the product of the
+        minima is the least of the 4 products), and of cond_x cond_p - C_bb,x C_bb,p.
+        """
+        norms = _product(self.combined, self.combined).sum(axis=-1)  # powers, quadrature, sign
+        products = _product(norms[:, 0, :, None], norms[:, 1, None, :])
+        products[len(products) // 2] -= 4.0
+        cond = _product(self.conditional, self.conditional).sum(axis=-1)
+        var = self.variances[..., self._conditioning]
+        cond, var = _product(cond[:, 0], cond[:, 1]), _product(var[:, 0], var[:, 1])
+        n = max(len(cond), len(var)) // 2
+        return _positive_roots(products), _positive_roots(_widened(cond, n) - _widened(var, n))
 
     def columns(self, v):
         """(inseparability, epr_paradox, fidelity) of clone 1 at the v_s ``v``,
@@ -216,7 +212,9 @@ class _Compiled:
         message = "the conditioning variance of the epr_paradox is not positive"
         positive = (var[..., self._conditioning] > 0).all(axis=-1)
         _require(positive, message, where=where, error=DegenerateInputError)
-        inseparability, epr_paradox = self._criteria(sums)
+        c = np.minimum(sums[..., 0:4:2], sums[..., 1:4:2])  # per quadrature: F_a -/+ F_b
+        ratio = sums[..., 4:6] / var[..., self._conditioning]  # x and p, over C_bb
+        inseparability, epr_paradox = 0.5 * np.sqrt(c.prod(axis=-1)), ratio.prod(axis=-1)
         fidelity = 4.0 / np.sqrt(sums[..., 6] * sums[..., 7])
         inside = (fidelity >= 0.0) & (fidelity <= 1.0 + VALUE_TOL)
         _require(inside, "fidelity {value} escaped [0, 1]", fidelity, where, RuntimeError)
@@ -297,55 +295,63 @@ def _bisect_crossing(lo, hi, gain, machine=None):
     Returns ``(inseparability_root, epr_paradox_root)``, None where the
     global machine's compiled criterion does not change sign between ``lo``
     and ``hi``.  ``machine`` is the run's compiled global machine, compiled
-    here when None.  The model is its compiled criteria unchecked
-    (``_Compiled.criteria``), the certifying engine the same criteria with
-    the per-point checks (``_Compiled.columns``); ``_find_roots`` does the
-    search.  Over 400 log-spaced gains in [0.05, 40] each root lies within
-    1.3e-14 of its closed form.  At tiny gains the epr_paradox root nears
-    v_s = 1, where the criterion's slope is of order the gain; the CLI
-    takes no gain below ``MIN_GAIN``.
+    here when None.  ``_find_roots`` certifies its ``candidate_roots`` with
+    its ``columns``.  Over 1201 log-spaced gains in [MIN_GAIN, MAX_GAIN],
+    every root from gain 0.05 up lies within 1.27e-14 of its closed form.
     """
     if machine is None:
         machine = _compile_run(gain)["global"]
 
-    def excess(criteria):  # both criteria minus 1, leading axis: criterion
-        return lambda v: np.stack(criteria(v)[:2]) - 1.0
+    def engine(v):  # both criteria minus 1, leading axis: criterion
+        return np.stack(machine.columns(v)[:2]) - 1.0
 
-    return _find_roots(lo, hi, gain, excess(machine.criteria), excess(machine.columns))
+    return _find_roots(lo, hi, gain, machine.candidate_roots(), engine)
 
 
-def _find_roots(lo, hi, gain, model, engine):
-    """The threshold search on [lo, hi] for two criteria at once.
+def _find_roots(lo, hi, gain, candidates, engine):
+    """The roots on [lo, hi] of two criteria, from each one's candidate v_s.
 
-    ``model(v)`` and ``engine(v)`` give both criteria minus 1 (leading axis:
-    criterion) at an array of v_s.  On the model, ``_REFINEMENTS`` times,
-    each criterion's bracket shrinks to the first cell of a ``_GRID``-point
-    grid with a sign change (the first cell where none has one); one
-    regula-falsi step then gives the root.  One engine evaluation certifies
-    it: a criterion that crosses must change sign within ``BISECTION_TOL /
-    2`` of the root (clipped to [lo, hi]), or a RuntimeError names the gain
-    and the root.  Returns the roots, None where the engine's criterion does
-    not change sign between lo and hi.
+    ``engine(v)`` gives both criteria minus 1 (leading axis: criterion).  In
+    one evaluation, a criterion that changes sign between lo and hi takes
+    its smallest candidate, within BISECTION_TOL / 2 of [lo, hi] and clipped
+    to it, where it also changes sign within BISECTION_TOL / 2; with none, a
+    RuntimeError names the gain and the smallest candidate (nan for none).
+    Elsewhere its root is None.
     """
-    rows, a, b = [0, 1], np.full(2, float(lo)), np.full(2, float(hi))
-    with np.errstate(divide="ignore", invalid="ignore"):  # a model may have no value at 0
-        for _ in range(_REFINEMENTS):
-            x = np.linspace(a, b, _GRID, axis=-1)  # rows: criterion
-            f = model(x)[rows, rows]
-            k = np.argmax(f[:, :-1] * f[:, 1:] <= 0, axis=-1)
-            a, b, f_a, f_b = x[rows, k], x[rows, k + 1], f[rows, k], f[rows, k + 1]
-        # regula falsi; a NaN step (no value at a, or both ends 0) keeps a
-        roots = a + np.fmin(np.fmax(f_a / (f_a - f_b), 0.0), 1.0) * (b - a)
-    half = BISECTION_TOL / 2  # columns of f: lo, hi, then the roots - half, the roots + half
-    f = engine(np.clip(np.concatenate([[lo, hi], roots - half, roots + half]), lo, hi))
+    half = BISECTION_TOL / 2
+    kept = [np.sort(np.clip(c[(c >= lo - half) & (c <= hi + half)], lo, hi)) for c in candidates]
+    points = np.concatenate(kept)  # columns of f: lo, hi, the points - half, the points + half
+    f = engine(np.clip(np.concatenate([[lo, hi], points - half, points + half]), lo, hi))
     crosses = f[:, 0] * f[:, 1] <= 0
-    for c, name in enumerate(("inseparability", "epr_paradox")):
-        if crosses[c] and f[c, 2 + c] * f[c, 4 + c] > 0:
+    below, above = np.split(f[:, 2:], 2, axis=1)
+    roots, ends = [], np.cumsum([len(k) for k in kept])
+    for c, (name, k, end) in enumerate(zip(("inseparability", "epr_paradox"), kept, ends)):
+        mine = slice(end - len(k), end)
+        certified = k[below[c, mine] * above[c, mine] <= 0]
+        if crosses[c] and not certified.size:
+            root = float(k[0]) if k.size else float("nan")
             raise RuntimeError(
-                f"{name} root {float(roots[c])!r} at gain {gain!r} is not certified: "
+                f"{name} root {root!r} at gain {gain!r} is not certified: "
                 f"the engine's {name} - 1 keeps its sign within {half:g} of it"
             )
-    return tuple(float(r) if crossing else None for r, crossing in zip(roots, crosses))
+        roots.append(float(certified[0]) if crosses[c] else None)
+    return tuple(roots)
+
+
+def _positive_roots(coef):
+    """v_s = s^2 at each positive real part s of the roots of the Laurent
+    polynomials ``coef`` (powers, ...), by one ``eigvals`` of their companion
+    matrices, each shifted to the top power (adding roots at s = 0).  Complex
+    roots count too: certification, not an imaginary-part bound, decides."""
+    flat = coef.reshape(len(coef), -1).T
+    used = np.flatnonzero(flat.any(axis=0))
+    flat, width = flat[:, used[0] : used[-1] + 1], used[-1] - used[0] + 1  # ascending powers
+    shift = np.argmax(flat[:, ::-1] != 0, axis=1)  # the zeros above each leading coefficient
+    flat = flat[np.arange(len(flat))[:, None], (np.arange(width) - shift[:, None]) % width]
+    companion = np.repeat(np.eye(width - 1, k=-1)[None], len(flat), axis=0)
+    companion[:, 0] = -flat[:, -2::-1] / flat[:, -1:]
+    s = np.linalg.eigvals(companion).real.ravel()
+    return s[s > 0] ** 2
 
 
 def _threshold_lines(machine):
@@ -432,7 +438,8 @@ def main(argv=None):
         sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
     except BrokenPipeError:
         # the reader stopped early, as `| head` does; drop the rest of the output
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
     return code
 

@@ -67,7 +67,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, _seeding
 from .circuits import CLONE_PAIRS, UNITY_GAIN, _gain_pair, _naming_v_s
 from .criteria import _check_pair, _epr_paradox, _inseparability, _pair_moments
 from .gaussian import (
@@ -182,14 +182,6 @@ def _check_runs(runs, shots):
     return machines, v_s, shots, seeds
 
 
-def _replica():
-    """``_seeding``, imported on first use: with no bytecode cache, compiling
-    it at import raised the peak RSS of a sweep that samples nothing by 0.2 MB."""
-    from . import _seeding
-
-    return _seeding
-
-
 def spawn_seeds(master_seed, count, key):
     """The seeds of ``count`` runs under ``key``:
     ``SeedSequence(master_seed, spawn_key=(i, key)).generate_state(1, np.uint64)[0]``
@@ -197,7 +189,7 @@ def spawn_seeds(master_seed, count, key):
     master_seed = _integer_at_least("master_seed", master_seed, 0)
     count = _integer_at_least("count", count, 0)
     key = _integer_at_least("key", key, 0)
-    return _replica().spawn_seeds(master_seed, count, key)
+    return _seeding.spawn_seeds(master_seed, count, key)
 
 
 def sample_circuit(machine, v_s, displacement_variance, shots, seed, gain=UNITY_GAIN):
@@ -233,7 +225,7 @@ def sample_circuit(machine, v_s, displacement_variance, shots, seed, gain=UNITY_
     in_domain = math.isfinite(displacement_variance) and displacement_variance >= 0
     message = "displacement_variance must be finite and non-negative, got {value}"
     _require(in_domain, message, displacement_variance)
-    states = _replica().pcg64_states(seeds)
+    states = _seeding.pcg64_states(seeds)
     blocks = _Blocks(shots, full=True)
     factors, response, draws, pair = _block_moments(blocks, machines, v_s, states, gain)
     displacement, means, bartlett = draws
@@ -285,7 +277,7 @@ def sample_criteria(runs, shots, gain=UNITY_GAIN):
     block behind it is drawn.
     """
     machines, v_s, shots, seeds = _check_runs(runs, shots)
-    states = _replica().pcg64_states(seeds)
+    states = _seeding.pcg64_states(seeds)
     values = np.empty((4, len(v_s)))
     blocks = _Blocks(shots)
     for start in range(0, len(v_s), BLOCK_RUNS):

@@ -252,23 +252,26 @@ def test_threshold_roots_match_closed_forms(gain, bracket):
     [(1e-3, 1.0), (0.25, 0.5), (0.3, 1.0), (0.6, 1.0)],
 )
 def test_lockstep_roots_equal_one_criterion_at_a_time(gain, bracket, monkeypatch):
-    # each criterion's root is the same when the other never crosses 1, on
-    # the model and in the certifying evaluation alike
+    # each criterion's root is the same when the other has no candidate and
+    # never crosses 1 in the certifying evaluation
     together = cli._bisect_crossing(*bracket, gain)
+    candidate_roots, columns = cli._Compiled.candidate_roots, cli._Compiled.columns
     alone = []
     for c in range(2):
 
-        def one_criterion(evaluate, c=c):
-            def criteria(machine, v):
-                values = list(evaluate(machine, v))
-                values[1 - c] = np.full(np.shape(v), 2.0)
-                return tuple(values)
+        def one_candidate_set(machine, c=c):
+            candidates = list(candidate_roots(machine))
+            candidates[1 - c] = np.empty(0)
+            return tuple(candidates)
 
-            return criteria
+        def one_criterion(machine, v, c=c):
+            values = list(columns(machine, v))
+            values[1 - c] = np.full(np.shape(v), 2.0)
+            return tuple(values)
 
         with monkeypatch.context() as patch:
-            for name in ("criteria", "columns"):
-                patch.setattr(cli._Compiled, name, one_criterion(getattr(cli._Compiled, name)))
+            patch.setattr(cli._Compiled, "candidate_roots", one_candidate_set)
+            patch.setattr(cli._Compiled, "columns", one_criterion)
             alone.append(cli._bisect_crossing(*bracket, gain)[c])
     assert together == tuple(alone)
 
@@ -286,9 +289,31 @@ def test_threshold_roots_lie_within_5e_12_of_closed_forms(gain):
                 assert root is None, (lo, hi, root, exact)
 
 
+@pytest.mark.parametrize("gain", [UNITY_GAIN, 0.05, 0.5, 8.0, 40.0, 9000.0])
+def test_the_candidates_hold_the_closed_form_roots(gain):
+    # unchecked and unbracketed, each criterion's candidates hold its
+    # closed-form root within 5e-12, as the certified roots do
+    compiled = cli._compile_run(gain)["global"]
+    for candidates, exact in zip(compiled.candidate_roots(), _closed_form_roots(gain)):
+        assert np.min(np.abs(candidates - exact)) <= 5e-12, (candidates, exact)
+
+
+@pytest.mark.parametrize("gain", np.geomspace(cli.MIN_GAIN, cli.MAX_GAIN, 200).tolist())
+def test_every_accepted_gain_gives_certified_roots_at_their_closed_forms(gain):
+    # the CLI's bracket over the whole accepted gain range: no RuntimeError,
+    # None exactly where the closed form lies outside, the root within
+    # BISECTION_TOL / 2 of it elsewhere
+    lo, hi = cli.V_MIN_FLOOR, 1.0
+    for root, exact in zip(cli._bisect_crossing(lo, hi, gain), _closed_form_roots(gain)):
+        if lo <= exact <= hi:
+            assert root is not None and abs(root - exact) <= cli.BISECTION_TOL / 2, (root, exact)
+        else:
+            assert root is None, (root, exact)
+
+
 def _both(excess, calls=None):
-    """Both criteria minus 1 as ``excess(v_s)``, for ``cli._find_roots``;
-    each evaluation appends its v_s to ``calls``."""
+    """Both criteria minus 1 as ``excess(v_s)``, for ``cli._find_roots``'s
+    engine; each evaluation appends its v_s to ``calls``."""
 
     def criteria(v_s):
         if calls is not None:
@@ -299,7 +324,8 @@ def _both(excess, calls=None):
 
 
 def test_threshold_search_takes_few_global_evaluations(monkeypatch):
-    # the model's grid refinement, then one certifying engine evaluation
+    # the candidates come from the compiled polynomials; one certifying
+    # engine evaluation picks the roots among them
     calls, columns = [], cli._Compiled.columns
 
     def counted(machine, v):
@@ -318,37 +344,57 @@ def test_threshold_search_finds_a_root_at_either_end():
     # an excess of exactly 0 at an end of the bracket crosses there
     for root in (0.0, 1.0):
         criteria = _both(lambda v_s, root=root: v_s - root)
-        roots = cli._find_roots(0.0, 1.0, UNITY_GAIN, criteria, criteria)
+        roots = cli._find_roots(0.0, 1.0, UNITY_GAIN, (np.array([root]),) * 2, criteria)
         assert None not in roots and all(abs(r - root) <= cli.BISECTION_TOL / 2 for r in roots)
+
+
+def test_threshold_search_keeps_a_candidate_just_outside_the_bracket():
+    # a root at either end, found as far as BISECTION_TOL / 2 beyond it
+    # (inclusive), counts, clipped to the end
+    half = cli.BISECTION_TOL / 2
+    candidates = (np.array([0.5 + half]), np.array([0.25 - half]))
+
+    def criteria(v_s):
+        return np.stack([v_s - 0.5, v_s - 0.25])
+
+    assert cli._find_roots(0.25, 0.5, UNITY_GAIN, candidates, criteria) == (0.5, 0.25)
 
 
 def test_threshold_search_finds_a_falling_root_at_either_end():
     # as epr_paradox does, the excess falls through 0, here exactly at an end
     for root in (0.0, 1.0):
         criteria = _both(lambda v_s, root=root: root - v_s)
-        roots = cli._find_roots(0.0, 1.0, UNITY_GAIN, criteria, criteria)
+        roots = cli._find_roots(0.0, 1.0, UNITY_GAIN, (np.array([root]),) * 2, criteria)
         assert None not in roots and all(abs(r - root) <= cli.BISECTION_TOL / 2 for r in roots)
 
 
+def test_threshold_search_takes_the_smallest_certified_candidate():
+    # candidates that are no roots, out of order, are passed over
+    criteria = _both(lambda v_s: (v_s - 0.3) * (v_s - 0.6) * (v_s - 0.9))
+    candidates = np.array([0.95, 0.6, 0.2, 0.9, 0.3])
+    assert cli._find_roots(0.0, 1.0, UNITY_GAIN, (candidates, candidates), criteria) == (0.3, 0.3)
+
+
 def test_threshold_search_reports_no_root_where_nothing_crosses():
+    # an uncertified candidate raises nothing where the engine does not cross
     criteria = _both(lambda v_s: v_s + 0.5)
-    assert cli._find_roots(0.1, 1.0, UNITY_GAIN, criteria, criteria) == (None, None)
+    candidates = (np.array([0.5]), np.empty(0))
+    assert cli._find_roots(0.1, 1.0, UNITY_GAIN, candidates, criteria) == (None, None)
 
 
 @pytest.mark.parametrize("shift", [0.2, 1.5 * cli.BISECTION_TOL / 2])
 def test_an_uncertified_root_raises_naming_the_gain_and_the_root(shift):
-    # the model sees both criteria cross at 0.5, the certifying evaluation at
+    # the candidates put both roots at 0.5, the certifying evaluation at
     # 0.5 + shift: the engine still changes sign on the bracket, but not
     # within BISECTION_TOL / 2 of the root
     calls = []
-    model = _both(lambda v_s: v_s - 0.5)
     engine = _both(lambda v_s: v_s - (0.5 + shift), calls)
     message = (
         r"^inseparability root 0\.5 at gain 2\.0 is not certified: "
         r"the engine's inseparability - 1 keeps its sign within 5e-10 of it$"
     )
     with pytest.raises(RuntimeError, match=message):
-        cli._find_roots(0.1, 1.0, 2.0, model, engine)
+        cli._find_roots(0.1, 1.0, 2.0, (np.array([0.5]),) * 2, engine)
     assert len(calls) == 1
 
 
@@ -420,6 +466,17 @@ def test_closed_pipe_exits_quietly():
     assert err == b""  # no Traceback, nor any other message
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_closed_pipe_in_process_leaks_no_file_descriptor(monkeypatch):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w") as stdout:  # its close flushes the rest to os.devnull
+        monkeypatch.setattr(sys, "stdout", stdout)
+        before = len(os.listdir("/proc/self/fd"))
+        assert main(["--points", "2000"]) == cli.EXIT_BROKEN_PIPE
+        assert len(os.listdir("/proc/self/fd")) == before
+
+
 def test_importing_the_cli_leaves_the_thread_pool_unimported():
     # No module of the package imports concurrent.futures (about 7 ms).
     code = "import sys, ecloner.cli; print('concurrent.futures' in sys.modules)"
@@ -430,10 +487,9 @@ def test_importing_the_cli_leaves_the_thread_pool_unimported():
 
 
 def test_importing_the_cli_leaves_the_oracle_set_up_unimported():
-    # numpy 2 imports numpy.random lazily, the CLI imports the oracle only
-    # where --mc-shots is set, and the oracle builds its generator and
-    # imports its seeding replica on first use, so a sweep without
-    # --mc-shots pays for none of them (numpy 1 imports numpy.random).
+    # numpy 2 imports numpy.random lazily, and the CLI imports the oracle,
+    # with its seeding replica, only where --mc-shots is set, so a sweep
+    # without --mc-shots pays for none of them (numpy 1 imports numpy.random).
     modules = "{'numpy.random', 'ecloner._seeding', 'ecloner.montecarlo', 'ecloner._kernels'}"
     code = f"import sys, ecloner.cli; print(sorted({modules} & set(sys.modules)))"
     done = subprocess.run(

@@ -182,11 +182,3 @@ def test_the_fidelity_bound_is_inclusive(monkeypatch):
     with pytest.raises(RuntimeError, match=r"^v_s = 1\.0, gain = .*: fidelity .* escaped"):
         compiled.columns(np.array([1.0]))
 
-
-def test_the_threshold_model_is_the_compiled_criteria_unchecked():
-    # the model and the certifying engine evaluate the same sums, bit for bit
-    grid = np.geomspace(0.001, 1.0, 30)
-    compiled = cli._Compiled("global", UNITY_GAIN, circuits._source_rows())
-    for model, engine in zip(compiled.criteria(grid), compiled.columns(grid)):
-        assert np.array_equal(model, engine)
-    assert abs(cli._bisect_crossing(0.001, 1.0, UNITY_GAIN)[0] - 0.5) <= 5e-12

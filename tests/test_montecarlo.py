@@ -152,8 +152,9 @@ def test_generator_states_are_numpy_pcg64_states():
     expected = [np.random.PCG64(seed).state["state"] for seed in seeds]
     expected = [(state["state"], state["inc"]) for state in expected]
     assert _seeding.pcg64_states(seeds) == expected
+    assert montecarlo._seeding is _seeding  # the replica the oracle seeds from
     for count in SEED_COUNTS:
-        assert montecarlo._replica().pcg64_states(seeds[:count]) == expected[:count]
+        assert _seeding.pcg64_states(seeds[:count]) == expected[:count]
 
 
 def _segment_dofs(shots):
