@@ -41,6 +41,14 @@ checks N + i Omega - i T Omega T^T >= 0 for a machine at one gain, so it
 maps every valid state to a valid state (Holevo & Werner, PRA 63, 032312,
 2001).  The public constructors still validate every state they return.
 
+A CLI run compiles the source and both machines once and certifies them
+once (``_compile_run``): the source pure at every v_s, each machine a
+Gaussian channel at the run's gain.  Every analytic column evaluates that
+compiled form (``_Compiled``), with no gate building or spectral
+validation per point, and each threshold is a real root of its
+polynomials (``_Compiled.candidate_roots``), for the CLI to certify by one
+evaluation.
+
 The compiled chains, their evaluated rows and ``_propagate`` carry x and p
 blocks.  States are validated and returned interleaved, in (x1, p1, ...)
 order: ``machine_covariances`` and ``epr_source`` interleave their blocks
@@ -48,13 +56,15 @@ before the checks, and the gate-object API and the CloneSets interleave K
 itself.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import UncertaintyViolation
+from .exceptions import DegenerateInputError, UncertaintyViolation
+from .fidelity import VALUE_TOL
 from .gaussian import (
     PURE_REL_TOL,
     GaussianState,
@@ -430,6 +440,151 @@ def _certify_channel(rows, machine, gain):
             f"{machine} machine at gain {gain!r} is not a Gaussian channel: "
             "N + i Omega - i T Omega T^T is not positive semidefinite"
         ) from None
+
+
+class _Compiled:
+    """One machine fed by the EPR source at one gain, compiled and certified once.
+
+    Every quantity the sweep reads is a set of Laurent coefficients in
+    s = sqrt(v_s), formed once here; a grid costs one matrix product for all
+    of them (``_sums``).  With F the output factor of source and
+    machine (``rows``, from ``_compile``), F_a and F_b clone 1's
+    rows and S the source's:
+
+    - ``variances``, ||F_k||^2 of each output k, a polynomial of
+      nonnegative terms: the clone symmetry check and C_bb;
+    - ``combined``, F_a - F_b and F_a + F_b: the inseparability's
+      C_aa + C_bb - 2|C_ab| is the smaller squared norm, ||F_a - sigma F_b||^2
+      with sigma the sign of C_ab;
+    - ``conditional``, the 2 x 2 minors of (F_a, F_b): by the Lagrange
+      identity their squares sum to C_aa C_bb - C_ab^2, the epr_paradox's
+      conditional variance times C_bb;
+    - ``joint``, the minors of ([S_a | F_a], [S_b | F_b]): by Cauchy-Binet
+      their squares sum to det(A + B) of the source and the clone pair, so
+      the fidelity needs no per-point purity check.
+
+    Each value is a sum of squares, and the global machine's s and 1/s
+    cancel as exponents, so every column is exact to rounding.  The
+    thresholds come from the same sets (``candidate_roots``).
+    """
+
+    def __init__(self, machine, gain, source):
+        gx, gp = _gain_pair(gain)
+        self.machine, self.gain = machine, gain
+        self._conditioning = CLONE_PAIRS[machine][0][1]  # clone 1's mode conditioned on
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.rows = _compile(machine, gx, gp, source)
+            # at v_s = 1 the source is a 50/50, symplectic: the machine's certificate
+            _certify_channel(_evaluate(self.rows, 1.0), machine, gain)
+            n = max(len(self.rows), len(source)) // 2
+            pair = _widened(self.rows, n)[:, :, list(CLONE_PAIRS[machine][0])]
+            (f_a, f_b), (s_a, s_b) = np.moveaxis(pair, 2, 0), np.moveaxis(_widened(source, n), 2, 0)
+            self.variances = _product(self.rows, self.rows).sum(axis=-1)
+            self.combined = np.stack([f_a - f_b, f_a + f_b], axis=-2)
+            self.conditional = _minors(f_a, f_b)
+            self.joint = _minors(np.concatenate([s_a, f_a], -1), np.concatenate([s_b, f_b], -1))
+
+    @functools.cached_property
+    def _table(self):
+        """``_tabulate`` of every set: 4 combined rows, 2 conditional and 2
+        joint determinants, then the variances."""
+        return _tabulate((self.combined, self.conditional, self.joint, self.variances[..., None]))
+
+    def candidate_roots(self):
+        """Unchecked candidate v_s of inseparability = 1 and of epr_paradox = 1:
+        the roots of c_x c_p - 4 for each of the 4 pairs of signs sigma (c the
+        squared norm of F_a - sigma F_b; being nonnegative, the product of the
+        minima is the least of the 4 products), and of cond_x cond_p - C_bb,x C_bb,p.
+        """
+        norms = _product(self.combined, self.combined).sum(axis=-1)  # powers, quadrature, sign
+        products = _product(norms[:, 0, :, None], norms[:, 1, None, :])
+        products[len(products) // 2] -= 4.0
+        cond = _product(self.conditional, self.conditional).sum(axis=-1)
+        var = self.variances[..., self._conditioning]
+        cond, var = _product(cond[:, 0], cond[:, 1]), _product(var[:, 0], var[:, 1])
+        n = max(len(cond), len(var)) // 2
+        return _positive_roots(products), _positive_roots(_widened(cond, n) - _widened(var, n))
+
+    def columns(self, v):
+        """(inseparability, epr_paradox, fidelity) of clone 1 at the v_s ``v``,
+        each stacked like v.  Checked per point, each error naming the v_s
+        and the gain: the float range, clone symmetry, a positive
+        conditioning variance and a fidelity within [0, 1]."""
+        sums = _sums(self._table, v)
+        var = sums[..., 8:].reshape(np.shape(v) + (2, 4))
+        where = _naming_v_s(v, self.gain)
+        _require(np.isfinite(sums).all(axis=-1), "the clones leave the float range", where=where)
+        _check_clone_symmetry(var, *CLONE_PAIRS[self.machine], where)
+        message = "the conditioning variance of the epr_paradox is not positive"
+        positive = (var[..., self._conditioning] > 0).all(axis=-1)
+        _require(positive, message, where=where, error=DegenerateInputError)
+        c = np.minimum(sums[..., 0:4:2], sums[..., 1:4:2])  # per quadrature: F_a -/+ F_b
+        ratio = sums[..., 4:6] / var[..., self._conditioning]  # x and p, over C_bb
+        inseparability, epr_paradox = 0.5 * np.sqrt(c.prod(axis=-1)), ratio.prod(axis=-1)
+        fidelity = 4.0 / np.sqrt(sums[..., 6] * sums[..., 7])
+        inside = (fidelity >= 0.0) & (fidelity <= 1.0 + VALUE_TOL)
+        _require(inside, "fidelity {value} escaped [0, 1]", fidelity, where, RuntimeError)
+        return inseparability, epr_paradox, fidelity
+
+
+def _tabulate(sets):
+    """Laurent coefficient sets as one (entries, powers) matrix, less its
+    entries of zeros and the powers of s no entry has, for ``_sums``.
+
+    Returns the matrix, the exponents of its powers, where each sum of
+    squares starts among its entries, and how many leading entries are
+    squared: each set's last axis is summed, x before p, and the last set,
+    the variances, is already squared.
+    """
+    n = max(len(coef) for coef in sets) // 2
+    flat = [_widened(coef, n).reshape(2 * n + 1, -1) for coef in sets]
+    ends = np.cumsum([f.shape[1] for f in flat])
+    starts = np.concatenate(
+        [np.arange(e - f.shape[1], e, c.shape[-1]) for e, f, c in zip(ends, flat, sets)]
+    )
+    coef = np.concatenate(flat, axis=1)
+    keep = coef.any(axis=0)
+    keep[starts] = True  # every sum keeps a column, if only one of zeros
+    used = np.flatnonzero(coef.any(axis=1))
+    entries = np.ascontiguousarray(coef[np.ix_(used, keep)].T)
+    return entries, used - float(n), (np.cumsum(keep) - 1)[starts], np.sum(keep[: ends[-2]])
+
+
+def _sums(table, v):
+    """The sums of squares of a ``_tabulate`` table at the v_s ``v``, stacked
+    like v: one matrix product with the powers of s = sqrt(v), then each
+    sum adds whole rows, one per entry, over every point at once."""
+    entries, exponents, starts, squared = table
+    s = np.sqrt(np.ravel(v))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        values = entries @ s ** exponents[:, None]  # rows: entries
+        values[:squared] **= 2  # in place: a second array this size costs more
+        sums = np.add.reduceat(values, starts, axis=0)
+    return sums.T.reshape(np.shape(v) + (len(starts),))
+
+
+def _positive_roots(coef):
+    """v_s = s^2 at each positive real part s of the roots of the Laurent
+    polynomials ``coef`` (powers, ...), by one ``eigvals`` of their companion
+    matrices, each shifted to the top power (adding roots at s = 0).  Complex
+    roots count too: certification, not an imaginary-part bound, decides."""
+    flat = coef.reshape(len(coef), -1).T
+    used = np.flatnonzero(flat.any(axis=0))
+    flat, width = flat[:, used[0] : used[-1] + 1], used[-1] - used[0] + 1  # ascending powers
+    shift = np.argmax(flat[:, ::-1] != 0, axis=1)  # the zeros above each leading coefficient
+    flat = flat[np.arange(len(flat))[:, None], (np.arange(width) - shift[:, None]) % width]
+    companion = np.repeat(np.eye(width - 1, k=-1)[None], len(flat), axis=0)
+    companion[:, 0] = -flat[:, -2::-1] / flat[:, -1:]
+    s = np.linalg.eigvals(companion).real.ravel()
+    return s[s > 0] ** 2
+
+def _compile_run(gain):
+    """Both machines at ``gain``, compiled and certified once for a run, on
+    one source certified once."""
+    source = _source_rows()
+    _certify_source(source, f"local and global machines at gain {gain!r}")
+    return {name: _Compiled(name, gain, source) for name in CLONE_PAIRS}
+
 
 
 def machine_covariances(machine, v_s, gain=UNITY_GAIN):

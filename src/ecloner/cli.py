@@ -3,19 +3,15 @@
 Writes one record per grid point with the entanglement criteria and clone
 fidelities of both machines, all derived from the circuit outputs, plus a
 threshold report locating where the whole-state machine's criteria cross 1.
-Each run compiles the source and both machines once, as Laurent
-polynomials in s = sqrt(v_s), and certifies them once: the source pure at
-every v_s, each machine a Gaussian channel at the run's gain.  Every
-analytic column evaluates that compiled form (``_Compiled``), with no gate
-building or spectral validation per point; each threshold is a real root of
-its polynomials, certified by one evaluation.
+Records and thresholds come from the run's compiled machines
+(``circuits._compile_run``); the CLI certifies each threshold among their
+candidate roots.
 Optionally cross-checks the criteria with the sampling oracle, imported
 only then: one run per point and machine, all sampled in one
 ``montecarlo.sample_criteria`` pass, the local machine's runs first.
 """
 
 import argparse
-import functools
 import json
 import os
 import sys
@@ -23,25 +19,8 @@ from contextlib import nullcontext
 
 import numpy as np
 
-from .circuits import (
-    CLONE_PAIRS,
-    UNITY_GAIN,
-    _certify_channel,
-    _certify_source,
-    _check_clone_symmetry,
-    _compile,
-    _evaluate,
-    _gain_pair,
-    _minors,
-    _naming_v_s,
-    _product,
-    _source_rows,
-    _widened,
-)
+from .circuits import UNITY_GAIN, _compile_run
 from .criteria import squeezing_db
-from .exceptions import DegenerateInputError
-from .fidelity import VALUE_TOL
-from .gaussian import _require
 
 CSV_HEADER = "v_s,squeezing_db,i_local,i_global,eps_local,eps_global,f_local,f_global"
 BISECTION_TOL = 1e-9
@@ -136,135 +115,6 @@ def _validate(parser, args):
         parser.error(f"--gain must lie in [{MIN_GAIN:g}, {MAX_GAIN:g}], got {args.gain}")
 
 
-class _Compiled:
-    """One machine fed by the EPR source at one gain, compiled and certified once.
-
-    Every quantity the sweep reads is a set of Laurent coefficients in
-    s = sqrt(v_s), formed once here; a grid costs one matrix product for all
-    of them (``_sums``).  With F the output factor of source and
-    machine (``rows``, from ``circuits._compile``), F_a and F_b clone 1's
-    rows and S the source's:
-
-    - ``variances``, ||F_k||^2 of each output k, a polynomial of
-      nonnegative terms: the clone symmetry check and C_bb;
-    - ``combined``, F_a - F_b and F_a + F_b: the inseparability's
-      C_aa + C_bb - 2|C_ab| is the smaller squared norm, ||F_a - sigma F_b||^2
-      with sigma the sign of C_ab;
-    - ``conditional``, the 2 x 2 minors of (F_a, F_b): by the Lagrange
-      identity their squares sum to C_aa C_bb - C_ab^2, the epr_paradox's
-      conditional variance times C_bb;
-    - ``joint``, the minors of ([S_a | F_a], [S_b | F_b]): by Cauchy-Binet
-      their squares sum to det(A + B) of the source and the clone pair, so
-      the fidelity needs no per-point purity check.
-
-    Each value is a sum of squares, and the global machine's s and 1/s
-    cancel as exponents, so every column is exact to rounding.  The
-    thresholds come from the same sets (``candidate_roots``).
-    """
-
-    def __init__(self, machine, gain, source):
-        gx, gp = _gain_pair(gain)
-        self.machine, self.gain = machine, gain
-        self._conditioning = CLONE_PAIRS[machine][0][1]  # clone 1's mode conditioned on
-        with np.errstate(over="ignore", invalid="ignore"):
-            self.rows = _compile(machine, gx, gp, source)
-            # at v_s = 1 the source is a 50/50, symplectic: the machine's certificate
-            _certify_channel(_evaluate(self.rows, 1.0), machine, gain)
-            n = max(len(self.rows), len(source)) // 2
-            pair = _widened(self.rows, n)[:, :, list(CLONE_PAIRS[machine][0])]
-            (f_a, f_b), (s_a, s_b) = np.moveaxis(pair, 2, 0), np.moveaxis(_widened(source, n), 2, 0)
-            self.variances = _product(self.rows, self.rows).sum(axis=-1)
-            self.combined = np.stack([f_a - f_b, f_a + f_b], axis=-2)
-            self.conditional = _minors(f_a, f_b)
-            self.joint = _minors(np.concatenate([s_a, f_a], -1), np.concatenate([s_b, f_b], -1))
-
-    @functools.cached_property
-    def _table(self):
-        """``_tabulate`` of every set: 4 combined rows, 2 conditional and 2
-        joint determinants, then the variances."""
-        return _tabulate((self.combined, self.conditional, self.joint, self.variances[..., None]))
-
-    def candidate_roots(self):
-        """Unchecked candidate v_s of inseparability = 1 and of epr_paradox = 1:
-        the roots of c_x c_p - 4 for each of the 4 pairs of signs sigma (c the
-        squared norm of F_a - sigma F_b; being nonnegative, the product of the
-        minima is the least of the 4 products), and of cond_x cond_p - C_bb,x C_bb,p.
-        """
-        norms = _product(self.combined, self.combined).sum(axis=-1)  # powers, quadrature, sign
-        products = _product(norms[:, 0, :, None], norms[:, 1, None, :])
-        products[len(products) // 2] -= 4.0
-        cond = _product(self.conditional, self.conditional).sum(axis=-1)
-        var = self.variances[..., self._conditioning]
-        cond, var = _product(cond[:, 0], cond[:, 1]), _product(var[:, 0], var[:, 1])
-        n = max(len(cond), len(var)) // 2
-        return _positive_roots(products), _positive_roots(_widened(cond, n) - _widened(var, n))
-
-    def columns(self, v):
-        """(inseparability, epr_paradox, fidelity) of clone 1 at the v_s ``v``,
-        each stacked like v.  Checked per point, each error naming the v_s
-        and the gain: the float range, clone symmetry, a positive
-        conditioning variance and a fidelity within [0, 1]."""
-        sums = _sums(self._table, v)
-        var = sums[..., 8:].reshape(np.shape(v) + (2, 4))
-        where = _naming_v_s(v, self.gain)
-        _require(np.isfinite(sums).all(axis=-1), "the clones leave the float range", where=where)
-        _check_clone_symmetry(var, *CLONE_PAIRS[self.machine], where)
-        message = "the conditioning variance of the epr_paradox is not positive"
-        positive = (var[..., self._conditioning] > 0).all(axis=-1)
-        _require(positive, message, where=where, error=DegenerateInputError)
-        c = np.minimum(sums[..., 0:4:2], sums[..., 1:4:2])  # per quadrature: F_a -/+ F_b
-        ratio = sums[..., 4:6] / var[..., self._conditioning]  # x and p, over C_bb
-        inseparability, epr_paradox = 0.5 * np.sqrt(c.prod(axis=-1)), ratio.prod(axis=-1)
-        fidelity = 4.0 / np.sqrt(sums[..., 6] * sums[..., 7])
-        inside = (fidelity >= 0.0) & (fidelity <= 1.0 + VALUE_TOL)
-        _require(inside, "fidelity {value} escaped [0, 1]", fidelity, where, RuntimeError)
-        return inseparability, epr_paradox, fidelity
-
-
-def _tabulate(sets):
-    """Laurent coefficient sets as one (entries, powers) matrix, less its
-    entries of zeros and the powers of s no entry has, for ``_sums``.
-
-    Returns the matrix, the exponents of its powers, where each sum of
-    squares starts among its entries, and how many leading entries are
-    squared: each set's last axis is summed, x before p, and the last set,
-    the variances, is already squared.
-    """
-    n = max(len(coef) for coef in sets) // 2
-    flat = [_widened(coef, n).reshape(2 * n + 1, -1) for coef in sets]
-    ends = np.cumsum([f.shape[1] for f in flat])
-    starts = np.concatenate(
-        [np.arange(e - f.shape[1], e, c.shape[-1]) for e, f, c in zip(ends, flat, sets)]
-    )
-    coef = np.concatenate(flat, axis=1)
-    keep = coef.any(axis=0)
-    keep[starts] = True  # every sum keeps a column, if only one of zeros
-    used = np.flatnonzero(coef.any(axis=1))
-    entries = np.ascontiguousarray(coef[np.ix_(used, keep)].T)
-    return entries, used - float(n), (np.cumsum(keep) - 1)[starts], np.sum(keep[: ends[-2]])
-
-
-def _sums(table, v):
-    """The sums of squares of a ``_tabulate`` table at the v_s ``v``, stacked
-    like v: one matrix product with the powers of s = sqrt(v), then each
-    sum adds whole rows, one per entry, over every point at once."""
-    entries, exponents, starts, squared = table
-    s = np.sqrt(np.ravel(v))
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        values = entries @ s ** exponents[:, None]  # rows: entries
-        values[:squared] **= 2  # in place: a second array this size costs more
-        sums = np.add.reduceat(values, starts, axis=0)
-    return sums.T.reshape(np.shape(v) + (len(starts),))
-
-
-def _compile_run(gain):
-    """Both machines at ``gain``, compiled and certified once for a run, on
-    one source certified once."""
-    source = _source_rows()
-    _certify_source(source, f"local and global machines at gain {gain!r}")
-    return {name: _Compiled(name, gain, source) for name in CLONE_PAIRS}
-
-
 def _analytic_records(grid, machines):
     """The analytic columns in CSV_HEADER order, from the run's compiled
     ``machines`` (``_compile_run``), each column one stacked evaluation."""
@@ -338,22 +188,6 @@ def _find_roots(lo, hi, gain, candidates, engine):
     return tuple(roots)
 
 
-def _positive_roots(coef):
-    """v_s = s^2 at each positive real part s of the roots of the Laurent
-    polynomials ``coef`` (powers, ...), by one ``eigvals`` of their companion
-    matrices, each shifted to the top power (adding roots at s = 0).  Complex
-    roots count too: certification, not an imaginary-part bound, decides."""
-    flat = coef.reshape(len(coef), -1).T
-    used = np.flatnonzero(flat.any(axis=0))
-    flat, width = flat[:, used[0] : used[-1] + 1], used[-1] - used[0] + 1  # ascending powers
-    shift = np.argmax(flat[:, ::-1] != 0, axis=1)  # the zeros above each leading coefficient
-    flat = flat[np.arange(len(flat))[:, None], (np.arange(width) - shift[:, None]) % width]
-    companion = np.repeat(np.eye(width - 1, k=-1)[None], len(flat), axis=0)
-    companion[:, 0] = -flat[:, -2::-1] / flat[:, -1:]
-    s = np.linalg.eigvals(companion).real.ravel()
-    return s[s > 0] ** 2
-
-
 def _threshold_lines(machine):
     """The threshold block of the compiled global ``machine``; the literature
     values and the note on them hold at unity gain only."""
@@ -402,30 +236,38 @@ def _write_json(stream, table):
 
 
 def run_sweep(args, stdout=None, stderr=None):
-    """Evaluate the grid and emit records; returns the process exit code."""
+    """Evaluate the grid and emit records; returns the process exit code.
+
+    An OSError while opening, writing or closing the output returns 2 with
+    one line on ``stderr``; a BrokenPipeError, a reader that stopped early,
+    propagates.
+    """
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
 
-    # Opened before any evaluation, so a bad path fails at once.
     try:
-        sink = open(args.output, "w") if args.output else nullcontext(stdout)
+        # opened before any evaluation, so a bad path fails at once
+        with open(args.output, "w") if args.output else nullcontext(stdout) as stream:
+            grid = np.geomspace(args.v_min, 1.0, args.points)
+            grid[-1] = 1.0
+            machines = _compile_run(args.gain)
+            table = _analytic_records(grid, machines)
+            if args.mc_shots:
+                _sample_records(table, args.gain, args.mc_shots, args.seed)
+            threshold_lines = _threshold_lines(machines["global"])
+            if args.format == "csv":
+                _write_csv(stream, table, threshold_lines)
+            else:
+                _write_json(stream, table)
+            stream.flush()  # a full device or a closed pipe fails here, not at interpreter exit
+    except BrokenPipeError:
+        raise
     except OSError as exc:
-        print(f"ecloner: cannot write {args.output}: {exc}", file=stderr)
+        print(f"ecloner: cannot write {args.output or '<stdout>'}: {exc}", file=stderr)
         return 2
-    with sink as stream:
-        grid = np.geomspace(args.v_min, 1.0, args.points)
-        grid[-1] = 1.0
-        machines = _compile_run(args.gain)
-        table = _analytic_records(grid, machines)
-        if args.mc_shots:
-            _sample_records(table, args.gain, args.mc_shots, args.seed)
-        threshold_lines = _threshold_lines(machines["global"])
-        if args.format == "csv":
-            _write_csv(stream, table, threshold_lines)
-        else:
-            _write_json(stream, table)
-            for line in threshold_lines:
-                print(f"# {line}", file=stderr)
+    if args.format == "json":
+        for line in threshold_lines:
+            print(f"# {line}", file=stderr)
     return 0
 
 
@@ -435,12 +277,12 @@ def main(argv=None):
     _validate(parser, args)
     try:
         code = run_sweep(args)
-        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
-    except BrokenPipeError:
-        # the reader stopped early, as `| head` does; drop the rest of the output
+    except BrokenPipeError:  # the reader stopped early, as `| head` does
+        code = EXIT_BROKEN_PIPE
+    if code != 0 and not args.output:
+        # drop the output stdout still holds, which would fail again at interpreter exit
         with open(os.devnull, "w") as devnull:
             os.dup2(devnull.fileno(), sys.stdout.fileno())
-        return EXIT_BROKEN_PIPE
     return code
 
 

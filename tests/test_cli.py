@@ -1,6 +1,7 @@
 """Command-line sweep: formats, determinism, thresholds, and exit codes."""
 
 import csv
+import errno
 import io
 import json
 import math
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 from closed_forms import exact_columns
 
-from ecloner import cli, montecarlo
+from ecloner import circuits, cli, montecarlo
 from ecloner.circuits import UNITY_GAIN
 from ecloner.cli import CSV_HEADER, build_parser, main, run_sweep
 
@@ -77,7 +78,7 @@ def test_every_record_satisfies_schema_invariants():
 def test_in_memory_record_invariants_are_tight():
     from ecloner.cli import _analytic_records
 
-    table = _analytic_records(np.array([0.013, 0.37, 0.81, 1.0]), cli._compile_run(UNITY_GAIN))
+    table = _analytic_records(np.array([0.013, 0.37, 0.81, 1.0]), circuits._compile_run(UNITY_GAIN))
     assert list(table) == CSV_HEADER.split(",")
     for v_s, db, f_global in zip(table["v_s"], table["squeezing_db"], table["f_global"]):
         assert abs(db - (-10.0 * math.log10(v_s))) < 1e-12
@@ -99,12 +100,12 @@ def _count_calls(monkeypatch, module, name, counts):
 def test_analytic_path_reads_the_engine_blocks_as_they_are(monkeypatch):
     # No interleaved matrix and no correlation-matrix copy between the
     # engine's x and p blocks and the criteria, the fidelity and the search.
-    from ecloner import circuits, criteria
+    from ecloner import criteria
 
     counts = {}
     _count_calls(monkeypatch, circuits, "_interleave", counts)
     _count_calls(monkeypatch, criteria.CorrelationMatrix, "__post_init__", counts)
-    machines = cli._compile_run(UNITY_GAIN)
+    machines = circuits._compile_run(UNITY_GAIN)
     cli._analytic_records(np.geomspace(0.01, 1.0, 9), machines)
     cli._threshold_lines(machines["global"])
     assert counts == {"_interleave": 0, "__post_init__": 0}
@@ -128,7 +129,7 @@ def test_analytic_records_check_the_shared_source_for_purity_once(monkeypatch):
     # state of the sweep is validated point by point
     from ecloner import fidelity, gaussian
 
-    names = ((cli, "_certify_source"), (gaussian, "_spectrum"), (fidelity, "_is_pure"))
+    names = ((circuits, "_certify_source"), (gaussian, "_spectrum"), (fidelity, "_is_pure"))
     expected = {"_certify_source": 1, "_spectrum": 0, "_is_pure": 0}
     assert _counted_runs(monkeypatch, names) == [expected] * 2
 
@@ -136,10 +137,7 @@ def test_analytic_records_check_the_shared_source_for_purity_once(monkeypatch):
 def test_analytic_records_build_the_source_once_per_sweep(monkeypatch):
     # one compiled source per run, whatever the grid; each machine compiled
     # once, fed the source, and certified once on that compiled form
-    from ecloner import circuits
-
-    names = ((cli, "_source_rows"), (cli, "_certify_channel"), (circuits, "_compile"))
-    monkeypatch.setattr(cli, "_compile", lambda *args: circuits._compile(*args))
+    names = ((circuits, "_source_rows"), (circuits, "_certify_channel"), (circuits, "_compile"))
     expected = {"_source_rows": 1, "_certify_channel": 2, "_compile": 2}
     assert _counted_runs(monkeypatch, names) == [expected] * 2
 
@@ -164,7 +162,7 @@ def test_stacked_records_match_the_scalar_api(gain):
     # 0.0133), so they are the reference too from v_s = 0.02 up, where that
     # stays below 5.5e-13.
     grid = np.geomspace(0.001, 1.0, 25)
-    table = _analytic_records(grid, cli._compile_run(gain))
+    table = _analytic_records(grid, circuits._compile_run(gain))
     for idx, v_s in enumerate(grid):
         epr = epr_source(v_s)
         for name, clones in (
@@ -255,7 +253,7 @@ def test_lockstep_roots_equal_one_criterion_at_a_time(gain, bracket, monkeypatch
     # each criterion's root is the same when the other has no candidate and
     # never crosses 1 in the certifying evaluation
     together = cli._bisect_crossing(*bracket, gain)
-    candidate_roots, columns = cli._Compiled.candidate_roots, cli._Compiled.columns
+    candidate_roots, columns = circuits._Compiled.candidate_roots, circuits._Compiled.columns
     alone = []
     for c in range(2):
 
@@ -270,8 +268,8 @@ def test_lockstep_roots_equal_one_criterion_at_a_time(gain, bracket, monkeypatch
             return tuple(values)
 
         with monkeypatch.context() as patch:
-            patch.setattr(cli._Compiled, "candidate_roots", one_candidate_set)
-            patch.setattr(cli._Compiled, "columns", one_criterion)
+            patch.setattr(circuits._Compiled, "candidate_roots", one_candidate_set)
+            patch.setattr(circuits._Compiled, "columns", one_criterion)
             alone.append(cli._bisect_crossing(*bracket, gain)[c])
     assert together == tuple(alone)
 
@@ -293,7 +291,7 @@ def test_threshold_roots_lie_within_5e_12_of_closed_forms(gain):
 def test_the_candidates_hold_the_closed_form_roots(gain):
     # unchecked and unbracketed, each criterion's candidates hold its
     # closed-form root within 5e-12, as the certified roots do
-    compiled = cli._compile_run(gain)["global"]
+    compiled = circuits._compile_run(gain)["global"]
     for candidates, exact in zip(compiled.candidate_roots(), _closed_form_roots(gain)):
         assert np.min(np.abs(candidates - exact)) <= 5e-12, (candidates, exact)
 
@@ -326,13 +324,13 @@ def _both(excess, calls=None):
 def test_threshold_search_takes_few_global_evaluations(monkeypatch):
     # the candidates come from the compiled polynomials; one certifying
     # engine evaluation picks the roots among them
-    calls, columns = [], cli._Compiled.columns
+    calls, columns = [], circuits._Compiled.columns
 
     def counted(machine, v):
         calls.append(machine.machine)
         return columns(machine, v)
 
-    monkeypatch.setattr(cli._Compiled, "columns", counted)
+    monkeypatch.setattr(circuits._Compiled, "columns", counted)
     for gain in THRESHOLD_GAINS:
         for lo, hi in THRESHOLD_BRACKETS:
             calls.clear()
@@ -618,6 +616,38 @@ def test_unwritable_output_exits_with_code_two(tmp_path, monkeypatch, capsys):
     assert main(["--points", "3", "--mc-shots", "1000", "--output", str(target)]) == 2
     assert calls == []
     assert capsys.readouterr().err.startswith(f"ecloner: cannot write {target}: ")
+
+
+class _FullStream(io.StringIO):
+    """A stream on a full device: every write raises ENOSPC."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_failed_write_exits_two_with_one_line(fmt):
+    out, err = _FullStream(), io.StringIO()
+    code = run_sweep(build_parser().parse_args(["--points", "3", "--format", fmt]), out, err)
+    message = f"ecloner: cannot write <stdout>: [Errno 28] {os.strerror(errno.ENOSPC)}\n"
+    assert (code, err.getvalue()) == (2, message)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("to_stdout", [False, True], ids=["output", "stdout"])
+def test_a_full_device_exits_two_with_one_line_and_no_traceback(to_stdout):
+    argv = [sys.executable, "-m", "ecloner.cli", "--points", "3"]
+    with open("/dev/full", "w") as full:
+        done = subprocess.run(
+            argv if to_stdout else argv + ["--output", "/dev/full"],
+            stdout=full if to_stdout else subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=_package_env(),
+        )
+    name = "<stdout>" if to_stdout else "/dev/full"
+    assert done.returncode == 2
+    assert re.fullmatch(rf"ecloner: cannot write {name}: \[Errno 28\] [^\n]*\n", done.stderr)
 
 
 RUN_SHOTS = 2000

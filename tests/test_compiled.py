@@ -35,7 +35,7 @@ def test_analytic_columns_are_exact_to_rounding_at_unity_gain(argv):
     # The bound, fixed before the run: 4e-15 relative (the worst measured is
     # 1.8e-15, eps_global); the 0.10.0 engine missed by up to 1.1e-10 here.
     grid = _grid(argv)
-    table = cli._analytic_records(grid, cli._compile_run(UNITY_GAIN))
+    table = cli._analytic_records(grid, circuits._compile_run(UNITY_GAIN))
     for column, form in CLOSED_FORMS.items():
         for v_s, value in zip(grid, table[column]):
             exact = form(Fraction(v_s))
@@ -60,7 +60,7 @@ def test_compiled_columns_match_the_covariance_criteria(machine, gain):
     # (1.1e-12 at v_s = 0.01, gain 8), so they are the reference too from
     # v_s = 0.02 up, where they keep 12 digits.
     grid = np.geomspace(0.01, 1.0, 60)
-    compiled = cli._Compiled(machine, gain, circuits._source_rows()).columns(grid)
+    compiled = circuits._Compiled(machine, gain, circuits._source_rows()).columns(grid)
     names = ("inseparability", "epr_paradox", "fidelity")
     covariance = _covariance_criteria(machine, grid, gain)
     for idx, v_s in enumerate(grid):
@@ -107,7 +107,7 @@ def test_a_hand_broken_source_chain_is_rejected(monkeypatch):
         rows[:, 0, 0] *= 1.001
         return rows
 
-    monkeypatch.setattr(cli, "_source_rows", broken)
+    monkeypatch.setattr(circuits, "_source_rows", broken)
     message = r"^local and global machines at gain 2\.0: the source is not pure: "
     with pytest.raises(UncertaintyViolation, match=message):
         cli.main(["--points", "3", "--gain", "2.0"])
@@ -129,7 +129,7 @@ def test_a_hand_broken_machine_chain_fails_the_run(gain, monkeypatch):
 
 
 def _corrupted(machine, attribute, change):
-    compiled = cli._Compiled(machine, UNITY_GAIN, circuits._source_rows())
+    compiled = circuits._Compiled(machine, UNITY_GAIN, circuits._source_rows())
     change(getattr(compiled, attribute))
     return compiled
 
@@ -176,9 +176,9 @@ def test_the_fidelity_bound_is_inclusive(monkeypatch):
     # one step below it
     compiled = _corrupted("global", "joint", lambda joint: joint.__imul__(2.0 / 3.0))
     fidelity = compiled.columns(np.array([1.0]))[2][0]
-    monkeypatch.setattr(cli, "VALUE_TOL", fidelity - 1.0)
+    monkeypatch.setattr(circuits, "VALUE_TOL", fidelity - 1.0)
     assert compiled.columns(np.array([1.0]))[2][0] == fidelity
-    monkeypatch.setattr(cli, "VALUE_TOL", np.nextafter(fidelity, 0.0) - 1.0)
+    monkeypatch.setattr(circuits, "VALUE_TOL", np.nextafter(fidelity, 0.0) - 1.0)
     with pytest.raises(RuntimeError, match=r"^v_s = 1\.0, gain = .*: fidelity .* escaped"):
         compiled.columns(np.array([1.0]))
 

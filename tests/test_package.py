@@ -43,3 +43,39 @@ def test_every_private_function_and_class_is_used_in_the_package():
         for name in sorted(_private_definitions(tree) - used)
     ]
     assert not unused, f"private definitions that no code names: {unused}"
+
+
+def test_the_compiled_engine_is_known_to_circuits_alone():
+    # the coefficient layout is one module's decision; the CLI reaches the
+    # engine through _compile_run and the compiled machines it returns
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    engine = {
+        "_product",
+        "_minors",
+        "_widened",
+        "_trimmed",
+        "_evaluate",
+        "_tabulate",
+        "_sums",
+        "_positive_roots",
+    }
+    outside = [
+        f"{module}: {name}"
+        for module, tree in trees.items()
+        if module != "circuits.py"
+        for name in sorted(engine & _names_in_code(tree))
+    ]
+    assert not outside, f"engine names outside circuits.py: {outside}"
+    imports = {
+        (node.module, alias.name)
+        for node in ast.walk(trees["cli.py"])
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    }
+    assert imports == {
+        ("circuits", "UNITY_GAIN"),
+        ("circuits", "_compile_run"),
+        ("criteria", "squeezing_db"),
+        (None, "montecarlo"),  # lazy, only when --mc-shots is set
+        ("montecarlo", "MIN_SHOTS"),  # lazy, only when --mc-shots is set
+    }
